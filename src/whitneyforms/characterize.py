@@ -9,19 +9,18 @@ and replays the two-stage elimination that proves uniqueness row by row.
 
 Unknowns are blocked per multi-index I: the constant term b_I, then the
 gradient entries a_{I,1}, ..., a_{I,n}. Labels follow that naming, e.g.
-"b_(1,2)" and "a_(1,2),3".
+"b_(1,2)" and "a_(1,2),3". That layout, and the integer rows of both
+blocks, come from :mod:`whitneyforms.operators`.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 
-from .derham import simplex_integral
-from .forms import AffineForm, MultiIndex, pullback
+from .forms import AffineForm
 from .linalg import (
     LinearSolver,
     Matrix,
@@ -30,6 +29,14 @@ from .linalg import (
     nullspace,
     rank,
     vstack,
+)
+from .operators import (
+    SparseRow,
+    UnknownLayout,
+    constancy_rows,
+    constant_term_row,
+    derham_rows,
+    unknown_layout,
 )
 from .simplicial import (
     AffineFunction,
@@ -71,121 +78,29 @@ class TraceIncomplete(RuntimeError):
     """The elimination replay hit a row that does not isolate one unknown."""
 
 
-@dataclass(frozen=True)
-class UnknownLayout:
-    """Flat ordering of the coefficient unknowns of an affine k-form.
-
-    One block of n+1 unknowns per multi-index, multi-indices lexicographic.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if not 0 <= self.k <= self.n:
-            raise BadDegree(f"k={self.k} outside 0..{self.n}")
-
-    @cached_property
-    def multi_indices(self) -> tuple[MultiIndex, ...]:
-        return tuple(itertools.combinations(range(1, self.n + 1), self.k))
-
-    @cached_property
-    def _offsets(self) -> dict[MultiIndex, int]:
-        return {idx: i * (self.n + 1) for i, idx in enumerate(self.multi_indices)}
-
-    @property
-    def size(self) -> int:
-        return len(self.multi_indices) * (self.n + 1)
-
-    def position(self, idx: MultiIndex, j: int | None = None) -> int:
-        """Index of b_idx (j omitted) or a_{idx,j} in the flat vector."""
-        base = self._offsets[tuple(idx)]
-        if j is None:
-            return base
-        if not 1 <= j <= self.n:
-            raise ValueError(f"gradient slot {j} outside 1..{self.n}")
-        return base + j
-
-    def label(self, idx: MultiIndex, j: int | None = None) -> str:
-        inner = ",".join(str(i) for i in idx)
-        return f"b_({inner})" if j is None else f"a_({inner}),{j}"
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for idx in self.multi_indices:
-            out.append(self.label(idx))
-            out.extend(self.label(idx, j) for j in range(1, self.n + 1))
-        return tuple(out)
-
-    @cached_property
-    def unit_forms(self) -> tuple[AffineForm, ...]:
-        """The form each unknown multiplies: position p maps to unit_forms[p]."""
-        out: list[AffineForm] = []
-        for idx in self.multi_indices:
-            out.append(AffineForm(self.n, self.k, {idx: AffineFunction.const(self.n, 1)}))
-            for j in range(1, self.n + 1):
-                grad = tuple(Fraction(1) if i == j else Fraction(0) for i in range(1, self.n + 1))
-                out.append(AffineForm(self.n, self.k, {idx: AffineFunction(self.n, Fraction(0), grad)}))
-        return tuple(out)
-
-    def form_from_vector(self, vec: list[Fraction] | tuple[Fraction, ...]) -> AffineForm:
-        if len(vec) != self.size:
-            raise ValueError(f"expected a vector of length {self.size}")
-        coeffs: dict[MultiIndex, AffineFunction] = {}
-        for idx in self.multi_indices:
-            base = self._offsets[idx]
-            coeffs[idx] = AffineFunction(
-                self.n, vec[base], tuple(vec[base + 1 : base + self.n + 1])
-            )
-        return AffineForm(self.n, self.k, coeffs)
-
-    def vector_from_form(self, form: AffineForm) -> tuple[Fraction, ...]:
-        if (form.n, form.k) != (self.n, self.k):
-            raise DegreeMismatch("form does not match this layout")
-        vec: list[Fraction] = []
-        for idx in self.multi_indices:
-            f = form.coeffs.get(idx, AffineFunction.zero(self.n))
-            vec.append(f.constant)
-            vec.extend(f.gradient)
-        return tuple(vec)
-
-
-@cache
-def _pulled_unit_coefficients(
-    n: int, k: int
-) -> tuple[UnknownLayout, tuple[Face, ...], tuple[tuple[AffineFunction, ...], ...]]:
-    """Per canonical face, the pulled-back top coefficient of each unit form.
-
-    Everything the constraint system needs is a linear functional of these,
-    so they are computed once per (n, k) and shared.
-    """
-    layout = UnknownLayout(n, k)
-    faces = tuple(enumerate_faces(n, k))
-    top = tuple(range(1, k + 1))
-    zero = AffineFunction.zero(k)
-    data = tuple(
-        tuple(pullback(uform, face).coeffs.get(top, zero) for uform in layout.unit_forms)
-        for face in faces
-    )
-    return layout, faces, data
+def _dense(rows: tuple[SparseRow, ...], cols: int, scale: int = 1) -> Matrix:
+    """Sparse integer rows as a dense rational matrix, each entry divided by scale."""
+    out: list[list[Fraction]] = []
+    for row in rows:
+        dense = [Fraction(0)] * cols
+        for pos, value in row:
+            dense[pos] = Fraction(value, scale)
+        out.append(dense)
+    return Matrix.from_rows(out, cols=cols)
 
 
 @cache
 def _system_matrices(n: int, k: int) -> tuple[Matrix, Matrix]:
-    """(constancy rows, integral rows) over the flat unknown vector."""
-    layout, faces, data = _pulled_unit_coefficients(n, k)
-    constancy_rows: list[list[Fraction]] = []
-    integral_rows: list[list[Fraction]] = []
-    for pulled in data:
-        for s in range(k):
-            constancy_rows.append([f.gradient[s] for f in pulled])
-        integral_rows.append([simplex_integral(f) for f in pulled])
+    """(constancy rows C, integral rows D) over the flat unknown vector.
+
+    C has k rows per face, face by face; D is the de Rham operator, whose
+    integer rows are divided here by (k+1)!.
+    """
+    size = unknown_layout(n, k).size
+    constancy = tuple(row for rows in constancy_rows(n, k) for row in rows)
     return (
-        Matrix.from_rows(constancy_rows, cols=layout.size),
-        Matrix.from_rows(integral_rows, cols=layout.size),
+        _dense(constancy, size),
+        _dense(derham_rows(n, k), size, math.factorial(k + 1)),
     )
 
 
@@ -221,7 +136,8 @@ def build_system(n: int, k: int, cochain: Cochain | None = None) -> ConstraintSy
     their closed-form answers serve as cross-checks elsewhere, not as
     special cases here.
     """
-    layout, faces, _ = _pulled_unit_coefficients(n, k)
+    layout = unknown_layout(n, k)
+    faces = tuple(enumerate_faces(n, k))
     constancy, integrals = _system_matrices(n, k)
     if cochain is None:
         values = (Fraction(0),) * len(faces)
@@ -241,7 +157,7 @@ def lambda_e_dimension(n: int, k: int) -> int:
     integral per face a square problem.
     """
     constancy, _ = _system_matrices(n, k)
-    return UnknownLayout(n, k).size - rank(constancy)
+    return unknown_layout(n, k).size - rank(constancy)
 
 
 @cache
@@ -285,10 +201,10 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
-    layout, faces, _ = _pulled_unit_coefficients(n, k)
+    layout = unknown_layout(n, k)
     solver = _stacked_solver(n, k)
-    rhs = [Fraction(0)] * (k * len(faces)) + [
-        cochain.terms.get(face.vertices, Fraction(0)) for face in faces
+    rhs = [Fraction(0)] * (k * len(layout.faces)) + [
+        cochain.terms.get(face, Fraction(0)) for face in layout.faces
     ]
     try:
         vec = solver.solve(rhs)
@@ -320,7 +236,7 @@ class KernelReport:
 
 def kernel_is_trivial(n: int, k: int) -> KernelReport:
     """Nullspace of the stacked system; trivial kernel means uniqueness."""
-    layout, _, _ = _pulled_unit_coefficients(n, k)
+    layout = unknown_layout(n, k)
     constancy, integrals = _system_matrices(n, k)
     basis = nullspace(vstack(constancy, integrals))
     forms = tuple(layout.form_from_vector(v) for v in basis)
@@ -369,16 +285,6 @@ class ProofTrace:
         }
 
 
-def _constant_term_row(layout: UnknownLayout, face: Face) -> list[Fraction]:
-    """Constant term of each unit form's pulled-back face coefficient."""
-    top = tuple(range(1, layout.k + 1))
-    row: list[Fraction] = []
-    for uform in layout.unit_forms:
-        coeff = pullback(uform, face).coeffs.get(top)
-        row.append(coeff.constant if coeff is not None else Fraction(0))
-    return row
-
-
 def proof_trace(n: int, k: int) -> ProofTrace:
     """Replay the elimination that forces uniqueness, one unknown per row.
 
@@ -390,37 +296,37 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     pulled-back coefficient, restricted to the unknowns still alive, is
     exactly the lone unknown a_{L,m} with coefficient one. Any row that
     fails to isolate one unknown aborts the replay.
+
+    Every row is read off the cached operators: stage 1 from the rows of C
+    and D on the face, stage 2 from the closed-form constant-term row.
     """
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
-    layout, faces, data = _pulled_unit_coefficients(n, k)
+    layout = unknown_layout(n, k)
     alive = [True] * layout.size
 
     stage1: list[Stage1Kill] = []
-    for face, pulled in zip(faces, data):
-        if face.vertices[0] != 0:
+    for face, face_constancy, integral in zip(
+        layout.faces, constancy_rows(n, k), derham_rows(n, k)
+    ):
+        if face[0] != 0:
             continue
-        rows = [[f.gradient[s] for f in pulled] for s in range(k)]
-        rows.append([simplex_integral(f) for f in pulled])
         killed_here: list[int] = []
-        for row in rows:
-            support = [(pos, v) for pos, v in enumerate(row) if alive[pos] and v]
+        for row in face_constancy + (integral,):
+            support = [pos for pos, _ in row if alive[pos]]
             if len(support) != 1:
                 raise TraceIncomplete(
-                    f"a row on face {list(face.vertices)} involves "
+                    f"a row on face {list(face)} involves "
                     f"{len(support)} live unknowns, expected exactly one"
                 )
-            pos = support[0][0]
-            alive[pos] = False
-            killed_here.append(pos)
-        span = face.vertices[1:]
+            alive[support[0]] = False
+            killed_here.append(support[0])
+        span = face[1:]
         expected = {layout.position(span)} | {layout.position(span, t) for t in span}
         if set(killed_here) != expected:
-            raise TraceIncomplete(
-                f"face {list(face.vertices)} determined unexpected unknowns"
-            )
+            raise TraceIncomplete(f"face {list(face)} determined unexpected unknowns")
         stage1.append(
-            Stage1Kill(face.vertices, tuple(layout.labels[p] for p in sorted(killed_here)))
+            Stage1Kill(face, tuple(layout.labels[p] for p in sorted(killed_here)))
         )
 
     stage2: list[Stage2Kill] = []
@@ -428,10 +334,10 @@ def proof_trace(n: int, k: int) -> ProofTrace:
         for m in range(1, n + 1):
             if m in span:
                 continue
-            row = _constant_term_row(layout, Face(n, (m,) + span))
-            support = [(pos, v) for pos, v in enumerate(row) if alive[pos] and v]
+            row = constant_term_row(n, k, m, span)
+            support = [(pos, v) for pos, v in row if alive[pos]]
             target = layout.position(span, m)
-            if support != [(target, Fraction(1))]:
+            if support != [(target, 1)]:
                 raise TraceIncomplete(
                     f"evaluation at vertex {m} of face {[m, *span]} does not "
                     f"isolate {layout.label(span, m)} with coefficient one"

@@ -237,12 +237,13 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
     rows = []
     for kk in degrees:
         faces = math.comb(n + 1, kk + 1)
+        unknowns = math.comb(n, kk) * (n + 1)
         dim = lambda_e_dimension(n, kk)
         rows.append(
             {
                 "k": kk,
-                "unknowns": math.comb(n, kk) * (n + 1),
-                "constancy_rank": kk * faces,
+                "unknowns": unknowns,
+                "constancy_rank": unknowns - dim,
                 "faces": faces,
                 "dimension": dim,
                 "match": dim == faces,

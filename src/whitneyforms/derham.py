@@ -7,8 +7,14 @@ to the standard k-simplex, to two closed-form moments:
     integral of t^s  over the standard k-simplex = 1/(k+1)!
 
 so no numerical quadrature is needed and every value is an exact rational.
-Collecting the integrals over all canonical k-faces into a cochain gives
-the map that sends a form to its face-integral data.
+``integrate_over_face`` does exactly that for one face of any orientation.
+
+``derham`` collects the integrals over all canonical k-faces into a cochain
+without any pullback: the moments above, applied to the closed-form minors
+of each face, make the whole map one sparse integer matrix D*(k+1)! per
+(n, k) (see :mod:`whitneyforms.operators`). ``derham`` multiplies the form's
+coefficient vector by it and divides once by (k+1)!. The per-face route
+stays as the independent check of that matrix.
 """
 
 from __future__ import annotations
@@ -17,7 +23,8 @@ import math
 from fractions import Fraction
 
 from .forms import AffineForm, DimensionMismatch, pullback
-from .simplicial import AffineFunction, Cochain, DegreeMismatch, Face, enumerate_faces
+from .operators import derham_rows, unknown_layout
+from .simplicial import AffineFunction, Cochain, DegreeMismatch, Face
 
 __all__ = [
     "simplex_integral",
@@ -60,8 +67,11 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
 
 def derham(form: AffineForm) -> Cochain:
     """All face integrals of the form, as a cochain on the canonical faces."""
+    layout = unknown_layout(form.n, form.k)
+    vec = layout.vector_from_form(form)
+    scale = math.factorial(form.k + 1)
     terms = {
-        face.vertices: integrate_over_face(form, face)
-        for face in enumerate_faces(form.n, form.k)
+        face: sum((vec[pos] * value for pos, value in row if vec[pos]), Fraction(0)) / scale
+        for face, row in zip(layout.faces, derham_rows(form.n, form.k))
     }
     return Cochain(form.n, form.k, terms)

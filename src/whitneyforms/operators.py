@@ -1,0 +1,239 @@
+"""Forms as coefficient vectors, and the sparse integer operators that act on them.
+
+An affine-coefficient k-form on the standard n-simplex is a vector of
+rationals in the coordinates of :class:`UnknownLayout`: per multi-index I,
+the constant term b_I and then the gradient entries a_{I,1}, ..., a_{I,n}.
+Every map the package needs between such vectors and cochains is linear,
+and each has small integer entries, so it is built once per (n, k) as
+sparse rows of ``(position, int)`` pairs:
+
+* W, the Whitney map: per canonical k-face, the vector of its basis form;
+* D*(k+1)!, the de Rham map scaled to integers: one row per face;
+* C, the constancy block: k rows per face.
+
+Rationals enter only at the boundary, in the vectors the operators act on
+and in the single division of D's output by (k+1)!.
+
+D and C come from one closed form. Parametrize the canonical face
+F = (v_0 < ... < v_k) by x(t) = p_{v_0} + sum_s t^s (p_{v_s} - p_{v_0}). The
+pullback of dx^I is the minor of the direction matrix on the rows I. A row
+outside F vanishes, so only the multi-indices I_r = F \\ {v_r} can have a
+nonzero minor, and only those inside {1..n} exist: when v_0 = 0 that leaves
+r = 0 alone. The minor of I_r is (-1)^r: the identity for r = 0, and for
+r >= 1 the row v_0 is all -1, whose entry in column r is the only one there.
+The standard k-simplex has moments 1/k! (of 1) and 1/(k+1)! (of each t^s),
+and x^j(t) is the barycentric coordinate of vertex j on F (zero unless j is
+a vertex of F), so
+
+    integral over F of x^j dx^{I_r} = (-1)^r [j in F] / (k+1)!
+    integral over F of     dx^{I_r} = (-1)^r / k!
+
+and D*(k+1)! puts (-1)^r (k+1) on b_{I_r} and (-1)^r on a_{I_r,j} for each
+vertex j >= 1 of F. The t^s-derivative of the pulled-back coefficient is
+sum_r (-1)^r (a_{I_r,v_s} - a_{I_r,v_0}), with a_{I,0} taken as zero, so C
+has entries in {-1, 0, 1}. Distinct r give distinct blocks I_r, so no two
+terms of a row ever share a position.
+
+W is read off the basis forms of the Whitney construction, which have
+integer coefficients thanks to their k! normalization.
+"""
+
+from __future__ import annotations
+
+import itertools
+from collections.abc import Mapping
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import cache, cached_property
+from types import MappingProxyType
+
+from .forms import AffineForm, MultiIndex
+from .simplicial import AffineFunction, BadDegree, DegreeMismatch, permutation_sign
+
+__all__ = [
+    "SparseRow",
+    "UnknownLayout",
+    "unknown_layout",
+    "face_minors",
+    "whitney_columns",
+    "derham_rows",
+    "constancy_rows",
+    "constant_term_row",
+]
+
+SparseRow = tuple[tuple[int, int], ...]
+"""Nonzero entries of one row (or column) as (position, value), by position."""
+
+
+@dataclass(frozen=True)
+class UnknownLayout:
+    """Flat ordering of the coefficient unknowns of an affine k-form.
+
+    One block of n+1 unknowns per multi-index, multi-indices lexicographic.
+    ``faces`` fixes the matching order of the canonical k-faces, which index
+    the rows of D and C and the columns of W.
+    """
+
+    n: int
+    k: int
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError("ambient dimension must be at least 1")
+        if not 0 <= self.k <= self.n:
+            raise BadDegree(f"k={self.k} outside 0..{self.n}")
+
+    @cached_property
+    def multi_indices(self) -> tuple[MultiIndex, ...]:
+        return tuple(itertools.combinations(range(1, self.n + 1), self.k))
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical k-faces as increasing vertex tuples, lexicographic."""
+        return tuple(itertools.combinations(range(self.n + 1), self.k + 1))
+
+    @cached_property
+    def _offsets(self) -> dict[MultiIndex, int]:
+        return {idx: i * (self.n + 1) for i, idx in enumerate(self.multi_indices)}
+
+    @property
+    def size(self) -> int:
+        return len(self.multi_indices) * (self.n + 1)
+
+    def position(self, idx: MultiIndex, j: int | None = None) -> int:
+        """Index of b_idx (j omitted) or a_{idx,j} in the flat vector."""
+        base = self._offsets[tuple(idx)]
+        if j is None:
+            return base
+        if not 1 <= j <= self.n:
+            raise ValueError(f"gradient slot {j} outside 1..{self.n}")
+        return base + j
+
+    def label(self, idx: MultiIndex, j: int | None = None) -> str:
+        inner = ",".join(str(i) for i in idx)
+        return f"b_({inner})" if j is None else f"a_({inner}),{j}"
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        out: list[str] = []
+        for idx in self.multi_indices:
+            out.append(self.label(idx))
+            out.extend(self.label(idx, j) for j in range(1, self.n + 1))
+        return tuple(out)
+
+    @cached_property
+    def unit_forms(self) -> tuple[AffineForm, ...]:
+        """The form each unknown multiplies: position p maps to unit_forms[p]."""
+        out: list[AffineForm] = []
+        for idx in self.multi_indices:
+            out.append(AffineForm(self.n, self.k, {idx: AffineFunction.const(self.n, 1)}))
+            for j in range(1, self.n + 1):
+                grad = tuple(Fraction(1) if i == j else Fraction(0) for i in range(1, self.n + 1))
+                out.append(AffineForm(self.n, self.k, {idx: AffineFunction(self.n, Fraction(0), grad)}))
+        return tuple(out)
+
+    def form_from_vector(self, vec: list[Fraction] | tuple[Fraction, ...]) -> AffineForm:
+        if len(vec) != self.size:
+            raise ValueError(f"expected a vector of length {self.size}")
+        coeffs: dict[MultiIndex, AffineFunction] = {}
+        for idx in self.multi_indices:
+            base = self._offsets[idx]
+            block = vec[base : base + self.n + 1]
+            if any(block):
+                coeffs[idx] = AffineFunction(self.n, block[0], tuple(block[1:]))
+        return AffineForm(self.n, self.k, coeffs)
+
+    def vector_from_form(self, form: AffineForm) -> tuple[Fraction, ...]:
+        if (form.n, form.k) != (self.n, self.k):
+            raise DegreeMismatch("form does not match this layout")
+        zero = (Fraction(0),) * (self.n + 1)
+        vec: list[Fraction] = []
+        for idx in self.multi_indices:
+            f = form.coeffs.get(idx)
+            if f is None:
+                vec.extend(zero)
+            else:
+                vec.append(f.constant)
+                vec.extend(f.gradient)
+        return tuple(vec)
+
+
+@cache
+def unknown_layout(n: int, k: int) -> UnknownLayout:
+    """The layout of (n, k), built once so that its cached properties are too."""
+    return UnknownLayout(n, k)
+
+
+def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
+    """(I_r, (-1)^r) for each multi-index with a nonzero minor on a canonical face."""
+    return tuple(
+        (vertices[:r] + vertices[r + 1 :], -1 if r % 2 else 1)
+        for r in range(len(vertices))
+        if r == 0 or vertices[0] != 0
+    )
+
+
+@cache
+def whitney_columns(n: int, k: int) -> Mapping[tuple[int, ...], SparseRow]:
+    """W: the coefficient vector of each canonical face's Whitney basis form."""
+    from .whitney import _basis_form_canonical  # whitney imports this module
+
+    layout = unknown_layout(n, k)
+    columns: dict[tuple[int, ...], SparseRow] = {}
+    for face in layout.faces:
+        column: list[tuple[int, int]] = []
+        for pos, value in enumerate(layout.vector_from_form(_basis_form_canonical(n, face))):
+            if value.denominator != 1:
+                raise ArithmeticError(f"basis form of {face} is not integral")
+            if value:
+                column.append((pos, value.numerator))
+        columns[face] = tuple(column)
+    return MappingProxyType(columns)
+
+
+@cache
+def derham_rows(n: int, k: int) -> tuple[SparseRow, ...]:
+    """D*(k+1)!: row i integrates over layout.faces[i], times (k+1)!."""
+    layout = unknown_layout(n, k)
+    rows: list[SparseRow] = []
+    for face in layout.faces:
+        row: list[tuple[int, int]] = []
+        for idx, sign in face_minors(face):
+            row.append((layout.position(idx), sign * (k + 1)))
+            row.extend((layout.position(idx, j), sign) for j in face if j)
+        rows.append(tuple(sorted(row)))
+    return tuple(rows)
+
+
+@cache
+def constancy_rows(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
+    """C: for layout.faces[i], the t^1..t^k derivatives of the pulled-back coefficient."""
+    layout = unknown_layout(n, k)
+    out: list[tuple[SparseRow, ...]] = []
+    for face in layout.faces:
+        minors = face_minors(face)
+        rows: list[SparseRow] = []
+        for v in face[1:]:
+            row = [(layout.position(idx, v), sign) for idx, sign in minors]
+            if face[0]:
+                row += [(layout.position(idx, face[0]), -sign) for idx, sign in minors]
+            rows.append(tuple(sorted(row)))
+        out.append(tuple(rows))
+    return tuple(out)
+
+
+def constant_term_row(n: int, k: int, m: int, span: MultiIndex) -> SparseRow:
+    """Constant term of the coefficient pulled back to the face (m, *span).
+
+    That constant term is the coefficient's value at vertex m >= 1. Ordering
+    the face as G = sorted((m,) + span) multiplies every minor by
+    sigma = permutation_sign((m,) + span), so the row puts sigma (-1)^r on
+    both b_I and a_{I,m} for each I = G \\ {g_r}.
+    """
+    layout = unknown_layout(n, k)
+    face = (m, *span)
+    sigma = permutation_sign(face)
+    row: list[tuple[int, int]] = []
+    for idx, sign in face_minors(tuple(sorted(face))):
+        row += [(layout.position(idx), sigma * sign), (layout.position(idx, m), sigma * sign)]
+    return tuple(sorted(row))

@@ -8,15 +8,18 @@ with nu the barycentric coordinates. The k! normalization makes the form
 integrate to exactly 1 over its own face and 0 over every other k-face, so
 the construction is a right inverse to face-wise integration. Reversing
 the face orientation negates the form; the sign carried by a Face is folded
-in here.
+in here. The basis forms have integer coefficients and are the columns of
+the operator W, so ``whitney`` of a cochain is a sum of scaled columns.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import cache, reduce
 
 from .forms import AffineForm, ConstantForm, scale_by_affine, wedge
+from .operators import unknown_layout, whitney_columns
 from .simplicial import BadDegree, Cochain, Face, barycentric_functions
 
 __all__ = [
@@ -58,10 +61,17 @@ def whitney_basis_form(face: Face) -> AffineForm:
 
 
 def whitney(c: Cochain) -> AffineForm:
-    """Extend linearly: the Whitney form of a k-cochain."""
+    """Extend linearly: the Whitney form of a k-cochain.
+
+    The coefficient vector is the sum of the cochain's coefficients times
+    the integer columns of W, one column per face.
+    """
     if not 0 <= c.k <= c.n:
         raise BadDegree(f"k={c.k} outside 0..{c.n}")
-    total = AffineForm.zero(c.n, c.k)
+    layout = unknown_layout(c.n, c.k)
+    columns = whitney_columns(c.n, c.k)
+    vec = [Fraction(0)] * layout.size
     for vertices, coeff in c.terms.items():
-        total = total + coeff * _basis_form_canonical(c.n, vertices)
-    return total
+        for pos, value in columns[vertices]:
+            vec[pos] += coeff * value
+    return layout.form_from_vector(vec)

@@ -1,8 +1,10 @@
 """Independent oracles and generators shared across the test modules.
 
-Everything here deliberately avoids the library's own code paths: parity
-comes from bubble sort, subset counts from explicit enumeration, and
-integrals from a floating-point quadrature rule built on numpy.
+Everything here deliberately avoids the library's fast paths: parity
+comes from bubble sort, subset counts from explicit enumeration, integrals
+from a floating-point quadrature rule built on numpy, and the constraint
+rows from the general ``pullback`` of each unit form, which none of the
+cached operators calls.
 """
 
 from __future__ import annotations
@@ -14,7 +16,16 @@ from random import Random
 
 import numpy as np
 
-from whitneyforms import AffineForm, AffineFunction, Face, vertex_point
+from whitneyforms import (
+    AffineForm,
+    AffineFunction,
+    Face,
+    UnknownLayout,
+    enumerate_faces,
+    pullback,
+    simplex_integral,
+    vertex_point,
+)
 
 
 def bubble_sort_parity(seq) -> int:
@@ -34,16 +45,52 @@ def count_subsets(n: int, k: int) -> int:
     return sum(1 for _ in itertools.combinations(range(n), k))
 
 
-def random_affine_form(rng: Random, n: int, k: int) -> AffineForm:
-    """Form with small random rational coefficients on every multi-index."""
+def random_affine_form(rng: Random, n: int, k: int, bits: int = 0) -> AffineForm:
+    """Form with random rational coefficients on every multi-index.
+
+    Numerators and denominators are small (up to 10) by default, or drawn
+    below 2**bits when bits is given.
+    """
+
+    def draw() -> Fraction:
+        if bits:
+            return Fraction(rng.randrange(-(2**bits), 2**bits), rng.randrange(1, 2**bits))
+        return Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+
     coeffs = {}
     for idx in itertools.combinations(range(1, n + 1), k):
-        constant = Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-        grad = tuple(
-            Fraction(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(n)
-        )
+        constant = draw()
+        grad = tuple(draw() for _ in range(n))
         coeffs[idx] = AffineFunction(n, constant, grad)
     return AffineForm(n, k, coeffs)
+
+
+def _pulled_top_coefficients(layout: UnknownLayout, face: Face) -> list[AffineFunction]:
+    """The top coefficient of each unit form pulled back to the face."""
+    top = tuple(range(1, layout.k + 1))
+    zero = AffineFunction.zero(layout.k)
+    return [pullback(u, face).coeffs.get(top, zero) for u in layout.unit_forms]
+
+
+def pullback_system_rows(n: int, k: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """(constancy rows, integral rows) rebuilt from pullbacks of the unit forms.
+
+    Per canonical face, the k gradient entries of the pulled-back top
+    coefficient must vanish, and its simplex integral is the face integral.
+    """
+    layout = UnknownLayout(n, k)
+    constancy: list[list[Fraction]] = []
+    integrals: list[list[Fraction]] = []
+    for face in enumerate_faces(n, k):
+        pulled = _pulled_top_coefficients(layout, face)
+        constancy.extend([f.gradient[s] for f in pulled] for s in range(k))
+        integrals.append([simplex_integral(f) for f in pulled])
+    return constancy, integrals
+
+
+def pullback_constant_term_row(n: int, k: int, face: Face) -> list[Fraction]:
+    """Constant term of each unit form's pulled-back coefficient on the face."""
+    return [f.constant for f in _pulled_top_coefficients(UnknownLayout(n, k), face)]
 
 
 def quadrature_integral(form: AffineForm, face: Face) -> float:

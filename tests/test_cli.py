@@ -4,7 +4,9 @@ import json
 
 from click.testing import CliRunner
 
+from whitneyforms.characterize import _system_matrices
 from whitneyforms.cli import main
+from whitneyforms.linalg import rank
 
 
 def run(*args, **kwargs):
@@ -220,6 +222,14 @@ def test_dims_single_degree():
     assert (row["unknowns"], row["constancy_rank"], row["faces"], row["dimension"]) == (
         30, 20, 10, 10,
     )
+
+
+def test_dims_constancy_rank_is_measured():
+    for n in range(1, 6):
+        rows = json.loads(run("dims", "--n", str(n)).output)["rows"]
+        for row in rows:
+            constancy, _ = _system_matrices(n, row["k"])
+            assert row["constancy_rank"] == rank(constancy)
 
 
 def test_dims_text_output():
