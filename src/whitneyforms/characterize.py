@@ -11,6 +11,27 @@ Unknowns are blocked per multi-index I: the constant term b_I, then the
 gradient entries a_{I,1}, ..., a_{I,n}. Labels follow that naming, e.g.
 "b_(1,2)" and "a_(1,2),3". That layout, and the integer rows of both
 blocks, come from :mod:`whitneyforms.operators`.
+
+The replay and the solver are one schedule, built once per (n, k): a
+triangular order of the square system in which every row determines one
+new unknown. Stage 1 takes the constancy rows and then the integral row of
+each face through vertex 0; stage 2 takes, for each multi-index L and
+vertex m >= 1 outside it, the constant term r(m, L) of the coefficient
+pulled back to the face G = sorted((m,) + L), i.e. its value at vertex m.
+That row is no row of the system, but the identity
+
+    (k+1) r(m, L) = sigma (D~_G - sum_{s=1..k} C_{G,s} + (k+1) C_{G,j}),
+
+checked exactly when the schedule is built (D~ = D*(k+1)!, C_{G,s} the
+constancy row of vertex G[s], j = G.index(m) with the last term absent
+when j = 0, sigma the sign of sorting (m,) + L), puts it in their row
+space with right-hand side sigma k! c(G). A complete schedule therefore
+proves the kernel trivial, and
+:func:`solve_characterization` forward-substitutes along it in integers,
+O(nnz) work with every division exact: the pivots are +-1, except the
+stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
+face's own gradient unknowns are fixed to zero. :func:`proof_trace` reports
+the same schedule.
 """
 
 from __future__ import annotations
@@ -19,17 +40,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
+from typing import NamedTuple
 
-from .forms import AffineForm
-from .linalg import (
-    LinearSolver,
-    Matrix,
-    NoSolution,
-    NotUnique,
-    nullspace,
-    rank,
-    vstack,
-)
+from .forms import AffineForm, MultiIndex
+from .linalg import Matrix, nullspace, rank, vstack
 from .operators import (
     SparseRow,
     UnknownLayout,
@@ -46,6 +60,7 @@ from .simplicial import (
     Face,
     barycentric_functions,
     enumerate_faces,
+    permutation_sign,
 )
 
 __all__ = [
@@ -160,10 +175,109 @@ def lambda_e_dimension(n: int, k: int) -> int:
     return unknown_layout(n, k).size - rank(constancy)
 
 
+class _Step(NamedTuple):
+    """One row of the elimination: pivot * x[target] + others . x = scale * c(faces[face]).
+
+    ``others`` are the row's remaining entries, all on unknowns that earlier
+    steps determined; ``scale`` is 0 for a constancy row.
+    """
+
+    target: int
+    pivot: int
+    others: SparseRow
+    face: int
+    scale: int
+
+
+class _Schedule(NamedTuple):
+    """The replay's rows in order: per face through the origin, then per (L, m)."""
+
+    stage1: tuple[tuple[tuple[int, ...], tuple[_Step, ...]], ...]
+    stage2: tuple[tuple[MultiIndex, int, _Step], ...]
+    steps: tuple[_Step, ...]
+
+
+def _combine(terms: list[tuple[int, SparseRow]]) -> dict[int, int]:
+    """The nonzero entries of sum(weight * row)."""
+    out: dict[int, int] = {}
+    for weight, row in terms:
+        for pos, value in row:
+            out[pos] = out.get(pos, 0) + weight * value
+    return {pos: value for pos, value in out.items() if value}
+
+
+def _step(row: SparseRow, alive: list[bool], face: int, scale: int) -> _Step | None:
+    """Determine the row's one live unknown; None if it has more or fewer."""
+    live = [pos for pos, _ in row if alive[pos]]
+    if len(live) != 1:
+        return None
+    target = live[0]
+    alive[target] = False
+    pivot = next(value for pos, value in row if pos == target)
+    return _Step(target, pivot, tuple(e for e in row if e[0] != target), face, scale)
+
+
 @cache
-def _stacked_solver(n: int, k: int) -> LinearSolver:
-    constancy, integrals = _system_matrices(n, k)
-    return LinearSolver(vstack(constancy, integrals))
+def _schedule(n: int, k: int) -> _Schedule:
+    """The two-stage elimination as a triangular order of the stacked system.
+
+    Stage 1 takes, for each face through vertex 0, its constancy rows and
+    then its integral row. Stage 2 takes the constant-term row r(m, L) of
+    each face G = sorted((m,) + L), checked against the identity in the
+    module docstring (its last term is absent when m is G's first vertex).
+    Raises TraceIncomplete when a row does not isolate exactly one live
+    unknown, Inconsistent when the identity fails.
+    """
+    layout = unknown_layout(n, k)
+    index = {face: i for i, face in enumerate(layout.faces)}
+    constancy, integrals = constancy_rows(n, k), derham_rows(n, k)
+    alive = [True] * layout.size
+
+    stage1: list[tuple[tuple[int, ...], tuple[_Step, ...]]] = []
+    for i, face in enumerate(layout.faces):
+        if face[0] != 0:
+            continue
+        rows = [(row, 0) for row in constancy[i]]
+        rows.append((integrals[i], math.factorial(k + 1)))
+        steps: list[_Step] = []
+        for row, scale in rows:
+            step = _step(row, alive, i, scale)
+            if step is None:
+                raise TraceIncomplete(
+                    f"a row on face {list(face)} involves "
+                    f"{sum(alive[pos] for pos, _ in row)} live unknowns, expected exactly one"
+                )
+            steps.append(step)
+        stage1.append((face, tuple(steps)))
+
+    stage2: list[tuple[MultiIndex, int, _Step]] = []
+    for span in layout.multi_indices:
+        for m in range(1, n + 1):
+            if m in span:
+                continue
+            row = constant_term_row(n, k, m, span)
+            g = tuple(sorted((m, *span)))
+            i = index[g]
+            sigma = permutation_sign((m, *span))
+            step = _step(row, alive, i, sigma * math.factorial(k))
+            if step is None:
+                raise TraceIncomplete(
+                    f"evaluation at vertex {m} of face {[m, *span]} does not "
+                    f"isolate {layout.label(span, m)} with coefficient one"
+                )
+            j = g.index(m)
+            combination = [(sigma, integrals[i])] + [
+                (sigma * ((k + 1) * (s == j) - 1), c) for s, c in enumerate(constancy[i], 1)
+            ]
+            if _combine([(k + 1, row)]) != _combine(combination):
+                raise Inconsistent(
+                    f"evaluation at vertex {m} of face {[m, *span]} is not a "
+                    f"combination of the rows of face {list(g)}"
+                )
+            stage2.append((span, m, step))
+
+    steps = tuple(s for _, face_steps in stage1 for s in face_steps)
+    return _Schedule(tuple(stage1), tuple(stage2), steps + tuple(s for _, _, s in stage2))
 
 
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
@@ -196,23 +310,35 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
-    Solves the stacked system exactly; raises NonUnique or Inconsistent if
-    the system ever failed to have exactly one solution.
+    Forward-substitutes the cochain through the elimination schedule in
+    integers: the values are scaled by the lcm q of their denominators, and
+    the solution is divided by q once at the end. Raises NonUnique if the
+    schedule does not determine every unknown, Inconsistent if a check fails.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
     layout = unknown_layout(n, k)
-    solver = _stacked_solver(n, k)
-    rhs = [Fraction(0)] * (k * len(layout.faces)) + [
-        cochain.terms.get(face, Fraction(0)) for face in layout.faces
-    ]
     try:
-        vec = solver.solve(rhs)
-    except NotUnique as exc:
+        schedule = _schedule(n, k)
+    except TraceIncomplete as exc:
         raise NonUnique(f"underdetermined system at (n={n}, k={k})") from exc
-    except NoSolution as exc:
-        raise Inconsistent(f"unsolvable system at (n={n}, k={k})") from exc
-    result = layout.form_from_vector(vec)
+    if len(schedule.steps) != layout.size:
+        raise NonUnique(f"underdetermined system at (n={n}, k={k})")
+    q = math.lcm(*(value.denominator for value in cochain.terms.values()))
+    values = [0] * len(layout.faces)
+    for i, face in enumerate(layout.faces):
+        value = cochain.terms.get(face)
+        if value is not None:
+            values[i] = value.numerator * (q // value.denominator)
+    vec = [0] * layout.size
+    for target, pivot, others, face, scale in schedule.steps:
+        total = scale * values[face]
+        for pos, value in others:
+            total -= value * vec[pos]
+        vec[target], remainder = divmod(total, pivot)
+        if remainder:
+            raise Inconsistent(f"inexact pivot at (n={n}, k={k})")
+    result = layout.form_from_vector([Fraction(v, q) for v in vec])
     _closed_form_check(n, k, cochain, result)
     return result
 
@@ -297,52 +423,35 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     exactly the lone unknown a_{L,m} with coefficient one. Any row that
     fails to isolate one unknown aborts the replay.
 
-    Every row is read off the cached operators: stage 1 from the rows of C
-    and D on the face, stage 2 from the closed-form constant-term row.
+    This formats the schedule that solve_characterization runs, so the
+    replay and the solver cannot drift apart.
     """
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
     layout = unknown_layout(n, k)
-    alive = [True] * layout.size
+    try:
+        schedule = _schedule(n, k)
+    except Inconsistent as exc:
+        raise TraceIncomplete(str(exc)) from exc
 
     stage1: list[Stage1Kill] = []
-    for face, face_constancy, integral in zip(
-        layout.faces, constancy_rows(n, k), derham_rows(n, k)
-    ):
-        if face[0] != 0:
-            continue
-        killed_here: list[int] = []
-        for row in face_constancy + (integral,):
-            support = [pos for pos, _ in row if alive[pos]]
-            if len(support) != 1:
-                raise TraceIncomplete(
-                    f"a row on face {list(face)} involves "
-                    f"{len(support)} live unknowns, expected exactly one"
-                )
-            alive[support[0]] = False
-            killed_here.append(support[0])
+    for face, steps in schedule.stage1:
+        killed = {step.target for step in steps}
         span = face[1:]
         expected = {layout.position(span)} | {layout.position(span, t) for t in span}
-        if set(killed_here) != expected:
+        if killed != expected:
             raise TraceIncomplete(f"face {list(face)} determined unexpected unknowns")
-        stage1.append(
-            Stage1Kill(face, tuple(layout.labels[p] for p in sorted(killed_here)))
-        )
+        stage1.append(Stage1Kill(face, tuple(layout.labels[p] for p in sorted(killed))))
 
     stage2: list[Stage2Kill] = []
-    for span in layout.multi_indices:
-        for m in range(1, n + 1):
-            if m in span:
-                continue
-            row = constant_term_row(n, k, m, span)
-            support = [(pos, v) for pos, v in row if alive[pos]]
-            target = layout.position(span, m)
-            if support != [(target, 1)]:
-                raise TraceIncomplete(
-                    f"evaluation at vertex {m} of face {[m, *span]} does not "
-                    f"isolate {layout.label(span, m)} with coefficient one"
-                )
-            alive[target] = False
-            stage2.append(Stage2Kill(span, m, layout.labels[target]))
+    for span, m, step in schedule.stage2:
+        if (step.target, step.pivot) != (layout.position(span, m), 1):
+            raise TraceIncomplete(
+                f"evaluation at vertex {m} of face {[m, *span]} does not "
+                f"isolate {layout.label(span, m)} with coefficient one"
+            )
+        stage2.append(Stage2Kill(span, m, layout.labels[step.target]))
 
-    return ProofTrace(n, k, tuple(stage1), tuple(stage2), not any(alive))
+    return ProofTrace(
+        n, k, tuple(stage1), tuple(stage2), len(schedule.steps) == layout.size
+    )

@@ -6,7 +6,8 @@ direct construction, verify sweeps whole ranges of (n, k), dims prints the
 dimension count, and trace replays the uniqueness elimination.
 
 Exit codes: 0 on success, 1 when a verification or theorem check fails,
-2 on usage errors or malformed input.
+2 on usage errors or malformed input, including a cell whose coefficient
+vector would exceed MAX_UNKNOWNS.
 """
 
 from __future__ import annotations
@@ -41,6 +42,22 @@ from .verify import run_verification
 from .whitney import whitney as whitney_map
 
 FORMAT = click.Choice(["text", "json", "latex"])
+
+MAX_UNKNOWNS = 630
+"""Largest coefficient vector, (n+1)*C(n,k), a command builds: every cell with n <= 8.
+
+The operators, the constancy rank and the replay all grow with it, so a
+larger cell is refused up front instead of running without bound."""
+
+
+def _check_size(n: int, k: int) -> None:
+    """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns; exit 2."""
+    # n + 1 alone bounds the count from below, so a huge n never reaches comb
+    if 0 <= k <= n and (n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS):
+        raise click.UsageError(
+            f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
+            f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
+        )
 
 
 def _load_json_arg(value: str) -> dict:
@@ -113,6 +130,7 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
     """Whitney form of a cochain, or of one basis face."""
     if (cochain_arg is None) == (face_arg is None):
         raise click.UsageError("give exactly one of --cochain or --face")
+    _check_size(n, k)
     try:
         if face_arg is not None:
             labels = tuple(int(v) for v in face_arg.split(","))
@@ -134,6 +152,7 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
 def derham_cmd(form_arg: str, fmt: str) -> None:
     """Integrate a form over every face of its degree."""
     form = _parse_form(_load_json_arg(form_arg))
+    _check_size(form.n, form.k)
     try:
         c = derham_map(form)
     except (BadDegree, DegreeMismatch, ValueError) as exc:
@@ -149,6 +168,7 @@ def derham_cmd(form_arg: str, fmt: str) -> None:
 @click.option("--format", "fmt", type=FORMAT, default="json", show_default=True)
 def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     """Solve for the form with the given face data; compare to the construction."""
+    _check_size(n, k)
     c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
     try:
         solved = solve_characterization(n, k, c)
@@ -234,6 +254,8 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
     if k is not None and not 0 <= k <= n:
         raise click.UsageError(f"--k must lie in 0..{n}")
     degrees = range(n + 1) if k is None else [k]
+    # C(n, k) peaks at k = n // 2, so that degree bounds the whole table
+    _check_size(n, n // 2 if k is None else k)
     rows = []
     for kk in degrees:
         faces = math.comb(n + 1, kk + 1)
@@ -270,6 +292,7 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
               default="json", show_default=True)
 def trace_cmd(n: int, k: int, fmt: str) -> None:
     """Replay the uniqueness elimination and report every determined unknown."""
+    _check_size(n, k)
     try:
         trace = proof_trace(n, k)
     except BadDegree as exc:

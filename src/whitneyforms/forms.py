@@ -16,7 +16,13 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .linalg import Matrix, format_rational, parse_rational
-from .simplicial import AffineFunction, Face, face_parametrization, permutation_sign
+from .simplicial import (
+    AffineFunction,
+    Face,
+    exact_rational,
+    face_parametrization,
+    permutation_sign,
+)
 
 __all__ = [
     "DegreeOverflow",
@@ -69,7 +75,7 @@ class ConstantForm:
         for idx in sorted(self.coeffs):
             key = tuple(int(i) for i in idx)
             _check_multi_index(key, self.n, self.k)
-            value = Fraction(self.coeffs[idx])
+            value = exact_rational(self.coeffs[idx])
             if value:
                 cleaned[key] = value
         object.__setattr__(self, "coeffs", cleaned)

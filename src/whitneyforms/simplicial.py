@@ -34,7 +34,23 @@ __all__ = [
     "random_cochain",
     "cochain_to_json",
     "cochain_from_json",
+    "exact_rational",
 ]
+
+
+def exact_rational(value: object) -> Fraction:
+    """Fraction(value) for an exact number; floats and bools are rejected.
+
+    A float would silently smuggle rounding error into a pipeline whose
+    whole point is exactness (0.1 would be stored as its binary expansion),
+    and a bool is a flag, not a number. ``parse_rational`` refuses the same.
+    A Fraction is returned as it is: it is immutable.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an exact rational: {value!r}")
+    return Fraction(value)
 
 
 class BadDegree(ValueError):
@@ -107,15 +123,18 @@ def enumerate_faces(n: int, k: int) -> list[Face]:
 
 @dataclass(frozen=True)
 class AffineFunction:
-    """b + sum_j g_j x^j with exact rational constant and gradient."""
+    """b + sum_j g_j x^j with exact rational constant and gradient.
+
+    Entries go through ``exact_rational``: a float or a bool is rejected.
+    """
 
     n: int
     constant: Fraction
     gradient: tuple[Fraction, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "constant", Fraction(self.constant))
-        object.__setattr__(self, "gradient", tuple(Fraction(g) for g in self.gradient))
+        object.__setattr__(self, "constant", exact_rational(self.constant))
+        object.__setattr__(self, "gradient", tuple(exact_rational(g) for g in self.gradient))
         if self.n < 0:
             raise ValueError("dimension must be nonnegative")
         if len(self.gradient) != self.n:
@@ -127,7 +146,7 @@ class AffineFunction:
 
     @classmethod
     def const(cls, n: int, value: object) -> "AffineFunction":
-        return cls(n, Fraction(value), (Fraction(0),) * n)
+        return cls(n, value, (Fraction(0),) * n)
 
     def __call__(self, point: Sequence[object]) -> Fraction:
         pt = tuple(Fraction(x) for x in point)
@@ -240,7 +259,8 @@ class Cochain:
 
     ``terms`` maps increasing vertex tuples to coefficients; evaluating on a
     reordered face picks up the permutation sign. Zero coefficients are
-    dropped on construction so structural equality is exact equality.
+    dropped on construction so structural equality is exact equality; a
+    float or bool coefficient is rejected, as in ``exact_rational``.
     """
 
     n: int
@@ -252,7 +272,7 @@ class Cochain:
             raise BadDegree(f"k={self.k} outside 0..{self.n}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
         for key in sorted(self.terms):
-            coeff = Fraction(self.terms[key])
+            coeff = exact_rational(self.terms[key])
             verts = tuple(int(v) for v in key)
             if len(verts) != self.k + 1:
                 raise DegreeMismatch(f"key {verts} is not a degree-{self.k} face")
@@ -284,7 +304,8 @@ class Cochain:
             if not isinstance(face, Face):
                 face = Face(n, tuple(face))
             canon = canonicalize(face)
-            acc[canon.vertices] = acc.get(canon.vertices, Fraction(0)) + canon.sign * Fraction(coeff)
+            coeff = canon.sign * exact_rational(coeff)
+            acc[canon.vertices] = acc.get(canon.vertices, Fraction(0)) + coeff
         return cls(n, k, acc)
 
     def __add__(self, other: "Cochain") -> "Cochain":

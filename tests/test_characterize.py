@@ -12,6 +12,7 @@ from whitneyforms import (
     DegreeMismatch,
     UnknownLayout,
     build_system,
+    characterize,
     enumerate_faces,
     is_constant,
     kernel_is_trivial,
@@ -23,7 +24,11 @@ from whitneyforms import (
     vertex_point,
     whitney,
 )
-from whitneyforms.linalg import matvec, rank
+from whitneyforms.characterize import Inconsistent, NonUnique, TraceIncomplete, _system_matrices
+from whitneyforms.linalg import LinearSolver, matvec, rank, vstack
+from whitneyforms.operators import unknown_layout
+
+CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
 
 
 def test_layout_size_and_labels():
@@ -200,3 +205,66 @@ def test_trace_stage1_uses_faces_through_origin():
     for step in trace.stage2:
         assert step.m not in step.multi_index
         assert step.killed == f"a_({','.join(map(str, step.multi_index))}),{step.m}"
+
+
+def _oracle_cochains(n, k):
+    """Every basis cochain, two small random ones and a 62-bit random one."""
+    rng = Random(300 * n + k)
+    cochains = [Cochain.basis(face) for face in enumerate_faces(n, k)]
+    cochains += [random_cochain(rng, n, k) for _ in range(2)]
+    big = 2**62
+    cochains.append(
+        Cochain(
+            n,
+            k,
+            {
+                face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+                for face in enumerate_faces(n, k)
+            },
+        )
+    )
+    return cochains
+
+
+@pytest.mark.parametrize("n,k", CELLS)
+def test_solve_matches_the_dense_solver(n, k):
+    layout = unknown_layout(n, k)
+    solver = LinearSolver(vstack(*_system_matrices(n, k)))
+    for c in _oracle_cochains(n, k):
+        rhs = [Fraction(0)] * (k * len(layout.faces))
+        rhs += [c.terms.get(face, Fraction(0)) for face in layout.faces]
+        expected = layout.form_from_vector(solver.solve(rhs))
+        assert solve_characterization(n, k, c) == expected
+
+
+def test_solved_coefficients_are_fractions():
+    for n, k in [(2, 0), (3, 1), (4, 2), (3, 3)]:
+        for c in [Cochain.basis(enumerate_faces(n, k)[-1]), random_cochain(Random(n + k), n, k)]:
+            form = solve_characterization(n, k, c)
+            for f in form.coeffs.values():
+                assert type(f.constant) is Fraction
+                assert all(type(g) is Fraction for g in f.gradient)
+
+
+def _isolates_nothing(n, k, m, span):
+    return ()
+
+
+def _outside_the_row_space(n, k, m, span):
+    # isolates the right unknown, but is not a combination of the face's rows
+    return ((unknown_layout(n, k).position(span, m), 1),)
+
+
+@pytest.mark.parametrize(
+    "row,error", [(_isolates_nothing, NonUnique), (_outside_the_row_space, Inconsistent)]
+)
+def test_broken_stage2_row_is_reported(monkeypatch, row, error):
+    monkeypatch.setattr(characterize, "constant_term_row", row)
+    characterize._schedule.cache_clear()
+    try:
+        with pytest.raises(error):
+            solve_characterization(3, 1, random_cochain(Random(1), 3, 1))
+        with pytest.raises(TraceIncomplete):
+            proof_trace(3, 1)
+    finally:
+        characterize._schedule.cache_clear()

@@ -1,11 +1,14 @@
 """Command-line behavior: output formats and exit codes."""
 
 import json
+import math
 
+import pytest
 from click.testing import CliRunner
 
+from whitneyforms import characterize
 from whitneyforms.characterize import _system_matrices
-from whitneyforms.cli import main
+from whitneyforms.cli import MAX_UNKNOWNS, main
 from whitneyforms.linalg import rank
 
 
@@ -262,3 +265,50 @@ def test_trace_text():
 def test_trace_usage_errors():
     assert run("trace", "--n", "2", "--k", "0").exit_code == 2
     assert run("trace", "--n", "2", "--k", "2").exit_code == 2
+
+
+EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("whitney", "--n", "9", "--k", "4", "--face", "0,1,2,3,4"),
+        ("whitney", "--n", "30", "--k", "15", "--cochain", "{}"),
+        ("derham", "--form", EMPTY_9_4),
+        ("characterize", "--n", "9", "--k", "4", "--cochain", EMPTY_9_4),
+        ("characterize", "--n", "30", "--k", "15", "--cochain", "{}"),
+        ("dims", "--n", "9"),
+        ("dims", "--n", "9", "--k", "4"),
+        ("dims", "--n", "1000000000"),
+        ("trace", "--n", "9", "--k", "4"),
+        ("trace", "--n", "30", "--k", "15"),
+    ],
+)
+def test_commands_refuse_cells_over_the_unknown_cap(args):
+    result = run(*args)
+    assert result.exit_code == 2
+    assert f"more than {MAX_UNKNOWNS} coefficient unknowns" in result.output
+
+
+def test_unknown_cap_admits_every_cell_up_to_eight():
+    assert MAX_UNKNOWNS == max((n + 1) * math.comb(n, k) for n in range(9) for k in range(n + 1))
+    assert run("trace", "--n", "8", "--k", "4").exit_code == 0
+    assert run("whitney", "--n", "8", "--k", "4", "--face", "0,1,2,3,4").exit_code == 0
+    # dims checks only the degrees it computes
+    assert run("dims", "--n", "9", "--k", "0").exit_code == 0
+
+
+def test_broken_replay_exits_one_with_a_message(monkeypatch):
+    monkeypatch.setattr(characterize, "constant_term_row", lambda n, k, m, span: ())
+    characterize._schedule.cache_clear()
+    cochain = json.dumps({"n": 3, "k": 1, "terms": [{"face": [1, 2], "coeff": "1"}]})
+    try:
+        solved = run("characterize", "--n", "3", "--k", "1", "--cochain", cochain)
+        replay = run("trace", "--n", "3", "--k", "1")
+    finally:
+        characterize._schedule.cache_clear()
+    assert solved.exit_code == 1 and isinstance(solved.exception, SystemExit)
+    assert solved.stderr.startswith("characterization failed: underdetermined system")
+    assert replay.exit_code == 1 and isinstance(replay.exception, SystemExit)
+    assert replay.stderr.startswith("replay failed: evaluation at vertex")

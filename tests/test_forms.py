@@ -42,6 +42,9 @@ def test_constant_form_normalization():
         ConstantForm(3, 2, {(2, 1): Fraction(1)})
     with pytest.raises(DegreeOverflow):
         ConstantForm(2, 3, {})
+    for bad in (0.5, False):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            ConstantForm(3, 2, {(1, 2): bad})
 
 
 def test_wedge_basis_examples():

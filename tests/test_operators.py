@@ -15,6 +15,7 @@ import pytest
 from helpers import pullback_constant_term_row, pullback_system_rows, random_affine_form
 from whitneyforms import (
     AffineForm,
+    linalg,
     Cochain,
     Face,
     derham,
@@ -29,6 +30,7 @@ from whitneyforms import (
     whitney_basis_form,
 )
 from whitneyforms.characterize import _system_matrices
+from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     constancy_rows,
     constant_term_row,
@@ -107,6 +109,28 @@ def test_constant_term_row_matches_pullback(n):
                 assert _dense(constant_term_row(n, k, m, span), size) == expected
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_constant_term_row_is_a_combination_of_its_face_rows(n):
+    # (k+1) r(m, L) = sigma (D~_G - sum_s C_{G,s} + (k+1) C_{G,j}), j = G.index(m)
+    for k in range(n + 1):
+        layout = unknown_layout(n, k)
+        for span in layout.multi_indices:
+            for m in range(1, n + 1):
+                if m in span:
+                    continue
+                g = tuple(sorted((m,) + span))
+                i = layout.faces.index(g)
+                combination = _dense(derham_rows(n, k)[i], layout.size)
+                for s, row in enumerate(constancy_rows(n, k)[i], start=1):
+                    weight = (k + 1 if s == g.index(m) else 0) - 1
+                    combination = [
+                        a + weight * b for a, b in zip(combination, _dense(row, layout.size))
+                    ]
+                sigma = permutation_sign((m,) + span)
+                lhs = _dense(constant_term_row(n, k, m, span), layout.size)
+                assert [(k + 1) * v for v in lhs] == [sigma * v for v in combination]
+
+
 def _clear_caches():
     for name, module in list(sys.modules.items()):
         if name == "whitneyforms" or name.startswith("whitneyforms."):
@@ -118,6 +142,9 @@ def _clear_caches():
 def test_hot_paths_never_pull_back(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pullback called on a hot path")
+
+    def refuse_dense(*args, **kwargs):
+        raise AssertionError("dense elimination on a hot path")
 
     patched = 0
     for name, module in list(sys.modules.items()):
@@ -138,6 +165,16 @@ def test_hot_paths_never_pull_back(monkeypatch):
             assert solve_characterization(n, k, c) == form
             assert lambda_e_dimension(n, k) == math.comb(n + 1, k + 1)
             assert kernel_is_trivial(n, k).trivial
+            assert proof_trace(n, k).complete
+
+        # dense elimination stays out of the solve and the replay
+        cells = [(4, 2), (5, 3), (7, 3)]
+        expected = {(n, k): whitney(random_cochain(Random(n + k), n, k)) for n, k in cells}
+        monkeypatch.setattr(linalg, "_rref", refuse_dense)
+        _clear_caches()
+        for n, k in cells:
+            c = random_cochain(Random(n + k), n, k)
+            assert solve_characterization(n, k, c) == expected[(n, k)]
             assert proof_trace(n, k).complete
     finally:
         _clear_caches()

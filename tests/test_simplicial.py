@@ -124,6 +124,22 @@ def test_cochain_normalization():
         Cochain(2, 1, {(0, 1, 2): Fraction(1)})
 
 
+def test_exact_types_reject_floats_and_bools():
+    for bad in (0.1, 0.5, True):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            Cochain(1, 0, {(0,): bad})
+        with pytest.raises(ValueError, match="not an exact rational"):
+            Cochain.from_terms(1, 0, [((0,), bad)])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            AffineFunction(1, bad, (Fraction(1, 2),))
+        with pytest.raises(ValueError, match="not an exact rational"):
+            AffineFunction(1, Fraction(0), (bad,))
+        with pytest.raises(ValueError, match="not an exact rational"):
+            AffineFunction.const(1, bad)
+    assert Cochain(1, 0, {(0,): 1}).terms == {(0,): Fraction(1)}
+    assert AffineFunction(1, 2, (Fraction(1, 2),)).constant == Fraction(2)
+
+
 def test_cochain_eval_applies_orientation():
     c = Cochain(2, 1, {(1, 2): Fraction(3, 2), (0, 2): Fraction(5)})
     assert cochain_eval(c, Face(2, (2, 0))) == Fraction(-5)
