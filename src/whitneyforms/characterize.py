@@ -32,6 +32,13 @@ O(nnz) work with every division exact: the pivots are +-1, except the
 stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
 face's own gradient unknowns are fixed to zero. :func:`proof_trace` reports
 the same schedule.
+
+The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
+reads its completeness, and :func:`lambda_e_dimension` adds the exact sparse
+check C.W = 0, D~.W = (k+1)! I (W the Whitney operator), which puts
+face-many independent forms in ker C. The dense ``nullspace`` and ``rank``
+run only when a certificate fails, to give the verdict and the offending
+forms.
 """
 
 from __future__ import annotations
@@ -51,6 +58,7 @@ from .operators import (
     constant_term_row,
     derham_rows,
     unknown_layout,
+    whitney_columns,
 )
 from .simplicial import (
     AffineFunction,
@@ -167,12 +175,43 @@ def build_system(n: int, k: int, cochain: Cochain | None = None) -> ConstraintSy
 def lambda_e_dimension(n: int, k: int) -> int:
     """Dimension of the affine-coefficient forms with constant face pullbacks.
 
-    Counted as unknowns minus the rank of the constancy block. It always
-    comes out to the number of k-faces, which is what makes prescribing one
-    integral per face a square problem.
+    It always comes out to the number of k-faces, which is what makes
+    prescribing one integral per face a square problem, and that is proved
+    without elimination when two certificates hold. A complete schedule
+    makes the stacked system [C; D] injective, so ker C, on which D is
+    injective, has dimension at most the number of rows of D, one per face.
+    And C.W = 0 with D~.W = (k+1)! I puts the face-many columns of W in
+    ker C, independent because D maps them to the unit cochains. Should
+    either fail, the dimension is counted as unknowns minus the dense rank
+    of the constancy block.
     """
+    layout = unknown_layout(n, k)
+    if _schedule_is_complete(n, k) and _whitney_columns_certified(n, k):
+        return len(layout.faces)
     constancy, _ = _system_matrices(n, k)
-    return unknown_layout(n, k).size - rank(constancy)
+    return layout.size - rank(constancy)
+
+
+@cache
+def _whitney_columns_certified(n: int, k: int) -> bool:
+    """C.W = 0 and D~.W = (k+1)! I, checked exactly on the sparse integer rows."""
+    layout = unknown_layout(n, k)
+    constancy = [row for rows in constancy_rows(n, k) for row in rows]
+    rows = constancy + list(derham_rows(n, k))
+    touching: dict[int, list[tuple[int, int]]] = {}
+    for r, row in enumerate(rows):
+        for pos, value in row:
+            touching.setdefault(pos, []).append((r, value))
+    columns = whitney_columns(n, k)
+    scale = math.factorial(k + 1)
+    for i, face in enumerate(layout.faces):
+        image: dict[int, int] = {}
+        for pos, w in columns[face]:
+            for r, value in touching.get(pos, ()):
+                image[r] = image.get(r, 0) + value * w
+        if {r: v for r, v in image.items() if v} != {len(constancy) + i: scale}:
+            return False
+    return True
 
 
 class _Step(NamedTuple):
@@ -280,6 +319,15 @@ def _schedule(n: int, k: int) -> _Schedule:
     return _Schedule(tuple(stage1), tuple(stage2), steps + tuple(s for _, _, s in stage2))
 
 
+def _schedule_is_complete(n: int, k: int) -> bool:
+    """True when the schedule builds, every identity holds and every unknown falls."""
+    try:
+        schedule = _schedule(n, k)
+    except (TraceIncomplete, Inconsistent):
+        return False
+    return len(schedule.steps) == unknown_layout(n, k).size
+
+
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
     """At the extreme degrees an independent closed form must agree.
 
@@ -361,7 +409,15 @@ class KernelReport:
 
 
 def kernel_is_trivial(n: int, k: int) -> KernelReport:
-    """Nullspace of the stacked system; trivial kernel means uniqueness."""
+    """Trivial kernel of the stacked system, which means uniqueness.
+
+    A complete elimination schedule proves it: its rows lie in the row
+    space of the system and determine every unknown. Only when the schedule
+    fails is the dense nullspace computed, for the verdict and for a basis
+    of offending forms.
+    """
+    if _schedule_is_complete(n, k):
+        return KernelReport(n, k, True, ())
     layout = unknown_layout(n, k)
     constancy, integrals = _system_matrices(n, k)
     basis = nullspace(vstack(constancy, integrals))

@@ -13,8 +13,13 @@ so no numerical quadrature is needed and every value is an exact rational.
 without any pullback: the moments above, applied to the closed-form minors
 of each face, make the whole map one sparse integer matrix D*(k+1)! per
 (n, k) (see :mod:`whitneyforms.operators`). ``derham`` multiplies the form's
-coefficient vector by it and divides once by (k+1)!. The per-face route
-stays as the independent check of that matrix.
+coefficient vector by it in integers, one face at a time: the nonzero
+entries the face's row touches are scaled by the lcm q of their own
+denominators, the row is summed in Python ints, and one Fraction is made
+per face, the sum divided by q * (k+1)!. A per-face lcm keeps the integers
+as small as the face's own data; one lcm over the whole vector would drag
+every face through the largest denominator of the form. The per-face
+route stays as the independent check of that matrix.
 """
 
 from __future__ import annotations
@@ -70,8 +75,13 @@ def derham(form: AffineForm) -> Cochain:
     layout = unknown_layout(form.n, form.k)
     vec = layout.vector_from_form(form)
     scale = math.factorial(form.k + 1)
-    terms = {
-        face: sum((vec[pos] * value for pos, value in row if vec[pos]), Fraction(0)) / scale
-        for face, row in zip(layout.faces, derham_rows(form.n, form.k))
-    }
+    terms: dict[tuple[int, ...], Fraction] = {}
+    for face, row in zip(layout.faces, derham_rows(form.n, form.k)):
+        entries = [(vec[pos], value) for pos, value in row if vec[pos]]
+        if not entries:
+            continue
+        q = math.lcm(*(x.denominator for x, _ in entries))
+        total = sum(x.numerator * (q // x.denominator) * value for x, value in entries)
+        if total:
+            terms[face] = Fraction(total, q * scale)
     return Cochain(form.n, form.k, terms)

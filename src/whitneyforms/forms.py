@@ -274,10 +274,13 @@ def is_constant(form: AffineForm) -> bool:
 def evaluate(
     form: AffineForm, point: Sequence[object], vectors: Sequence[Sequence[object]]
 ) -> Fraction:
-    """Value of the form at a point on k tangent vectors (alternating in them)."""
+    """Value of the form at a point on k tangent vectors (alternating in them).
+
+    Coordinates go through ``exact_rational``: a float or a bool is rejected.
+    """
     if len(vectors) != form.k:
         raise DimensionMismatch(f"expected {form.k} vectors, got {len(vectors)}")
-    vecs = [tuple(Fraction(x) for x in v) for v in vectors]
+    vecs = [tuple(exact_rational(x) for x in v) for v in vectors]
     if any(len(v) != form.n for v in vecs):
         raise DimensionMismatch("tangent vector has the wrong dimension")
     total = Fraction(0)

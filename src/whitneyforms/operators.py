@@ -7,12 +7,14 @@ Every map the package needs between such vectors and cochains is linear,
 and each has small integer entries, so it is built once per (n, k) as
 sparse rows of ``(position, int)`` pairs:
 
-* W, the Whitney map: per canonical k-face, the vector of its basis form;
+* W, the Whitney map: per canonical k-face, the vector of its basis form
+  (entries +-k!);
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
-Rationals enter only at the boundary, in the vectors the operators act on
-and in the single division of D's output by (k+1)!.
+Rationals enter only at the boundary, in the vectors the operators act on:
+``whitney`` and ``derham`` scale them to integers by an lcm of their
+denominators, work in Python ints, and divide once at the end.
 
 D and C come from one closed form. Parametrize the canonical face
 F = (v_0 < ... < v_k) by x(t) = p_{v_0} + sum_s t^s (p_{v_s} - p_{v_0}). The
@@ -34,13 +36,31 @@ sum_r (-1)^r (a_{I_r,v_s} - a_{I_r,v_0}), with a_{I,0} taken as zero, so C
 has entries in {-1, 0, 1}. Distinct r give distinct blocks I_r, so no two
 terms of a row ever share a position.
 
-W is read off the basis forms of the Whitney construction, which have
-integer coefficients thanks to their k! normalization.
+W has a closed form too. The basis form of F is
+
+    k! sum_j (-1)^j nu_{v_j} d nu_{v_0} ^ ... (omit j) ... ^ d nu_{v_k},
+
+with nu_i = x^i, d nu_i = dx^i for i >= 1, and nu_0 = 1 - sum_i x^i,
+d nu_0 = -sum_i dx^i. When v_0 != 0 every factor is a dx and F \\ {v_j} is
+already increasing, so term j is (-1)^j k! x^{v_j} dx^{F \\ {v_j}}: the
+column puts (-1)^j k! on a_{F \\ v_j, v_j}. When v_0 = 0, let T = F \\ {0}.
+Term 0 is k! nu_0 dx^T: +k! on b_T and -k! on a_{T,i} for every i = 1..n.
+Term j >= 1 is (-1)^j k! x^{v_j} d nu_0 ^ dx^J with J = F \\ {0, v_j}, and
+
+    d nu_0 ^ dx^J = -sum_{i not in J} (-1)^{#{r in J : r < i}} dx^{sorted(J + i)},
+
+so it adds -(-1)^{j + #{r in J : r < i}} k! to a_{sorted(J + i), v_j}. For
+i = v_j the count is j - 1, the index is T and the amount is +k!, which
+cancels term 0's entry on a_{T,v_j}. No other two terms meet: the slot v_j
+names j, and then the index names i. So the column is +k! on b_T, -k! on
+a_{T,i} and the term-j amounts for each i outside F; every entry of W is
++-k!, and W is built without a single wedge product.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -176,18 +196,27 @@ def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]
 @cache
 def whitney_columns(n: int, k: int) -> Mapping[tuple[int, ...], SparseRow]:
     """W: the coefficient vector of each canonical face's Whitney basis form."""
-    from .whitney import _basis_form_canonical  # whitney imports this module
-
     layout = unknown_layout(n, k)
+    f = math.factorial(k)
     columns: dict[tuple[int, ...], SparseRow] = {}
     for face in layout.faces:
         column: list[tuple[int, int]] = []
-        for pos, value in enumerate(layout.vector_from_form(_basis_form_canonical(n, face))):
-            if value.denominator != 1:
-                raise ArithmeticError(f"basis form of {face} is not integral")
-            if value:
-                column.append((pos, value.numerator))
-        columns[face] = tuple(column)
+        if face[0]:
+            for j, v in enumerate(face):
+                column.append((layout.position(face[:j] + face[j + 1 :], v), -f if j % 2 else f))
+        else:
+            # the a_{T,v_j} entries cancel, so only i outside F remain
+            span = face[1:]
+            outside = [i for i in range(1, n + 1) if i not in span]
+            column.append((layout.position(span), f))
+            column += [(layout.position(span, i), -f) for i in outside]
+            for j, v in enumerate(span, 1):
+                rest = span[: j - 1] + span[j:]
+                for i in outside:
+                    below = sum(r < i for r in rest)
+                    pos = layout.position(tuple(sorted((*rest, i))), v)
+                    column.append((pos, f if (j + below) % 2 else -f))
+        columns[face] = tuple(sorted(column))
     return MappingProxyType(columns)
 
 

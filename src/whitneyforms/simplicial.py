@@ -125,7 +125,8 @@ def enumerate_faces(n: int, k: int) -> list[Face]:
 class AffineFunction:
     """b + sum_j g_j x^j with exact rational constant and gradient.
 
-    Entries go through ``exact_rational``: a float or a bool is rejected.
+    Entries, and the coordinates of a point it is evaluated at, go through
+    ``exact_rational``: a float or a bool is rejected.
     """
 
     n: int
@@ -149,7 +150,7 @@ class AffineFunction:
         return cls(n, value, (Fraction(0),) * n)
 
     def __call__(self, point: Sequence[object]) -> Fraction:
-        pt = tuple(Fraction(x) for x in point)
+        pt = tuple(exact_rational(x) for x in point)
         if len(pt) != self.n:
             raise ValueError("point has the wrong dimension")
         return self.constant + sum((g * x for g, x in zip(self.gradient, pt) if g and x), Fraction(0))
@@ -215,7 +216,8 @@ class FaceParametrization:
 
     Domain is the standard k-simplex in the t coordinates; the basis
     (direction_1, ..., direction_k) fixes the orientation convention that
-    every integral downstream inherits.
+    every integral downstream inherits. Parameter points go through
+    ``exact_rational``, as every other exact input does.
     """
 
     origin: tuple[Fraction, ...]
@@ -230,7 +232,7 @@ class FaceParametrization:
         return len(self.origin)
 
     def __call__(self, t: Sequence[object]) -> tuple[Fraction, ...]:
-        ts = tuple(Fraction(x) for x in t)
+        ts = tuple(exact_rational(x) for x in t)
         if len(ts) != self.k:
             raise ValueError("parameter point has the wrong dimension")
         point = list(self.origin)

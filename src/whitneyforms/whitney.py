@@ -8,19 +8,24 @@ with nu the barycentric coordinates. The k! normalization makes the form
 integrate to exactly 1 over its own face and 0 over every other k-face, so
 the construction is a right inverse to face-wise integration. Reversing
 the face orientation negates the form; the sign carried by a Face is folded
-in here. The basis forms have integer coefficients and are the columns of
-the operator W, so ``whitney`` of a cochain is a sum of scaled columns.
+in here.
+
+The basis forms have integer coefficients and are the columns of the
+operator W, which :mod:`whitneyforms.operators` writes down in closed form
+(no wedge products are taken at run time). ``whitney`` of a cochain is a
+sum of scaled columns, done in integers: the coefficients are scaled by the
+lcm q of their denominators, the columns are summed in Python ints, and
+one Fraction(v, q) is made per nonzero entry of the result.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, reduce
 
-from .forms import AffineForm, ConstantForm, scale_by_affine, wedge
+from .forms import AffineForm, ConstantForm
 from .operators import unknown_layout, whitney_columns
-from .simplicial import BadDegree, Cochain, Face, barycentric_functions
+from .simplicial import BadDegree, Cochain, Face, canonicalize
 
 __all__ = [
     "barycentric_differential",
@@ -38,40 +43,32 @@ def barycentric_differential(n: int, label: int) -> ConstantForm:
     return ConstantForm.basis(n, (label,))
 
 
-@cache
-def _basis_form_canonical(n: int, vertices: tuple[int, ...]) -> AffineForm:
-    k = len(vertices) - 1
-    nu = barycentric_functions(n)
-    diffs = [barycentric_differential(n, v) for v in vertices]
-    total = AffineForm.zero(n, k)
-    for j, v in enumerate(vertices):
-        rest = diffs[:j] + diffs[j + 1 :]
-        if rest:
-            product = reduce(wedge, rest[1:], rest[0])
-        else:
-            product = ConstantForm(n, 0, {(): 1})
-        sign = -1 if j % 2 else 1
-        total = total + sign * scale_by_affine(nu[v], product)
-    return math.factorial(k) * total
-
-
 def whitney_basis_form(face: Face) -> AffineForm:
-    """The Whitney form of one oriented face."""
-    return face.sign * _basis_form_canonical(face.n, face.vertices)
+    """The Whitney form of one oriented face: its column of W, times its sign."""
+    canon = canonicalize(face)
+    layout = unknown_layout(face.n, face.degree)
+    vec = [Fraction(0)] * layout.size
+    for pos, value in whitney_columns(face.n, face.degree)[canon.vertices]:
+        vec[pos] = Fraction(canon.sign * value)
+    return layout.form_from_vector(vec)
 
 
 def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
-    The coefficient vector is the sum of the cochain's coefficients times
-    the integer columns of W, one column per face.
+    The cochain is scaled to integers by the lcm q of its denominators, its
+    integer coefficients times the integer columns of W are summed in
+    Python ints, and each nonzero sum is divided by q once.
     """
     if not 0 <= c.k <= c.n:
         raise BadDegree(f"k={c.k} outside 0..{c.n}")
     layout = unknown_layout(c.n, c.k)
     columns = whitney_columns(c.n, c.k)
-    vec = [Fraction(0)] * layout.size
+    q = math.lcm(*(coeff.denominator for coeff in c.terms.values()))
+    vec = [0] * layout.size
     for vertices, coeff in c.terms.items():
+        scaled = coeff.numerator * (q // coeff.denominator)
         for pos, value in columns[vertices]:
-            vec[pos] += coeff * value
-    return layout.form_from_vector(vec)
+            vec[pos] += scaled * value
+    zero = Fraction(0)
+    return layout.form_from_vector([Fraction(v, q) if v else zero for v in vec])

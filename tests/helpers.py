@@ -2,16 +2,19 @@
 
 Everything here deliberately avoids the library's fast paths: parity
 comes from bubble sort, subset counts from explicit enumeration, integrals
-from a floating-point quadrature rule built on numpy, and the constraint
-rows from the general ``pullback`` of each unit form, which none of the
-cached operators calls.
+from a floating-point quadrature rule built on numpy, the constraint rows
+from the general ``pullback`` of each unit form, and the Whitney basis
+forms from ``wedge`` and ``scale_by_affine``, none of which the cached
+operators call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from fractions import Fraction
+from functools import cache, reduce
 from random import Random
 
 import numpy as np
@@ -19,12 +22,17 @@ import numpy as np
 from whitneyforms import (
     AffineForm,
     AffineFunction,
+    ConstantForm,
     Face,
     UnknownLayout,
+    barycentric_differential,
+    barycentric_functions,
     enumerate_faces,
     pullback,
+    scale_by_affine,
     simplex_integral,
     vertex_point,
+    wedge,
 )
 
 
@@ -43,6 +51,34 @@ def bubble_sort_parity(seq) -> int:
 def count_subsets(n: int, k: int) -> int:
     """Number of k-subsets of an n-set, by enumeration."""
     return sum(1 for _ in itertools.combinations(range(n), k))
+
+
+def clear_caches() -> None:
+    """Empty every functools cache of the package, so builders run again."""
+    for name, module in list(sys.modules.items()):
+        if name == "whitneyforms" or name.startswith("whitneyforms."):
+            for value in vars(module).values():
+                if hasattr(value, "cache_clear"):
+                    value.cache_clear()
+
+
+@cache
+def wedge_basis_form(n: int, vertices: tuple[int, ...]) -> AffineForm:
+    """The Whitney basis form of the face [vertices], built by wedge products.
+
+    k! sum_j (-1)^j nu_{v_j} d nu_{v_0} ^ ... (omit j) ... ^ d nu_{v_k}, taken
+    literally; the vertices may come in any order.
+    """
+    k = len(vertices) - 1
+    nu = barycentric_functions(n)
+    diffs = [barycentric_differential(n, v) for v in vertices]
+    total = AffineForm.zero(n, k)
+    for j, v in enumerate(vertices):
+        rest = diffs[:j] + diffs[j + 1 :]
+        product = reduce(wedge, rest[1:], rest[0]) if rest else ConstantForm(n, 0, {(): 1})
+        sign = -1 if j % 2 else 1
+        total = total + sign * scale_by_affine(nu[v], product)
+    return math.factorial(k) * total
 
 
 def random_affine_form(rng: Random, n: int, k: int, bits: int = 0) -> AffineForm:

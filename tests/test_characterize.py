@@ -1,11 +1,14 @@
 """The constraint system, its solution, kernel, and the elimination replay."""
 
+import json
 import math
 from fractions import Fraction
 from random import Random
 
 import pytest
+from click.testing import CliRunner
 
+from helpers import clear_caches
 from whitneyforms import (
     BadDegree,
     Cochain,
@@ -17,14 +20,17 @@ from whitneyforms import (
     is_constant,
     kernel_is_trivial,
     lambda_e_dimension,
+    linalg,
     proof_trace,
     pullback,
     random_cochain,
     solve_characterization,
+    verify_cell,
     vertex_point,
     whitney,
 )
 from whitneyforms.characterize import Inconsistent, NonUnique, TraceIncomplete, _system_matrices
+from whitneyforms.cli import main
 from whitneyforms.linalg import LinearSolver, matvec, rank, vstack
 from whitneyforms.operators import unknown_layout
 
@@ -268,3 +274,68 @@ def test_broken_stage2_row_is_reported(monkeypatch, row, error):
             proof_trace(3, 1)
     finally:
         characterize._schedule.cache_clear()
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])
+def test_certificates_need_no_dense_elimination(monkeypatch, n, k):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense elimination behind a certificate")
+
+    monkeypatch.setattr(linalg, "_rref", refuse)
+    clear_caches()
+    try:
+        faces = math.comb(n + 1, k + 1)
+        assert lambda_e_dimension(n, k) == faces
+        report = kernel_is_trivial(n, k)
+        assert report.trivial and report.certificate == ()
+        result = CliRunner().invoke(main, ["dims", "--n", str(n)])
+        assert result.exit_code == 0
+        row = json.loads(result.output)["rows"][k]
+        assert (row["constancy_rank"], row["dimension"], row["match"]) == (k * faces, faces, True)
+        assert verify_cell(n, k, samples=2)["pass"]
+    finally:
+        clear_caches()
+
+
+def _spy_dense(monkeypatch):
+    """Record every call of the dense rank and nullspace that characterize makes."""
+    calls = []
+    for name in ("rank", "nullspace"):
+        dense = getattr(characterize, name)
+
+        def spy(*args, _name=name, _dense=dense, **kwargs):
+            calls.append(_name)
+            return _dense(*args, **kwargs)
+
+        monkeypatch.setattr(characterize, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
+def test_broken_schedule_falls_back_to_the_dense_verdict(monkeypatch, row):
+    calls = _spy_dense(monkeypatch)
+    monkeypatch.setattr(characterize, "constant_term_row", row)
+    clear_caches()
+    try:
+        assert lambda_e_dimension(3, 1) == 6
+        report = kernel_is_trivial(3, 1)
+        assert report.trivial and report.certificate == ()
+    finally:
+        clear_caches()
+    assert calls == ["rank", "nullspace"]
+
+
+def test_broken_whitney_column_falls_back_to_the_dense_rank(monkeypatch):
+    calls = _spy_dense(monkeypatch)
+    columns = dict(characterize.whitney_columns(3, 1))
+    face = next(iter(columns))
+    columns[face] = columns[face][1:]
+    monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: columns)
+    clear_caches()
+    try:
+        assert lambda_e_dimension(3, 1) == 6
+        assert kernel_is_trivial(3, 1).trivial
+    finally:
+        clear_caches()
+    # the kernel needs only the schedule, the dimension needs W too
+    assert calls == ["rank"]

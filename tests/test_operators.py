@@ -3,18 +3,27 @@
 Every fast path (``derham``, ``whitney``, the system matrices and the
 replay's rows) is compared with a route that does not use the operators:
 per-face ``integrate_over_face``, rows rebuilt from ``pullback`` of the unit
-forms, and the sum of basis forms.
+forms, and the sum of basis forms built by ``wedge``.
 """
 
 import math
 import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
 
-from helpers import pullback_constant_term_row, pullback_system_rows, random_affine_form
+from helpers import (
+    clear_caches,
+    pullback_constant_term_row,
+    pullback_system_rows,
+    random_affine_form,
+    wedge_basis_form,
+)
 from whitneyforms import (
     AffineForm,
+    AffineFunction,
+    forms,
     linalg,
     Cochain,
     Face,
@@ -26,6 +35,7 @@ from whitneyforms import (
     proof_trace,
     random_cochain,
     solve_characterization,
+    verify_cell,
     whitney,
     whitney_basis_form,
 )
@@ -58,24 +68,44 @@ def test_operator_entries_are_small_integers(n, k):
         assert len(rows) == k
         assert all({v for _, v in row} <= {1, -1} for row in rows)
     for column in whitney_columns(n, k).values():
-        assert all(isinstance(v, int) and v for _, v in column)
+        assert all(type(v) is int for _, v in column)
+        assert {v for _, v in column} <= {math.factorial(k), -math.factorial(k)}
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
     for row in [*derham_rows(n, k), *constancy, *whitney_columns(n, k).values()]:
         positions = [p for p, _ in row]
         assert positions == sorted(set(positions)) and all(0 <= p < size for p in positions)
 
 
+def _face_integrals(form):
+    return Cochain(
+        form.n,
+        form.k,
+        {face.vertices: integrate_over_face(form, face) for face in enumerate_faces(form.n, form.k)},
+    )
+
+
 @pytest.mark.parametrize("n,k", CELLS)
 def test_derham_matches_face_integration(n, k):
     rng = Random(1000 * n + k)
-    for bits in (0, 62):
-        form = random_affine_form(rng, n, k, bits)
-        expected = Cochain(
-            n, k, {face.vertices: integrate_over_face(form, face) for face in enumerate_faces(n, k)}
-        )
+    random_forms = [random_affine_form(rng, n, k, bits) for bits in (0, 62)]
+    for form in random_forms:
+        expected = _face_integrals(form)
         assert derham(form) == expected
         # above degree 0 a random form is not the Whitney form of its integrals
         assert k == 0 or whitney(expected) != form
+    # edge inputs: the zero form; one coefficient block, so most faces' rows
+    # see only zeros; and a nonzero form whose integrals all vanish
+    span = unknown_layout(n, k).multi_indices[-1]
+    big = 2**62
+    block = AffineFunction(n, Fraction(-3, big - 1), tuple(Fraction(j, 7) for j in range(n)))
+    edge_forms = [
+        AffineForm.zero(n, k),
+        AffineForm(n, k, {span: block}),
+        random_forms[1] - whitney(derham(random_forms[1])),
+    ]
+    for form in edge_forms:
+        assert derham(form) == _face_integrals(form)
+    assert derham(edge_forms[2]) == Cochain.zero(n, k)
 
 
 @pytest.mark.parametrize("n,k", CELLS)
@@ -89,12 +119,42 @@ def test_system_matrices_match_pullback(n, k):
 @pytest.mark.parametrize("n,k", CELLS)
 def test_whitney_is_the_sum_of_basis_forms(n, k):
     rng = Random(2000 * n + k)
-    cochains = [random_cochain(rng, n, k), Cochain.basis(enumerate_faces(n, k)[-1])]
+    big = 2**62
+    cochains = [
+        random_cochain(rng, n, k),
+        Cochain.basis(enumerate_faces(n, k)[-1]),
+        Cochain.zero(n, k),
+        # 62-bit numerators over unrelated 62-bit denominators
+        Cochain(
+            n,
+            k,
+            {
+                face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+                for face in enumerate_faces(n, k)
+            },
+        ),
+    ]
     for c in cochains:
         expected = AffineForm.zero(n, k)
         for vertices, coeff in c.terms.items():
-            expected = expected + coeff * whitney_basis_form(Face(n, vertices))
+            expected = expected + coeff * wedge_basis_form(n, vertices)
         assert whitney(c) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_whitney_columns_match_the_wedge_construction(n):
+    for k in range(n + 1):
+        layout = unknown_layout(n, k)
+        columns = whitney_columns(n, k)
+        assert list(columns) == list(layout.faces)
+        for face in layout.faces:
+            vec = layout.vector_from_form(wedge_basis_form(n, face))
+            assert columns[face] == tuple((pos, int(v)) for pos, v in enumerate(vec) if v)
+            assert all(v.denominator == 1 for v in vec)
+        # an oriented face: a reversed or permuted vertex order flips the sign
+        face = Face(n, tuple(reversed(layout.faces[-1])))
+        assert whitney_basis_form(face) == wedge_basis_form(n, face.vertices)
+        assert whitney_basis_form(Face(n, face.vertices, -1)) == -wedge_basis_form(n, face.vertices)
 
 
 @pytest.mark.parametrize("n", range(2, 7))
@@ -131,14 +191,6 @@ def test_constant_term_row_is_a_combination_of_its_face_rows(n):
                 assert [(k + 1) * v for v in lhs] == [sigma * v for v in combination]
 
 
-def _clear_caches():
-    for name, module in list(sys.modules.items()):
-        if name == "whitneyforms" or name.startswith("whitneyforms."):
-            for value in vars(module).values():
-                if hasattr(value, "cache_clear"):
-                    value.cache_clear()
-
-
 def test_hot_paths_never_pull_back(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("pullback called on a hot path")
@@ -146,15 +198,21 @@ def test_hot_paths_never_pull_back(monkeypatch):
     def refuse_dense(*args, **kwargs):
         raise AssertionError("dense elimination on a hot path")
 
-    patched = 0
-    for name, module in list(sys.modules.items()):
-        if (name == "whitneyforms" or name.startswith("whitneyforms.")) and hasattr(
-            module, "pullback"
-        ):
-            monkeypatch.setattr(module, "pullback", refuse)
-            patched += 1
-    assert patched >= 2
-    _clear_caches()
+    def refuse_wedge(*args, **kwargs):
+        raise AssertionError("wedge product on a hot path")
+
+    def patch_everywhere(attr, replacement):
+        patched = 0
+        for name, module in list(sys.modules.items()):
+            if (name == "whitneyforms" or name.startswith("whitneyforms.")) and hasattr(
+                module, attr
+            ):
+                monkeypatch.setattr(module, attr, replacement)
+                patched += 1
+        return patched
+
+    assert patch_everywhere("pullback", refuse) >= 2
+    clear_caches()
     try:
         with pytest.raises(AssertionError, match="hot path"):
             integrate_over_face(whitney_basis_form(Face(2, (0, 1))), Face(2, (0, 1)))
@@ -170,11 +228,24 @@ def test_hot_paths_never_pull_back(monkeypatch):
         # dense elimination stays out of the solve and the replay
         cells = [(4, 2), (5, 3), (7, 3)]
         expected = {(n, k): whitney(random_cochain(Random(n + k), n, k)) for n, k in cells}
+        basis = {(n, k): wedge_basis_form(n, (0, 2, 3)) for n, k in [(4, 2), (5, 2)]}
         monkeypatch.setattr(linalg, "_rref", refuse_dense)
-        _clear_caches()
+        clear_caches()
         for n, k in cells:
             c = random_cochain(Random(n + k), n, k)
             assert solve_characterization(n, k, c) == expected[(n, k)]
             assert proof_trace(n, k).complete
+
+        # and no wedge product is taken to build W or anything that reads it
+        assert patch_everywhere("wedge", refuse_wedge) >= 2
+        assert patch_everywhere("scale_by_affine", refuse_wedge) >= 2
+        with pytest.raises(AssertionError, match="hot path"):
+            forms.wedge(forms.ConstantForm.basis(2, (1,)), forms.ConstantForm.basis(2, (2,)))
+        clear_caches()
+        for n, k in [(4, 2), (5, 2)]:
+            c = random_cochain(Random(n + k), n, k)
+            assert derham(whitney(c)) == c
+            assert whitney_basis_form(Face(n, (0, 2, 3))) == basis[(n, k)]
+            assert verify_cell(n, k, samples=2)["pass"]
     finally:
-        _clear_caches()
+        clear_caches()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import bubble_sort_parity, count_subsets
 from whitneyforms import (
+    AffineForm,
     AffineFunction,
     BadDegree,
     Cochain,
@@ -23,6 +24,7 @@ from whitneyforms import (
     cochain_from_json,
     cochain_to_json,
     enumerate_faces,
+    evaluate,
     face_parametrization,
     permutation_sign,
     random_cochain,
@@ -136,8 +138,21 @@ def test_exact_types_reject_floats_and_bools():
             AffineFunction(1, Fraction(0), (bad,))
         with pytest.raises(ValueError, match="not an exact rational"):
             AffineFunction.const(1, bad)
+        # points, parameter points and tangent vectors are exact inputs too
+        with pytest.raises(ValueError, match="not an exact rational"):
+            AffineFunction(1, 0, (Fraction(1),))((bad,))
+        with pytest.raises(ValueError, match="not an exact rational"):
+            face_parametrization(Face(2, (1, 2)))((bad,))
+        form = AffineForm(2, 1, {(1,): AffineFunction(2, 1, (Fraction(1), Fraction(0)))})
+        with pytest.raises(ValueError, match="not an exact rational"):
+            evaluate(form, (bad, 0), [(1, 0)])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            evaluate(form, (0, 0), [(bad, 0)])
     assert Cochain(1, 0, {(0,): 1}).terms == {(0,): Fraction(1)}
     assert AffineFunction(1, 2, (Fraction(1, 2),)).constant == Fraction(2)
+    assert AffineFunction(1, 0, (Fraction(1),))((Fraction(1, 10),)) == Fraction(1, 10)
+    assert face_parametrization(Face(2, (1, 2)))((Fraction(1, 2),)) == (Fraction(1, 2),) * 2
+    assert evaluate(form, (Fraction(1, 2), 0), [(3, 0)]) == Fraction(9, 2)
 
 
 def test_cochain_eval_applies_orientation():
