@@ -66,7 +66,6 @@ from .simplicial import (
     Cochain,
     DegreeMismatch,
     Face,
-    barycentric_functions,
     enumerate_faces,
     permutation_sign,
 )
@@ -331,17 +330,14 @@ def _schedule_is_complete(n: int, k: int) -> bool:
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
     """At the extreme degrees an independent closed form must agree.
 
-    Degree 0 is interpolation of the vertex values by barycentric
-    coordinates; degree n is the volume form scaled by n! times the single
-    prescribed integral.
+    Degree 0 is interpolation of the vertex values c(i) by barycentric
+    coordinates, written out: sum_i c(i) nu_i with nu_0 = 1 - sum_i x^i and
+    nu_i = x^i is the constant c(0) plus the gradient c(i) - c(0). Degree n
+    is the volume form scaled by n! times the single prescribed integral.
     """
     if k == 0:
-        nu = barycentric_functions(n)
-        f = AffineFunction.zero(n)
-        for i in range(n + 1):
-            value = cochain.terms.get((i,), Fraction(0))
-            if value:
-                f = f + value * nu[i]
+        values = [cochain.terms.get((i,), Fraction(0)) for i in range(n + 1)]
+        f = AffineFunction(n, values[0], tuple(v - values[0] for v in values[1:]))
         expected = AffineForm(n, 0, {(): f})
     elif k == n:
         value = cochain.terms.get(tuple(range(n + 1)), Fraction(0))
@@ -386,7 +382,8 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
         vec[target], remainder = divmod(total, pivot)
         if remainder:
             raise Inconsistent(f"inexact pivot at (n={n}, k={k})")
-    result = layout.form_from_vector([Fraction(v, q) for v in vec])
+    zero = Fraction(0)
+    result = layout.form_from_vector([Fraction(v, q) if v else zero for v in vec])
     _closed_form_check(n, k, cochain, result)
     return result
 

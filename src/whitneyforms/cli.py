@@ -73,7 +73,7 @@ def _load_json_arg(value: str) -> dict:
         text = path.read_text()
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
         raise click.UsageError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise click.UsageError("expected a JSON object")

@@ -15,11 +15,10 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, format_rational, parse_rational
+from .linalg import Matrix, exact_rational, format_rational, parse_rational
 from .simplicial import (
     AffineFunction,
     Face,
-    exact_rational,
     face_parametrization,
     permutation_sign,
 )
@@ -321,6 +320,8 @@ def form_from_json(data: Mapping) -> AffineForm:
     acc: dict[MultiIndex, AffineFunction] = {}
     for entry in raw_terms:
         try:
+            if not isinstance(entry["dx"], list) or not isinstance(entry["grad"], list):
+                raise ValueError("malformed form term: dx and grad must be lists")
             dx = tuple(int(i) for i in entry["dx"])
             const = parse_rational(entry["const"])
             grad = tuple(parse_rational(g) for g in entry["grad"])

@@ -24,6 +24,7 @@ __all__ = [
     "det",
     "matvec",
     "vstack",
+    "exact_rational",
     "parse_rational",
     "format_rational",
 ]
@@ -44,20 +45,30 @@ class NotUnique(ValueError):
 _RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
 
 
+def exact_rational(value: object) -> Fraction:
+    """Fraction(value) for an exact number; floats and bools are rejected.
+
+    A float would silently smuggle rounding error into a pipeline whose
+    whole point is exactness (0.1 would be stored as its binary expansion),
+    and a bool is a flag, not a number. An immutable Fraction comes back as is.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, (bool, float)):
+        raise ValueError(f"not an exact rational: {value!r}")
+    return Fraction(value)
+
+
 def parse_rational(value: object) -> Fraction:
     """Parse the wire format "p/q" (or "p"); plain ints are accepted too.
 
     Floats and decimal strings are rejected: they would silently smuggle
     rounding error into a pipeline whose whole point is exactness.
     """
-    if isinstance(value, bool) or isinstance(value, float):
-        raise ValueError(f"not an exact rational: {value!r}")
-    if isinstance(value, (Fraction, int)):
-        return Fraction(value)
-    if isinstance(value, str):
-        if _RATIONAL_PATTERN.fullmatch(value.strip()):
-            return Fraction(value)
-        raise ValueError(f"not an exact rational: {value!r}")
+    if isinstance(value, (Fraction, int)) or (
+        isinstance(value, str) and _RATIONAL_PATTERN.fullmatch(value.strip())
+    ):
+        return exact_rational(value)
     raise ValueError(f"not an exact rational: {value!r}")
 
 
@@ -84,7 +95,7 @@ class Matrix:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[object]], cols: int | None = None) -> "Matrix":
-        data = tuple(tuple(Fraction(x) for x in row) for row in rows)
+        data = tuple(tuple(exact_rational(x) for x in row) for row in rows)
         if data:
             width = len(data[0])
             if cols is not None and cols != width:
@@ -108,7 +119,7 @@ class Matrix:
 
 def matvec(m: Matrix, v: Sequence[object]) -> Vector:
     """Exact matrix-vector product."""
-    vec = tuple(Fraction(x) for x in v)
+    vec = tuple(exact_rational(x) for x in v)
     if len(vec) != m.cols:
         raise ValueError("vector length does not match the column count")
     return tuple(sum((a * b for a, b in zip(row, vec) if a and b), Fraction(0)) for row in m.entries)
@@ -196,7 +207,7 @@ def solve(m: Matrix, rhs: Sequence[object]) -> Vector:
     Raises NotUnique when the matrix has a nontrivial kernel and NoSolution
     when the (possibly overdetermined) system is inconsistent.
     """
-    b = tuple(Fraction(x) for x in rhs)
+    b = tuple(exact_rational(x) for x in rhs)
     if len(b) != m.rows:
         raise ValueError("right-hand side length does not match the row count")
     data = [list(row) + [bi] for row, bi in zip(m.entries, b)]
@@ -264,7 +275,7 @@ class LinearSolver:
 
     def solve(self, rhs: Sequence[object]) -> Vector:
         m = self.matrix
-        b = tuple(Fraction(x) for x in rhs)
+        b = tuple(exact_rational(x) for x in rhs)
         if len(b) != m.rows:
             raise ValueError("right-hand side length does not match the row count")
         reduced = [

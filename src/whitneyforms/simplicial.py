@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import format_rational, parse_rational
+from .linalg import exact_rational, format_rational, parse_rational
 
 __all__ = [
     "BadDegree",
@@ -36,21 +36,6 @@ __all__ = [
     "cochain_from_json",
     "exact_rational",
 ]
-
-
-def exact_rational(value: object) -> Fraction:
-    """Fraction(value) for an exact number; floats and bools are rejected.
-
-    A float would silently smuggle rounding error into a pipeline whose
-    whole point is exactness (0.1 would be stored as its binary expansion),
-    and a bool is a flag, not a number. ``parse_rational`` refuses the same.
-    A Fraction is returned as it is: it is immutable.
-    """
-    if type(value) is Fraction:
-        return value
-    if isinstance(value, (bool, float)):
-        raise ValueError(f"not an exact rational: {value!r}")
-    return Fraction(value)
 
 
 class BadDegree(ValueError):
@@ -349,8 +334,8 @@ def cochain_eval(c: Cochain, face: Face) -> Fraction:
 def random_cochain(rng: Random, n: int, k: int) -> Cochain:
     """Reproducible cochain with small rational coefficients (|p|, q <= 10)."""
     terms = {
-        face.vertices: Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-        for face in enumerate_faces(n, k)
+        face: Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+        for face in itertools.combinations(range(n + 1), k + 1)
     }
     return Cochain(n, k, terms)
 
@@ -373,6 +358,8 @@ def cochain_from_json(data: dict) -> Cochain:
         n = int(data["n"])
         k = int(data["k"])
         raw_terms = data.get("terms", [])
+        if not all(isinstance(entry["face"], list) for entry in raw_terms):
+            raise ValueError("malformed cochain JSON: every face must be a list of labels")
         items = [
             (Face(n, tuple(int(v) for v in entry["face"])), parse_rational(entry["coeff"]))
             for entry in raw_terms

@@ -3,9 +3,9 @@
 Everything here deliberately avoids the library's fast paths: parity
 comes from bubble sort, subset counts from explicit enumeration, integrals
 from a floating-point quadrature rule built on numpy, the constraint rows
-from the general ``pullback`` of each unit form, and the Whitney basis
-forms from ``wedge`` and ``scale_by_affine``, none of which the cached
-operators call.
+from the general ``pullback`` of each unit form, the Whitney basis forms
+from ``wedge`` and ``scale_by_affine``, none of which the cached operators
+call, and the extreme-degree closed forms from barycentric coordinates.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import numpy as np
 from whitneyforms import (
     AffineForm,
     AffineFunction,
+    Cochain,
     ConstantForm,
     Face,
     UnknownLayout,
@@ -79,6 +80,26 @@ def wedge_basis_form(n: int, vertices: tuple[int, ...]) -> AffineForm:
         sign = -1 if j % 2 else 1
         total = total + sign * scale_by_affine(nu[v], product)
     return math.factorial(k) * total
+
+
+def barycentric_closed_form(cochain: Cochain) -> AffineForm:
+    """The solution at k = 0 or k = n, built from barycentric coordinates.
+
+    Degree 0 interpolates the vertex values as sum_i c(i) nu_i, with one
+    AffineFunction product and sum per vertex; degree n is c(0..n) times the
+    wedge-built Whitney form of the top face.
+    """
+    n, k = cochain.n, cochain.k
+    if k == 0:
+        nu = barycentric_functions(n)
+        f = AffineFunction.zero(n)
+        for i in range(n + 1):
+            f = f + cochain.terms.get((i,), Fraction(0)) * nu[i]
+        return AffineForm(n, 0, {(): f})
+    if k == n:
+        top = tuple(range(n + 1))
+        return cochain.terms.get(top, Fraction(0)) * wedge_basis_form(n, top)
+    raise ValueError(f"no closed form at 0 < k={k} < n={n}")
 
 
 def random_affine_form(rng: Random, n: int, k: int, bits: int = 0) -> AffineForm:

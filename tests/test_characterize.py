@@ -8,8 +8,10 @@ from random import Random
 import pytest
 from click.testing import CliRunner
 
-from helpers import clear_caches
+from helpers import barycentric_closed_form, clear_caches
 from whitneyforms import (
+    AffineForm,
+    AffineFunction,
     BadDegree,
     Cochain,
     DegreeMismatch,
@@ -151,6 +153,24 @@ def test_closed_form_agreement_at_extreme_degrees():
     form2 = solve_characterization(2, 2, c2)
     coeff = form2.coeffs[(1, 2)]
     assert coeff.is_constant and coeff.constant == Fraction(10, 3)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_closed_form_check_is_the_barycentric_construction(n):
+    # the check writes the k = 0 and k = n forms down directly; the oracle
+    # builds them from barycentric coordinates and wedge products
+    rng = Random(n)
+    x1 = AffineFunction(n, 0, (Fraction(1),) + (Fraction(0),) * (n - 1))
+    for k in (0, n):
+        cochains = [Cochain.zero(n, k)] + [Cochain.basis(f) for f in enumerate_faces(n, k)]
+        cochains += [random_cochain(rng, n, k) for _ in range(3)]
+        for c in cochains:
+            expected = barycentric_closed_form(c)
+            characterize._closed_form_check(n, k, c, expected)
+            assert solve_characterization(n, k, c) == expected
+            moved = expected + AffineForm(n, k, {tuple(range(1, k + 1)): x1})
+            with pytest.raises(Inconsistent, match="disagrees with the closed form"):
+                characterize._closed_form_check(n, k, c, moved)
 
 
 def test_kernel_is_trivial_everywhere_small():

@@ -138,6 +138,44 @@ def test_derham_rejects_malformed_form():
     assert run("derham", "--form", "[1,2]").exit_code == 2
 
 
+# json.loads refuses an integer literal over 4300 digits with a plain ValueError
+HUGE_INTEGER = '{"n": 2, "k": 1, "terms": [], "pad": ' + "9" * 4301 + "}"
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("whitney", "--n", "2", "--k", "1", "--cochain"),
+        ("characterize", "--n", "2", "--k", "1", "--cochain"),
+        ("derham", "--form"),
+    ],
+)
+def test_huge_json_integer_exits_two(args):
+    result = run(*args, HUGE_INTEGER)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "invalid JSON" in result.output
+
+
+STRING_FACE = json.dumps({"n": 2, "k": 1, "terms": [{"face": "12", "coeff": "1"}]})
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("whitney", "--n", "2", "--k", "1", "--cochain", STRING_FACE),
+        ("characterize", "--n", "2", "--k", "1", "--cochain", STRING_FACE),
+        ("derham", "--form", json.dumps(
+            {"n": 2, "k": 1, "terms": [{"dx": "2", "const": "1", "grad": "34"}]})),
+        ("derham", "--form", json.dumps(
+            {"n": 2, "k": 1, "terms": [{"dx": [2], "const": "1", "grad": "34"}]})),
+    ],
+)
+def test_json_strings_are_not_read_as_lists(args):
+    result = run(*args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "must be" in result.output and "list" in result.output
+
+
 def test_characterize_matches_and_exits_zero():
     cochain = json.dumps(
         {
@@ -178,6 +216,37 @@ def test_verify_small_sweep():
     assert [(c["n"], c["k"]) for c in report["cells"]] == [
         (1, 0), (1, 1), (2, 0), (2, 1), (2, 2),
     ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_verify_prints_the_all_pass_report(seed):
+    cells = [
+        {
+            "n": n,
+            "k": k,
+            "dimension": True,
+            "rw_identity": True,
+            "characterization": True,
+            "kernel": True,
+            "proof_trace": True if 1 <= k <= n - 1 else None,
+            "pass": True,
+        }
+        for n in range(1, 6)
+        for k in range(n + 1)
+    ]
+    report = {
+        "n_max": 5,
+        "k": None,
+        "samples": 20,
+        "seed": seed,
+        "cells": cells,
+        "failures": [],
+        "first_counterexample": None,
+        "pass": True,
+    }
+    result = run("verify", "--n-max", "5", "--seed", str(seed))
+    assert result.exit_code == 0
+    assert result.stdout == json.dumps(report) + "\n"
 
 
 def test_verify_single_degree():

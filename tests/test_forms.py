@@ -167,6 +167,11 @@ def test_form_json_rejects_garbage():
         form_from_json({"n": 2, "k": 1, "terms": [{"dx": [1], "const": "1"}]})
     with pytest.raises(ValueError):
         form_from_json({"n": 2})
+    # JSON strings where index and gradient lists belong
+    with pytest.raises(ValueError, match="must be lists"):
+        form_from_json({"n": 2, "k": 1, "terms": [{"dx": "2", "const": "1", "grad": "34"}]})
+    with pytest.raises(ValueError, match="must be lists"):
+        form_from_json({"n": 2, "k": 1, "terms": [{"dx": [2], "const": "1", "grad": "34"}]})
 
 
 small_form_cases = st.integers(1, 3).flatmap(

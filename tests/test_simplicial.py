@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from helpers import bubble_sort_parity, count_subsets
 from whitneyforms import (
     AffineForm,
+    Matrix,
     AffineFunction,
     BadDegree,
     Cochain,
@@ -30,6 +31,8 @@ from whitneyforms import (
     random_cochain,
     vertex_point,
 )
+from whitneyforms import linalg, simplicial
+from whitneyforms.linalg import LinearSolver, matvec, solve
 
 
 def test_face_validation():
@@ -148,6 +151,20 @@ def test_exact_types_reject_floats_and_bools():
             evaluate(form, (bad, 0), [(1, 0)])
         with pytest.raises(ValueError, match="not an exact rational"):
             evaluate(form, (0, 0), [(bad, 0)])
+        # matrix entries and right-hand sides too
+        with pytest.raises(ValueError, match="not an exact rational"):
+            Matrix.from_rows([[Fraction(1), bad]])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            matvec(Matrix.identity(1), [bad])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            solve(Matrix.identity(1), [bad])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            LinearSolver(Matrix.identity(1)).solve([bad])
+    assert simplicial.exact_rational is linalg.exact_rational
+    assert Matrix.from_rows([[1, Fraction(1, 10)]]).entries == ((Fraction(1), Fraction(1, 10)),)
+    assert matvec(Matrix.identity(2), [1, Fraction(1, 10)]) == (Fraction(1), Fraction(1, 10))
+    assert solve(Matrix.identity(1), [Fraction(1, 10)]) == (Fraction(1, 10),)
+    assert LinearSolver(Matrix.identity(1)).solve([3]) == (Fraction(3),)
     assert Cochain(1, 0, {(0,): 1}).terms == {(0,): Fraction(1)}
     assert AffineFunction(1, 2, (Fraction(1, 2),)).constant == Fraction(2)
     assert AffineFunction(1, 0, (Fraction(1),))((Fraction(1, 10),)) == Fraction(1, 10)
@@ -190,6 +207,20 @@ def test_random_cochain_is_reproducible():
     assert all(abs(v) <= 10 and v.denominator <= 10 for v in values)
 
 
+def test_random_cochain_draws_face_by_face():
+    # the same draws, in the same order, as over enumerate_faces
+    for seed in range(4):
+        for n in range(1, 6):
+            for k in range(n + 1):
+                rng, reference = Random(seed), Random(seed)
+                for _ in range(2):
+                    expected = Cochain(n, k, {
+                        face.vertices: Fraction(reference.randint(-10, 10), reference.randint(1, 10))
+                        for face in enumerate_faces(n, k)
+                    })
+                    assert random_cochain(rng, n, k) == expected
+
+
 def test_cochain_json_round_trip():
     c = Cochain(2, 1, {(0, 1): Fraction(3, 2), (1, 2): Fraction(-5)})
     data = cochain_to_json(c)
@@ -223,6 +254,9 @@ def test_cochain_json_rejects_garbage():
         cochain_from_json({"n": 2, "k": 1, "terms": [{"face": [0, 1], "coeff": "0.5"}]})
     with pytest.raises(ValueError):
         cochain_from_json({"k": 1, "terms": []})
+    # a JSON string where the vertex list belongs is not read as its characters
+    with pytest.raises(ValueError, match="must be a list"):
+        cochain_from_json({"n": 2, "k": 1, "terms": [{"face": "12", "coeff": "1"}]})
 
 
 faces_strategy = st.integers(1, 4).flatmap(

@@ -1,5 +1,9 @@
 """Sweep driver: per-cell results, report shape, and failure reporting."""
 
+import math
+
+import pytest
+
 import whitneyforms.verify as verify_module
 from whitneyforms import whitney
 from whitneyforms.verify import run_verification, verify_cell
@@ -50,3 +54,17 @@ def test_failure_serializes_first_counterexample(monkeypatch):
     assert report["pass"] is False
     assert report["failures"] == [(1, 1), (2, 1)]
     assert report["first_counterexample"]["check"] == "rw_identity"
+
+
+@pytest.mark.parametrize("n, k, samples", [(2, 1, 3), (4, 0, 5), (4, 4, 2), (5, 2, 0)])
+def test_one_whitney_form_per_cochain(monkeypatch, n, k, samples):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return whitney(c)
+
+    monkeypatch.setattr(verify_module, "whitney", counted)
+    cell = verify_cell(n, k, samples=samples)
+    assert cell["pass"] is True
+    assert len(calls) == math.comb(n + 1, k + 1) + samples
