@@ -9,8 +9,9 @@ homogeneous system has only the zero solution, so nothing else works.
 from random import Random
 
 from whitneyforms import (
-    build_system,
+    UnknownLayout,
     kernel_is_trivial,
+    proof_trace,
     random_cochain,
     render_cochain,
     render_form,
@@ -22,10 +23,11 @@ n, k = 3, 1
 c = random_cochain(Random(11), n, k)
 print(f"Prescribed edge integrals: {render_cochain(c)}")
 
-system = build_system(n, k, c)
+trace = proof_trace(n, k)
+stage1 = sum(len(step.killed) for step in trace.stage1)
 print(
-    f"System shape: {system.constancy.rows} constancy rows + "
-    f"{system.integrals.rows} integral rows over {system.layout.size} unknowns"
+    f"Unknowns: {UnknownLayout(n, k).size}, determined by {stage1} stage-1 and "
+    f"{len(trace.stage2)} stage-2 elimination steps"
 )
 
 solved = solve_characterization(n, k, c)
@@ -35,5 +37,4 @@ direct = whitney(c)
 print(f"Construction: {render_form(direct)}")
 print(f"Identical: {solved == direct}")
 
-report = kernel_is_trivial(n, k)
-print(f"Kernel of the homogeneous system is trivial: {report.trivial}")
+print(f"Kernel of the homogeneous system is trivial: {kernel_is_trivial(n, k)}")

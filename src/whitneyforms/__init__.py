@@ -7,16 +7,13 @@ face integrals determines exactly that form and no other.
 """
 
 from .characterize import (
-    ConstraintSystem,
     Inconsistent,
-    KernelReport,
     NonUnique,
     ProofTrace,
     Stage1Kill,
     Stage2Kill,
     TraceIncomplete,
     UnknownLayout,
-    build_system,
     kernel_is_trivial,
     lambda_e_dimension,
     proof_trace,
@@ -36,7 +33,7 @@ from .forms import (
     scale_by_affine,
     wedge,
 )
-from .linalg import Matrix, NoSolution, NotUnique, format_rational, parse_rational
+from .linalg import format_rational, parse_rational
 from .render import render_affine, render_cochain, render_form
 from .simplicial import (
     AffineFunction,
@@ -66,17 +63,12 @@ __all__ = [
     "BadDegree",
     "Cochain",
     "ConstantForm",
-    "ConstraintSystem",
     "DegreeMismatch",
     "DegreeOverflow",
     "DimensionMismatch",
     "Face",
     "Inconsistent",
-    "KernelReport",
-    "Matrix",
     "NonUnique",
-    "NoSolution",
-    "NotUnique",
     "ProofTrace",
     "Stage1Kill",
     "Stage2Kill",
@@ -84,7 +76,6 @@ __all__ = [
     "UnknownLayout",
     "barycentric_differential",
     "barycentric_functions",
-    "build_system",
     "canonicalize",
     "cochain_eval",
     "cochain_from_json",

@@ -1,11 +1,12 @@
-"""The linear system that pins a form down by its face data, and its analysis.
+"""The face data that pin a form down: the solve, its certificates, the replay.
 
 Among k-forms with affine coefficients on the standard n-simplex, two
 conditions on each k-face -- the pullback is constant, and the integral
-equals a prescribed value -- determine a unique form. This module builds
-those conditions as an exact linear system over the flat vector of
-coefficient unknowns, solves it, certifies uniqueness by a trivial kernel,
-and replays the two-stage elimination that proves uniqueness row by row.
+equals a prescribed value -- determine a unique form. Over the flat vector
+of coefficient unknowns they are the sparse integer rows C (constancy) and
+D (integrals) of :mod:`whitneyforms.operators`. This module solves the
+square system [C; D], certifies uniqueness by a trivial kernel, and replays
+the two-stage elimination that proves uniqueness row by row.
 
 Unknowns are blocked per multi-index I: the constant term b_I, then the
 gradient entries a_{I,1}, ..., a_{I,n}. Labels follow that naming, e.g.
@@ -31,14 +32,14 @@ proves the kernel trivial, and
 O(nnz) work with every division exact: the pivots are +-1, except the
 stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
 face's own gradient unknowns are fixed to zero. :func:`proof_trace` reports
-the same schedule.
+the same schedule. It is complete whenever it builds: stage 1 has
+C(n,k)(k+1) rows and stage 2 C(n,k)(n-k), one per unknown in all.
 
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
-reads its completeness, and :func:`lambda_e_dimension` adds the exact sparse
-check C.W = 0, D~.W = (k+1)! I (W the Whitney operator), which puts
-face-many independent forms in ker C. The dense ``nullspace`` and ``rank``
-run only when a certificate fails, to give the verdict and the offending
-forms.
+reads it, and :func:`lambda_e_dimension` adds the exact sparse check
+C.W = 0, D~.W = (k+1)! I (W the Whitney operator), which puts face-many
+independent forms in ker C. There is no second, dense path: a certificate
+that fails is reported as a failure, never replaced by elimination.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from functools import cache
 from typing import NamedTuple
 
 from .forms import AffineForm, MultiIndex
-from .linalg import Matrix, nullspace, rank, vstack
 from .operators import (
     SparseRow,
     UnknownLayout,
@@ -65,8 +65,6 @@ from .simplicial import (
     BadDegree,
     Cochain,
     DegreeMismatch,
-    Face,
-    enumerate_faces,
     permutation_sign,
 )
 
@@ -75,11 +73,8 @@ __all__ = [
     "Inconsistent",
     "TraceIncomplete",
     "UnknownLayout",
-    "ConstraintSystem",
-    "build_system",
     "lambda_e_dimension",
     "solve_characterization",
-    "KernelReport",
     "kernel_is_trivial",
     "Stage1Kill",
     "Stage2Kill",
@@ -97,77 +92,7 @@ class Inconsistent(RuntimeError):
 
 
 class TraceIncomplete(RuntimeError):
-    """The elimination replay hit a row that does not isolate one unknown."""
-
-
-def _dense(rows: tuple[SparseRow, ...], cols: int, scale: int = 1) -> Matrix:
-    """Sparse integer rows as a dense rational matrix, each entry divided by scale."""
-    out: list[list[Fraction]] = []
-    for row in rows:
-        dense = [Fraction(0)] * cols
-        for pos, value in row:
-            dense[pos] = Fraction(value, scale)
-        out.append(dense)
-    return Matrix.from_rows(out, cols=cols)
-
-
-@cache
-def _system_matrices(n: int, k: int) -> tuple[Matrix, Matrix]:
-    """(constancy rows C, integral rows D) over the flat unknown vector.
-
-    C has k rows per face, face by face; D is the de Rham operator, whose
-    integer rows are divided here by (k+1)!.
-    """
-    size = unknown_layout(n, k).size
-    constancy = tuple(row for rows in constancy_rows(n, k) for row in rows)
-    return (
-        _dense(constancy, size),
-        _dense(derham_rows(n, k), size, math.factorial(k + 1)),
-    )
-
-
-@dataclass(frozen=True)
-class ConstraintSystem:
-    """Stacked exact constraints: constancy block on top, integrals below.
-
-    The constancy block has k rows per face (each gradient entry of the
-    pulled-back coefficient must vanish) with zero right-hand side; the
-    integral block has one row per canonical face with the prescribed
-    value on the right.
-    """
-
-    layout: UnknownLayout
-    faces: tuple[Face, ...]
-    constancy: Matrix
-    integrals: Matrix
-    values: tuple[Fraction, ...]
-
-    @property
-    def stacked(self) -> Matrix:
-        return vstack(self.constancy, self.integrals)
-
-    @property
-    def rhs(self) -> tuple[Fraction, ...]:
-        return (Fraction(0),) * self.constancy.rows + self.values
-
-
-def build_system(n: int, k: int, cochain: Cochain | None = None) -> ConstraintSystem:
-    """Assemble the system for prescribed face integrals (zero if omitted).
-
-    Degrees 0 and n run through the same general path as everything else;
-    their closed-form answers serve as cross-checks elsewhere, not as
-    special cases here.
-    """
-    layout = unknown_layout(n, k)
-    faces = tuple(enumerate_faces(n, k))
-    constancy, integrals = _system_matrices(n, k)
-    if cochain is None:
-        values = (Fraction(0),) * len(faces)
-    else:
-        if (cochain.n, cochain.k) != (n, k):
-            raise DegreeMismatch("cochain does not match the requested degrees")
-        values = tuple(cochain.terms.get(face.vertices, Fraction(0)) for face in faces)
-    return ConstraintSystem(layout, faces, constancy, integrals, values)
+    """The elimination replay, or a certificate built on it, did not go through."""
 
 
 @cache
@@ -180,15 +105,18 @@ def lambda_e_dimension(n: int, k: int) -> int:
     makes the stacked system [C; D] injective, so ker C, on which D is
     injective, has dimension at most the number of rows of D, one per face.
     And C.W = 0 with D~.W = (k+1)! I puts the face-many columns of W in
-    ker C, independent because D maps them to the unit cochains. Should
-    either fail, the dimension is counted as unknowns minus the dense rank
-    of the constancy block.
+    ker C, independent because D maps them to the unit cochains. Raises
+    TraceIncomplete, with the reason, when either certificate fails.
     """
-    layout = unknown_layout(n, k)
-    if _schedule_is_complete(n, k) and _whitney_columns_certified(n, k):
-        return len(layout.faces)
-    constancy, _ = _system_matrices(n, k)
-    return layout.size - rank(constancy)
+    try:
+        _schedule(n, k)
+    except Inconsistent as exc:
+        raise TraceIncomplete(str(exc)) from exc
+    if not _whitney_columns_certified(n, k):
+        raise TraceIncomplete(
+            f"the Whitney columns at (n={n}, k={k}) fail C.W = 0, D~.W = (k+1)! I"
+        )
+    return len(unknown_layout(n, k).faces)
 
 
 @cache
@@ -264,7 +192,8 @@ def _schedule(n: int, k: int) -> _Schedule:
     each face G = sorted((m,) + L), checked against the identity in the
     module docstring (its last term is absent when m is G's first vertex).
     Raises TraceIncomplete when a row does not isolate exactly one live
-    unknown, Inconsistent when the identity fails.
+    unknown, Inconsistent when the identity fails; a schedule that is
+    returned is complete.
     """
     layout = unknown_layout(n, k)
     index = {face: i for i, face in enumerate(layout.faces)}
@@ -318,15 +247,6 @@ def _schedule(n: int, k: int) -> _Schedule:
     return _Schedule(tuple(stage1), tuple(stage2), steps + tuple(s for _, _, s in stage2))
 
 
-def _schedule_is_complete(n: int, k: int) -> bool:
-    """True when the schedule builds, every identity holds and every unknown falls."""
-    try:
-        schedule = _schedule(n, k)
-    except (TraceIncomplete, Inconsistent):
-        return False
-    return len(schedule.steps) == unknown_layout(n, k).size
-
-
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
     """At the extreme degrees an independent closed form must agree.
 
@@ -366,8 +286,6 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
         schedule = _schedule(n, k)
     except TraceIncomplete as exc:
         raise NonUnique(f"underdetermined system at (n={n}, k={k})") from exc
-    if len(schedule.steps) != layout.size:
-        raise NonUnique(f"underdetermined system at (n={n}, k={k})")
     q = math.lcm(*(value.denominator for value in cochain.terms.values()))
     values = [0] * len(layout.faces)
     for i, face in enumerate(layout.faces):
@@ -388,38 +306,18 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     return result
 
 
-@dataclass(frozen=True)
-class KernelReport:
-    """Outcome of the homogeneous uniqueness check.
+def kernel_is_trivial(n: int, k: int) -> bool:
+    """True when the kernel of the stacked system is certified trivial.
 
-    When the kernel is nontrivial, ``certificate`` holds a basis of
-    offending forms so the failure is inspectable.
+    That is uniqueness, and the elimination schedule proves it: its rows
+    lie in the row space of the system and determine every unknown. False
+    when the schedule does not build, so that no certificate is at hand.
     """
-
-    n: int
-    k: int
-    trivial: bool
-    certificate: tuple[AffineForm, ...]
-
-    def __bool__(self) -> bool:
-        return self.trivial
-
-
-def kernel_is_trivial(n: int, k: int) -> KernelReport:
-    """Trivial kernel of the stacked system, which means uniqueness.
-
-    A complete elimination schedule proves it: its rows lie in the row
-    space of the system and determine every unknown. Only when the schedule
-    fails is the dense nullspace computed, for the verdict and for a basis
-    of offending forms.
-    """
-    if _schedule_is_complete(n, k):
-        return KernelReport(n, k, True, ())
-    layout = unknown_layout(n, k)
-    constancy, integrals = _system_matrices(n, k)
-    basis = nullspace(vstack(constancy, integrals))
-    forms = tuple(layout.form_from_vector(v) for v in basis)
-    return KernelReport(n, k, not forms, forms)
+    try:
+        _schedule(n, k)
+    except (TraceIncomplete, Inconsistent):
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -441,7 +339,11 @@ class Stage2Kill:
 
 @dataclass(frozen=True)
 class ProofTrace:
-    """Record of the elimination: every unknown must fall to exactly one step."""
+    """Record of the elimination: every unknown must fall to exactly one step.
+
+    ``complete`` is True on every trace that :func:`proof_trace` returns; an
+    elimination that leaves an unknown undetermined raises TraceIncomplete.
+    """
 
     n: int
     k: int
@@ -505,6 +407,4 @@ def proof_trace(n: int, k: int) -> ProofTrace:
             )
         stage2.append(Stage2Kill(span, m, layout.labels[step.target]))
 
-    return ProofTrace(
-        n, k, tuple(stage1), tuple(stage2), len(schedule.steps) == layout.size
-    )
+    return ProofTrace(n, k, tuple(stage1), tuple(stage2), True)

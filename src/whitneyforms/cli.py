@@ -5,9 +5,10 @@ them, characterize solves the face-data system and compares against the
 direct construction, verify sweeps whole ranges of (n, k), dims prints the
 dimension count, and trace replays the uniqueness elimination.
 
-Exit codes: 0 on success, 1 when a verification or theorem check fails,
-2 on usage errors or malformed input, including a cell whose coefficient
-vector would exceed MAX_UNKNOWNS.
+Exit codes: 0 on success, 1 when a verification or theorem check fails
+(including a certificate that does not go through), 2 on usage errors or
+malformed input, including a cell whose coefficient vector would exceed
+MAX_UNKNOWNS. That one cap bounds every subcommand, verify included.
 """
 
 from __future__ import annotations
@@ -195,18 +196,14 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
 @click.option("--samples", type=int, default=20, show_default=True,
               help="random cochains per (n, k)")
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--ceiling", type=int, default=5, show_default=True,
-              help="refuse --n-max beyond this")
 @click.option("--format", "fmt", type=click.Choice(["text", "json"]),
               default="json", show_default=True)
-def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, ceiling: int, fmt: str) -> None:
+def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> None:
     """Run every check for all n up to --n-max."""
     if n_max < 1:
         raise click.UsageError("--n-max must be at least 1")
-    if n_max > ceiling:
-        raise click.UsageError(
-            f"--n-max {n_max} exceeds the ceiling {ceiling}; raise --ceiling if you mean it"
-        )
+    # bounded like dims --n n_max, by the largest cell up to n_max, whatever --k is
+    _check_size(n_max, n_max // 2)
     if k is not None and (k < 0 or k > n_max):
         raise click.UsageError(f"--k must lie in 0..{n_max}")
     if samples < 0:
@@ -260,7 +257,11 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
     for kk in degrees:
         faces = math.comb(n + 1, kk + 1)
         unknowns = math.comb(n, kk) * (n + 1)
-        dim = lambda_e_dimension(n, kk)
+        try:
+            dim = lambda_e_dimension(n, kk)
+        except TraceIncomplete as exc:
+            click.echo(f"certification failed: {exc}", err=True)
+            sys.exit(1)
         rows.append(
             {
                 "k": kk,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Sequence
 
 from . import linalg
-from .linalg import Matrix, exact_rational, format_rational, parse_rational
+from .linalg import exact_int, exact_rational, format_rational, parse_rational
 from .simplicial import (
     AffineFunction,
     Face,
@@ -250,14 +250,7 @@ def pullback(form: AffineForm, face: Face) -> AffineForm:
     for idx, f in form.coeffs.items():
         pulled_f = _compose_affine(f, param)
         for target in itertools.combinations(range(1, kf + 1), form.k):
-            minor = Matrix.from_rows(
-                [
-                    [directions[t - 1][i - 1] for t in target]
-                    for i in idx
-                ],
-                cols=form.k,
-            )
-            d = linalg.det(minor)
+            d = linalg.det([[directions[t - 1][i - 1] for t in target] for i in idx])
             if not d:
                 continue
             term = d * pulled_f
@@ -284,10 +277,7 @@ def evaluate(
         raise DimensionMismatch("tangent vector has the wrong dimension")
     total = Fraction(0)
     for idx, f in form.coeffs.items():
-        minor = Matrix.from_rows(
-            [[v[i - 1] for v in vecs] for i in idx], cols=form.k
-        )
-        d = linalg.det(minor)
+        d = linalg.det([[v[i - 1] for v in vecs] for i in idx])
         if d:
             total += f(point) * d
     return total
@@ -310,10 +300,14 @@ def form_to_json(form: AffineForm) -> dict:
 
 
 def form_from_json(data: Mapping) -> AffineForm:
-    """Parse a form; dx lists may come unsorted and are folded by parity."""
+    """Parse a form; dx lists may come unsorted and are folded by parity.
+
+    n, k and the dx indices must be JSON integers: a float, bool or string
+    raises ValueError instead of being truncated or coerced.
+    """
     try:
-        n = int(data["n"])
-        k = int(data["k"])
+        n = exact_int(data["n"])
+        k = exact_int(data["k"])
         raw_terms = data.get("terms", [])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed form JSON: {exc}") from exc
@@ -322,7 +316,7 @@ def form_from_json(data: Mapping) -> AffineForm:
         try:
             if not isinstance(entry["dx"], list) or not isinstance(entry["grad"], list):
                 raise ValueError("malformed form term: dx and grad must be lists")
-            dx = tuple(int(i) for i in entry["dx"])
+            dx = tuple(exact_int(i) for i in entry["dx"])
             const = parse_rational(entry["const"])
             grad = tuple(parse_rational(g) for g in entry["grad"])
         except (KeyError, TypeError) as exc:

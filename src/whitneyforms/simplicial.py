@@ -15,7 +15,7 @@ from fractions import Fraction
 from random import Random
 from typing import Iterable, Sequence
 
-from .linalg import exact_rational, format_rational, parse_rational
+from .linalg import exact_int, exact_rational, format_rational, parse_rational
 
 __all__ = [
     "BadDegree",
@@ -353,15 +353,19 @@ def cochain_to_json(c: Cochain) -> dict:
 
 
 def cochain_from_json(data: dict) -> Cochain:
-    """Parse a cochain; faces may come in any vertex order and are folded."""
+    """Parse a cochain; faces may come in any vertex order and are folded.
+
+    n, k and the face labels must be JSON integers: a float, bool or string
+    raises ValueError instead of being truncated or coerced.
+    """
     try:
-        n = int(data["n"])
-        k = int(data["k"])
+        n = exact_int(data["n"])
+        k = exact_int(data["k"])
         raw_terms = data.get("terms", [])
         if not all(isinstance(entry["face"], list) for entry in raw_terms):
             raise ValueError("malformed cochain JSON: every face must be a list of labels")
         items = [
-            (Face(n, tuple(int(v) for v in entry["face"])), parse_rational(entry["coeff"]))
+            (Face(n, tuple(exact_int(v) for v in entry["face"])), parse_rational(entry["coeff"]))
             for entry in raw_terms
         ]
     except (KeyError, TypeError) as exc:

@@ -6,6 +6,8 @@ from a floating-point quadrature rule built on numpy, the constraint rows
 from the general ``pullback`` of each unit form, the Whitney basis forms
 from ``wedge`` and ``scale_by_affine``, none of which the cached operators
 call, and the extreme-degree closed forms from barycentric coordinates.
+Rank, kernel and solution come from dense Gauss-Jordan elimination over
+plain lists of rationals, which the library itself never runs.
 """
 
 from __future__ import annotations
@@ -35,6 +37,9 @@ from whitneyforms import (
     vertex_point,
     wedge,
 )
+from whitneyforms import characterize, linalg
+from whitneyforms.linalg import exact_rational
+from whitneyforms.operators import constancy_rows, derham_rows, unknown_layout
 
 
 def bubble_sort_parity(seq) -> int:
@@ -175,3 +180,157 @@ def quadrature_integral(form: AffineForm, face: Face) -> float:
         )
         total += d * value
     return face.sign * total / math.factorial(k)
+
+
+class NoSolution(ValueError):
+    """The linear system is inconsistent."""
+
+
+class NotUnique(ValueError):
+    """The linear system has more than one solution."""
+
+
+def _exact(rows) -> list[list[Fraction]]:
+    """A mutable copy of the rows, every entry through ``exact_rational``."""
+    return [[exact_rational(x) for x in row] for row in rows]
+
+
+def _rref(data: list[list[Fraction]], pivot_limit: int) -> list[int]:
+    """In-place reduced row echelon form; returns the pivot columns.
+
+    Pivots are searched only in the first ``pivot_limit`` columns; any
+    further columns are an augmented part that rides along under the same
+    row operations. Unit entries are preferred as pivots to keep the
+    intermediate fractions small.
+    """
+    nrows = len(data)
+    ncols = len(data[0]) if data else 0
+    pivots: list[int] = []
+    r = 0
+    for c in range(pivot_limit):
+        if r == nrows:
+            break
+        best = None
+        for i in range(r, nrows):
+            if data[i][c] != 0:
+                best = i
+                if abs(data[i][c]) == 1:
+                    break
+        if best is None:
+            continue
+        data[r], data[best] = data[best], data[r]
+        pivot = data[r][c]
+        if pivot != 1:
+            inv = Fraction(1) / pivot
+            row = data[r]
+            for j in range(c, ncols):
+                if row[j]:
+                    row[j] *= inv
+        prow = data[r]
+        for i in range(nrows):
+            if i == r:
+                continue
+            factor = data[i][c]
+            if factor == 0:
+                continue
+            irow = data[i]
+            for j in range(c, ncols):
+                if prow[j]:
+                    irow[j] -= factor * prow[j]
+        pivots.append(c)
+        r += 1
+    return pivots
+
+
+def matvec(rows, v) -> tuple[Fraction, ...]:
+    """Exact matrix-vector product over plain lists."""
+    return tuple(sum((a * b for a, b in zip(row, v) if a and b), Fraction(0)) for row in rows)
+
+
+def rank(rows) -> int:
+    """Exact rank over the rationals; an empty list of rows has rank 0."""
+    data = _exact(rows)
+    return len(_rref(data, len(data[0]) if data else 0))
+
+
+def nullspace(rows, cols: int) -> list[tuple[Fraction, ...]]:
+    """Basis of the exact kernel of a rows-by-cols matrix, one vector per free column."""
+    data = _exact(rows)
+    pivots = _rref(data, cols)
+    basis = []
+    for free in sorted(set(range(cols)) - set(pivots)):
+        v = [Fraction(0)] * cols
+        v[free] = Fraction(1)
+        for row, pivot_col in zip(data, pivots):
+            v[pivot_col] = -row[free]
+        basis.append(tuple(v))
+    return basis
+
+
+class LinearSolver:
+    """Row reduction of a fixed matrix, reusable across right-hand sides.
+
+    The reduction is applied once to [rows | I]; each right-hand side then
+    costs one product with the recorded transform. Raises NoSolution for an
+    inconsistent right-hand side and NotUnique for a nontrivial kernel.
+    """
+
+    def __init__(self, rows):
+        data = _exact(rows)
+        self.cols = len(data[0])
+        for i, row in enumerate(data):
+            row.extend(Fraction(1) if i == j else Fraction(0) for j in range(len(data)))
+        self._pivots = _rref(data, self.cols)
+        self._transform = [row[self.cols :] for row in data]
+
+    @property
+    def rank(self) -> int:
+        return len(self._pivots)
+
+    def solve(self, rhs) -> tuple[Fraction, ...]:
+        b = [exact_rational(x) for x in rhs]
+        if len(b) != len(self._transform):
+            raise ValueError("right-hand side length does not match the row count")
+        reduced = matvec(self._transform, b)
+        if any(reduced[self.rank :]):
+            raise NoSolution("inconsistent system")
+        if self.rank < self.cols:
+            raise NotUnique(f"rank {self.rank} < {self.cols} unknowns")
+        x = [Fraction(0)] * self.cols
+        for value, pivot_col in zip(reduced, self._pivots):
+            x[pivot_col] = value
+        return tuple(x)
+
+
+def dense_system(n: int, k: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:
+    """(C, D): the operators' constancy and integral rows as dense rationals.
+
+    D is the integer operator D*(k+1)! divided back by (k+1)!.
+    """
+    size = unknown_layout(n, k).size
+    scale = math.factorial(k + 1)
+
+    def dense(row, divisor=1):
+        out = [Fraction(0)] * size
+        for pos, value in row:
+            out[pos] = Fraction(value, divisor)
+        return out
+
+    constancy = [dense(row) for rows in constancy_rows(n, k) for row in rows]
+    return constancy, [dense(row, scale) for row in derham_rows(n, k)]
+
+
+def assert_no_dense_elimination() -> None:
+    """The library defines no elimination routine besides ``det``.
+
+    The dense rank, kernel and solver above are oracles only: neither
+    ``linalg`` nor ``characterize`` holds one for a certificate to fall
+    back on.
+    """
+    defined = {
+        name
+        for name, obj in vars(linalg).items()
+        if callable(obj) and getattr(obj, "__module__", None) == linalg.__name__
+    }
+    assert defined == {"det", "exact_int", "exact_rational", "format_rational", "parse_rational"}
+    assert not {"rank", "nullspace", "LinearSolver", "solve"} & set(vars(characterize))

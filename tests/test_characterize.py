@@ -1,4 +1,4 @@
-"""The constraint system, its solution, kernel, and the elimination replay."""
+"""The constraint system, its solution, its certificates, and the elimination replay."""
 
 import json
 import math
@@ -8,7 +8,15 @@ from random import Random
 import pytest
 from click.testing import CliRunner
 
-from helpers import barycentric_closed_form, clear_caches
+from helpers import (
+    LinearSolver,
+    assert_no_dense_elimination,
+    barycentric_closed_form,
+    clear_caches,
+    dense_system,
+    nullspace,
+    rank,
+)
 from whitneyforms import (
     AffineForm,
     AffineFunction,
@@ -16,13 +24,11 @@ from whitneyforms import (
     Cochain,
     DegreeMismatch,
     UnknownLayout,
-    build_system,
     characterize,
     enumerate_faces,
     is_constant,
     kernel_is_trivial,
     lambda_e_dimension,
-    linalg,
     proof_trace,
     pullback,
     random_cochain,
@@ -31,10 +37,15 @@ from whitneyforms import (
     vertex_point,
     whitney,
 )
-from whitneyforms.characterize import Inconsistent, NonUnique, TraceIncomplete, _system_matrices
+from whitneyforms.characterize import (
+    Inconsistent,
+    NonUnique,
+    TraceIncomplete,
+    _schedule,
+    _whitney_columns_certified,
+)
 from whitneyforms.cli import main
-from whitneyforms.linalg import LinearSolver, matvec, rank, vstack
-from whitneyforms.operators import unknown_layout
+from whitneyforms.operators import constancy_rows, derham_rows, unknown_layout
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
 
@@ -70,33 +81,46 @@ def test_layout_unit_forms_match_positions():
             assert f.constant == 0 and f.gradient[j - 1] == 1
 
 
+def _shape(n, k):
+    """(constancy rows, integral rows, unknowns) of the system at (n, k)."""
+    constancy = [row for rows in constancy_rows(n, k) for row in rows]
+    return len(constancy), len(derham_rows(n, k)), unknown_layout(n, k).size
+
+
+def _apply(rows, vec):
+    """Sparse integer rows times a rational vector."""
+    return [sum((value * vec[pos] for pos, value in row), Fraction(0)) for row in rows]
+
+
 def test_system_shapes():
-    sys21 = build_system(2, 1)
-    assert (sys21.constancy.rows, sys21.constancy.cols) == (3, 6)
-    assert (sys21.integrals.rows, sys21.integrals.cols) == (3, 6)
-    assert sys21.stacked.rows == 6
-    sys31 = build_system(3, 1)
-    assert (sys31.constancy.rows, sys31.constancy.cols) == (6, 12)
-    assert (sys31.integrals.rows, sys31.integrals.cols) == (6, 12)
-    sys20 = build_system(2, 0)
-    assert sys20.constancy.rows == 0
-    assert sys20.integrals.rows == 3
+    assert _shape(2, 1) == (3, 3, 6)
+    assert _shape(3, 1) == (6, 6, 12)
+    assert _shape(2, 0) == (0, 3, 3)
+    # square: k constancy rows and one integral row per face
+    for n in range(1, 7):
+        for k in range(n + 1):
+            rows, integrals, size = _shape(n, k)
+            assert rows + integrals == size == (k + 1) * math.comb(n + 1, k + 1)
 
 
 def test_system_rhs_follows_face_order():
+    # the integral rows follow the layout's faces, so the right-hand side does too
     c = Cochain(2, 1, {(0, 1): Fraction(7), (1, 2): Fraction(-2)})
-    system = build_system(2, 1, c)
-    assert system.values == (Fraction(7), Fraction(0), Fraction(-2))
-    assert system.rhs == (Fraction(0),) * 3 + (Fraction(7), Fraction(0), Fraction(-2))
-    with pytest.raises(DegreeMismatch):
-        build_system(2, 1, Cochain(2, 0, {(0,): Fraction(1)}))
+    layout = unknown_layout(2, 1)
+    assert layout.faces == ((0, 1), (0, 2), (1, 2))
+    vec = layout.vector_from_form(whitney(c))
+    assert _apply(derham_rows(2, 1), vec) == [Fraction(14), Fraction(0), Fraction(-4)]
 
 
 def test_whitney_form_satisfies_the_system():
     c = random_cochain(Random(3), 3, 2)
-    system = build_system(3, 2, c)
-    vec = system.layout.vector_from_form(whitney(c))
-    assert matvec(system.stacked, vec) == system.rhs
+    layout = unknown_layout(3, 2)
+    vec = layout.vector_from_form(whitney(c))
+    constancy = [row for rows in constancy_rows(3, 2) for row in rows]
+    assert _apply(constancy, vec) == [0] * len(constancy)
+    # D~ = D * 3! maps the form to 3! times its face integrals
+    expected = [6 * c.terms.get(face, Fraction(0)) for face in layout.faces]
+    assert _apply(derham_rows(3, 2), vec) == expected
 
 
 def test_dimension_count_small_cases():
@@ -114,8 +138,8 @@ def test_dimension_identity_up_to_five():
             unknowns = math.comb(n, k) * (n + 1)
             assert lambda_e_dimension(n, k) == faces
             # the constancy rows are independent: rank is exactly k per face
-            system = build_system(n, k)
-            assert rank(system.constancy) == k * faces
+            constancy, _ = dense_system(n, k)
+            assert rank(constancy) == k * faces
             assert unknowns - k * faces == faces
 
 
@@ -176,9 +200,10 @@ def test_closed_form_check_is_the_barycentric_construction(n):
 def test_kernel_is_trivial_everywhere_small():
     for n in range(1, 5):
         for k in range(n + 1):
-            report = kernel_is_trivial(n, k)
-            assert report.trivial and bool(report)
-            assert report.certificate == ()
+            assert kernel_is_trivial(n, k) is True
+            # the dense oracle agrees: [C; D] has no kernel
+            constancy, integrals = dense_system(n, k)
+            assert nullspace(constancy + integrals, unknown_layout(n, k).size) == []
 
 
 def test_trace_two_one_exact_content():
@@ -255,7 +280,8 @@ def _oracle_cochains(n, k):
 @pytest.mark.parametrize("n,k", CELLS)
 def test_solve_matches_the_dense_solver(n, k):
     layout = unknown_layout(n, k)
-    solver = LinearSolver(vstack(*_system_matrices(n, k)))
+    constancy, integrals = dense_system(n, k)
+    solver = LinearSolver(constancy + integrals)
     for c in _oracle_cochains(n, k):
         rhs = [Fraction(0)] * (k * len(layout.faces))
         rhs += [c.terms.get(face, Fraction(0)) for face in layout.faces]
@@ -296,18 +322,27 @@ def test_broken_stage2_row_is_reported(monkeypatch, row, error):
         characterize._schedule.cache_clear()
 
 
-@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])
-def test_certificates_need_no_dense_elimination(monkeypatch, n, k):
-    def refuse(*args, **kwargs):
-        raise AssertionError("dense elimination behind a certificate")
+ADMITTED_EDGE_CELLS = [(24, 1), (24, 23), (60, 0), (60, 60)]
 
-    monkeypatch.setattr(linalg, "_rref", refuse)
+
+def test_every_admitted_cell_is_certified():
+    # every cell the unknown cap admits: all of n <= 8, and the edge cells
+    # (n, 1), (n, n-1), (n, 0), (n, n) with at most 630 unknowns
+    cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
+    for n, k in cells:
+        schedule = _schedule(n, k)
+        assert len(schedule.steps) == unknown_layout(n, k).size
+        assert _whitney_columns_certified(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])
+def test_certificates_need_no_dense_elimination(n, k):
+    assert_no_dense_elimination()
     clear_caches()
     try:
         faces = math.comb(n + 1, k + 1)
         assert lambda_e_dimension(n, k) == faces
-        report = kernel_is_trivial(n, k)
-        assert report.trivial and report.certificate == ()
+        assert kernel_is_trivial(n, k) is True
         result = CliRunner().invoke(main, ["dims", "--n", str(n)])
         assert result.exit_code == 0
         row = json.loads(result.output)["rows"][k]
@@ -317,45 +352,47 @@ def test_certificates_need_no_dense_elimination(monkeypatch, n, k):
         clear_caches()
 
 
-def _spy_dense(monkeypatch):
-    """Record every call of the dense rank and nullspace that characterize makes."""
-    calls = []
-    for name in ("rank", "nullspace"):
-        dense = getattr(characterize, name)
-
-        def spy(*args, _name=name, _dense=dense, **kwargs):
-            calls.append(_name)
-            return _dense(*args, **kwargs)
-
-        monkeypatch.setattr(characterize, name, spy)
-    return calls
-
-
 @pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
-def test_broken_schedule_falls_back_to_the_dense_verdict(monkeypatch, row):
-    calls = _spy_dense(monkeypatch)
+def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
+    assert_no_dense_elimination()
     monkeypatch.setattr(characterize, "constant_term_row", row)
     clear_caches()
     try:
-        assert lambda_e_dimension(3, 1) == 6
-        report = kernel_is_trivial(3, 1)
-        assert report.trivial and report.certificate == ()
+        with pytest.raises(TraceIncomplete, match="evaluation at vertex"):
+            lambda_e_dimension(3, 1)
+        assert kernel_is_trivial(3, 1) is False
+        cell = verify_cell(3, 1, samples=2)
+        result = CliRunner().invoke(main, ["dims", "--n", "3", "--k", "1"])
     finally:
         clear_caches()
-    assert calls == ["rank", "nullspace"]
+    assert not cell["pass"]
+    assert (cell["dimension"], cell["kernel"], cell["proof_trace"]) == (False, False, False)
+    assert cell["counterexample"]["check"] == "dimension"
+    assert cell["counterexample"]["error"].startswith("evaluation at vertex")
+    assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+    assert result.stderr.startswith("certification failed: evaluation at vertex")
+    # the certificate failed, not the theorem: the dense oracle still finds no kernel
+    constancy, integrals = dense_system(3, 1)
+    assert nullspace(constancy + integrals, 12) == []
 
 
-def test_broken_whitney_column_falls_back_to_the_dense_rank(monkeypatch):
-    calls = _spy_dense(monkeypatch)
+def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
     columns = dict(characterize.whitney_columns(3, 1))
     face = next(iter(columns))
     columns[face] = columns[face][1:]
     monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: columns)
     clear_caches()
     try:
-        assert lambda_e_dimension(3, 1) == 6
-        assert kernel_is_trivial(3, 1).trivial
+        with pytest.raises(TraceIncomplete, match="Whitney columns"):
+            lambda_e_dimension(3, 1)
+        assert kernel_is_trivial(3, 1) is True
+        cell = verify_cell(3, 1, samples=2)
     finally:
         clear_caches()
     # the kernel needs only the schedule, the dimension needs W too
-    assert calls == ["rank"]
+    assert (cell["dimension"], cell["kernel"], cell["pass"]) == (False, True, False)
+    assert all(cell[name] for name in ("rw_identity", "characterization", "proof_trace"))
+    assert cell["counterexample"] == {
+        "check": "dimension",
+        "error": "the Whitney columns at (n=3, k=1) fail C.W = 0, D~.W = (k+1)! I",
+    }

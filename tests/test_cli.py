@@ -6,10 +6,9 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from helpers import clear_caches, dense_system, rank
 from whitneyforms import characterize
-from whitneyforms.characterize import _system_matrices
 from whitneyforms.cli import MAX_UNKNOWNS, main
-from whitneyforms.linalg import rank
 
 
 def run(*args, **kwargs):
@@ -176,6 +175,38 @@ def test_json_strings_are_not_read_as_lists(args):
     assert "must be" in result.output and "list" in result.output
 
 
+def _cochain(n=2, k=1, face=(0, 1)):
+    return json.dumps({"n": n, "k": k, "terms": [{"face": list(face), "coeff": "1"}]})
+
+
+def _form(n=2, k=1, dx=(2,)):
+    return json.dumps(
+        {"n": n, "k": k, "terms": [{"dx": list(dx), "const": "1", "grad": ["0", "0"]}]}
+    )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("whitney", "--n", "2", "--k", "1", "--cochain", _cochain(face=(0.5, 1.7))),
+        ("whitney", "--n", "2", "--k", "1", "--cochain", _cochain(face=(True, "2"))),
+        ("whitney", "--n", "2", "--k", "1", "--cochain", _cochain(n=2.7)),
+        ("whitney", "--n", "2", "--k", "1", "--cochain", _cochain(k=True)),
+        ("characterize", "--n", "2", "--k", "1", "--cochain", _cochain(face=(0, 1.0))),
+        ("characterize", "--n", "2", "--k", "1", "--cochain", _cochain(n="2")),
+        ("characterize", "--n", "2", "--k", "1", "--cochain", _cochain(k=1.0)),
+        ("derham", "--form", _form(dx=(1.9,))),
+        ("derham", "--form", _form(dx=(True,))),
+        ("derham", "--form", _form(n=2.7)),
+        ("derham", "--form", _form(k=True)),
+    ],
+)
+def test_json_integer_fields_must_be_integers(args):
+    result = run(*args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "not an integer" in result.output
+
+
 def test_characterize_matches_and_exits_zero():
     cochain = json.dumps(
         {
@@ -263,9 +294,15 @@ def test_verify_text_table():
 
 
 def test_verify_ceiling():
-    assert run("verify", "--n-max", "9").exit_code == 2
+    # verify is bounded by the same unknown cap as every other command
+    for args in [(), ("--k", "0"), ("--k", "9")]:
+        result = run("verify", "--n-max", "9", *args)
+        assert result.exit_code == 2
+        assert f"more than {MAX_UNKNOWNS} coefficient unknowns" in result.output
     assert run("verify", "--n-max", "0").exit_code == 2
     assert run("verify", "--n-max", "2", "--k", "5").exit_code == 2
+    assert run("verify", "--n-max", "5", "--ceiling", "8").exit_code == 2
+    assert "--ceiling" not in run("verify", "--help").output
 
 
 def test_dims_table_values():
@@ -300,7 +337,7 @@ def test_dims_constancy_rank_is_measured():
     for n in range(1, 6):
         rows = json.loads(run("dims", "--n", str(n)).output)["rows"]
         for row in rows:
-            constancy, _ = _system_matrices(n, row["k"])
+            constancy, _ = dense_system(n, row["k"])
             assert row["constancy_rank"] == rank(constancy)
 
 
@@ -364,20 +401,31 @@ def test_unknown_cap_admits_every_cell_up_to_eight():
     assert MAX_UNKNOWNS == max((n + 1) * math.comb(n, k) for n in range(9) for k in range(n + 1))
     assert run("trace", "--n", "8", "--k", "4").exit_code == 0
     assert run("whitney", "--n", "8", "--k", "4", "--face", "0,1,2,3,4").exit_code == 0
+    # verify admits --n-max 8 without any flag; --k 8 keeps the sweep to one cell
+    assert run("verify", "--n-max", "8", "--k", "8", "--samples", "1").exit_code == 0
     # dims checks only the degrees it computes
     assert run("dims", "--n", "9", "--k", "0").exit_code == 0
 
 
 def test_broken_replay_exits_one_with_a_message(monkeypatch):
     monkeypatch.setattr(characterize, "constant_term_row", lambda n, k, m, span: ())
-    characterize._schedule.cache_clear()
+    clear_caches()
     cochain = json.dumps({"n": 3, "k": 1, "terms": [{"face": [1, 2], "coeff": "1"}]})
     try:
         solved = run("characterize", "--n", "3", "--k", "1", "--cochain", cochain)
         replay = run("trace", "--n", "3", "--k", "1")
+        dims = run("dims", "--n", "3")
+        verify = run("verify", "--n-max", "3", "--samples", "1", "--format", "text")
     finally:
-        characterize._schedule.cache_clear()
+        clear_caches()
     assert solved.exit_code == 1 and isinstance(solved.exception, SystemExit)
     assert solved.stderr.startswith("characterization failed: underdetermined system")
     assert replay.exit_code == 1 and isinstance(replay.exception, SystemExit)
     assert replay.stderr.startswith("replay failed: evaluation at vertex")
+    assert dims.exit_code == 1 and isinstance(dims.exception, SystemExit)
+    assert dims.stdout == ""
+    assert dims.stderr.startswith("certification failed: evaluation at vertex 1 of face [1]")
+    assert dims.stderr.count("\n") == 1
+    assert verify.exit_code == 1 and isinstance(verify.exception, SystemExit)
+    assert "FAILED cells: (n=1, k=0), (n=2, k=0), (n=2, k=1), (n=3, k=0)," in verify.stdout
+    assert 'first counterexample: {"check": "dimension", "error": ' in verify.stdout

@@ -174,6 +174,24 @@ def test_form_json_rejects_garbage():
         form_from_json({"n": 2, "k": 1, "terms": [{"dx": [2], "const": "1", "grad": "34"}]})
 
 
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "k": 1, "terms": [{"dx": [1.9], "const": "1", "grad": ["0", "0"]}]},
+        {"n": 2, "k": 1, "terms": [{"dx": [True], "const": "1", "grad": ["0", "0"]}]},
+        {"n": 2, "k": 1, "terms": [{"dx": ["2"], "const": "1", "grad": ["0", "0"]}]},
+        {"n": 2.7, "k": 1, "terms": []},
+        {"n": 2, "k": True, "terms": []},
+        {"n": 2, "k": "1", "terms": []},
+    ],
+)
+def test_form_json_takes_only_integer_fields(data):
+    # int() would read these as dx^1, dx^1, dx^2, n = 2 and k = 1
+    with pytest.raises(ValueError, match="not an integer"):
+        form_from_json(data)
+
+
 small_form_cases = st.integers(1, 3).flatmap(
     lambda n: st.integers(0, n).flatmap(
         lambda k: st.tuples(st.just(n), st.just(k), st.integers(0, 10 ** 6))

@@ -10,10 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import bubble_sort_parity, count_subsets
+from helpers import LinearSolver, bubble_sort_parity, count_subsets, nullspace, rank
 from whitneyforms import (
     AffineForm,
-    Matrix,
     AffineFunction,
     BadDegree,
     Cochain,
@@ -32,7 +31,6 @@ from whitneyforms import (
     vertex_point,
 )
 from whitneyforms import linalg, simplicial
-from whitneyforms.linalg import LinearSolver, matvec, solve
 
 
 def test_face_validation():
@@ -151,20 +149,22 @@ def test_exact_types_reject_floats_and_bools():
             evaluate(form, (bad, 0), [(1, 0)])
         with pytest.raises(ValueError, match="not an exact rational"):
             evaluate(form, (0, 0), [(bad, 0)])
-        # matrix entries and right-hand sides too
+        # determinant entries, and the dense oracles' entries and right-hand sides
         with pytest.raises(ValueError, match="not an exact rational"):
-            Matrix.from_rows([[Fraction(1), bad]])
+            linalg.det([[Fraction(1), bad], [0, 1]])
         with pytest.raises(ValueError, match="not an exact rational"):
-            matvec(Matrix.identity(1), [bad])
+            rank([[Fraction(1), bad]])
         with pytest.raises(ValueError, match="not an exact rational"):
-            solve(Matrix.identity(1), [bad])
+            nullspace([[bad]], 1)
         with pytest.raises(ValueError, match="not an exact rational"):
-            LinearSolver(Matrix.identity(1)).solve([bad])
+            LinearSolver([[bad]])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            LinearSolver([[1]]).solve([bad])
     assert simplicial.exact_rational is linalg.exact_rational
-    assert Matrix.from_rows([[1, Fraction(1, 10)]]).entries == ((Fraction(1), Fraction(1, 10)),)
-    assert matvec(Matrix.identity(2), [1, Fraction(1, 10)]) == (Fraction(1), Fraction(1, 10))
-    assert solve(Matrix.identity(1), [Fraction(1, 10)]) == (Fraction(1, 10),)
-    assert LinearSolver(Matrix.identity(1)).solve([3]) == (Fraction(3),)
+    assert linalg.det([[1, Fraction(1, 10)], [0, 3]]) == Fraction(3)
+    assert rank([[1, Fraction(1, 10)]]) == 1
+    assert LinearSolver([[1]]).solve([Fraction(1, 10)]) == (Fraction(1, 10),)
+    assert LinearSolver([[1]]).solve([3]) == (Fraction(3),)
     assert Cochain(1, 0, {(0,): 1}).terms == {(0,): Fraction(1)}
     assert AffineFunction(1, 2, (Fraction(1, 2),)).constant == Fraction(2)
     assert AffineFunction(1, 0, (Fraction(1),))((Fraction(1, 10),)) == Fraction(1, 10)
@@ -257,6 +257,25 @@ def test_cochain_json_rejects_garbage():
     # a JSON string where the vertex list belongs is not read as its characters
     with pytest.raises(ValueError, match="must be a list"):
         cochain_from_json({"n": 2, "k": 1, "terms": [{"face": "12", "coeff": "1"}]})
+
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"n": 2, "k": 1, "terms": [{"face": [0.5, 1.7], "coeff": "1"}]},
+        {"n": 2, "k": 1, "terms": [{"face": [True, "2"], "coeff": "1"}]},
+        {"n": 2, "k": 1, "terms": [{"face": [0, 1.0], "coeff": "1"}]},
+        {"n": 2.7, "k": 1, "terms": []},
+        {"n": "2", "k": 1, "terms": []},
+        {"n": 2, "k": True, "terms": []},
+        {"n": 2, "k": 1.0, "terms": []},
+    ],
+)
+def test_cochain_json_takes_only_integer_fields(data):
+    # int() would read these as face (0, 1), (1, 2), n = 2 and k = 1
+    with pytest.raises(ValueError, match="not an integer"):
+        cochain_from_json(data)
 
 
 faces_strategy = st.integers(1, 4).flatmap(
