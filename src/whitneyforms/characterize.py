@@ -31,9 +31,11 @@ proves the kernel trivial, and
 :func:`solve_characterization` forward-substitutes along it in integers,
 O(nnz) work with every division exact: the pivots are +-1, except the
 stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
-face's own gradient unknowns are fixed to zero. :func:`proof_trace` reports
-the same schedule. It is complete whenever it builds: stage 1 has
-C(n,k)(k+1) rows and stage 2 C(n,k)(n-k), one per unknown in all.
+face's own gradient unknowns are fixed to zero. The integer solution and
+the lcm q of the cochain's denominators are the AffineForm (vec, q), so
+the solve makes no Fraction. :func:`proof_trace` reports the same
+schedule. It is complete whenever it builds: stage 1 has C(n,k)(k+1) rows
+and stage 2 C(n,k)(n-k), one per unknown in all.
 
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
@@ -46,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache
 from typing import NamedTuple
 
@@ -60,13 +61,7 @@ from .operators import (
     unknown_layout,
     whitney_columns,
 )
-from .simplicial import (
-    AffineFunction,
-    BadDegree,
-    Cochain,
-    DegreeMismatch,
-    permutation_sign,
-)
+from .simplicial import BadDegree, Cochain, DegreeMismatch, permutation_sign
 
 __all__ = [
     "NonUnique",
@@ -247,6 +242,13 @@ def _schedule(n: int, k: int) -> _Schedule:
     return _Schedule(tuple(stage1), tuple(stage2), steps + tuple(s for _, _, s in stage2))
 
 
+def _scaled_values(cochain: Cochain) -> tuple[list[int], int]:
+    """The cochain times the lcm q of its denominators, in face order, and q."""
+    q = math.lcm(*(v.denominator for v in cochain.terms.values()))
+    scaled = {face: v.numerator * (q // v.denominator) for face, v in cochain.terms.items()}
+    return [scaled.get(face, 0) for face in unknown_layout(cochain.n, cochain.k).faces], q
+
+
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
     """At the extreme degrees an independent closed form must agree.
 
@@ -254,18 +256,17 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
     coordinates, written out: sum_i c(i) nu_i with nu_0 = 1 - sum_i x^i and
     nu_i = x^i is the constant c(0) plus the gradient c(i) - c(0). Degree n
     is the volume form scaled by n! times the single prescribed integral.
+    Both are written as integer vectors over the lcm of the cochain's
+    denominators and compared with the result's.
     """
-    if k == 0:
-        values = [cochain.terms.get((i,), Fraction(0)) for i in range(n + 1)]
-        f = AffineFunction(n, values[0], tuple(v - values[0] for v in values[1:]))
-        expected = AffineForm(n, 0, {(): f})
-    elif k == n:
-        value = cochain.terms.get(tuple(range(n + 1)), Fraction(0))
-        coeff = AffineFunction.const(n, math.factorial(n) * value)
-        expected = AffineForm(n, n, {tuple(range(1, n + 1)): coeff})
-    else:
+    if 0 < k < n:
         return
-    if result != expected:
+    values, q = _scaled_values(cochain)
+    if k == 0:
+        expected = [values[0]] + [v - values[0] for v in values[1:]]
+    else:
+        expected = [math.factorial(n) * values[0]] + [0] * n
+    if result != AffineForm.from_vector(n, k, expected, q):
         raise Inconsistent(
             f"solution at (n={n}, k={k}) disagrees with the closed form"
         )
@@ -276,8 +277,9 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
 
     Forward-substitutes the cochain through the elimination schedule in
     integers: the values are scaled by the lcm q of their denominators, and
-    the solution is divided by q once at the end. Raises NonUnique if the
-    schedule does not determine every unknown, Inconsistent if a check fails.
+    the integer solution over q is the form, with no Fraction made. Raises
+    NonUnique if the schedule does not determine every unknown, Inconsistent
+    if a check fails.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
@@ -286,12 +288,7 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
         schedule = _schedule(n, k)
     except TraceIncomplete as exc:
         raise NonUnique(f"underdetermined system at (n={n}, k={k})") from exc
-    q = math.lcm(*(value.denominator for value in cochain.terms.values()))
-    values = [0] * len(layout.faces)
-    for i, face in enumerate(layout.faces):
-        value = cochain.terms.get(face)
-        if value is not None:
-            values[i] = value.numerator * (q // value.denominator)
+    values, q = _scaled_values(cochain)
     vec = [0] * layout.size
     for target, pivot, others, face, scale in schedule.steps:
         total = scale * values[face]
@@ -300,8 +297,7 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
         vec[target], remainder = divmod(total, pivot)
         if remainder:
             raise Inconsistent(f"inexact pivot at (n={n}, k={k})")
-    zero = Fraction(0)
-    result = layout.form_from_vector([Fraction(v, q) if v else zero for v in vec])
+    result = AffineForm.from_vector(n, k, vec, q)
     _closed_form_check(n, k, cochain, result)
     return result
 

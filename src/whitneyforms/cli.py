@@ -152,8 +152,11 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
 @click.option("--format", "fmt", type=FORMAT, default="json", show_default=True)
 def derham_cmd(form_arg: str, fmt: str) -> None:
     """Integrate a form over every face of its degree."""
-    form = _parse_form(_load_json_arg(form_arg))
-    _check_size(form.n, form.k)
+    data = _load_json_arg(form_arg)
+    # checked before the form, and so its coefficient vector, is built
+    if type(data.get("n")) is int and type(data.get("k")) is int:
+        _check_size(data["n"], data["k"])
+    form = _parse_form(data)
     try:
         c = derham_map(form)
     except (BadDegree, DegreeMismatch, ValueError) as exc:

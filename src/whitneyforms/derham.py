@@ -13,13 +13,9 @@ so no numerical quadrature is needed and every value is an exact rational.
 without any pullback: the moments above, applied to the closed-form minors
 of each face, make the whole map one sparse integer matrix D*(k+1)! per
 (n, k) (see :mod:`whitneyforms.operators`). ``derham`` multiplies the form's
-coefficient vector by it in integers, reading each entry's numerator and
-denominator once: the nonzero entries a face's row touches are scaled by
-the lcm q of their own denominators, summed in Python ints, and divided by
-q * (k+1)! in one Fraction per face. A per-face lcm keeps the integers as
-small as the face's own data; one lcm over the whole vector would drag
-every face through the largest denominator of the form. The per-face
-route stays as the independent check of that matrix.
+integer vector ``vec`` by it in Python ints and divides each nonzero face
+sum by q * (k+1)!, one Fraction per face. The per-face route stays as the
+independent check of that matrix.
 """
 
 from __future__ import annotations
@@ -72,18 +68,11 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
 
 def derham(form: AffineForm) -> Cochain:
     """All face integrals of the form, as a cochain on the canonical faces."""
-    layout = unknown_layout(form.n, form.k)
-    vec = layout.vector_from_form(form)
-    nums = [x.numerator for x in vec]
-    dens = [x.denominator for x in vec]
-    scale = math.factorial(form.k + 1)
+    n, k, vec = form.n, form.k, form.vec
+    scale = form.q * math.factorial(k + 1)
     terms: dict[tuple[int, ...], Fraction] = {}
-    for face, row in zip(layout.faces, derham_rows(form.n, form.k)):
-        entries = [(pos, value) for pos, value in row if nums[pos]]
-        if not entries:
-            continue
-        q = math.lcm(*(dens[pos] for pos, _ in entries))
-        total = sum(nums[pos] * (q // dens[pos]) * value for pos, value in entries)
+    for face, row in zip(unknown_layout(n, k).faces, derham_rows(n, k)):
+        total = sum([vec[pos] * value for pos, value in row])
         if total:
-            terms[face] = Fraction(total, q * scale)
-    return Cochain(form.n, form.k, terms)
+            terms[face] = Fraction(total, scale)
+    return Cochain(n, k, terms)

@@ -5,13 +5,24 @@ multi-indices I in {1..n}, where each coefficient f_I is an affine function.
 That class is closed under wedge with constant forms and under pullback
 along affine maps with the parameter point appearing at most linearly,
 which is all the simplex geometry here ever needs.
+
+An :class:`AffineForm` is its coefficient vector in :class:`UnknownLayout`
+order (per multi-index I, b_I then a_{I,1}, ..., a_{I,n}) scaled to
+integers: vec / q with a tuple of ints ``vec``, a positive int ``q`` and
+gcd(q, *vec) = 1. That pair is canonical, so equality is a tuple compare,
+and :mod:`whitneyforms.operators` acts on ``vec`` directly. The
+{multi-index: AffineFunction} view ``coeffs`` is built only when render,
+evaluate, pullback, wedge or the JSON writer reads it.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache, cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 from . import linalg
@@ -26,6 +37,8 @@ from .simplicial import (
 __all__ = [
     "DegreeOverflow",
     "DimensionMismatch",
+    "UnknownLayout",
+    "unknown_layout",
     "ConstantForm",
     "AffineForm",
     "wedge",
@@ -48,7 +61,74 @@ class DimensionMismatch(ValueError):
     """Operands disagree on ambient dimension, or a pullback target is too small."""
 
 
+@dataclass(frozen=True)
+class UnknownLayout:
+    """Flat ordering of the coefficient unknowns of an affine k-form.
+
+    One block of n+1 unknowns per multi-index, multi-indices lexicographic.
+    ``faces`` fixes the matching order of the canonical k-faces, which index
+    the rows of D and C and the columns of W. n = 0 is allowed: the one
+    0-form on a point is a single constant.
+    """
+
+    n: int
+    k: int
+
+    def __post_init__(self) -> None:
+        _check_degree(self.n, self.k)
+
+    @cached_property
+    def multi_indices(self) -> tuple[MultiIndex, ...]:
+        return tuple(itertools.combinations(range(1, self.n + 1), self.k))
+
+    @cached_property
+    def faces(self) -> tuple[tuple[int, ...], ...]:
+        """Canonical k-faces as increasing vertex tuples, lexicographic."""
+        return tuple(itertools.combinations(range(self.n + 1), self.k + 1))
+
+    @cached_property
+    def _offsets(self) -> dict[MultiIndex, int]:
+        return {idx: i * (self.n + 1) for i, idx in enumerate(self.multi_indices)}
+
+    @cached_property
+    def size(self) -> int:
+        return len(self.multi_indices) * (self.n + 1)
+
+    def position(self, idx: MultiIndex, j: int | None = None) -> int:
+        """Index of b_idx (j omitted) or a_{idx,j} in the flat vector."""
+        base = self._offsets[tuple(idx)]
+        if j is None:
+            return base
+        if not 1 <= j <= self.n:
+            raise ValueError(f"gradient slot {j} outside 1..{self.n}")
+        return base + j
+
+    def label(self, idx: MultiIndex, j: int | None = None) -> str:
+        inner = ",".join(str(i) for i in idx)
+        return f"b_({inner})" if j is None else f"a_({inner}),{j}"
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        slots = (None, *range(1, self.n + 1))
+        return tuple(self.label(idx, j) for idx in self.multi_indices for j in slots)
+
+
+@cache
+def unknown_layout(n: int, k: int) -> UnknownLayout:
+    """The layout of (n, k), built once so that its cached properties are too."""
+    return UnknownLayout(n, k)
+
+
+def _check_degree(n: int, k: int) -> None:
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
+    if not 0 <= k <= n:
+        raise DegreeOverflow(f"degree {k} outside 0..{n}")
+
+
 def _check_multi_index(idx: MultiIndex, n: int, k: int) -> None:
+    for i in idx:
+        exact_int(i)
     if len(idx) != k:
         raise ValueError(f"multi-index {idx} does not have length {k}")
     if any(a >= b for a, b in zip(idx, idx[1:])):
@@ -66,22 +146,19 @@ class ConstantForm:
     coeffs: dict[MultiIndex, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("dimension must be nonnegative")
-        if not 0 <= self.k <= self.n:
-            raise DegreeOverflow(f"degree {self.k} outside 0..{self.n}")
+        _check_degree(self.n, self.k)
         cleaned: dict[MultiIndex, Fraction] = {}
-        for idx in sorted(self.coeffs):
-            key = tuple(int(i) for i in idx)
+        for idx, value in self.coeffs.items():
+            key = tuple(idx)
             _check_multi_index(key, self.n, self.k)
-            value = exact_rational(self.coeffs[idx])
+            value = exact_rational(value)
             if value:
                 cleaned[key] = value
-        object.__setattr__(self, "coeffs", cleaned)
+        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
 
     @classmethod
     def basis(cls, n: int, idx: Sequence[int]) -> "ConstantForm":
-        key = tuple(int(i) for i in idx)
+        key = tuple(idx)
         return cls(n, len(key), {key: Fraction(1)})
 
     def __add__(self, other: "ConstantForm") -> "ConstantForm":
@@ -101,7 +178,7 @@ class ConstantForm:
         return self + (-other)
 
     def __mul__(self, scalar: object) -> "ConstantForm":
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         s = Fraction(scalar)
         return ConstantForm(self.n, self.k, {i: s * v for i, v in self.coeffs.items()})
@@ -112,31 +189,76 @@ class ConstantForm:
         return not self.coeffs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class AffineForm:
-    """k-form whose coefficients are affine functions of the coordinates."""
+    """k-form whose coefficients are affine functions of the coordinates.
+
+    The form is vec / q over ``unknown_layout(n, k)``: ``vec`` a tuple of
+    ints, ``q`` a positive int, gcd(q, *vec) = 1. ``AffineForm(n, k, coeffs)``
+    builds it from a {multi-index: AffineFunction or rational} dict, and
+    :meth:`from_vector` from the integer vector itself. ``coeffs`` is the
+    read-only {multi-index: AffineFunction} view of the nonzero blocks,
+    built on first use.
+    """
 
     n: int
     k: int
-    coeffs: dict[MultiIndex, AffineFunction] = field(default_factory=dict)
+    vec: tuple[int, ...]
+    q: int
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("dimension must be nonnegative")
-        if not 0 <= self.k <= self.n:
-            raise DegreeOverflow(f"degree {self.k} outside 0..{self.n}")
-        cleaned: dict[MultiIndex, AffineFunction] = {}
-        for idx in sorted(self.coeffs):
-            key = tuple(int(i) for i in idx)
-            _check_multi_index(key, self.n, self.k)
-            f = self.coeffs[idx]
+    def __init__(
+        self, n: int, k: int, coeffs: Mapping[MultiIndex, object] | None = None
+    ) -> None:
+        layout = unknown_layout(n, k)
+        vec = [Fraction(0)] * layout.size
+        for idx, f in (coeffs or {}).items():
+            key = tuple(idx)
+            _check_multi_index(key, n, k)
             if not isinstance(f, AffineFunction):
-                f = AffineFunction.const(self.n, f)
-            if f.n != self.n:
+                f = AffineFunction.const(n, f)
+            if f.n != n:
                 raise DimensionMismatch("coefficient lives in the wrong dimension")
-            if not f.is_zero():
-                cleaned[key] = f
-        object.__setattr__(self, "coeffs", cleaned)
+            base = layout._offsets[key]
+            vec[base : base + n + 1] = (f.constant, *f.gradient)
+        q = math.lcm(*(v.denominator for v in vec))
+        self._assign(n, k, [v.numerator * (q // v.denominator) for v in vec], q)
+
+    @classmethod
+    def from_vector(cls, n: int, k: int, vec: Sequence[int], q: int = 1) -> "AffineForm":
+        """The form vec / q, vec an int per unknown of ``unknown_layout(n, k)``.
+
+        No Fraction is made: the pair is only divided by its gcd.
+        """
+        size = unknown_layout(n, k).size
+        if len(vec) != size:
+            raise ValueError(f"expected a vector of length {size}")
+        if type(q) is not int or q < 1:
+            raise ValueError(f"the scale must be a positive integer, not {q!r}")
+        form = object.__new__(cls)
+        form._assign(n, k, vec, q)
+        return form
+
+    def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
+        g = math.gcd(q, *vec)  # a TypeError for any entry that is not an integer
+        if g != 1:
+            vec = [v // g for v in vec]
+            q //= g
+        for name, value in (("n", n), ("k", k), ("vec", tuple(vec)), ("q", q)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return (AffineForm.from_vector, (self.n, self.k, self.vec, self.q))
+
+    @cached_property
+    def coeffs(self) -> Mapping[MultiIndex, AffineFunction]:
+        n, q, vec = self.n, self.q, self.vec
+        view: dict[MultiIndex, AffineFunction] = {}
+        for idx, base in unknown_layout(n, self.k)._offsets.items():
+            block = vec[base : base + n + 1]
+            if any(block):
+                b, *grad = (Fraction(v, q) for v in block)
+                view[idx] = AffineFunction(n, b, tuple(grad))
+        return MappingProxyType(view)
 
     @classmethod
     def zero(cls, n: int, k: int) -> "AffineForm":
@@ -144,38 +266,35 @@ class AffineForm:
 
     @classmethod
     def from_constant(cls, form: ConstantForm) -> "AffineForm":
-        return cls(
-            form.n,
-            form.k,
-            {idx: AffineFunction.const(form.n, v) for idx, v in form.coeffs.items()},
-        )
+        return cls(form.n, form.k, form.coeffs)
 
     def __add__(self, other: "AffineForm") -> "AffineForm":
         if not isinstance(other, AffineForm):
             return NotImplemented
         if (self.n, self.k) != (other.n, other.k):
             raise DimensionMismatch("forms live in different spaces")
-        merged = dict(self.coeffs)
-        for idx, f in other.coeffs.items():
-            merged[idx] = merged[idx] + f if idx in merged else f
-        return AffineForm(self.n, self.k, merged)
+        q = math.lcm(self.q, other.q)
+        a, b = q // self.q, q // other.q
+        vec = [a * x + b * y for x, y in zip(self.vec, other.vec)]
+        return AffineForm.from_vector(self.n, self.k, vec, q)
 
     def __neg__(self) -> "AffineForm":
-        return AffineForm(self.n, self.k, {i: -f for i, f in self.coeffs.items()})
+        return AffineForm.from_vector(self.n, self.k, [-v for v in self.vec], self.q)
 
     def __sub__(self, other: "AffineForm") -> "AffineForm":
         return self + (-other)
 
     def __mul__(self, scalar: object) -> "AffineForm":
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         s = Fraction(scalar)
-        return AffineForm(self.n, self.k, {i: s * f for i, f in self.coeffs.items()})
+        vec = [s.numerator * v for v in self.vec]
+        return AffineForm.from_vector(self.n, self.k, vec, self.q * s.denominator)
 
     __rmul__ = __mul__
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not any(self.vec)
 
 
 def _merge_indices(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex] | None:

@@ -1,20 +1,22 @@
-"""Forms as coefficient vectors, and the sparse integer operators that act on them.
+"""The sparse integer operators that act on forms as coefficient vectors.
 
 An affine-coefficient k-form on the standard n-simplex is a vector of
-rationals in the coordinates of :class:`UnknownLayout`: per multi-index I,
-the constant term b_I and then the gradient entries a_{I,1}, ..., a_{I,n}.
-Every map the package needs between such vectors and cochains is linear,
-and each has small integer entries, so it is built once per (n, k) as
-sparse rows of ``(position, int)`` pairs:
+rationals in the coordinates of :class:`UnknownLayout` (defined next to
+:class:`~whitneyforms.forms.AffineForm` and re-exported here): per
+multi-index I, the constant term b_I and then the gradient entries
+a_{I,1}, ..., a_{I,n}. Every map the package needs between such vectors
+and cochains is linear, and each has small integer entries, so it is built
+once per (n, k) as sparse rows of ``(position, int)`` pairs:
 
 * W, the Whitney map: per canonical k-face, the vector of its basis form
   (entries +-k!);
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
-Rationals enter only at the boundary, in the vectors the operators act on:
-``whitney`` and ``derham`` scale them to integers by an lcm of their
-denominators, work in Python ints, and divide once at the end.
+An AffineForm is stored as that vector already scaled to integers, vec / q,
+so the operators act on ``form.vec`` in Python ints and rationals appear
+only at the ends: the lcm of a cochain's denominators on the way in, one
+Fraction per face on the way out of ``derham``.
 
 D and C come from one closed form. Parametrize the canonical face
 F = (v_0 < ... < v_k) by x(t) = p_{v_0} + sum_s t^s (p_{v_s} - p_{v_0}). The
@@ -59,16 +61,13 @@ a_{T,i} and the term-j amounts for each i outside F; every entry of W is
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
-from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from types import MappingProxyType
 
-from .forms import AffineForm, MultiIndex
-from .simplicial import AffineFunction, BadDegree, DegreeMismatch, permutation_sign
+from .forms import MultiIndex, UnknownLayout, unknown_layout
+from .simplicial import permutation_sign
 
 __all__ = [
     "SparseRow",
@@ -83,105 +82,6 @@ __all__ = [
 
 SparseRow = tuple[tuple[int, int], ...]
 """Nonzero entries of one row (or column) as (position, value), by position."""
-
-
-@dataclass(frozen=True)
-class UnknownLayout:
-    """Flat ordering of the coefficient unknowns of an affine k-form.
-
-    One block of n+1 unknowns per multi-index, multi-indices lexicographic.
-    ``faces`` fixes the matching order of the canonical k-faces, which index
-    the rows of D and C and the columns of W.
-    """
-
-    n: int
-    k: int
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError("ambient dimension must be at least 1")
-        if not 0 <= self.k <= self.n:
-            raise BadDegree(f"k={self.k} outside 0..{self.n}")
-
-    @cached_property
-    def multi_indices(self) -> tuple[MultiIndex, ...]:
-        return tuple(itertools.combinations(range(1, self.n + 1), self.k))
-
-    @cached_property
-    def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical k-faces as increasing vertex tuples, lexicographic."""
-        return tuple(itertools.combinations(range(self.n + 1), self.k + 1))
-
-    @cached_property
-    def _offsets(self) -> dict[MultiIndex, int]:
-        return {idx: i * (self.n + 1) for i, idx in enumerate(self.multi_indices)}
-
-    @property
-    def size(self) -> int:
-        return len(self.multi_indices) * (self.n + 1)
-
-    def position(self, idx: MultiIndex, j: int | None = None) -> int:
-        """Index of b_idx (j omitted) or a_{idx,j} in the flat vector."""
-        base = self._offsets[tuple(idx)]
-        if j is None:
-            return base
-        if not 1 <= j <= self.n:
-            raise ValueError(f"gradient slot {j} outside 1..{self.n}")
-        return base + j
-
-    def label(self, idx: MultiIndex, j: int | None = None) -> str:
-        inner = ",".join(str(i) for i in idx)
-        return f"b_({inner})" if j is None else f"a_({inner}),{j}"
-
-    @cached_property
-    def labels(self) -> tuple[str, ...]:
-        out: list[str] = []
-        for idx in self.multi_indices:
-            out.append(self.label(idx))
-            out.extend(self.label(idx, j) for j in range(1, self.n + 1))
-        return tuple(out)
-
-    @cached_property
-    def unit_forms(self) -> tuple[AffineForm, ...]:
-        """The form each unknown multiplies: position p maps to unit_forms[p]."""
-        out: list[AffineForm] = []
-        for idx in self.multi_indices:
-            out.append(AffineForm(self.n, self.k, {idx: AffineFunction.const(self.n, 1)}))
-            for j in range(1, self.n + 1):
-                grad = tuple(Fraction(1) if i == j else Fraction(0) for i in range(1, self.n + 1))
-                out.append(AffineForm(self.n, self.k, {idx: AffineFunction(self.n, Fraction(0), grad)}))
-        return tuple(out)
-
-    def form_from_vector(self, vec: list[Fraction] | tuple[Fraction, ...]) -> AffineForm:
-        if len(vec) != self.size:
-            raise ValueError(f"expected a vector of length {self.size}")
-        coeffs: dict[MultiIndex, AffineFunction] = {}
-        for idx in self.multi_indices:
-            base = self._offsets[idx]
-            block = vec[base : base + self.n + 1]
-            if any(block):
-                coeffs[idx] = AffineFunction(self.n, block[0], tuple(block[1:]))
-        return AffineForm(self.n, self.k, coeffs)
-
-    def vector_from_form(self, form: AffineForm) -> tuple[Fraction, ...]:
-        if (form.n, form.k) != (self.n, self.k):
-            raise DegreeMismatch("form does not match this layout")
-        zero = (Fraction(0),) * (self.n + 1)
-        vec: list[Fraction] = []
-        for idx in self.multi_indices:
-            f = form.coeffs.get(idx)
-            if f is None:
-                vec.extend(zero)
-            else:
-                vec.append(f.constant)
-                vec.extend(f.gradient)
-        return tuple(vec)
-
-
-@cache
-def unknown_layout(n: int, k: int) -> UnknownLayout:
-    """The layout of (n, k), built once so that its cached properties are too."""
-    return UnknownLayout(n, k)
 
 
 def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:

@@ -60,12 +60,13 @@ def render_affine(f: AffineFunction, style: str = "text") -> str:
 
 
 def _leading_sign(f: AffineFunction) -> int:
-    if f.constant:
-        return 1 if f.constant > 0 else -1
-    for g in f.gradient:
-        if g:
-            return 1 if g > 0 else -1
-    return 1
+    first = next((v for v in (f.constant, *f.gradient) if v), 1)
+    return 1 if first > 0 else -1
+
+
+def _positive_first(terms: list[tuple[int, str]]) -> str:
+    """Join the positive terms first, each group in its given order; "0" if none."""
+    return _join(sorted(terms, key=lambda t: t[0] < 0)) if terms else "0"
 
 
 def _dx(idx: tuple[int, ...], latex: bool) -> str:
@@ -80,34 +81,23 @@ def render_form(form: AffineForm, style: str = "text") -> str:
     if form.k == 0:
         f = form.coeffs.get((), AffineFunction.zero(form.n))
         return render_affine(f, style)
-    terms: list[tuple[int, int, str]] = []
+    terms: list[tuple[int, str]] = []
     for idx, f in sorted(form.coeffs.items()):
         sign = _leading_sign(f)
         monos = _monomials(sign * f, latex)
-        if len(monos) > 1:
-            body = f"({_join(monos)})"
-        else:
-            body = monos[0][1]
+        body = f"({_join(monos)})" if len(monos) > 1 else monos[0][1]
         dx = _dx(idx, latex)
-        text = dx if body == "1" else f"{body} {dx}"
-        terms.append((0 if sign > 0 else 1, sign, text))
-    if not terms:
-        return "0"
-    ordered = [(sign, text) for group, sign, text in sorted(terms, key=lambda t: t[0])]
-    return _join(ordered)
+        terms.append((sign, dx if body == "1" else f"{body} {dx}"))
+    return _positive_first(terms)
 
 
 def render_cochain(c: Cochain, style: str = "text") -> str:
     """A cochain as a signed sum of coefficient-times-[face] terms."""
     latex = style == "latex"
-    terms: list[tuple[int, int, str]] = []
+    terms: list[tuple[int, str]] = []
     for verts, coeff in sorted(c.terms.items()):
-        sign = 1 if coeff > 0 else -1
         tag = "[" + ",".join(str(v) for v in verts) + "]"
         magnitude = abs(coeff)
         body = tag if magnitude == 1 else f"{_scalar(magnitude, latex)} {tag}"
-        terms.append((0 if sign > 0 else 1, sign, body))
-    if not terms:
-        return "0"
-    ordered = [(sign, text) for group, sign, text in sorted(terms, key=lambda t: t[0])]
-    return _join(ordered)
+        terms.append((1 if coeff > 0 else -1, body))
+    return _positive_first(terms)

@@ -10,6 +10,7 @@ coefficient per unoriented face by keying on the increasing vertex tuple.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from random import Random
@@ -60,7 +61,9 @@ class Face:
     sign: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(int(v) for v in self.vertices))
+        object.__setattr__(self, "vertices", tuple(self.vertices))
+        for v in self.vertices:
+            exact_int(v)
         if self.n < 1:
             raise ValueError("ambient dimension must be at least 1")
         if not 1 <= len(self.vertices) <= self.n + 1:
@@ -158,7 +161,7 @@ class AffineFunction:
         return AffineFunction(self.n, -self.constant, tuple(-g for g in self.gradient))
 
     def __mul__(self, scalar: object) -> "AffineFunction":
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         s = Fraction(scalar)
         return AffineFunction(self.n, s * self.constant, tuple(s * g for g in self.gradient))
@@ -258,18 +261,21 @@ class Cochain:
         if not 0 <= self.k <= self.n:
             raise BadDegree(f"k={self.k} outside 0..{self.n}")
         cleaned: dict[tuple[int, ...], Fraction] = {}
-        for key in sorted(self.terms):
-            coeff = exact_rational(self.terms[key])
-            verts = tuple(int(v) for v in key)
+        for key, coeff in self.terms.items():
+            verts = tuple(key)
+            for v in verts:
+                if type(v) is not int:
+                    raise ValueError(f"not an integer: {v!r}")
             if len(verts) != self.k + 1:
                 raise DegreeMismatch(f"key {verts} is not a degree-{self.k} face")
-            if any(a >= b for a, b in zip(verts, verts[1:])):
+            if any(map(operator.ge, verts, verts[1:])):
                 raise ValueError(f"cochain keys must be strictly increasing: {verts}")
             if verts[0] < 0 or verts[-1] > self.n:
                 raise ValueError(f"vertex labels must lie in 0..{self.n}")
+            coeff = exact_rational(coeff)
             if coeff:
                 cleaned[verts] = coeff
-        object.__setattr__(self, "terms", cleaned)
+        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
 
     @classmethod
     def zero(cls, n: int, k: int) -> "Cochain":
@@ -312,7 +318,7 @@ class Cochain:
         return Cochain(self.n, self.k, {key: -c for key, c in self.terms.items()})
 
     def __mul__(self, scalar: object) -> "Cochain":
-        if not isinstance(scalar, (int, Fraction)):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
             return NotImplemented
         s = Fraction(scalar)
         return Cochain(self.n, self.k, {key: s * c for key, c in self.terms.items()})

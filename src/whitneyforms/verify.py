@@ -59,20 +59,16 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     if bad is not None and counterexample is None:
         counterexample = {"check": "rw_identity", "cochain": cochain_to_json(bad)}
 
-    cell["characterization"] = True
-    for c, w in zip(cochains, forms):
+    def solved(c, w) -> bool:
         try:
-            agrees = solve_characterization(n, k, c) == w
+            return solve_characterization(n, k, c) == w
         except (NonUnique, Inconsistent):
-            agrees = False
-        if not agrees:
-            cell["characterization"] = False
-            if counterexample is None:
-                counterexample = {
-                    "check": "characterization",
-                    "cochain": cochain_to_json(c),
-                }
-            break
+            return False
+
+    bad = next((c for c, w in zip(cochains, forms) if not solved(c, w)), None)
+    cell["characterization"] = bad is None
+    if bad is not None and counterexample is None:
+        counterexample = {"check": "characterization", "cochain": cochain_to_json(bad)}
 
     cell["kernel"] = kernel_is_trivial(n, k)
     if not cell["kernel"] and counterexample is None:

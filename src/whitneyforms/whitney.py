@@ -15,13 +15,13 @@ operator W, which :mod:`whitneyforms.operators` writes down in closed form
 (no wedge products are taken at run time). ``whitney`` of a cochain is a
 sum of scaled columns, done in integers: the coefficients are scaled by the
 lcm q of their denominators, the columns are summed in Python ints, and
-one Fraction(v, q) is made per nonzero entry of the result.
+the integer vector and q become the AffineForm as they are, with no
+Fraction made.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .forms import AffineForm, ConstantForm
 from .operators import unknown_layout, whitney_columns
@@ -46,11 +46,10 @@ def barycentric_differential(n: int, label: int) -> ConstantForm:
 def whitney_basis_form(face: Face) -> AffineForm:
     """The Whitney form of one oriented face: its column of W, times its sign."""
     canon = canonicalize(face)
-    layout = unknown_layout(face.n, face.degree)
-    vec = [Fraction(0)] * layout.size
+    vec = [0] * unknown_layout(face.n, face.degree).size
     for pos, value in whitney_columns(face.n, face.degree)[canon.vertices]:
-        vec[pos] = Fraction(canon.sign * value)
-    return layout.form_from_vector(vec)
+        vec[pos] = canon.sign * value
+    return AffineForm.from_vector(face.n, face.degree, vec)
 
 
 def whitney(c: Cochain) -> AffineForm:
@@ -58,17 +57,15 @@ def whitney(c: Cochain) -> AffineForm:
 
     The cochain is scaled to integers by the lcm q of its denominators, its
     integer coefficients times the integer columns of W are summed in
-    Python ints, and each nonzero sum is divided by q once.
+    Python ints, and the form is that sum over q.
     """
     if not 0 <= c.k <= c.n:
         raise BadDegree(f"k={c.k} outside 0..{c.n}")
-    layout = unknown_layout(c.n, c.k)
     columns = whitney_columns(c.n, c.k)
     q = math.lcm(*(coeff.denominator for coeff in c.terms.values()))
-    vec = [0] * layout.size
+    vec = [0] * unknown_layout(c.n, c.k).size
     for vertices, coeff in c.terms.items():
         scaled = coeff.numerator * (q // coeff.denominator)
         for pos, value in columns[vertices]:
             vec[pos] += scaled * value
-    zero = Fraction(0)
-    return layout.form_from_vector([Fraction(v, q) if v else zero for v in vec])
+    return AffineForm.from_vector(c.n, c.k, vec, q)

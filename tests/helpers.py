@@ -127,11 +127,43 @@ def random_affine_form(rng: Random, n: int, k: int, bits: int = 0) -> AffineForm
     return AffineForm(n, k, coeffs)
 
 
+def unit_form(n: int, k: int, pos: int) -> AffineForm:
+    """The form one unknown multiplies: 1 at position pos of the layout vector."""
+    return AffineForm.from_vector(n, k, [int(p == pos) for p in range(unknown_layout(n, k).size)])
+
+
+def form_from_fractions(n: int, k: int, vec) -> AffineForm:
+    """The form with this rational coefficient vector, over the lcm of its denominators."""
+    q = math.lcm(*(Fraction(v).denominator for v in vec))
+    return AffineForm.from_vector(n, k, [int(Fraction(v) * q) for v in vec], q)
+
+
+def fraction_vector(form: AffineForm) -> tuple[Fraction, ...]:
+    """The rational coefficient vector vec / q of a form."""
+    return tuple(Fraction(v, form.q) for v in form.vec)
+
+
+def coeffs_add(a: dict, b: dict) -> dict:
+    """Oracle sum of two {multi-index: AffineFunction} dicts, zero blocks dropped."""
+    out = dict(a)
+    for idx, f in b.items():
+        out[idx] = out[idx] + f if idx in out else f
+    return {idx: f for idx, f in out.items() if not f.is_zero()}
+
+
+def coeffs_scale(s: Fraction, a: dict) -> dict:
+    """Oracle scalar multiple of a {multi-index: AffineFunction} dict."""
+    return {idx: s * f for idx, f in a.items() if s}
+
+
 def _pulled_top_coefficients(layout: UnknownLayout, face: Face) -> list[AffineFunction]:
     """The top coefficient of each unit form pulled back to the face."""
     top = tuple(range(1, layout.k + 1))
     zero = AffineFunction.zero(layout.k)
-    return [pullback(u, face).coeffs.get(top, zero) for u in layout.unit_forms]
+    return [
+        pullback(unit_form(layout.n, layout.k, pos), face).coeffs.get(top, zero)
+        for pos in range(layout.size)
+    ]
 
 
 def pullback_system_rows(n: int, k: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:

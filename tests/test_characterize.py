@@ -14,8 +14,11 @@ from helpers import (
     barycentric_closed_form,
     clear_caches,
     dense_system,
+    form_from_fractions,
+    fraction_vector,
     nullspace,
     rank,
+    unit_form,
 )
 from whitneyforms import (
     AffineForm,
@@ -66,17 +69,26 @@ def test_layout_vector_round_trip():
     layout = UnknownLayout(2, 1)
     rng = Random(5)
     vec = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(layout.size))
-    form = layout.form_from_vector(vec)
-    assert layout.vector_from_form(form) == vec
+    q = math.lcm(*(v.denominator for v in vec))
+    ints = tuple(v.numerator * (q // v.denominator) for v in vec)
+    form = AffineForm.from_vector(2, 1, ints, q)
+    assert (form.vec, form.q) == (ints, q)
+    assert fraction_vector(form) == vec
+    # the coeffs view reads the same rationals, block by block
+    for idx in layout.multi_indices:
+        f = form.coeffs[idx]
+        base = layout.position(idx)
+        assert (f.constant, *f.gradient) == vec[base : base + 3]
+    assert AffineForm(2, 1, form.coeffs) == form
 
 
 def test_layout_unit_forms_match_positions():
     layout = UnknownLayout(2, 1)
     for idx in layout.multi_indices:
-        b = layout.unit_forms[layout.position(idx)]
+        b = unit_form(2, 1, layout.position(idx))
         assert b.coeffs[idx].constant == 1 and b.coeffs[idx].is_constant
         for j in range(1, 3):
-            a = layout.unit_forms[layout.position(idx, j)]
+            a = unit_form(2, 1, layout.position(idx, j))
             f = a.coeffs[idx]
             assert f.constant == 0 and f.gradient[j - 1] == 1
 
@@ -108,14 +120,14 @@ def test_system_rhs_follows_face_order():
     c = Cochain(2, 1, {(0, 1): Fraction(7), (1, 2): Fraction(-2)})
     layout = unknown_layout(2, 1)
     assert layout.faces == ((0, 1), (0, 2), (1, 2))
-    vec = layout.vector_from_form(whitney(c))
+    vec = fraction_vector(whitney(c))
     assert _apply(derham_rows(2, 1), vec) == [Fraction(14), Fraction(0), Fraction(-4)]
 
 
 def test_whitney_form_satisfies_the_system():
     c = random_cochain(Random(3), 3, 2)
     layout = unknown_layout(3, 2)
-    vec = layout.vector_from_form(whitney(c))
+    vec = fraction_vector(whitney(c))
     constancy = [row for rows in constancy_rows(3, 2) for row in rows]
     assert _apply(constancy, vec) == [0] * len(constancy)
     # D~ = D * 3! maps the form to 3! times its face integrals
@@ -285,7 +297,7 @@ def test_solve_matches_the_dense_solver(n, k):
     for c in _oracle_cochains(n, k):
         rhs = [Fraction(0)] * (k * len(layout.faces))
         rhs += [c.terms.get(face, Fraction(0)) for face in layout.faces]
-        expected = layout.form_from_vector(solver.solve(rhs))
+        expected = form_from_fractions(n, k, solver.solve(rhs))
         assert solve_characterization(n, k, c) == expected
 
 

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import clear_caches, dense_system, rank
-from whitneyforms import characterize
+from whitneyforms import characterize, cli
 from whitneyforms.cli import MAX_UNKNOWNS, main
 
 
@@ -393,6 +393,17 @@ EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
 )
 def test_commands_refuse_cells_over_the_unknown_cap(args):
     result = run(*args)
+    assert result.exit_code == 2
+    assert f"more than {MAX_UNKNOWNS} coefficient unknowns" in result.output
+
+
+def test_derham_checks_the_cap_before_building_the_form(monkeypatch):
+    # a (30, 15) form has 31 * C(30, 15) coefficients: it must be refused unbuilt
+    def unbuilt(data):
+        raise AssertionError("the form was built")
+
+    monkeypatch.setattr(cli, "form_from_json", unbuilt)
+    result = run("derham", "--form", json.dumps({"n": 30, "k": 15, "terms": []}))
     assert result.exit_code == 2
     assert f"more than {MAX_UNKNOWNS} coefficient unknowns" in result.output
 

@@ -1,7 +1,10 @@
 """Wedge products, pullbacks, evaluation, and the form JSON format."""
 
+import copy
 import itertools
 import json
+import math
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -9,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_affine_form
+from helpers import coeffs_add, coeffs_scale, random_affine_form
 from whitneyforms import (
     AffineForm,
     AffineFunction,
@@ -23,6 +26,7 @@ from whitneyforms import (
     is_constant,
     pullback,
     scale_by_affine,
+    vertex_point,
     wedge,
 )
 
@@ -224,3 +228,110 @@ def test_wedge_anticommutes_on_one_forms(n, seed):
     if n >= 2:
         assert wedge(a, b) == -wedge(b, a)
         assert wedge(a, a).is_zero()
+
+
+# The vector-backed AffineForm against a plain {multi-index: AffineFunction}
+# dict oracle: n = 0..4 and every k = 0..n, so k = 0, k = n and the point
+# n = 0 all occur; blocks are present or absent at random, and may be zero.
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def coefficient_dicts(draw):
+    n = draw(st.integers(0, 4))
+    k = draw(st.integers(0, n))
+
+    def coeffs():
+        return {
+            idx: AffineFunction(n, draw(rationals), tuple(draw(rationals) for _ in range(n)))
+            for idx in itertools.combinations(range(1, n + 1), k)
+            if draw(st.booleans())
+        }
+
+    return n, k, coeffs(), coeffs(), draw(rationals)
+
+
+def assert_canonical(form):
+    assert type(form.q) is int and form.q >= 1
+    assert all(type(v) is int for v in form.vec)
+    assert math.gcd(form.q, *form.vec) == 1
+    if not any(form.vec):
+        assert form.q == 1 and form.is_zero()
+
+
+@given(coefficient_dicts())
+@settings(max_examples=80, deadline=None)
+def test_vector_form_matches_the_dict_oracle(case):
+    n, k, a, b, s = case
+    f, g = AffineForm(n, k, a), AffineForm(n, k, b)
+    assert AffineForm(n, k, f.coeffs) == f
+    assert dict(f.coeffs) == coeffs_add(a, {})
+    results = {
+        "sum": (f + g, coeffs_add(a, b)),
+        "difference": (f - g, coeffs_add(a, coeffs_scale(Fraction(-1), b))),
+        "negation": (-f, coeffs_scale(Fraction(-1), coeffs_add(a, {}))),
+        "left multiple": (s * f, coeffs_scale(s, coeffs_add(a, {}))),
+        "right multiple": (f * s, coeffs_scale(s, coeffs_add(a, {}))),
+        "integer multiple": (3 * f, coeffs_scale(Fraction(3), coeffs_add(a, {}))),
+    }
+    for name, (form, oracle) in results.items():
+        assert dict(form.coeffs) == oracle, name
+        assert form == AffineForm(n, k, oracle), name
+        assert_canonical(form)
+    for form in (f, g, f - f, AffineForm.zero(n, k)):
+        assert_canonical(form)
+    assert (f - f).is_zero() and (f - f).q == 1
+
+
+@given(coefficient_dicts(), st.integers(1, 50))
+@settings(max_examples=60, deadline=None)
+def test_equal_forms_hash_equal(case, m):
+    n, k, a, _, s = case
+    f = AffineForm(n, k, a)
+    rebuilt = [
+        AffineForm.from_vector(n, k, f.vec, f.q),
+        # the same rationals over a common factor m reduce to the same pair
+        AffineForm.from_vector(n, k, [m * v for v in f.vec], m * f.q),
+        f + AffineForm.zero(n, k),
+        (f * Fraction(m, 7)) * Fraction(7, m),
+        AffineForm(n, k, dict(f.coeffs)),
+    ]
+    if s:
+        rebuilt.append((s * f) * (1 / s))
+    dict(f.coeffs)  # the cached view does not travel with a copy or a pickle
+    rebuilt += [copy.deepcopy(f), pickle.loads(pickle.dumps(f))]
+    for form in rebuilt:
+        assert form == f and hash(form) == hash(f)
+        assert (form.vec, form.q) == (f.vec, f.q)
+    assert len({f, *rebuilt}) == 1
+
+
+@given(st.integers(1, 4), st.data())
+@settings(max_examples=40, deadline=None)
+def test_pullback_onto_a_vertex_is_a_point_form(n, data):
+    # a 0-form pulled back to a vertex lives on the 0-simplex: n = 0, one unknown
+    f = AffineFunction(n, data.draw(rationals), tuple(data.draw(rationals) for _ in range(n)))
+    v = data.draw(st.integers(0, n))
+    pulled = pullback(AffineForm(n, 0, {(): f}), Face(n, (v,)))
+    value = f(vertex_point(n, v))
+    assert (pulled.n, pulled.k) == (0, 0)
+    assert (pulled.vec, pulled.q) == ((value.numerator,), value.denominator)
+    assert pulled == AffineForm(0, 0, {(): AffineFunction(0, value, ())})
+    assert pulled == AffineForm.from_vector(0, 0, [value.numerator], value.denominator)
+    assert_canonical(pulled)
+
+
+def test_from_vector_rejects_bad_input():
+    with pytest.raises(ValueError, match="length"):
+        AffineForm.from_vector(2, 1, [0] * 5)
+    for q in (0, -1, 1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="positive integer"):
+            AffineForm.from_vector(2, 1, [0] * 6, q)
+    with pytest.raises(TypeError):
+        AffineForm.from_vector(2, 1, [0.5] + [0] * 5)
+    with pytest.raises(DegreeOverflow):
+        AffineForm.from_vector(2, 3, [])
+    form = AffineForm.from_vector(2, 1, [2, 0, 4, 0, 0, 6], 4)
+    assert (form.vec, form.q) == ((1, 0, 2, 0, 0, 3), 2)
+    with pytest.raises(AttributeError):
+        form.q = 1

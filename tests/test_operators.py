@@ -148,9 +148,9 @@ def test_whitney_columns_match_the_wedge_construction(n):
         columns = whitney_columns(n, k)
         assert list(columns) == list(layout.faces)
         for face in layout.faces:
-            vec = layout.vector_from_form(wedge_basis_form(n, face))
-            assert columns[face] == tuple((pos, int(v)) for pos, v in enumerate(vec) if v)
-            assert all(v.denominator == 1 for v in vec)
+            form = wedge_basis_form(n, face)
+            assert form.q == 1
+            assert columns[face] == tuple((pos, v) for pos, v in enumerate(form.vec) if v)
         # an oriented face: a reversed or permuted vertex order flips the sign
         face = Face(n, tuple(reversed(layout.faces[-1])))
         assert whitney_basis_form(face) == wedge_basis_form(n, face.vertices)

@@ -16,6 +16,7 @@ from whitneyforms import (
     AffineFunction,
     BadDegree,
     Cochain,
+    ConstantForm,
     DegreeMismatch,
     Face,
     barycentric_functions,
@@ -313,3 +314,54 @@ def test_cochain_eval_is_alternating(case, seed):
     if k >= 1:
         transposed = (verts[1], verts[0]) + verts[2:]
         assert cochain_eval(c, Face(n, transposed)) == -value
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: Face(2, (0.5, 1.7)),
+        lambda: Face(2, (True, "2")),
+        lambda: Face(2, (0, 1.0)),
+        lambda: Cochain(2, 1, {(0.5, 1.7): Fraction(1)}),
+        lambda: Cochain(2, 1, {(True, 2): Fraction(1)}),
+        lambda: Cochain(2, 1, {(0, "2"): Fraction(1)}),
+        lambda: AffineForm(2, 1, {(1.9,): AffineFunction.const(2, 1)}),
+        lambda: AffineForm(2, 1, {(True,): Fraction(1)}),
+        lambda: AffineForm(2, 1, {("2",): Fraction(1)}),
+        lambda: ConstantForm(2, 1, {(1.9,): Fraction(1)}),
+        lambda: ConstantForm(2, 1, {(True,): Fraction(1)}),
+        lambda: ConstantForm.basis(2, (1.9,)),
+        lambda: ConstantForm.basis(2, ("2",)),
+    ],
+    ids=[
+        "Face-floats", "Face-bool-str", "Face-float-one",
+        "Cochain-floats", "Cochain-bool", "Cochain-str",
+        "AffineForm-float", "AffineForm-bool", "AffineForm-str",
+        "ConstantForm-float", "ConstantForm-bool",
+        "ConstantForm.basis-float", "ConstantForm.basis-str",
+    ],
+)
+def test_labels_must_be_integers(build):
+    # int() would read 1.7 as 1, True as 1 and "2" as 2, naming another face
+    with pytest.raises(ValueError, match="not an integer"):
+        build()
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        Cochain(2, 1, {(0, 1): 1}),
+        AffineFunction.const(2, 3),
+        AffineForm(2, 1, {(1,): Fraction(2)}),
+        ConstantForm(2, 1, {(1,): Fraction(2)}),
+    ],
+    ids=["Cochain", "AffineFunction", "AffineForm", "ConstantForm"],
+)
+def test_bool_is_not_a_scalar(value):
+    for flag in (True, False):
+        with pytest.raises(TypeError):
+            value * flag
+        with pytest.raises(TypeError):
+            flag * value
+    assert value * 1 == value == 1 * value
+    assert value * Fraction(2) == 2 * value
