@@ -22,7 +22,6 @@ from .characterize import (
 from .derham import derham, integrate_over_face, simplex_integral
 from .forms import (
     AffineForm,
-    ConstantForm,
     DegreeOverflow,
     DimensionMismatch,
     evaluate,
@@ -30,7 +29,6 @@ from .forms import (
     form_to_json,
     is_constant,
     pullback,
-    scale_by_affine,
     wedge,
 )
 from .linalg import format_rational, parse_rational
@@ -62,7 +60,6 @@ __all__ = [
     "AffineFunction",
     "BadDegree",
     "Cochain",
-    "ConstantForm",
     "DegreeMismatch",
     "DegreeOverflow",
     "DimensionMismatch",
@@ -100,7 +97,6 @@ __all__ = [
     "render_cochain",
     "render_form",
     "run_verification",
-    "scale_by_affine",
     "simplex_integral",
     "solve_characterization",
     "verify_cell",

@@ -7,8 +7,8 @@ dimension count, and trace replays the uniqueness elimination.
 
 Exit codes: 0 on success, 1 when a verification or theorem check fails
 (including a certificate that does not go through), 2 on usage errors or
-malformed input, including a cell whose coefficient vector would exceed
-MAX_UNKNOWNS. That one cap bounds every subcommand, verify included.
+malformed input, including a cell over MAX_UNKNOWNS coefficient unknowns
+(the cap of every subcommand and of form JSON) or verify --samples over MAX_SAMPLES.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .characterize import (
     solve_characterization,
 )
 from .derham import derham as derham_map
-from .forms import AffineForm, form_from_json, form_to_json
+from .forms import MAX_UNKNOWNS, AffineForm, check_unknowns, form_from_json, form_to_json
 from .render import render_cochain, render_form
 from .simplicial import (
     BadDegree,
@@ -44,21 +44,16 @@ from .whitney import whitney as whitney_map
 
 FORMAT = click.Choice(["text", "json", "latex"])
 
-MAX_UNKNOWNS = 630
-"""Largest coefficient vector, (n+1)*C(n,k), a command builds: every cell with n <= 8.
-
-The operators, the constancy rank and the replay all grow with it, so a
-larger cell is refused up front instead of running without bound."""
+MAX_SAMPLES = 1000
+"""Most random cochains verify draws per (n, k); --n-max 8 then takes about 14 s on 2 vCPUs."""
 
 
 def _check_size(n: int, k: int) -> None:
     """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns; exit 2."""
-    # n + 1 alone bounds the count from below, so a huge n never reaches comb
-    if 0 <= k <= n and (n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS):
-        raise click.UsageError(
-            f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
-            f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
-        )
+    try:
+        check_unknowns(n, k)
+    except ValueError as exc:
+        raise click.UsageError(str(exc)) from exc
 
 
 def _load_json_arg(value: str) -> dict:
@@ -211,6 +206,8 @@ def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> 
         raise click.UsageError(f"--k must lie in 0..{n_max}")
     if samples < 0:
         raise click.UsageError("--samples must be nonnegative")
+    if samples > MAX_SAMPLES:
+        raise click.UsageError(f"--samples must be at most {MAX_SAMPLES}")
     report = run_verification(n_max, k=k, samples=samples, seed=seed)
     if fmt == "json":
         click.echo(json.dumps(report))

@@ -13,13 +13,18 @@ gcd(q, *vec) = 1. That pair is canonical, so equality is a tuple compare,
 and :mod:`whitneyforms.operators` acts on ``vec`` directly. The
 {multi-index: AffineFunction} view ``coeffs`` is built only when render,
 evaluate, pullback, wedge or the JSON writer reads it.
+
+A constant form is an AffineForm whose gradient slots are all zero
+(:func:`is_constant`); it has no class of its own. ``wedge`` takes one as
+its right factor, and a 0-form {(): f} as its left factor multiplies the
+right one by the affine function f.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from types import MappingProxyType
@@ -39,10 +44,10 @@ __all__ = [
     "DimensionMismatch",
     "UnknownLayout",
     "unknown_layout",
-    "ConstantForm",
+    "MAX_UNKNOWNS",
+    "check_unknowns",
     "AffineForm",
     "wedge",
-    "scale_by_affine",
     "pullback",
     "is_constant",
     "evaluate",
@@ -119,6 +124,23 @@ def unknown_layout(n: int, k: int) -> UnknownLayout:
     return UnknownLayout(n, k)
 
 
+MAX_UNKNOWNS = 630
+"""Largest coefficient vector, (n+1)*C(n,k), read from JSON or built by a command.
+
+The operators, the constancy rank and the replay all grow with it, so a larger
+cell is refused up front. ``AffineForm(n, k)`` itself is not capped."""
+
+
+def check_unknowns(n: int, k: int) -> None:
+    """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns: ValueError."""
+    # n + 1 alone bounds the count from below, so a huge n never reaches comb
+    if 0 <= k <= n and (n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS):
+        raise ValueError(
+            f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
+            f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
+        )
+
+
 def _check_degree(n: int, k: int) -> None:
     if n < 0:
         raise ValueError("dimension must be nonnegative")
@@ -135,58 +157,6 @@ def _check_multi_index(idx: MultiIndex, n: int, k: int) -> None:
         raise ValueError(f"multi-index must be strictly increasing: {idx}")
     if idx and (idx[0] < 1 or idx[-1] > n):
         raise ValueError(f"multi-index entries must lie in 1..{n}: {idx}")
-
-
-@dataclass(frozen=True)
-class ConstantForm:
-    """k-form with rational constant coefficients."""
-
-    n: int
-    k: int
-    coeffs: dict[MultiIndex, Fraction] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        _check_degree(self.n, self.k)
-        cleaned: dict[MultiIndex, Fraction] = {}
-        for idx, value in self.coeffs.items():
-            key = tuple(idx)
-            _check_multi_index(key, self.n, self.k)
-            value = exact_rational(value)
-            if value:
-                cleaned[key] = value
-        object.__setattr__(self, "coeffs", dict(sorted(cleaned.items())))
-
-    @classmethod
-    def basis(cls, n: int, idx: Sequence[int]) -> "ConstantForm":
-        key = tuple(idx)
-        return cls(n, len(key), {key: Fraction(1)})
-
-    def __add__(self, other: "ConstantForm") -> "ConstantForm":
-        if not isinstance(other, ConstantForm):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise DimensionMismatch("forms live in different spaces")
-        merged = dict(self.coeffs)
-        for idx, value in other.coeffs.items():
-            merged[idx] = merged.get(idx, Fraction(0)) + value
-        return ConstantForm(self.n, self.k, merged)
-
-    def __neg__(self) -> "ConstantForm":
-        return ConstantForm(self.n, self.k, {i: -v for i, v in self.coeffs.items()})
-
-    def __sub__(self, other: "ConstantForm") -> "ConstantForm":
-        return self + (-other)
-
-    def __mul__(self, scalar: object) -> "ConstantForm":
-        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        s = Fraction(scalar)
-        return ConstantForm(self.n, self.k, {i: s * v for i, v in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
 
 @dataclass(frozen=True, init=False)
@@ -264,10 +234,6 @@ class AffineForm:
     def zero(cls, n: int, k: int) -> "AffineForm":
         return cls(n, k)
 
-    @classmethod
-    def from_constant(cls, form: ConstantForm) -> "AffineForm":
-        return cls(form.n, form.k, form.coeffs)
-
     def __add__(self, other: "AffineForm") -> "AffineForm":
         if not isinstance(other, AffineForm):
             return NotImplemented
@@ -300,43 +266,32 @@ class AffineForm:
 def _merge_indices(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex] | None:
     """Merge two increasing index tuples; None if they intersect.
 
-    The sign counts the transpositions needed to interleave b into a, i.e.
-    the pairs (i in a, j in b) with i > j.
+    The sign is that of the permutation sorting a + b, i.e. the parity of
+    the transpositions that interleave b into a.
     """
     if set(a) & set(b):
         return None
-    inversions = sum(1 for i in a for j in b if i > j)
-    sign = -1 if inversions % 2 else 1
-    return sign, tuple(sorted(a + b))
+    return permutation_sign(a + b), tuple(sorted(a + b))
 
 
-def wedge(a: ConstantForm | AffineForm, b: ConstantForm) -> ConstantForm | AffineForm:
-    """Exterior product; the right factor must have constant coefficients."""
+def wedge(a: AffineForm, b: AffineForm) -> AffineForm:
+    """Exterior product; the right factor must be a constant form."""
     if a.n != b.n:
         raise DimensionMismatch("forms live in different dimensions")
     if a.k + b.k > a.n:
         raise DegreeOverflow(f"degree {a.k}+{b.k} exceeds dimension {a.n}")
-    affine = isinstance(a, AffineForm)
-    acc: dict[MultiIndex, object] = {}
-    for idx_a, ca in a.coeffs.items():
-        for idx_b, cb in b.coeffs.items():
+    if not is_constant(b):
+        raise ValueError("the right factor of a wedge must be a constant form")
+    acc: dict[MultiIndex, AffineFunction] = {}
+    for idx_a, fa in a.coeffs.items():
+        for idx_b, fb in b.coeffs.items():
             merged = _merge_indices(idx_a, idx_b)
             if merged is None:
                 continue
             sign, idx = merged
-            term = (sign * cb) * ca if affine else sign * ca * cb
+            term = (sign * fb.constant) * fa
             acc[idx] = acc[idx] + term if idx in acc else term
-    cls = AffineForm if affine else ConstantForm
-    return cls(a.n, a.k + b.k, acc)
-
-
-def scale_by_affine(f: AffineFunction, form: ConstantForm) -> AffineForm:
-    """Multiply a constant-coefficient form by an affine function."""
-    if f.n != form.n:
-        raise DimensionMismatch("function and form live in different dimensions")
-    return AffineForm(
-        form.n, form.k, {idx: v * f for idx, v in form.coeffs.items()}
-    )
+    return AffineForm(a.n, a.k + b.k, acc)
 
 
 def _compose_affine(f: AffineFunction, param) -> AffineFunction:
@@ -422,7 +377,8 @@ def form_from_json(data: Mapping) -> AffineForm:
     """Parse a form; dx lists may come unsorted and are folded by parity.
 
     n, k and the dx indices must be JSON integers: a float, bool or string
-    raises ValueError instead of being truncated or coerced.
+    raises ValueError instead of being truncated or coerced, and so does an
+    (n, k) with more than MAX_UNKNOWNS unknowns.
     """
     try:
         n = exact_int(data["n"])
@@ -430,6 +386,7 @@ def form_from_json(data: Mapping) -> AffineForm:
         raw_terms = data.get("terms", [])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed form JSON: {exc}") from exc
+    check_unknowns(n, k)  # before any of the (n+1)*C(n,k) entries is allocated
     acc: dict[MultiIndex, AffineFunction] = {}
     for entry in raw_terms:
         try:

@@ -16,14 +16,15 @@ operator W, which :mod:`whitneyforms.operators` writes down in closed form
 sum of scaled columns, done in integers: the coefficients are scaled by the
 lcm q of their denominators, the columns are summed in Python ints, and
 the integer vector and q become the AffineForm as they are, with no
-Fraction made.
+Fraction made. ``barycentric_differential`` gives d nu_i as a constant
+AffineForm, the right factor ``wedge`` takes.
 """
 
 from __future__ import annotations
 
 import math
 
-from .forms import AffineForm, ConstantForm
+from .forms import AffineForm
 from .operators import unknown_layout, whitney_columns
 from .simplicial import BadDegree, Cochain, Face, canonicalize
 
@@ -34,13 +35,13 @@ __all__ = [
 ]
 
 
-def barycentric_differential(n: int, label: int) -> ConstantForm:
+def barycentric_differential(n: int, label: int) -> AffineForm:
     """d nu_label as a constant 1-form: -sum_i dx^i for label 0, else dx^label."""
     if not 0 <= label <= n:
         raise ValueError(f"vertex label {label} outside 0..{n}")
     if label == 0:
-        return ConstantForm(n, 1, {(i,): -1 for i in range(1, n + 1)})
-    return ConstantForm.basis(n, (label,))
+        return AffineForm(n, 1, {(i,): -1 for i in range(1, n + 1)})
+    return AffineForm(n, 1, {(label,): 1})
 
 
 def whitney_basis_form(face: Face) -> AffineForm:

@@ -4,8 +4,9 @@ Everything here deliberately avoids the library's fast paths: parity
 comes from bubble sort, subset counts from explicit enumeration, integrals
 from a floating-point quadrature rule built on numpy, the constraint rows
 from the general ``pullback`` of each unit form, the Whitney basis forms
-from ``wedge`` and ``scale_by_affine``, none of which the cached operators
-call, and the extreme-degree closed forms from barycentric coordinates.
+from ``wedge`` alone (an affine 0-form on the left scales by a barycentric
+coordinate), which the cached operators never call, and the extreme-degree
+closed forms from barycentric coordinates.
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs.
 """
@@ -25,14 +26,12 @@ from whitneyforms import (
     AffineForm,
     AffineFunction,
     Cochain,
-    ConstantForm,
     Face,
     UnknownLayout,
     barycentric_differential,
     barycentric_functions,
     enumerate_faces,
     pullback,
-    scale_by_affine,
     simplex_integral,
     vertex_point,
     wedge,
@@ -81,9 +80,9 @@ def wedge_basis_form(n: int, vertices: tuple[int, ...]) -> AffineForm:
     total = AffineForm.zero(n, k)
     for j, v in enumerate(vertices):
         rest = diffs[:j] + diffs[j + 1 :]
-        product = reduce(wedge, rest[1:], rest[0]) if rest else ConstantForm(n, 0, {(): 1})
+        product = reduce(wedge, rest[1:], rest[0]) if rest else AffineForm(n, 0, {(): 1})
         sign = -1 if j % 2 else 1
-        total = total + sign * scale_by_affine(nu[v], product)
+        total = total + sign * wedge(AffineForm(n, 0, {(): nu[v]}), product)
     return math.factorial(k) * total
 
 

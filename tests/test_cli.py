@@ -7,8 +7,8 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import clear_caches, dense_system, rank
-from whitneyforms import characterize, cli
-from whitneyforms.cli import MAX_UNKNOWNS, main
+from whitneyforms import characterize, cli, forms
+from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS, main
 
 
 def run(*args, **kwargs):
@@ -305,6 +305,19 @@ def test_verify_ceiling():
     assert "--ceiling" not in run("verify", "--help").output
 
 
+def test_verify_caps_samples():
+    # verify's cost grows with --samples; past the cap it is refused up front
+    for samples in (MAX_SAMPLES + 1, 10**9, 10**30):
+        result = run("verify", "--n-max", "1", "--samples", str(samples))
+        assert result.exit_code == 2
+        assert f"--samples must be at most {MAX_SAMPLES}" in result.output
+    result = run("verify", "--n-max", "1", "--samples", "-1")
+    assert result.exit_code == 2
+    assert "--samples must be nonnegative" in result.output
+    result = run("verify", "--n-max", "2", "--k", "1", "--samples", str(MAX_SAMPLES))
+    assert result.exit_code == 0
+
+
 def test_dims_table_values():
     result = run("dims", "--n", "3")
     assert result.exit_code == 0
@@ -410,6 +423,7 @@ def test_derham_checks_the_cap_before_building_the_form(monkeypatch):
 
 def test_unknown_cap_admits_every_cell_up_to_eight():
     assert MAX_UNKNOWNS == max((n + 1) * math.comb(n, k) for n in range(9) for k in range(n + 1))
+    assert MAX_UNKNOWNS is forms.MAX_UNKNOWNS  # the one cap, of form JSON too
     assert run("trace", "--n", "8", "--k", "4").exit_code == 0
     assert run("whitney", "--n", "8", "--k", "4", "--face", "0,1,2,3,4").exit_code == 0
     # verify admits --n-max 8 without any flag; --k 8 keeps the sweep to one cell

@@ -16,7 +16,6 @@ from helpers import coeffs_add, coeffs_scale, random_affine_form
 from whitneyforms import (
     AffineForm,
     AffineFunction,
-    ConstantForm,
     DegreeOverflow,
     DimensionMismatch,
     Face,
@@ -25,14 +24,14 @@ from whitneyforms import (
     form_to_json,
     is_constant,
     pullback,
-    scale_by_affine,
     vertex_point,
     wedge,
 )
+from whitneyforms import forms
 
 
 def dx(n, *idx):
-    return ConstantForm.basis(n, idx)
+    return AffineForm(n, len(idx), {idx: 1})
 
 
 def affine(n, const, *grad):
@@ -40,24 +39,23 @@ def affine(n, const, *grad):
 
 
 def test_constant_form_normalization():
-    f = ConstantForm(3, 2, {(1, 2): Fraction(0), (1, 3): Fraction(2)})
-    assert f.coeffs == {(1, 3): Fraction(2)}
+    # a constant form is an AffineForm built from rationals: zero gradient slots
+    f = AffineForm(3, 2, {(1, 2): Fraction(0), (1, 3): Fraction(2)})
+    assert f.coeffs == {(1, 3): AffineFunction.const(3, 2)}
+    assert is_constant(f)
     with pytest.raises(ValueError):
-        ConstantForm(3, 2, {(2, 1): Fraction(1)})
+        AffineForm(3, 2, {(2, 1): Fraction(1)})
     with pytest.raises(DegreeOverflow):
-        ConstantForm(2, 3, {})
+        AffineForm(2, 3, {})
     for bad in (0.5, False):
         with pytest.raises(ValueError, match="not an exact rational"):
-            ConstantForm(3, 2, {(1, 2): bad})
+            AffineForm(3, 2, {(1, 2): bad})
 
 
 def test_wedge_basis_examples():
     a = dx(3, 1) + dx(3, 2)
-    assert wedge(a, dx(3, 3)).coeffs == {
-        (1, 3): Fraction(1),
-        (2, 3): Fraction(1),
-    }
-    assert wedge(dx(3, 2), dx(3, 1)).coeffs == {(1, 2): Fraction(-1)}
+    assert wedge(a, dx(3, 3)) == AffineForm(3, 2, {(1, 3): 1, (2, 3): 1})
+    assert wedge(dx(3, 2), dx(3, 1)) == AffineForm(3, 2, {(1, 2): -1})
     assert wedge(dx(3, 1), dx(3, 1)).is_zero()
 
 
@@ -74,14 +72,31 @@ def test_wedge_sign_matches_sorting_parity():
         inversions = sum(
             1 for a in range(3) for b in range(a + 1, 3) if perm[a] > perm[b]
         )
-        want = Fraction(-1 if inversions % 2 else 1)
-        assert product.coeffs == {(1, 2, 3): want}
+        want = -1 if inversions % 2 else 1
+        assert product == AffineForm(3, 3, {(1, 2, 3): want})
 
 
-def test_scale_by_affine():
+def test_wedge_with_an_affine_zero_form_scales():
+    # the affine function f as a 0-form on the left of wedge multiplies by f
     f = affine(2, 0, 1, 0)  # x1
-    form = scale_by_affine(f, dx(2, 2))
+    form = wedge(AffineForm(2, 0, {(): f}), dx(2, 2))
     assert form.coeffs == {(2,): f}
+    assert form == AffineForm(2, 1, {(2,): f})
+
+
+def test_wedge_right_factor_must_be_constant():
+    x1 = AffineForm(2, 0, {(): affine(2, 0, 1, 0)})
+    with pytest.raises(ValueError, match="constant form"):
+        wedge(dx(2, 1), AffineForm(2, 1, {(2,): affine(2, 0, 1, 0)}))
+    with pytest.raises(ValueError, match="constant form"):
+        wedge(dx(2, 1), x1)
+    # a constant right factor given with rational or AffineFunction coefficients
+    assert wedge(x1, AffineForm(2, 1, {(2,): affine(2, 3, 0, 0)})) == AffineForm(
+        2, 1, {(2,): affine(2, 0, 3, 0)}
+    )
+    assert wedge(dx(2, 1), AffineForm(2, 0, {(): 1})) == dx(2, 1)
+    with pytest.raises(DimensionMismatch):
+        wedge(dx(2, 1), dx(3, 2))
 
 
 def test_pullback_of_rotational_edge_form():
@@ -119,7 +134,7 @@ def test_evaluate_against_hand_values():
     e1 = (Fraction(1), Fraction(0))
     e2 = (Fraction(0), Fraction(1))
     assert evaluate(form, (Fraction(1, 2), Fraction(0)), [e2]) == Fraction(1, 2)
-    area = AffineForm.from_constant(dx(2, 1, 2))
+    area = dx(2, 1, 2)
     assert evaluate(area, (Fraction(0), Fraction(0)), [e2, e1]) == Fraction(-1)
 
 
@@ -196,6 +211,22 @@ def test_form_json_takes_only_integer_fields(data):
         form_from_json(data)
 
 
+def test_form_json_refuses_a_huge_cell_before_allocating(monkeypatch):
+    # a (30, 15) form has 31 * C(30, 15) coefficients: it must be refused unbuilt
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the form was built")
+
+    monkeypatch.setattr(forms, "AffineForm", unbuilt)
+    monkeypatch.setattr(forms, "unknown_layout", unbuilt)
+    for n, k in [(30, 15), (9, 4), (10**30, 1)]:
+        with pytest.raises(ValueError, match=f"more than {forms.MAX_UNKNOWNS} coefficient unknowns"):
+            form_from_json({"n": n, "k": k, "terms": []})
+    monkeypatch.undo()
+    assert form_from_json({"n": 8, "k": 4, "terms": []}) == AffineForm(8, 4)
+    # a form built in the program is not capped
+    assert AffineForm(9, 4).is_zero() and len(AffineForm(9, 4).vec) > forms.MAX_UNKNOWNS
+
+
 small_form_cases = st.integers(1, 3).flatmap(
     lambda n: st.integers(0, n).flatmap(
         lambda k: st.tuples(st.just(n), st.just(k), st.integers(0, 10 ** 6))
@@ -219,10 +250,10 @@ def test_pullback_is_linear(case):
 @settings(max_examples=40, deadline=None)
 def test_wedge_anticommutes_on_one_forms(n, seed):
     rng = Random(seed)
-    a = ConstantForm(
+    a = AffineForm(
         n, 1, {(i,): Fraction(rng.randint(-5, 5)) for i in range(1, n + 1)}
     )
-    b = ConstantForm(
+    b = AffineForm(
         n, 1, {(i,): Fraction(rng.randint(-5, 5)) for i in range(1, n + 1)}
     )
     if n >= 2:

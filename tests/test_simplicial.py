@@ -16,7 +16,6 @@ from whitneyforms import (
     AffineFunction,
     BadDegree,
     Cochain,
-    ConstantForm,
     DegreeMismatch,
     Face,
     barycentric_functions,
@@ -328,17 +327,11 @@ def test_cochain_eval_is_alternating(case, seed):
         lambda: AffineForm(2, 1, {(1.9,): AffineFunction.const(2, 1)}),
         lambda: AffineForm(2, 1, {(True,): Fraction(1)}),
         lambda: AffineForm(2, 1, {("2",): Fraction(1)}),
-        lambda: ConstantForm(2, 1, {(1.9,): Fraction(1)}),
-        lambda: ConstantForm(2, 1, {(True,): Fraction(1)}),
-        lambda: ConstantForm.basis(2, (1.9,)),
-        lambda: ConstantForm.basis(2, ("2",)),
     ],
     ids=[
         "Face-floats", "Face-bool-str", "Face-float-one",
         "Cochain-floats", "Cochain-bool", "Cochain-str",
         "AffineForm-float", "AffineForm-bool", "AffineForm-str",
-        "ConstantForm-float", "ConstantForm-bool",
-        "ConstantForm.basis-float", "ConstantForm.basis-str",
     ],
 )
 def test_labels_must_be_integers(build):
@@ -353,9 +346,8 @@ def test_labels_must_be_integers(build):
         Cochain(2, 1, {(0, 1): 1}),
         AffineFunction.const(2, 3),
         AffineForm(2, 1, {(1,): Fraction(2)}),
-        ConstantForm(2, 1, {(1,): Fraction(2)}),
     ],
-    ids=["Cochain", "AffineFunction", "AffineForm", "ConstantForm"],
+    ids=["Cochain", "AffineFunction", "AffineForm"],
 )
 def test_bool_is_not_a_scalar(value):
     for flag in (True, False):

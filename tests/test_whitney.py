@@ -13,12 +13,12 @@ from whitneyforms import (
     AffineFunction,
     BadDegree,
     Cochain,
-    ConstantForm,
     Face,
     barycentric_differential,
     barycentric_functions,
     enumerate_faces,
     evaluate,
+    is_constant,
     random_cochain,
     render_form,
     whitney,
@@ -27,10 +27,12 @@ from whitneyforms import (
 
 
 def test_barycentric_differential():
-    d0 = barycentric_differential(2, 0)
-    assert d0.coeffs == {(1,): Fraction(-1), (2,): Fraction(-1)}
-    d2 = barycentric_differential(2, 2)
-    assert d2.coeffs == {(2,): Fraction(1)}
+    # d nu_0 = -sum_i dx^i and d nu_i = dx^i, as constant AffineForms
+    for n in range(1, 5):
+        d0 = barycentric_differential(n, 0)
+        assert d0 == AffineForm(n, 1, {(i,): -1 for i in range(1, n + 1)})
+        assert is_constant(d0)
+    assert barycentric_differential(2, 2) == AffineForm(2, 1, {(2,): 1})
     with pytest.raises(ValueError):
         barycentric_differential(2, 3)
 
