@@ -7,7 +7,7 @@ coefficient, until none are left. Stage 1 uses the faces through the
 origin; stage 2 evaluates at the base vertex of each inclined face.
 """
 
-from whitneyforms import proof_trace
+from whitneyforms import UnknownLayout, proof_trace
 
 for n, k in [(2, 1), (3, 1), (3, 2)]:
     trace = proof_trace(n, k)
@@ -18,6 +18,8 @@ for n, k in [(2, 1), (3, 1), (3, 2)]:
     for step in trace.stage2:
         span = ",".join(str(v) for v in step.multi_index)
         print(f"  stage 2  base vertex {step.m}, span ({span})  determines  {step.killed}")
-    total = sum(len(s.killed) for s in trace.stage1) + len(trace.stage2)
-    print(f"  complete: {trace.complete} ({total} unknowns in all)")
+    killed = [label for s in trace.stage1 for label in s.killed]
+    killed += [s.killed for s in trace.stage2]
+    every = sorted(killed) == sorted(UnknownLayout(n, k).labels)
+    print(f"  each unknown determined once: {every} ({len(killed)} unknowns in all)")
     print()

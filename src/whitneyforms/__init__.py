@@ -7,13 +7,10 @@ face integrals determines exactly that form and no other.
 """
 
 from .characterize import (
-    Inconsistent,
-    NonUnique,
+    CertificateError,
     ProofTrace,
     Stage1Kill,
     Stage2Kill,
-    TraceIncomplete,
-    UnknownLayout,
     kernel_is_trivial,
     lambda_e_dimension,
     proof_trace,
@@ -24,6 +21,7 @@ from .forms import (
     AffineForm,
     DegreeOverflow,
     DimensionMismatch,
+    UnknownLayout,
     evaluate,
     form_from_json,
     form_to_json,
@@ -59,17 +57,15 @@ __all__ = [
     "AffineForm",
     "AffineFunction",
     "BadDegree",
+    "CertificateError",
     "Cochain",
     "DegreeMismatch",
     "DegreeOverflow",
     "DimensionMismatch",
     "Face",
-    "Inconsistent",
-    "NonUnique",
     "ProofTrace",
     "Stage1Kill",
     "Stage2Kill",
-    "TraceIncomplete",
     "UnknownLayout",
     "barycentric_differential",
     "barycentric_functions",

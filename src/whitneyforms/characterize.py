@@ -33,7 +33,7 @@ O(nnz) work with every division exact: the pivots are +-1, except the
 stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
 face's own gradient unknowns are fixed to zero. The integer solution and
 the lcm q of the cochain's denominators are the AffineForm (vec, q), so
-the solve makes no Fraction. :func:`proof_trace` reports the same
+the solve makes no Fraction. :func:`proof_trace` only formats the same
 schedule. It is complete whenever it builds: stage 1 has C(n,k)(k+1) rows
 and stage 2 C(n,k)(n-k), one per unknown in all.
 
@@ -41,7 +41,8 @@ The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
 C.W = 0, D~.W = (k+1)! I (W the Whitney operator), which puts face-many
 independent forms in ker C. There is no second, dense path: a certificate
-that fails is reported as a failure, never replaced by elimination.
+that fails raises :class:`CertificateError`, and the schedule raises it with
+one reason for the solve, the replay and the counts alike.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from typing import NamedTuple
 from .forms import AffineForm, MultiIndex
 from .operators import (
     SparseRow,
-    UnknownLayout,
     constancy_rows,
     constant_term_row,
     derham_rows,
@@ -64,10 +64,7 @@ from .operators import (
 from .simplicial import BadDegree, Cochain, DegreeMismatch, permutation_sign
 
 __all__ = [
-    "NonUnique",
-    "Inconsistent",
-    "TraceIncomplete",
-    "UnknownLayout",
+    "CertificateError",
     "lambda_e_dimension",
     "solve_characterization",
     "kernel_is_trivial",
@@ -78,16 +75,8 @@ __all__ = [
 ]
 
 
-class NonUnique(RuntimeError):
-    """The constraint system failed to determine every unknown."""
-
-
-class Inconsistent(RuntimeError):
-    """The constraint system admits no solution (or an internal check failed)."""
-
-
-class TraceIncomplete(RuntimeError):
-    """The elimination replay, or a certificate built on it, did not go through."""
+class CertificateError(RuntimeError):
+    """A certificate did not go through: the schedule, W, a pivot or a closed form."""
 
 
 @cache
@@ -101,14 +90,11 @@ def lambda_e_dimension(n: int, k: int) -> int:
     injective, has dimension at most the number of rows of D, one per face.
     And C.W = 0 with D~.W = (k+1)! I puts the face-many columns of W in
     ker C, independent because D maps them to the unit cochains. Raises
-    TraceIncomplete, with the reason, when either certificate fails.
+    CertificateError, with the reason, when either certificate fails.
     """
-    try:
-        _schedule(n, k)
-    except Inconsistent as exc:
-        raise TraceIncomplete(str(exc)) from exc
+    _schedule(n, k)
     if not _whitney_columns_certified(n, k):
-        raise TraceIncomplete(
+        raise CertificateError(
             f"the Whitney columns at (n={n}, k={k}) fail C.W = 0, D~.W = (k+1)! I"
         )
     return len(unknown_layout(n, k).faces)
@@ -167,12 +153,10 @@ def _combine(terms: list[tuple[int, SparseRow]]) -> dict[int, int]:
     return {pos: value for pos, value in out.items() if value}
 
 
-def _step(row: SparseRow, alive: list[bool], face: int, scale: int) -> _Step | None:
-    """Determine the row's one live unknown; None if it has more or fewer."""
-    live = [pos for pos, _ in row if alive[pos]]
-    if len(live) != 1:
+def _step(row: SparseRow, alive: list[bool], target: int, face: int, scale: int) -> _Step | None:
+    """The row as the step that determines target; None unless it is the one live unknown."""
+    if [pos for pos, _ in row if alive[pos]] != [target]:
         return None
-    target = live[0]
     alive[target] = False
     pivot = next(value for pos, value in row if pos == target)
     return _Step(target, pivot, tuple(e for e in row if e[0] != target), face, scale)
@@ -182,12 +166,13 @@ def _step(row: SparseRow, alive: list[bool], face: int, scale: int) -> _Step | N
 def _schedule(n: int, k: int) -> _Schedule:
     """The two-stage elimination as a triangular order of the stacked system.
 
-    Stage 1 takes, for each face through vertex 0, its constancy rows and
-    then its integral row. Stage 2 takes the constant-term row r(m, L) of
-    each face G = sorted((m,) + L), checked against the identity in the
-    module docstring (its last term is absent when m is G's first vertex).
-    Raises TraceIncomplete when a row does not isolate exactly one live
-    unknown, Inconsistent when the identity fails; a schedule that is
+    Stage 1 takes, for each face [0] + L, its constancy rows and then its
+    integral row, which must determine each a_{L,t} (t in L) and then b_L.
+    Stage 2 takes the constant-term row r(m, L) of each face
+    G = sorted((m,) + L), which must determine a_{L,m} with pivot 1, checked
+    against the identity in the module docstring (its last term is absent
+    when m is G's first vertex). Raises CertificateError, with the reason,
+    when a row breaks that shape or the identity fails; a schedule that is
     returned is complete.
     """
     layout = unknown_layout(n, k)
@@ -199,15 +184,15 @@ def _schedule(n: int, k: int) -> _Schedule:
     for i, face in enumerate(layout.faces):
         if face[0] != 0:
             continue
-        rows = [(row, 0) for row in constancy[i]]
-        rows.append((integrals[i], math.factorial(k + 1)))
+        span = face[1:]
+        rows = [(row, 0, layout.position(span, t)) for row, t in zip(constancy[i], span)]
+        rows.append((integrals[i], math.factorial(k + 1), layout.position(span)))
         steps: list[_Step] = []
-        for row, scale in rows:
-            step = _step(row, alive, i, scale)
+        for row, scale, target in rows:
+            step = _step(row, alive, target, i, scale)
             if step is None:
-                raise TraceIncomplete(
-                    f"a row on face {list(face)} involves "
-                    f"{sum(alive[pos] for pos, _ in row)} live unknowns, expected exactly one"
+                raise CertificateError(
+                    f"a row on face {list(face)} does not isolate {layout.labels[target]}"
                 )
             steps.append(step)
         stage1.append((face, tuple(steps)))
@@ -221,9 +206,9 @@ def _schedule(n: int, k: int) -> _Schedule:
             g = tuple(sorted((m, *span)))
             i = index[g]
             sigma = permutation_sign((m, *span))
-            step = _step(row, alive, i, sigma * math.factorial(k))
-            if step is None:
-                raise TraceIncomplete(
+            step = _step(row, alive, layout.position(span, m), i, sigma * math.factorial(k))
+            if step is None or step.pivot != 1:
+                raise CertificateError(
                     f"evaluation at vertex {m} of face {[m, *span]} does not "
                     f"isolate {layout.label(span, m)} with coefficient one"
                 )
@@ -232,7 +217,7 @@ def _schedule(n: int, k: int) -> _Schedule:
                 (sigma * ((k + 1) * (s == j) - 1), c) for s, c in enumerate(constancy[i], 1)
             ]
             if _combine([(k + 1, row)]) != _combine(combination):
-                raise Inconsistent(
+                raise CertificateError(
                     f"evaluation at vertex {m} of face {[m, *span]} is not a "
                     f"combination of the rows of face {list(g)}"
                 )
@@ -267,7 +252,7 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
     else:
         expected = [math.factorial(n) * values[0]] + [0] * n
     if result != AffineForm.from_vector(n, k, expected, q):
-        raise Inconsistent(
+        raise CertificateError(
             f"solution at (n={n}, k={k}) disagrees with the closed form"
         )
 
@@ -278,16 +263,13 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     Forward-substitutes the cochain through the elimination schedule in
     integers: the values are scaled by the lcm q of their denominators, and
     the integer solution over q is the form, with no Fraction made. Raises
-    NonUnique if the schedule does not determine every unknown, Inconsistent
-    if a check fails.
+    CertificateError, the schedule's own, when the schedule does not build,
+    and when a pivot is inexact or the closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
     layout = unknown_layout(n, k)
-    try:
-        schedule = _schedule(n, k)
-    except TraceIncomplete as exc:
-        raise NonUnique(f"underdetermined system at (n={n}, k={k})") from exc
+    schedule = _schedule(n, k)
     values, q = _scaled_values(cochain)
     vec = [0] * layout.size
     for target, pivot, others, face, scale in schedule.steps:
@@ -296,7 +278,7 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
             total -= value * vec[pos]
         vec[target], remainder = divmod(total, pivot)
         if remainder:
-            raise Inconsistent(f"inexact pivot at (n={n}, k={k})")
+            raise CertificateError(f"inexact pivot at (n={n}, k={k})")
     result = AffineForm.from_vector(n, k, vec, q)
     _closed_form_check(n, k, cochain, result)
     return result
@@ -311,7 +293,7 @@ def kernel_is_trivial(n: int, k: int) -> bool:
     """
     try:
         _schedule(n, k)
-    except (TraceIncomplete, Inconsistent):
+    except CertificateError:
         return False
     return True
 
@@ -335,17 +317,16 @@ class Stage2Kill:
 
 @dataclass(frozen=True)
 class ProofTrace:
-    """Record of the elimination: every unknown must fall to exactly one step.
+    """Record of the elimination: every unknown falls to exactly one step.
 
-    ``complete`` is True on every trace that :func:`proof_trace` returns; an
-    elimination that leaves an unknown undetermined raises TraceIncomplete.
+    Only a complete schedule makes a trace, so ``to_json`` always reports
+    ``"complete": true``; a failing schedule raises CertificateError.
     """
 
     n: int
     k: int
     stage1: tuple[Stage1Kill, ...]
     stage2: tuple[Stage2Kill, ...]
-    complete: bool
 
     def to_json(self) -> dict:
         return {
@@ -358,7 +339,7 @@ class ProofTrace:
                 {"L": list(s.multi_index), "m": s.m, "killed": s.killed}
                 for s in self.stage2
             ],
-            "complete": self.complete,
+            "complete": True,
         }
 
 
@@ -371,36 +352,19 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     row then names the block's constant unknown. Stage 2 walks the faces
     [m, l_1, ..., l_k] spanned by unit points: the constant term of the
     pulled-back coefficient, restricted to the unknowns still alive, is
-    exactly the lone unknown a_{L,m} with coefficient one. Any row that
-    fails to isolate one unknown aborts the replay.
+    exactly the lone unknown a_{L,m} with coefficient one.
 
-    This formats the schedule that solve_characterization runs, so the
-    replay and the solver cannot drift apart.
+    This only formats the schedule that solve_characterization runs, which
+    checks that shape as it builds, so the replay and the solver cannot
+    drift apart: both raise its CertificateError.
     """
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
-    layout = unknown_layout(n, k)
-    try:
-        schedule = _schedule(n, k)
-    except Inconsistent as exc:
-        raise TraceIncomplete(str(exc)) from exc
-
-    stage1: list[Stage1Kill] = []
-    for face, steps in schedule.stage1:
-        killed = {step.target for step in steps}
-        span = face[1:]
-        expected = {layout.position(span)} | {layout.position(span, t) for t in span}
-        if killed != expected:
-            raise TraceIncomplete(f"face {list(face)} determined unexpected unknowns")
-        stage1.append(Stage1Kill(face, tuple(layout.labels[p] for p in sorted(killed))))
-
-    stage2: list[Stage2Kill] = []
-    for span, m, step in schedule.stage2:
-        if (step.target, step.pivot) != (layout.position(span, m), 1):
-            raise TraceIncomplete(
-                f"evaluation at vertex {m} of face {[m, *span]} does not "
-                f"isolate {layout.label(span, m)} with coefficient one"
-            )
-        stage2.append(Stage2Kill(span, m, layout.labels[step.target]))
-
-    return ProofTrace(n, k, tuple(stage1), tuple(stage2), True)
+    labels = unknown_layout(n, k).labels
+    schedule = _schedule(n, k)
+    stage1 = tuple(
+        Stage1Kill(face, tuple(labels[p] for p in sorted(s.target for s in steps)))
+        for face, steps in schedule.stage1
+    )
+    stage2 = tuple(Stage2Kill(span, m, labels[s.target]) for span, m, s in schedule.stage2)
+    return ProofTrace(n, k, stage1, stage2)

@@ -5,8 +5,8 @@ them, characterize solves the face-data system and compares against the
 direct construction, verify sweeps whole ranges of (n, k), dims prints the
 dimension count, and trace replays the uniqueness elimination.
 
-Exit codes: 0 on success, 1 when a verification or theorem check fails
-(including a certificate that does not go through), 2 on usage errors or
+Exit codes: 0 on success, 1 when a verification or theorem check fails (a
+certificate's CertificateError is one stderr line with its reason), 2 on usage errors or
 malformed input, including a cell over MAX_UNKNOWNS coefficient unknowns
 (the cap of every subcommand and of form JSON) or verify --samples over MAX_SAMPLES.
 """
@@ -21,9 +21,7 @@ from pathlib import Path
 import click
 
 from .characterize import (
-    Inconsistent,
-    NonUnique,
-    TraceIncomplete,
+    CertificateError,
     lambda_e_dimension,
     proof_trace,
     solve_characterization,
@@ -171,7 +169,7 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
     try:
         solved = solve_characterization(n, k, c)
-    except (NonUnique, Inconsistent) as exc:
+    except CertificateError as exc:
         click.echo(f"characterization failed: {exc}", err=True)
         sys.exit(1)
     except (BadDegree, DegreeMismatch, ValueError) as exc:
@@ -259,7 +257,7 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
         unknowns = math.comb(n, kk) * (n + 1)
         try:
             dim = lambda_e_dimension(n, kk)
-        except TraceIncomplete as exc:
+        except CertificateError as exc:
             click.echo(f"certification failed: {exc}", err=True)
             sys.exit(1)
         rows.append(
@@ -298,7 +296,7 @@ def trace_cmd(n: int, k: int, fmt: str) -> None:
         trace = proof_trace(n, k)
     except BadDegree as exc:
         raise click.UsageError(str(exc)) from exc
-    except TraceIncomplete as exc:
+    except CertificateError as exc:
         click.echo(f"replay failed: {exc}", err=True)
         sys.exit(1)
     if fmt == "json":
@@ -310,9 +308,7 @@ def trace_cmd(n: int, k: int, fmt: str) -> None:
         for step in trace.stage2:
             span = ",".join(str(v) for v in step.multi_index)
             click.echo(f"stage 2  L=({span}) m={step.m}  determines {step.killed}")
-        click.echo("complete" if trace.complete else "INCOMPLETE")
-    if not trace.complete:
-        sys.exit(1)
+        click.echo("complete")
 
 
 if __name__ == "__main__":

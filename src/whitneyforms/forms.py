@@ -343,7 +343,11 @@ def evaluate(
     """Value of the form at a point on k tangent vectors (alternating in them).
 
     Coordinates go through ``exact_rational``: a float or a bool is rejected.
+    The point is checked first, so even the zero form rejects a bad one.
     """
+    pt = tuple(exact_rational(x) for x in point)
+    if len(pt) != form.n:
+        raise DimensionMismatch(f"expected a point in {form.n} dimensions, got {len(pt)}")
     if len(vectors) != form.k:
         raise DimensionMismatch(f"expected {form.k} vectors, got {len(vectors)}")
     vecs = [tuple(exact_rational(x) for x in v) for v in vectors]
@@ -353,7 +357,7 @@ def evaluate(
     for idx, f in form.coeffs.items():
         d = linalg.det([[v[i - 1] for v in vecs] for i in idx])
         if d:
-            total += f(point) * d
+            total += f(pt) * d
     return total
 
 

@@ -5,7 +5,8 @@ count, the round trip from cochain to form and back on the basis plus a
 batch of seeded random cochains, agreement of the linear-system solution
 with the direct construction, triviality of the kernel, and completeness
 of the elimination replay where it applies. One Whitney form per cochain
-serves both the round trip and the comparison with the solution.
+serves both the round trip and the comparison with the solution. Every
+certificate fails by one CertificateError, which marks its check false.
 """
 
 from __future__ import annotations
@@ -13,9 +14,7 @@ from __future__ import annotations
 from random import Random
 
 from .characterize import (
-    Inconsistent,
-    NonUnique,
-    TraceIncomplete,
+    CertificateError,
     kernel_is_trivial,
     lambda_e_dimension,
     proof_trace,
@@ -30,6 +29,15 @@ __all__ = ["verify_cell", "run_verification"]
 CHECK_NAMES = ("dimension", "rw_identity", "characterization", "kernel", "proof_trace")
 
 
+def _certificate_error(check, n: int, k: int) -> str | None:
+    """None when check(n, k) goes through, else the reason it raised."""
+    try:
+        check(n, k)
+    except CertificateError as exc:
+        return str(exc)
+    return None
+
+
 def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     """All checks for one (n, k); returns a dict of named booleans plus "pass".
 
@@ -42,12 +50,10 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     counterexample: dict | None = None
 
     # lambda_e_dimension returns the face count only once it is certified
-    cell["dimension"] = True
-    try:
-        lambda_e_dimension(n, k)
-    except TraceIncomplete as exc:
-        cell["dimension"] = False
-        counterexample = {"check": "dimension", "error": str(exc)}
+    error = _certificate_error(lambda_e_dimension, n, k)
+    cell["dimension"] = error is None
+    if error is not None:
+        counterexample = {"check": "dimension", "error": error}
 
     rng = Random(seed * 1_000_003 + n * 101 + k)
     cochains = [Cochain.basis(face) for face in enumerate_faces(n, k)]
@@ -62,7 +68,7 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     def solved(c, w) -> bool:
         try:
             return solve_characterization(n, k, c) == w
-        except (NonUnique, Inconsistent):
+        except CertificateError:
             return False
 
     bad = next((c for c, w in zip(cochains, forms) if not solved(c, w)), None)
@@ -70,27 +76,14 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     if bad is not None and counterexample is None:
         counterexample = {"check": "characterization", "cochain": cochain_to_json(bad)}
 
+    # the kernel fails only with the schedule, whose reason "dimension" already holds
     cell["kernel"] = kernel_is_trivial(n, k)
-    if not cell["kernel"] and counterexample is None:
-        counterexample = {
-            "check": "kernel",
-            "error": "the elimination schedule does not certify the kernel trivial",
-        }
 
     if 1 <= k <= n - 1:
-        try:
-            trace = proof_trace(n, k)
-        except TraceIncomplete as exc:
-            cell["proof_trace"] = False
-            if counterexample is None:
-                counterexample = {"check": "proof_trace", "error": str(exc)}
-        else:
-            cell["proof_trace"] = trace.complete
-            if not trace.complete and counterexample is None:
-                counterexample = {
-                    "check": "proof_trace",
-                    "error": "elimination left unknowns undetermined",
-                }
+        error = _certificate_error(proof_trace, n, k)
+        cell["proof_trace"] = error is None
+        if error is not None and counterexample is None:
+            counterexample = {"check": "proof_trace", "error": error}
     else:
         cell["proof_trace"] = None
 

@@ -41,9 +41,7 @@ from whitneyforms import (
     whitney,
 )
 from whitneyforms.characterize import (
-    Inconsistent,
-    NonUnique,
-    TraceIncomplete,
+    CertificateError,
     _schedule,
     _whitney_columns_certified,
 )
@@ -205,7 +203,7 @@ def test_closed_form_check_is_the_barycentric_construction(n):
             characterize._closed_form_check(n, k, c, expected)
             assert solve_characterization(n, k, c) == expected
             moved = expected + AffineForm(n, k, {tuple(range(1, k + 1)): x1})
-            with pytest.raises(Inconsistent, match="disagrees with the closed form"):
+            with pytest.raises(CertificateError, match="disagrees with the closed form"):
                 characterize._closed_form_check(n, k, c, moved)
 
 
@@ -248,7 +246,7 @@ def test_trace_counts_and_partition():
     for n in range(2, 6):
         for k in range(1, n):
             trace = proof_trace(n, k)
-            assert trace.complete
+            assert trace.to_json()["complete"] is True
             assert len(trace.stage1) == math.comb(n, k)
             assert all(len(s.killed) == k + 1 for s in trace.stage1)
             assert len(trace.stage2) == math.comb(n, k) * (n - k)
@@ -319,19 +317,57 @@ def _outside_the_row_space(n, k, m, span):
     return ((unknown_layout(n, k).position(span, m), 1),)
 
 
-@pytest.mark.parametrize(
-    "row,error", [(_isolates_nothing, NonUnique), (_outside_the_row_space, Inconsistent)]
-)
-def test_broken_stage2_row_is_reported(monkeypatch, row, error):
+@pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
+def test_broken_stage2_row_fails_every_certificate_alike(monkeypatch, row):
+    # one schedule, one failure: the solve, the replay and the count raise
+    # the schedule's own CertificateError, and the kernel is not certified
     monkeypatch.setattr(characterize, "constant_term_row", row)
-    characterize._schedule.cache_clear()
+    clear_caches()
     try:
-        with pytest.raises(error):
-            solve_characterization(3, 1, random_cochain(Random(1), 3, 1))
-        with pytest.raises(TraceIncomplete):
-            proof_trace(3, 1)
+        messages = []
+        for call in (
+            lambda: solve_characterization(3, 1, random_cochain(Random(1), 3, 1)),
+            lambda: proof_trace(3, 1),
+            lambda: lambda_e_dimension(3, 1),
+        ):
+            with pytest.raises(CertificateError) as info:
+                call()
+            messages.append(str(info.value))
+        assert kernel_is_trivial(3, 1) is False
     finally:
-        characterize._schedule.cache_clear()
+        clear_caches()
+    assert messages[0].startswith("evaluation at vertex")
+    assert messages == [messages[0]] * 3
+
+
+def test_schedule_rejects_a_stage1_row_off_its_unknown(monkeypatch):
+    # a constancy row that isolates the wrong gradient unknown is refused by
+    # the schedule itself, so the solver cannot run along it either
+    rows = [list(face_rows) for face_rows in characterize.constancy_rows(2, 1)]
+    rows[0][0] = ((unknown_layout(2, 1).position((1,), 2), 1),)
+    monkeypatch.setattr(characterize, "constancy_rows", lambda n, k: rows)
+    clear_caches()
+    try:
+        with pytest.raises(CertificateError, match=r"face \[0, 1\] does not isolate a_\(1\),1"):
+            solve_characterization(2, 1, Cochain.zero(2, 1))
+        with pytest.raises(CertificateError, match="does not isolate a_"):
+            proof_trace(2, 1)
+    finally:
+        clear_caches()
+
+
+def test_schedule_rejects_a_stage2_pivot_other_than_one(monkeypatch):
+    # the right unknown with pivot 2 is refused, before the row-space identity
+    def doubled(n, k, m, span):
+        return ((unknown_layout(n, k).position(span, m), 2),)
+
+    monkeypatch.setattr(characterize, "constant_term_row", doubled)
+    clear_caches()
+    try:
+        with pytest.raises(CertificateError, match="with coefficient one"):
+            solve_characterization(2, 1, Cochain.zero(2, 1))
+    finally:
+        clear_caches()
 
 
 ADMITTED_EDGE_CELLS = [(24, 1), (24, 23), (60, 0), (60, 60)]
@@ -370,7 +406,7 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     monkeypatch.setattr(characterize, "constant_term_row", row)
     clear_caches()
     try:
-        with pytest.raises(TraceIncomplete, match="evaluation at vertex"):
+        with pytest.raises(CertificateError, match="evaluation at vertex"):
             lambda_e_dimension(3, 1)
         assert kernel_is_trivial(3, 1) is False
         cell = verify_cell(3, 1, samples=2)
@@ -395,7 +431,7 @@ def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
     monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: columns)
     clear_caches()
     try:
-        with pytest.raises(TraceIncomplete, match="Whitney columns"):
+        with pytest.raises(CertificateError, match="Whitney columns"):
             lambda_e_dimension(3, 1)
         assert kernel_is_trivial(3, 1) is True
         cell = verify_cell(3, 1, samples=2)

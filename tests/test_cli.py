@@ -444,7 +444,7 @@ def test_broken_replay_exits_one_with_a_message(monkeypatch):
     finally:
         clear_caches()
     assert solved.exit_code == 1 and isinstance(solved.exception, SystemExit)
-    assert solved.stderr.startswith("characterization failed: underdetermined system")
+    assert solved.stderr.startswith("characterization failed: evaluation at vertex")
     assert replay.exit_code == 1 and isinstance(replay.exception, SystemExit)
     assert replay.stderr.startswith("replay failed: evaluation at vertex")
     assert dims.exit_code == 1 and isinstance(dims.exception, SystemExit)

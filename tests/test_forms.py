@@ -142,6 +142,13 @@ def test_evaluate_checks_arity():
     form = AffineForm(2, 1, {(1,): affine(2, 1, 0, 0)})
     with pytest.raises(DimensionMismatch):
         evaluate(form, (Fraction(0), Fraction(0)), [])
+    # the point's length is checked up front, on the zero form too
+    for f in (form, AffineForm.zero(2, 1)):
+        with pytest.raises(DimensionMismatch, match="point in 2 dimensions, got 4"):
+            evaluate(f, (Fraction(1, 2), 1, 7, 8), [(1, 0)])
+        with pytest.raises(DimensionMismatch, match="point in 2 dimensions, got 1"):
+            evaluate(f, (0,), [(1, 0)])
+    assert evaluate(AffineForm.zero(2, 1), (Fraction(1, 2), 1), [(1, 0)]) == 0
 
 
 def test_is_constant():

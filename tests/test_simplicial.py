@@ -149,6 +149,11 @@ def test_exact_types_reject_floats_and_bools():
             evaluate(form, (bad, 0), [(1, 0)])
         with pytest.raises(ValueError, match="not an exact rational"):
             evaluate(form, (0, 0), [(bad, 0)])
+        # the point is checked even where no coefficient reads it
+        with pytest.raises(ValueError, match="not an exact rational"):
+            evaluate(AffineForm.zero(2, 1), (bad, 0), [(1, 0)])
+        with pytest.raises(ValueError, match="not an exact rational"):
+            evaluate(AffineForm(2, 1, {(1,): 1}), (bad, 0), [(1, 0)])
         # determinant entries, and the dense oracles' entries and right-hand sides
         with pytest.raises(ValueError, match="not an exact rational"):
             linalg.det([[Fraction(1), bad], [0, 1]])
