@@ -31,11 +31,11 @@ proves the kernel trivial, and
 :func:`solve_characterization` forward-substitutes along it in integers,
 O(nnz) work with every division exact: the pivots are +-1, except the
 stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
-face's own gradient unknowns are fixed to zero. The integer solution and
-the lcm q of the cochain's denominators are the AffineForm (vec, q), so
-the solve makes no Fraction. :func:`proof_trace` only formats the same
-schedule. It is complete whenever it builds: stage 1 has C(n,k)(k+1) rows
-and stage 2 C(n,k)(n-k), one per unknown in all.
+face's own gradient unknowns are fixed to zero. The integer solution over
+the cochain's own q is the AffineForm (vec, q), so the solve makes no
+Fraction. :func:`proof_trace` only formats the same schedule. It is
+complete whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2
+C(n,k)(n-k), one per unknown in all.
 
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
@@ -111,10 +111,12 @@ def _whitney_columns_certified(n: int, k: int) -> bool:
         for pos, value in row:
             touching.setdefault(pos, []).append((r, value))
     columns = whitney_columns(n, k)
+    if len(columns) != len(layout.faces):
+        return False
     scale = math.factorial(k + 1)
-    for i, face in enumerate(layout.faces):
+    for i, column in enumerate(columns):
         image: dict[int, int] = {}
-        for pos, w in columns[face]:
+        for pos, w in column:
             for r, value in touching.get(pos, ()):
                 image[r] = image.get(r, 0) + value * w
         if {r: v for r, v in image.items() if v} != {len(constancy) + i: scale}:
@@ -227,13 +229,6 @@ def _schedule(n: int, k: int) -> _Schedule:
     return _Schedule(tuple(stage1), tuple(stage2), steps + tuple(s for _, _, s in stage2))
 
 
-def _scaled_values(cochain: Cochain) -> tuple[list[int], int]:
-    """The cochain times the lcm q of its denominators, in face order, and q."""
-    q = math.lcm(*(v.denominator for v in cochain.terms.values()))
-    scaled = {face: v.numerator * (q // v.denominator) for face, v in cochain.terms.items()}
-    return [scaled.get(face, 0) for face in unknown_layout(cochain.n, cochain.k).faces], q
-
-
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
     """At the extreme degrees an independent closed form must agree.
 
@@ -241,17 +236,17 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
     coordinates, written out: sum_i c(i) nu_i with nu_0 = 1 - sum_i x^i and
     nu_i = x^i is the constant c(0) plus the gradient c(i) - c(0). Degree n
     is the volume form scaled by n! times the single prescribed integral.
-    Both are written as integer vectors over the lcm of the cochain's
-    denominators and compared with the result's.
+    Both are written as integer vectors over the cochain's q and compared
+    with the result's.
     """
     if 0 < k < n:
         return
-    values, q = _scaled_values(cochain)
+    values = cochain.vec
     if k == 0:
         expected = [values[0]] + [v - values[0] for v in values[1:]]
     else:
         expected = [math.factorial(n) * values[0]] + [0] * n
-    if result != AffineForm.from_vector(n, k, expected, q):
+    if result != AffineForm.from_vector(n, k, expected, cochain.q):
         raise CertificateError(
             f"solution at (n={n}, k={k}) disagrees with the closed form"
         )
@@ -260,17 +255,17 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
-    Forward-substitutes the cochain through the elimination schedule in
-    integers: the values are scaled by the lcm q of their denominators, and
-    the integer solution over q is the form, with no Fraction made. Raises
-    CertificateError, the schedule's own, when the schedule does not build,
-    and when a pivot is inexact or the closed form disagrees.
+    Forward-substitutes the cochain's integer entries through the
+    elimination schedule, and the integer solution over the cochain's q is
+    the form, with no Fraction made. Raises CertificateError, the
+    schedule's own, when the schedule does not build, and when a pivot is
+    inexact or the closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
     layout = unknown_layout(n, k)
     schedule = _schedule(n, k)
-    values, q = _scaled_values(cochain)
+    values = cochain.vec
     vec = [0] * layout.size
     for target, pivot, others, face, scale in schedule.steps:
         total = scale * values[face]
@@ -279,7 +274,7 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
         vec[target], remainder = divmod(total, pivot)
         if remainder:
             raise CertificateError(f"inexact pivot at (n={n}, k={k})")
-    result = AffineForm.from_vector(n, k, vec, q)
+    result = AffineForm.from_vector(n, k, vec, cochain.q)
     _closed_form_check(n, k, cochain, result)
     return result
 

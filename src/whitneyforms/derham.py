@@ -13,9 +13,9 @@ so no numerical quadrature is needed and every value is an exact rational.
 without any pullback: the moments above, applied to the closed-form minors
 of each face, make the whole map one sparse integer matrix D*(k+1)! per
 (n, k) (see :mod:`whitneyforms.operators`). ``derham`` multiplies the form's
-integer vector ``vec`` by it in Python ints and divides each nonzero face
-sum by q * (k+1)!, one Fraction per face. The per-face route stays as the
-independent check of that matrix.
+integer vector ``vec`` by it in Python ints, and that vector over
+q * (k+1)! is the cochain, with no Fraction made. The per-face route stays
+as the independent check of that matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import math
 from fractions import Fraction
 
 from .forms import AffineForm, DimensionMismatch, pullback
-from .operators import derham_rows, unknown_layout
+from .operators import derham_rows
 from .simplicial import AffineFunction, Cochain, DegreeMismatch, Face
 
 __all__ = [
@@ -69,10 +69,5 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
 def derham(form: AffineForm) -> Cochain:
     """All face integrals of the form, as a cochain on the canonical faces."""
     n, k, vec = form.n, form.k, form.vec
-    scale = form.q * math.factorial(k + 1)
-    terms: dict[tuple[int, ...], Fraction] = {}
-    for face, row in zip(unknown_layout(n, k).faces, derham_rows(n, k)):
-        total = sum([vec[pos] * value for pos, value in row])
-        if total:
-            terms[face] = Fraction(total, scale)
-    return Cochain(n, k, terms)
+    integrals = [sum([vec[pos] * value for pos, value in row]) for row in derham_rows(n, k)]
+    return Cochain.from_vector(n, k, integrals, form.q * math.factorial(k + 1))

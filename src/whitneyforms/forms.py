@@ -9,8 +9,9 @@ which is all the simplex geometry here ever needs.
 An :class:`AffineForm` is its coefficient vector in :class:`UnknownLayout`
 order (per multi-index I, b_I then a_{I,1}, ..., a_{I,n}) scaled to
 integers: vec / q with a tuple of ints ``vec``, a positive int ``q`` and
-gcd(q, *vec) = 1. That pair is canonical, so equality is a tuple compare,
-and :mod:`whitneyforms.operators` acts on ``vec`` directly. The
+gcd(q, *vec) = 1. It is a :class:`~whitneyforms.simplicial.ScaledVector`,
+like a cochain, and takes its canonical pair, equality and arithmetic from
+there; :mod:`whitneyforms.operators` acts on ``vec`` directly. The
 {multi-index: AffineFunction} view ``coeffs`` is built only when render,
 evaluate, pullback, wedge or the JSON writer reads it.
 
@@ -23,7 +24,6 @@ right one by the affine function f.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
@@ -33,8 +33,12 @@ from typing import Mapping, Sequence
 from . import linalg
 from .linalg import exact_int, exact_rational, format_rational, parse_rational
 from .simplicial import (
+    MAX_UNKNOWNS,
     AffineFunction,
     Face,
+    ScaledVector,
+    _face_positions,
+    check_unknowns,
     face_parametrization,
     permutation_sign,
 )
@@ -88,8 +92,8 @@ class UnknownLayout:
 
     @cached_property
     def faces(self) -> tuple[tuple[int, ...], ...]:
-        """Canonical k-faces as increasing vertex tuples, lexicographic."""
-        return tuple(itertools.combinations(range(self.n + 1), self.k + 1))
+        """Canonical k-faces as increasing vertex tuples, lexicographic: a cochain's order."""
+        return tuple(_face_positions(self.n, self.k))
 
     @cached_property
     def _offsets(self) -> dict[MultiIndex, int]:
@@ -124,23 +128,6 @@ def unknown_layout(n: int, k: int) -> UnknownLayout:
     return UnknownLayout(n, k)
 
 
-MAX_UNKNOWNS = 630
-"""Largest coefficient vector, (n+1)*C(n,k), read from JSON or built by a command.
-
-The operators, the constancy rank and the replay all grow with it, so a larger
-cell is refused up front. ``AffineForm(n, k)`` itself is not capped."""
-
-
-def check_unknowns(n: int, k: int) -> None:
-    """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns: ValueError."""
-    # n + 1 alone bounds the count from below, so a huge n never reaches comb
-    if 0 <= k <= n and (n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS):
-        raise ValueError(
-            f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
-            f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
-        )
-
-
 def _check_degree(n: int, k: int) -> None:
     if n < 0:
         raise ValueError("dimension must be nonnegative")
@@ -159,8 +146,7 @@ def _check_multi_index(idx: MultiIndex, n: int, k: int) -> None:
         raise ValueError(f"multi-index entries must lie in 1..{n}: {idx}")
 
 
-@dataclass(frozen=True, init=False)
-class AffineForm:
+class AffineForm(ScaledVector):
     """k-form whose coefficients are affine functions of the coordinates.
 
     The form is vec / q over ``unknown_layout(n, k)``: ``vec`` a tuple of
@@ -171,10 +157,7 @@ class AffineForm:
     built on first use.
     """
 
-    n: int
-    k: int
-    vec: tuple[int, ...]
-    q: int
+    _mismatch = (DimensionMismatch, "forms live in different spaces")
 
     def __init__(
         self, n: int, k: int, coeffs: Mapping[MultiIndex, object] | None = None
@@ -190,34 +173,11 @@ class AffineForm:
                 raise DimensionMismatch("coefficient lives in the wrong dimension")
             base = layout._offsets[key]
             vec[base : base + n + 1] = (f.constant, *f.gradient)
-        q = math.lcm(*(v.denominator for v in vec))
-        self._assign(n, k, [v.numerator * (q // v.denominator) for v in vec], q)
+        self._assign_rationals(n, k, vec)
 
-    @classmethod
-    def from_vector(cls, n: int, k: int, vec: Sequence[int], q: int = 1) -> "AffineForm":
-        """The form vec / q, vec an int per unknown of ``unknown_layout(n, k)``.
-
-        No Fraction is made: the pair is only divided by its gcd.
-        """
-        size = unknown_layout(n, k).size
-        if len(vec) != size:
-            raise ValueError(f"expected a vector of length {size}")
-        if type(q) is not int or q < 1:
-            raise ValueError(f"the scale must be a positive integer, not {q!r}")
-        form = object.__new__(cls)
-        form._assign(n, k, vec, q)
-        return form
-
-    def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
-        g = math.gcd(q, *vec)  # a TypeError for any entry that is not an integer
-        if g != 1:
-            vec = [v // g for v in vec]
-            q //= g
-        for name, value in (("n", n), ("k", k), ("vec", tuple(vec)), ("q", q)):
-            object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        return (AffineForm.from_vector, (self.n, self.k, self.vec, self.q))
+    @staticmethod
+    def size(n: int, k: int) -> int:
+        return unknown_layout(n, k).size
 
     @cached_property
     def coeffs(self) -> Mapping[MultiIndex, AffineFunction]:
@@ -229,38 +189,6 @@ class AffineForm:
                 b, *grad = (Fraction(v, q) for v in block)
                 view[idx] = AffineFunction(n, b, tuple(grad))
         return MappingProxyType(view)
-
-    @classmethod
-    def zero(cls, n: int, k: int) -> "AffineForm":
-        return cls(n, k)
-
-    def __add__(self, other: "AffineForm") -> "AffineForm":
-        if not isinstance(other, AffineForm):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise DimensionMismatch("forms live in different spaces")
-        q = math.lcm(self.q, other.q)
-        a, b = q // self.q, q // other.q
-        vec = [a * x + b * y for x, y in zip(self.vec, other.vec)]
-        return AffineForm.from_vector(self.n, self.k, vec, q)
-
-    def __neg__(self) -> "AffineForm":
-        return AffineForm.from_vector(self.n, self.k, [-v for v in self.vec], self.q)
-
-    def __sub__(self, other: "AffineForm") -> "AffineForm":
-        return self + (-other)
-
-    def __mul__(self, scalar: object) -> "AffineForm":
-        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        s = Fraction(scalar)
-        vec = [s.numerator * v for v in self.vec]
-        return AffineForm.from_vector(self.n, self.k, vec, self.q * s.denominator)
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not any(self.vec)
 
 
 def _merge_indices(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex] | None:

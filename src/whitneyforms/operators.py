@@ -8,15 +8,17 @@ a_{I,1}, ..., a_{I,n}. Every map the package needs between such vectors
 and cochains is linear, and each has small integer entries, so it is built
 once per (n, k) as sparse rows of ``(position, int)`` pairs:
 
-* W, the Whitney map: per canonical k-face, the vector of its basis form
-  (entries +-k!);
+* W, the Whitney map: per canonical k-face, in face order, the vector of
+  its basis form (entries +-k!);
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
 An AffineForm is stored as that vector already scaled to integers, vec / q,
-so the operators act on ``form.vec`` in Python ints and rationals appear
-only at the ends: the lcm of a cochain's denominators on the way in, one
-Fraction per face on the way out of ``derham``.
+and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
+order, so the operators map integer vectors to integer vectors: W takes
+``cochain.vec`` to ``form.vec`` over the same q, and D*(k+1)! takes
+``form.vec`` to ``cochain.vec`` over q * (k+1)!. No Fraction is made on
+either way.
 
 D and C come from one closed form. Parametrize the canonical face
 F = (v_0 < ... < v_k) by x(t) = p_{v_0} + sum_s t^s (p_{v_s} - p_{v_0}). The
@@ -62,9 +64,7 @@ a_{T,i} and the term-j amounts for each i outside F; every entry of W is
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from functools import cache
-from types import MappingProxyType
 
 from .forms import MultiIndex, UnknownLayout, unknown_layout
 from .simplicial import permutation_sign
@@ -94,11 +94,11 @@ def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]
 
 
 @cache
-def whitney_columns(n: int, k: int) -> Mapping[tuple[int, ...], SparseRow]:
-    """W: the coefficient vector of each canonical face's Whitney basis form."""
+def whitney_columns(n: int, k: int) -> tuple[SparseRow, ...]:
+    """W: column i is the coefficient vector of layout.faces[i]'s Whitney basis form."""
     layout = unknown_layout(n, k)
     f = math.factorial(k)
-    columns: dict[tuple[int, ...], SparseRow] = {}
+    columns: list[SparseRow] = []
     for face in layout.faces:
         column: list[tuple[int, int]] = []
         if face[0]:
@@ -116,8 +116,8 @@ def whitney_columns(n: int, k: int) -> Mapping[tuple[int, ...], SparseRow]:
                     below = sum(r < i for r in rest)
                     pos = layout.position(tuple(sorted((*rest, i))), v)
                     column.append((pos, f if (j + below) % 2 else -f))
-        columns[face] = tuple(sorted(column))
-    return MappingProxyType(columns)
+        columns.append(tuple(sorted(column)))
+    return tuple(columns)
 
 
 @cache

@@ -3,18 +3,25 @@
 The ambient simplex is fixed once and for all as [0, e_1, ..., e_n], so a
 vertex is just a label in 0..n: label 0 is the origin and label i is the
 unit point on the i-th coordinate axis. Faces carry their orientation in
-the vertex order, with an explicit sign for reversals; cochains store one
-coefficient per unoriented face by keying on the increasing vertex tuple.
+the vertex order, with an explicit sign for reversals.
+
+A :class:`Cochain` is one coefficient per canonical k-face as an exact
+vector vec / q of ints, the :class:`ScaledVector` that
+:class:`~whitneyforms.forms.AffineForm` also is, so the Whitney and de Rham
+maps take and return integer vectors.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from random import Random
-from typing import Iterable, Sequence
+from types import MappingProxyType
+from typing import ClassVar, Iterable, Mapping, Sequence
 
 from .linalg import exact_int, exact_rational, format_rational, parse_rational
 
@@ -22,7 +29,10 @@ __all__ = [
     "BadDegree",
     "DegreeMismatch",
     "Face",
+    "ScaledVector",
     "Cochain",
+    "MAX_UNKNOWNS",
+    "check_unknowns",
     "AffineFunction",
     "FaceParametrization",
     "canonicalize",
@@ -37,6 +47,24 @@ __all__ = [
     "cochain_from_json",
     "exact_rational",
 ]
+
+
+MAX_UNKNOWNS = 630
+"""Largest coefficient vector, (n+1)*C(n,k), read from JSON or built by a command.
+
+The operators, the constancy rank and the replay all grow with it, so a larger
+cell is refused up front, from form and cochain JSON alike. ``AffineForm(n, k)``
+and ``Cochain(n, k)`` themselves are not capped."""
+
+
+def check_unknowns(n: int, k: int) -> None:
+    """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns: ValueError."""
+    # n + 1 alone bounds the count from below, so a huge n never reaches comb
+    if 0 <= k <= n and (n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS):
+        raise ValueError(
+            f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
+            f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
+        )
 
 
 class BadDegree(ValueError):
@@ -243,49 +271,136 @@ def face_parametrization(face: Face) -> FaceParametrization:
     return FaceParametrization(origin, directions)
 
 
-@dataclass(frozen=True)
-class Cochain:
-    """Formal rational combination of the canonical k-faces.
+@dataclass(frozen=True, init=False)
+class ScaledVector:
+    """An exact rational vector as vec / q: ints ``vec``, an int q >= 1, gcd(q, *vec) = 1.
 
-    ``terms`` maps increasing vertex tuples to coefficients; evaluating on a
-    reordered face picks up the permutation sign. Zero coefficients are
-    dropped on construction so structural equality is exact equality; a
-    float or bool coefficient is rejected, as in ``exact_rational``.
+    The pair is canonical, so equality and hashing are a tuple compare.
+    Subclasses define ``size(n, k)``, the length of ``vec``, and
+    ``_mismatch``, the error and message for operands of another (n, k).
     """
 
     n: int
     k: int
-    terms: dict[tuple[int, ...], Fraction] = field(default_factory=dict)
+    vec: tuple[int, ...]
+    q: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.k <= self.n:
-            raise BadDegree(f"k={self.k} outside 0..{self.n}")
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for key, coeff in self.terms.items():
-            verts = tuple(key)
-            for v in verts:
-                if type(v) is not int:
-                    raise ValueError(f"not an integer: {v!r}")
-            if len(verts) != self.k + 1:
-                raise DegreeMismatch(f"key {verts} is not a degree-{self.k} face")
-            if any(map(operator.ge, verts, verts[1:])):
-                raise ValueError(f"cochain keys must be strictly increasing: {verts}")
-            if verts[0] < 0 or verts[-1] > self.n:
-                raise ValueError(f"vertex labels must lie in 0..{self.n}")
-            coeff = exact_rational(coeff)
-            if coeff:
-                cleaned[verts] = coeff
-        object.__setattr__(self, "terms", dict(sorted(cleaned.items())))
+    _mismatch: ClassVar[tuple[type[ValueError], str]]
 
     @classmethod
-    def zero(cls, n: int, k: int) -> "Cochain":
-        return cls(n, k)
+    def from_vector(cls, n: int, k: int, vec: Sequence[int], q: int = 1):
+        """The vector vec / q; no Fraction is made, the pair is only divided by its gcd."""
+        size = cls.size(n, k)
+        if len(vec) != size:
+            raise ValueError(f"expected a vector of length {size}")
+        if type(q) is not int or q < 1:
+            raise ValueError(f"the scale must be a positive integer, not {q!r}")
+        obj = object.__new__(cls)
+        obj._assign(n, k, vec, q)
+        return obj
+
+    @classmethod
+    def zero(cls, n: int, k: int):
+        return cls.from_vector(n, k, [0] * cls.size(n, k))
+
+    def _assign_rationals(self, n: int, k: int, values: Sequence[Fraction]) -> None:
+        """Scale rational entries by the lcm of their denominators."""
+        q = math.lcm(*(v.denominator for v in values))
+        self._assign(n, k, [v.numerator * (q // v.denominator) for v in values], q)
+
+    def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
+        g = math.gcd(q, *vec)  # a TypeError for any entry that is not an integer
+        if g != 1:
+            vec = [v // g for v in vec]
+            q //= g
+        for name, value in (("n", n), ("k", k), ("vec", tuple(vec)), ("q", q)):
+            object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        return (type(self).from_vector, (self.n, self.k, self.vec, self.q))
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        if (self.n, self.k) != (other.n, other.k):
+            error, message = self._mismatch
+            raise error(message)
+        q = math.lcm(self.q, other.q)
+        a, b = q // self.q, q // other.q
+        vec = [a * x + b * y for x, y in zip(self.vec, other.vec)]
+        return self.from_vector(self.n, self.k, vec, q)
+
+    def __neg__(self):
+        return self.from_vector(self.n, self.k, [-v for v in self.vec], self.q)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar: object):
+        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
+            return NotImplemented
+        s = Fraction(scalar)
+        vec = [s.numerator * v for v in self.vec]
+        return self.from_vector(self.n, self.k, vec, self.q * s.denominator)
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not any(self.vec)
+
+
+@cache
+def _face_positions(n: int, k: int) -> dict[tuple[int, ...], int]:
+    """Canonical k-faces, lexicographic, each mapped to its entry of a cochain."""
+    if not 0 <= k <= n:
+        raise BadDegree(f"k={k} outside 0..{n}")
+    return {face: i for i, face in enumerate(itertools.combinations(range(n + 1), k + 1))}
+
+
+class Cochain(ScaledVector):
+    """Formal rational combination of the canonical k-faces.
+
+    vec / q with one entry per canonical k-face, in lexicographic order as
+    ``unknown_layout(n, k).faces``. ``Cochain(n, k, terms)`` builds it from
+    a {increasing vertex tuple: coefficient} dict, rejecting a float or bool
+    coefficient, and ``terms`` is the read-only view of the nonzero entries
+    in face order, built on first use.
+    """
+
+    _mismatch = (DegreeMismatch, "cochains live in different degrees")
+
+    def __init__(
+        self, n: int, k: int, terms: Mapping[tuple[int, ...], object] | None = None
+    ) -> None:
+        positions = _face_positions(n, k)
+        values = [Fraction(0)] * len(positions)
+        for key, coeff in (terms or {}).items():
+            verts = tuple(key)
+            for v in verts:
+                exact_int(v)
+            if len(verts) != k + 1:
+                raise DegreeMismatch(f"key {verts} is not a degree-{k} face")
+            if any(map(operator.ge, verts, verts[1:])):
+                raise ValueError(f"cochain keys must be strictly increasing: {verts}")
+            if verts[0] < 0 or verts[-1] > n:
+                raise ValueError(f"vertex labels must lie in 0..{n}")
+            values[positions[verts]] = exact_rational(coeff)
+        self._assign_rationals(n, k, values)
+
+    @staticmethod
+    def size(n: int, k: int) -> int:
+        return len(_face_positions(n, k))
+
+    @cached_property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        q, vec = self.q, self.vec
+        faces = _face_positions(self.n, self.k)
+        return MappingProxyType({face: Fraction(v, q) for face, v in zip(faces, vec) if v})
 
     @classmethod
     def basis(cls, face: Face) -> "Cochain":
         """The dual of a single face (its sign folded into the coefficient)."""
-        canon = canonicalize(face)
-        return cls(face.n, face.degree, {canon.vertices: Fraction(canon.sign)})
+        return cls.from_terms(face.n, face.degree, [(face, 1)])
 
     @classmethod
     def from_terms(
@@ -300,30 +415,6 @@ class Cochain:
             coeff = canon.sign * exact_rational(coeff)
             acc[canon.vertices] = acc.get(canon.vertices, Fraction(0)) + coeff
         return cls(n, k, acc)
-
-    def __add__(self, other: "Cochain") -> "Cochain":
-        if not isinstance(other, Cochain):
-            return NotImplemented
-        if (self.n, self.k) != (other.n, other.k):
-            raise DegreeMismatch("cochains live in different degrees")
-        merged = dict(self.terms)
-        for key, coeff in other.terms.items():
-            merged[key] = merged.get(key, Fraction(0)) + coeff
-        return Cochain(self.n, self.k, merged)
-
-    def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
-
-    def __neg__(self) -> "Cochain":
-        return Cochain(self.n, self.k, {key: -c for key, c in self.terms.items()})
-
-    def __mul__(self, scalar: object) -> "Cochain":
-        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        s = Fraction(scalar)
-        return Cochain(self.n, self.k, {key: s * c for key, c in self.terms.items()})
-
-    __rmul__ = __mul__
 
 
 def cochain_eval(c: Cochain, face: Face) -> Fraction:
@@ -362,11 +453,13 @@ def cochain_from_json(data: dict) -> Cochain:
     """Parse a cochain; faces may come in any vertex order and are folded.
 
     n, k and the face labels must be JSON integers: a float, bool or string
-    raises ValueError instead of being truncated or coerced.
+    raises ValueError instead of being truncated or coerced, and so does an
+    (n, k) with more than MAX_UNKNOWNS unknowns.
     """
     try:
         n = exact_int(data["n"])
         k = exact_int(data["k"])
+        check_unknowns(n, k)  # before any face or any of the C(n+1,k+1) entries is built
         raw_terms = data.get("terms", [])
         if not all(isinstance(entry["face"], list) for entry in raw_terms):
             raise ValueError("malformed cochain JSON: every face must be a list of labels")

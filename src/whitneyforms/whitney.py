@@ -12,21 +12,18 @@ in here.
 
 The basis forms have integer coefficients and are the columns of the
 operator W, which :mod:`whitneyforms.operators` writes down in closed form
-(no wedge products are taken at run time). ``whitney`` of a cochain is a
-sum of scaled columns, done in integers: the coefficients are scaled by the
-lcm q of their denominators, the columns are summed in Python ints, and
-the integer vector and q become the AffineForm as they are, with no
-Fraction made. ``barycentric_differential`` gives d nu_i as a constant
-AffineForm, the right factor ``wedge`` takes.
+(no wedge products are taken at run time). ``whitney`` of a cochain vec / q
+is W.vec / q: the integer columns times the cochain's integer entries are
+summed in Python ints, and that vector over the same q is the AffineForm,
+with no Fraction made. ``barycentric_differential`` gives d nu_i as a
+constant AffineForm, the right factor ``wedge`` takes.
 """
 
 from __future__ import annotations
 
-import math
-
 from .forms import AffineForm
 from .operators import unknown_layout, whitney_columns
-from .simplicial import BadDegree, Cochain, Face, canonicalize
+from .simplicial import Cochain, Face
 
 __all__ = [
     "barycentric_differential",
@@ -46,27 +43,18 @@ def barycentric_differential(n: int, label: int) -> AffineForm:
 
 def whitney_basis_form(face: Face) -> AffineForm:
     """The Whitney form of one oriented face: its column of W, times its sign."""
-    canon = canonicalize(face)
-    vec = [0] * unknown_layout(face.n, face.degree).size
-    for pos, value in whitney_columns(face.n, face.degree)[canon.vertices]:
-        vec[pos] = canon.sign * value
-    return AffineForm.from_vector(face.n, face.degree, vec)
+    return whitney(Cochain.basis(face))
 
 
 def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
-    The cochain is scaled to integers by the lcm q of its denominators, its
-    integer coefficients times the integer columns of W are summed in
-    Python ints, and the form is that sum over q.
+    The cochain's integer entries times the integer columns of W are summed
+    in Python ints, and the form is that sum over the cochain's own q.
     """
-    if not 0 <= c.k <= c.n:
-        raise BadDegree(f"k={c.k} outside 0..{c.n}")
-    columns = whitney_columns(c.n, c.k)
-    q = math.lcm(*(coeff.denominator for coeff in c.terms.values()))
     vec = [0] * unknown_layout(c.n, c.k).size
-    for vertices, coeff in c.terms.items():
-        scaled = coeff.numerator * (q // coeff.denominator)
-        for pos, value in columns[vertices]:
-            vec[pos] += scaled * value
-    return AffineForm.from_vector(c.n, c.k, vec, q)
+    for value, column in zip(c.vec, whitney_columns(c.n, c.k)):
+        if value:
+            for pos, w in column:
+                vec[pos] += value * w
+    return AffineForm.from_vector(c.n, c.k, vec, c.q)

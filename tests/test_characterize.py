@@ -425,10 +425,9 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
 
 
 def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
-    columns = dict(characterize.whitney_columns(3, 1))
-    face = next(iter(columns))
-    columns[face] = columns[face][1:]
-    monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: columns)
+    columns = list(characterize.whitney_columns(3, 1))
+    columns[0] = columns[0][1:]
+    monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
     clear_caches()
     try:
         with pytest.raises(CertificateError, match="Whitney columns"):

@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import clear_caches, dense_system, rank
-from whitneyforms import characterize, cli, forms
+from whitneyforms import characterize, cli, forms, simplicial
 from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS, main
 
 
@@ -387,6 +387,7 @@ def test_trace_usage_errors():
 
 
 EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
+HUGE_COCHAIN = json.dumps({"n": 10**9, "k": 0, "terms": []})
 
 
 @pytest.mark.parametrize(
@@ -397,6 +398,9 @@ EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
         ("derham", "--form", EMPTY_9_4),
         ("characterize", "--n", "9", "--k", "4", "--cochain", EMPTY_9_4),
         ("characterize", "--n", "30", "--k", "15", "--cochain", "{}"),
+        # the cochain JSON's own (n, k) is capped before its entries are built
+        ("whitney", "--n", "2", "--k", "0", "--cochain", HUGE_COCHAIN),
+        ("characterize", "--n", "2", "--k", "0", "--cochain", HUGE_COCHAIN),
         ("dims", "--n", "9"),
         ("dims", "--n", "9", "--k", "4"),
         ("dims", "--n", "1000000000"),
@@ -423,7 +427,8 @@ def test_derham_checks_the_cap_before_building_the_form(monkeypatch):
 
 def test_unknown_cap_admits_every_cell_up_to_eight():
     assert MAX_UNKNOWNS == max((n + 1) * math.comb(n, k) for n in range(9) for k in range(n + 1))
-    assert MAX_UNKNOWNS is forms.MAX_UNKNOWNS  # the one cap, of form JSON too
+    # the one cap, of form and cochain JSON too
+    assert MAX_UNKNOWNS is forms.MAX_UNKNOWNS is simplicial.MAX_UNKNOWNS
     assert run("trace", "--n", "8", "--k", "4").exit_code == 0
     assert run("whitney", "--n", "8", "--k", "4", "--face", "0,1,2,3,4").exit_code == 0
     # verify admits --n-max 8 without any flag; --k 8 keeps the sweep to one cell

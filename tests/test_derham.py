@@ -1,7 +1,7 @@
 """Face integration and the round trip from cochains through forms and back."""
 
-import itertools
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -16,7 +16,6 @@ from whitneyforms import (
     Cochain,
     DegreeMismatch,
     Face,
-    cochain_eval,
     derham,
     enumerate_faces,
     integrate_over_face,
@@ -73,6 +72,26 @@ def test_integrate_degree_mismatch():
 def test_derham_collects_all_faces():
     w = whitney_basis_form(Face(2, (1, 2)))
     assert derham(w) == Cochain.basis(Face(2, (1, 2)))
+
+
+def test_derham_builds_its_cochain_from_the_integer_vector(monkeypatch):
+    # one integer matvec over q * (k+1)!: no Fraction per face, and no dict
+    # of terms for the cochain constructor to validate and sort again
+    def refuse(*args, **kwargs):
+        raise AssertionError("derham left the integer path")
+
+    rng = Random(11)
+    cells = [(3, 1), (5, 2), (7, 3)]
+    forms = [random_affine_form(rng, n, k, bits) for n, k in cells for bits in (0, 62)]
+    forms += [AffineForm.zero(2, 2), whitney_basis_form(Face(4, (3, 1)))]
+    expected = []
+    for f in forms:
+        faces = enumerate_faces(f.n, f.k)
+        expected.append(Cochain(f.n, f.k, {g.vertices: integrate_over_face(f, g) for g in faces}))
+    monkeypatch.setattr(sys.modules["whitneyforms.derham"], "Fraction", refuse)
+    monkeypatch.setattr(Cochain, "__init__", refuse)
+    for form, cochain in zip(forms, expected):
+        assert derham(form) == cochain
 
 
 def test_round_trip_on_basis_cochains():

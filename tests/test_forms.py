@@ -16,6 +16,8 @@ from helpers import coeffs_add, coeffs_scale, random_affine_form
 from whitneyforms import (
     AffineForm,
     AffineFunction,
+    BadDegree,
+    Cochain,
     DegreeOverflow,
     DimensionMismatch,
     Face,
@@ -342,6 +344,23 @@ def test_equal_forms_hash_equal(case, m):
         assert form == f and hash(form) == hash(f)
         assert (form.vec, form.q) == (f.vec, f.q)
     assert len({f, *rebuilt}) == 1
+    # a cochain is the same vec / q pair, over the faces
+    faces = itertools.combinations(range(n + 1), k + 1)
+    c = Cochain(n, k, {face: Fraction(v, f.q) for face, v in zip(faces, f.vec)})
+    dict(c.terms)
+    copies = [
+        Cochain.from_vector(n, k, c.vec, c.q),
+        Cochain.from_vector(n, k, [m * v for v in c.vec], m * c.q),
+        c + Cochain.zero(n, k),
+        (c * Fraction(m, 7)) * Fraction(7, m),
+        Cochain(n, k, dict(c.terms)),
+        copy.deepcopy(c),
+        pickle.loads(pickle.dumps(c)),
+    ]
+    for cochain in copies:
+        assert cochain == c and hash(cochain) == hash(c)
+        assert (cochain.vec, cochain.q) == (c.vec, c.q)
+    assert len({c, *copies}) == 1
 
 
 @given(st.integers(1, 4), st.data())
@@ -373,3 +392,22 @@ def test_from_vector_rejects_bad_input():
     assert (form.vec, form.q) == ((1, 0, 2, 0, 0, 3), 2)
     with pytest.raises(AttributeError):
         form.q = 1
+    # a cochain has one entry per face, and the same checks
+    with pytest.raises(ValueError, match="length"):
+        Cochain.from_vector(2, 1, [0] * 6)
+    for q in (0, -1, 1.0, True, Fraction(1)):
+        with pytest.raises(ValueError, match="positive integer"):
+            Cochain.from_vector(2, 1, [0] * 3, q)
+    with pytest.raises(TypeError):
+        Cochain.from_vector(2, 1, [Fraction(1, 2), 0, 0])
+    with pytest.raises(BadDegree):
+        Cochain.from_vector(2, 3, [])
+    c = Cochain.from_vector(2, 1, [2, 0, 6], 4)
+    assert (c.vec, c.q) == ((1, 0, 3), 2)
+    assert c.terms == {(0, 1): Fraction(1, 2), (1, 2): Fraction(3, 2)}
+    with pytest.raises(AttributeError):
+        c.vec = (0, 0, 0)
+    # equal fields in another class are another object
+    assert Cochain.from_vector(0, 0, [1]) != AffineForm.from_vector(0, 0, [1])
+    with pytest.raises(TypeError):
+        c + AffineForm.zero(2, 1)

@@ -1,8 +1,6 @@
 """Faces, orientations, barycentric coordinates, and cochains."""
 
-import itertools
 import json
-import math
 from fractions import Fraction
 from random import Random
 
@@ -203,6 +201,55 @@ def test_cochain_arithmetic():
         a + Cochain(2, 0, {(0,): Fraction(1)})
 
 
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def cochain_cases(draw):
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(0, n))
+
+    def terms():
+        return {
+            face.vertices: draw(rationals)
+            for face in enumerate_faces(n, k)
+            if draw(st.booleans())
+        }
+
+    return n, k, terms(), terms(), draw(rationals), draw(st.integers(1, 50))
+
+
+def dict_sum(a, b, s=1):
+    out = dict(a)
+    for face, v in b.items():
+        out[face] = out.get(face, 0) + s * v
+    return {face: v for face, v in sorted(out.items()) if v}
+
+
+@given(cochain_cases())
+@settings(max_examples=80, deadline=None)
+def test_cochain_vector_matches_its_terms(case):
+    n, k, a, b, s, m = case
+    c, d = Cochain(n, k, a), Cochain(n, k, b)
+    assert c.terms == dict_sum(a, {}) and list(c.terms) == sorted(c.terms)
+    faces = [face.vertices for face in enumerate_faces(n, k)]
+    assert [Fraction(v, c.q) for v in c.vec] == [a.get(face, 0) for face in faces]
+    assert Cochain.from_vector(n, k, c.vec, c.q) == c
+    assert Cochain.from_vector(n, k, [m * v for v in c.vec], m * c.q) == c
+    assert Cochain(n, k, c.terms) == c
+    results = [
+        (c + d, dict_sum(a, b)),
+        (c - d, dict_sum(a, b, -1)),
+        (-c, dict_sum({}, a, -1)),
+        (s * c, dict_sum({}, a, s)),
+        (c * m, dict_sum({}, a, m)),
+    ]
+    for cochain, oracle in results:
+        assert cochain.terms == oracle
+        assert cochain == Cochain(n, k, oracle)
+    assert (c - c).is_zero() and (c - c) == Cochain.zero(n, k) and (c - c).q == 1
+
+
 def test_random_cochain_is_reproducible():
     a = random_cochain(Random(7), 3, 1)
     b = random_cochain(Random(7), 3, 1)
@@ -238,6 +285,24 @@ def test_cochain_json_round_trip():
         ],
     }
     assert cochain_from_json(json.loads(json.dumps(data))) == c
+
+
+def test_cochain_json_refuses_a_huge_cell_before_allocating(monkeypatch):
+    # a (10**9, 0) cochain has 10**9 + 1 entries: it must be refused unbuilt
+    def unbuilt(*args, **kwargs):
+        raise AssertionError("the cochain was built")
+
+    monkeypatch.setattr(Cochain, "__init__", unbuilt)
+    monkeypatch.setattr(simplicial, "Face", unbuilt)
+    message = f"more than {simplicial.MAX_UNKNOWNS} coefficient unknowns"
+    for n, k in [(10**9, 0), (30, 15), (9, 4)]:
+        data = {"n": n, "k": k, "terms": [{"face": list(range(k + 1)), "coeff": "1"}]}
+        with pytest.raises(ValueError, match=message):
+            cochain_from_json(data)
+    monkeypatch.undo()
+    assert cochain_from_json({"n": 8, "k": 4, "terms": []}) == Cochain(8, 4)
+    # a cochain built in the program is not capped
+    assert Cochain(9, 4).is_zero() and len(Cochain(9, 4).vec) == 252
 
 
 def test_cochain_json_accepts_unsorted_faces():

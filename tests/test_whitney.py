@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from whitneyforms import (
     AffineForm,
     AffineFunction,
-    BadDegree,
     Cochain,
     Face,
     barycentric_differential,
