@@ -4,16 +4,12 @@ Among k-forms with affine coefficients on the standard n-simplex, two
 conditions on each k-face -- the pullback is constant, and the integral
 equals a prescribed value -- determine a unique form. Over the flat vector
 of coefficient unknowns they are the sparse integer rows C (constancy) and
-D (integrals) of :mod:`whitneyforms.operators`. This module solves the
-square system [C; D], certifies uniqueness by a trivial kernel, and replays
-the two-stage elimination that proves uniqueness row by row.
+D (integrals) of :mod:`whitneyforms.operators`, whose layout also labels
+the unknowns ("b_(1,2)", "a_(1,2),3"). This module solves the square system
+[C; D], certifies uniqueness by a trivial kernel, and replays the two-stage
+elimination that proves uniqueness row by row.
 
-Unknowns are blocked per multi-index I: the constant term b_I, then the
-gradient entries a_{I,1}, ..., a_{I,n}. Labels follow that naming, e.g.
-"b_(1,2)" and "a_(1,2),3". That layout, and the integer rows of both
-blocks, come from :mod:`whitneyforms.operators`.
-
-The replay and the solver are one schedule, built once per (n, k): a
+The replay and the solve are one schedule, built once per (n, k): a
 triangular order of the square system in which every row determines one
 new unknown. Stage 1 takes the constancy rows and then the integral row of
 each face through vertex 0; stage 2 takes, for each multi-index L and
@@ -27,15 +23,21 @@ checked exactly when the schedule is built (D~ = D*(k+1)!, C_{G,s} the
 constancy row of vertex G[s], j = G.index(m) with the last term absent
 when j = 0, sigma the sign of sorting (m,) + L), puts it in their row
 space with right-hand side sigma k! c(G). A complete schedule therefore
-proves the kernel trivial, and
-:func:`solve_characterization` forward-substitutes along it in integers,
-O(nnz) work with every division exact: the pivots are +-1, except the
-stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the
-face's own gradient unknowns are fixed to zero. The integer solution over
-the cochain's own q is the AffineForm (vec, q), so the solve makes no
-Fraction. :func:`proof_trace` only formats the same schedule. It is
-complete whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2
-C(n,k)(n-k), one per unknown in all.
+proves the kernel trivial.
+
+The solve is linear, so :func:`_solution_columns` forward-substitutes the
+schedule once per (n, k), each unknown an integer combination of the face
+values, into the cached integer matrix S. The pivots are +-1, except the
+stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the face's
+own gradient unknowns are zero. Each division is checked exact there, on
+the unit cochains; a step's right-hand side for any integer vector is an
+integer combination of theirs, so by induction over the steps it is exact
+on every cochain vec / q, and S.vec / q is its forward substitution. So
+:func:`solve_characterization` is O(nnz) work that makes no Fraction, and
+S, built from C and D alone, agreeing with W is an independent check.
+:func:`proof_trace` only formats the same schedule. It is complete
+whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
+one per unknown in all.
 
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
@@ -55,9 +57,11 @@ from typing import NamedTuple
 from .forms import AffineForm, MultiIndex
 from .operators import (
     SparseRow,
+    column_sum,
     constancy_rows,
     constant_term_row,
     derham_rows,
+    transpose,
     unknown_layout,
     whitney_columns,
 )
@@ -83,14 +87,11 @@ class CertificateError(RuntimeError):
 def lambda_e_dimension(n: int, k: int) -> int:
     """Dimension of the affine-coefficient forms with constant face pullbacks.
 
-    It always comes out to the number of k-faces, which is what makes
-    prescribing one integral per face a square problem, and that is proved
-    without elimination when two certificates hold. A complete schedule
-    makes the stacked system [C; D] injective, so ker C, on which D is
-    injective, has dimension at most the number of rows of D, one per face.
-    And C.W = 0 with D~.W = (k+1)! I puts the face-many columns of W in
-    ker C, independent because D maps them to the unit cochains. Raises
-    CertificateError, with the reason, when either certificate fails.
+    It is the number of k-faces, which makes prescribing one integral per
+    face a square problem, once two certificates hold: a complete schedule
+    makes [C; D] injective, so dim ker C <= #faces, and C.W = 0 with
+    D~.W = (k+1)! I puts face-many independent columns of W in ker C.
+    Raises CertificateError, with the reason, when either certificate fails.
     """
     _schedule(n, k)
     if not _whitney_columns_certified(n, k):
@@ -106,10 +107,7 @@ def _whitney_columns_certified(n: int, k: int) -> bool:
     layout = unknown_layout(n, k)
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
     rows = constancy + list(derham_rows(n, k))
-    touching: dict[int, list[tuple[int, int]]] = {}
-    for r, row in enumerate(rows):
-        for pos, value in row:
-            touching.setdefault(pos, []).append((r, value))
+    by_position = transpose(rows, layout.size)
     columns = whitney_columns(n, k)
     if len(columns) != len(layout.faces):
         return False
@@ -117,7 +115,7 @@ def _whitney_columns_certified(n: int, k: int) -> bool:
     for i, column in enumerate(columns):
         image: dict[int, int] = {}
         for pos, w in column:
-            for r, value in touching.get(pos, ()):
+            for r, value in by_position[pos]:
                 image[r] = image.get(r, 0) + value * w
         if {r: v for r, v in image.items() if v} != {len(constancy) + i: scale}:
             return False
@@ -247,33 +245,35 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
     else:
         expected = [math.factorial(n) * values[0]] + [0] * n
     if result != AffineForm.from_vector(n, k, expected, cochain.q):
-        raise CertificateError(
-            f"solution at (n={n}, k={k}) disagrees with the closed form"
-        )
+        raise CertificateError(f"solution at (n={n}, k={k}) disagrees with the closed form")
+
+
+@cache
+def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
+    """S: column i solves the unit cochain on faces[i]; inexact pivots raise CertificateError."""
+    rows: dict[int, dict[int, int]] = {}
+    for target, pivot, others, face, scale in _schedule(n, k).steps:
+        total = {face: scale} if scale else {}
+        for pos, value in others:
+            for f, x in rows[pos].items():
+                total[f] = total.get(f, 0) - value * x
+        if any(t % pivot for t in total.values()):
+            raise CertificateError(f"inexact pivot at (n={n}, k={k})")
+        rows[target] = {f: t // pivot for f, t in total.items() if t}
+    return transpose((rows[p].items() for p in sorted(rows)), Cochain.size(n, k))
 
 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
-    Forward-substitutes the cochain's integer entries through the
-    elimination schedule, and the integer solution over the cochain's q is
-    the form, with no Fraction made. Raises CertificateError, the
+    O(nnz) work: the columns of S at the cochain's nonzero entries, summed
+    in Python ints, over the cochain's own q. Raises CertificateError, the
     schedule's own, when the schedule does not build, and when a pivot is
     inexact or the closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
-    layout = unknown_layout(n, k)
-    schedule = _schedule(n, k)
-    values = cochain.vec
-    vec = [0] * layout.size
-    for target, pivot, others, face, scale in schedule.steps:
-        total = scale * values[face]
-        for pos, value in others:
-            total -= value * vec[pos]
-        vec[target], remainder = divmod(total, pivot)
-        if remainder:
-            raise CertificateError(f"inexact pivot at (n={n}, k={k})")
+    vec = column_sum(_solution_columns(n, k), cochain.vec, unknown_layout(n, k).size)
     result = AffineForm.from_vector(n, k, vec, cochain.q)
     _closed_form_check(n, k, cochain, result)
     return result
@@ -324,34 +324,21 @@ class ProofTrace:
     stage2: tuple[Stage2Kill, ...]
 
     def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "stage1": [
-                {"face": list(s.face), "killed": list(s.killed)} for s in self.stage1
-            ],
-            "stage2": [
-                {"L": list(s.multi_index), "m": s.m, "killed": s.killed}
-                for s in self.stage2
-            ],
-            "complete": True,
-        }
+        stage1 = [{"face": list(s.face), "killed": list(s.killed)} for s in self.stage1]
+        stage2 = [{"L": list(s.multi_index), "m": s.m, "killed": s.killed} for s in self.stage2]
+        return {"n": self.n, "k": self.k, "stage1": stage1, "stage2": stage2, "complete": True}
 
 
 def proof_trace(n: int, k: int) -> ProofTrace:
     """Replay the elimination that forces uniqueness, one unknown per row.
 
-    Stage 1 walks the faces containing vertex 0. On such a face the
-    pulled-back coefficient involves only its own multi-index block, so each
-    constancy row names a single gradient unknown outright and the integral
-    row then names the block's constant unknown. Stage 2 walks the faces
-    [m, l_1, ..., l_k] spanned by unit points: the constant term of the
-    pulled-back coefficient, restricted to the unknowns still alive, is
-    exactly the lone unknown a_{L,m} with coefficient one.
-
-    This only formats the schedule that solve_characterization runs, which
-    checks that shape as it builds, so the replay and the solver cannot
-    drift apart: both raise its CertificateError.
+    Stage 1 walks the faces through vertex 0: on each, the pulled-back
+    coefficient involves only its own block, so each constancy row names a
+    gradient unknown and the integral row then the constant one. Stage 2
+    walks the faces [m, *L], whose constant term, restricted to the unknowns
+    still alive, is a_{L,m} with coefficient one. This only formats the
+    schedule that S is built from, so the replay and the solve cannot drift
+    apart: both raise its CertificateError.
     """
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")

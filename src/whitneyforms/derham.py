@@ -9,13 +9,12 @@ to the standard k-simplex, to two closed-form moments:
 so no numerical quadrature is needed and every value is an exact rational.
 ``integrate_over_face`` does exactly that for one face of any orientation.
 
-``derham`` collects the integrals over all canonical k-faces into a cochain
-without any pullback: the moments above, applied to the closed-form minors
-of each face, make the whole map one sparse integer matrix D*(k+1)! per
-(n, k) (see :mod:`whitneyforms.operators`). ``derham`` multiplies the form's
-integer vector ``vec`` by it in Python ints, and that vector over
-q * (k+1)! is the cochain, with no Fraction made. The per-face route stays
-as the independent check of that matrix.
+``derham`` takes every face integral at once with no pullback: the moments
+above, applied to the closed-form minors of each face, make it one sparse
+integer matrix D*(k+1)! per (n, k) (:mod:`whitneyforms.operators`). Its
+columns at the nonzero entries of the form's ``vec`` are summed in Python
+ints, over q * (k+1)!, with no Fraction made. The per-face route stays as
+the independent check of that matrix.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ import math
 from fractions import Fraction
 
 from .forms import AffineForm, DimensionMismatch, pullback
-from .operators import derham_rows
+from .operators import column_sum, derham_columns
 from .simplicial import AffineFunction, Cochain, DegreeMismatch, Face
 
 __all__ = [
@@ -68,6 +67,6 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
 
 def derham(form: AffineForm) -> Cochain:
     """All face integrals of the form, as a cochain on the canonical faces."""
-    n, k, vec = form.n, form.k, form.vec
-    integrals = [sum([vec[pos] * value for pos, value in row]) for row in derham_rows(n, k)]
+    n, k = form.n, form.k
+    integrals = column_sum(derham_columns(n, k), form.vec, Cochain.size(n, k))
     return Cochain.from_vector(n, k, integrals, form.q * math.factorial(k + 1))

@@ -13,6 +13,9 @@ once per (n, k) as sparse rows of ``(position, int)`` pairs:
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
+Each map is a :func:`column_sum` over its input's nonzero entries, so a
+sparse input costs its nonzeros; ``derham`` uses :func:`derham_columns`.
+
 An AffineForm is stored as that vector already scaled to integers, vec / q,
 and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
 order, so the operators map integer vectors to integer vectors: W takes
@@ -65,6 +68,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
+from typing import Iterable, Sequence
 
 from .forms import MultiIndex, UnknownLayout, unknown_layout
 from .simplicial import permutation_sign
@@ -76,6 +80,9 @@ __all__ = [
     "face_minors",
     "whitney_columns",
     "derham_rows",
+    "derham_columns",
+    "transpose",
+    "column_sum",
     "constancy_rows",
     "constant_term_row",
 ]
@@ -132,6 +139,31 @@ def derham_rows(n: int, k: int) -> tuple[SparseRow, ...]:
             row.extend((layout.position(idx, j), sign) for j in face if j)
         rows.append(tuple(sorted(row)))
     return tuple(rows)
+
+
+@cache
+def derham_columns(n: int, k: int) -> tuple[SparseRow, ...]:
+    """D*(k+1)! by columns: column p lists (face index, value) for unknown p."""
+    return transpose(derham_rows(n, k), unknown_layout(n, k).size)
+
+
+def transpose(rows: Iterable[Iterable[tuple[int, int]]], size: int) -> tuple[SparseRow, ...]:
+    """The size columns of sparse rows, each listing (row index, value) by row."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for r, row in enumerate(rows):
+        for pos, value in row:
+            columns[pos].append((r, value))
+    return tuple(map(tuple, columns))
+
+
+def column_sum(columns: Sequence[SparseRow], values: Sequence[int], size: int) -> list[int]:
+    """sum_i values[i] * columns[i] as a dense int list; a zero value reads no column."""
+    out = [0] * size
+    for i, value in enumerate(values):
+        if value:
+            for pos, entry in columns[i]:
+                out[pos] += value * entry
+    return out
 
 
 @cache

@@ -400,7 +400,10 @@ class Cochain(ScaledVector):
     @classmethod
     def basis(cls, face: Face) -> "Cochain":
         """The dual of a single face (its sign folded into the coefficient)."""
-        return cls.from_terms(face.n, face.degree, [(face, 1)])
+        canon, n, k = canonicalize(face), face.n, face.degree
+        vec = [0] * cls.size(n, k)
+        vec[_face_positions(n, k)[canon.vertices]] = canon.sign
+        return cls.from_vector(n, k, vec)
 
     @classmethod
     def from_terms(

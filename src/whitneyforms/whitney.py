@@ -11,18 +11,17 @@ the face orientation negates the form; the sign carried by a Face is folded
 in here.
 
 The basis forms have integer coefficients and are the columns of the
-operator W, which :mod:`whitneyforms.operators` writes down in closed form
-(no wedge products are taken at run time). ``whitney`` of a cochain vec / q
-is W.vec / q: the integer columns times the cochain's integer entries are
-summed in Python ints, and that vector over the same q is the AffineForm,
-with no Fraction made. ``barycentric_differential`` gives d nu_i as a
-constant AffineForm, the right factor ``wedge`` takes.
+operator W, which :mod:`whitneyforms.operators` writes down in closed form,
+with no wedge product. ``whitney`` of a cochain vec / q is W.vec / q, a
+column sum over the cochain's nonzero entries in Python ints, with no
+Fraction made. ``barycentric_differential`` gives d nu_i as a constant
+AffineForm, the right factor ``wedge`` takes.
 """
 
 from __future__ import annotations
 
 from .forms import AffineForm
-from .operators import unknown_layout, whitney_columns
+from .operators import column_sum, unknown_layout, whitney_columns
 from .simplicial import Cochain, Face
 
 __all__ = [
@@ -49,12 +48,8 @@ def whitney_basis_form(face: Face) -> AffineForm:
 def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
-    The cochain's integer entries times the integer columns of W are summed
-    in Python ints, and the form is that sum over the cochain's own q.
+    The cochain's nonzero integer entries times the integer columns of W are
+    summed in Python ints, and the form is that sum over the cochain's own q.
     """
-    vec = [0] * unknown_layout(c.n, c.k).size
-    for value, column in zip(c.vec, whitney_columns(c.n, c.k)):
-        if value:
-            for pos, w in column:
-                vec[pos] += value * w
+    vec = column_sum(whitney_columns(c.n, c.k), c.vec, unknown_layout(c.n, c.k).size)
     return AffineForm.from_vector(c.n, c.k, vec, c.q)

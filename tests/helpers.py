@@ -8,7 +8,9 @@ from ``wedge`` alone (an affine 0-form on the left scales by a barycentric
 coordinate), which the cached operators never call, and the extreme-degree
 closed forms from barycentric coordinates.
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
-plain lists of rationals, which the library itself never runs.
+plain lists of rationals, which the library itself never runs, and the
+solve also from a forward substitution of each cochain along the whole
+elimination schedule, without the cached solution operator.
 """
 
 from __future__ import annotations
@@ -331,6 +333,22 @@ class LinearSolver:
         for value, pivot_col in zip(reduced, self._pivots):
             x[pivot_col] = value
         return tuple(x)
+
+
+def schedule_solve(n: int, k: int, cochain: Cochain) -> AffineForm:
+    """The solve as one walk over every step of the schedule, per cochain.
+
+    Each pivot divides this cochain's own integers, checked exact, so no
+    solution operator S is built or read.
+    """
+    values = cochain.vec
+    vec = [0] * unknown_layout(n, k).size
+    for target, pivot, others, face, scale in characterize._schedule(n, k).steps:
+        total = scale * values[face] - sum(value * vec[pos] for pos, value in others)
+        vec[target], remainder = divmod(total, pivot)
+        if remainder:
+            raise AssertionError(f"inexact pivot at (n={n}, k={k})")
+    return AffineForm.from_vector(n, k, vec, cochain.q)
 
 
 def dense_system(n: int, k: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:

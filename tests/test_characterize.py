@@ -18,6 +18,7 @@ from helpers import (
     fraction_vector,
     nullspace,
     rank,
+    schedule_solve,
     unit_form,
 )
 from whitneyforms import (
@@ -26,6 +27,7 @@ from whitneyforms import (
     BadDegree,
     Cochain,
     DegreeMismatch,
+    Face,
     UnknownLayout,
     characterize,
     enumerate_faces,
@@ -43,10 +45,16 @@ from whitneyforms import (
 from whitneyforms.characterize import (
     CertificateError,
     _schedule,
+    _solution_columns,
     _whitney_columns_certified,
 )
 from whitneyforms.cli import main
-from whitneyforms.operators import constancy_rows, derham_rows, unknown_layout
+from whitneyforms.operators import (
+    constancy_rows,
+    derham_rows,
+    unknown_layout,
+    whitney_columns,
+)
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
 
@@ -299,6 +307,38 @@ def test_solve_matches_the_dense_solver(n, k):
         assert solve_characterization(n, k, c) == expected
 
 
+@pytest.mark.parametrize("n,k", CELLS + [(8, 4)])
+def test_solve_matches_the_schedule_walk(n, k):
+    # the cached operator S against a per-call walk over the whole schedule
+    for c in _oracle_cochains(n, k):
+        assert solve_characterization(n, k, c) == schedule_solve(n, k, c)
+
+
+def test_an_inexact_pivot_fails_every_solve_of_its_cell(monkeypatch):
+    # exactness is certified once per (n, k), when S is built: a stage-1
+    # integral step whose pivot 2 no longer divides its right-hand side fails
+    # the zero cochain too, while the replay, which divides nothing, builds
+    clear_caches()
+    schedule = _schedule(2, 1)
+    face, steps = schedule.stage1[0]
+    integral = steps[-1]
+    assert (integral.pivot, integral.scale) == (2, 2)
+    inexact = integral._replace(scale=1)
+    broken = schedule._replace(
+        stage1=((face, steps[:-1] + (inexact,)),) + schedule.stage1[1:],
+        steps=tuple(inexact if step is integral else step for step in schedule.steps),
+    )
+    monkeypatch.setattr(characterize, "_schedule", lambda n, k: broken)
+    clear_caches()
+    try:
+        for c in (Cochain.zero(2, 1), Cochain.basis(Face(2, (1, 2)))):
+            with pytest.raises(CertificateError, match=r"inexact pivot at \(n=2, k=1\)"):
+                solve_characterization(2, 1, c)
+        assert proof_trace(2, 1).to_json()["complete"] is True
+    finally:
+        clear_caches()
+
+
 def test_solved_coefficients_are_fractions():
     for n, k in [(2, 0), (3, 1), (4, 2), (3, 3)]:
         for c in [Cochain.basis(enumerate_faces(n, k)[-1]), random_cochain(Random(n + k), n, k)]:
@@ -381,6 +421,7 @@ def test_every_admitted_cell_is_certified():
         schedule = _schedule(n, k)
         assert len(schedule.steps) == unknown_layout(n, k).size
         assert _whitney_columns_certified(n, k)
+        assert _solution_columns(n, k) == whitney_columns(n, k)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])

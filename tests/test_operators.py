@@ -42,9 +42,12 @@ from whitneyforms import (
 )
 from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
+    column_sum,
     constancy_rows,
     constant_term_row,
+    derham_columns,
     derham_rows,
+    transpose,
     unknown_layout,
     whitney_columns,
 )
@@ -106,6 +109,26 @@ def test_derham_matches_face_integration(n, k):
     for form in edge_forms:
         assert derham(form) == _face_integrals(form)
     assert derham(edge_forms[2]) == Cochain.zero(n, k)
+
+
+@pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (7, 3)])
+def test_derham_columns_are_the_transposed_rows(n, k):
+    rows, size = derham_rows(n, k), unknown_layout(n, k).size
+    columns = derham_columns(n, k)
+    assert transpose(columns, len(rows)) == rows
+    dense = [_dense(row, size) for row in rows]
+    assert [_dense(column, len(rows)) for column in columns] == [list(c) for c in zip(*dense)]
+
+
+def test_column_sum_reads_only_the_nonzero_entries():
+    # a zero entry's column is never looked up, so a sparse input costs its nonzeros
+    columns = whitney_columns(4, 2)
+    vec = [0] * len(columns)
+    vec[3], vec[7] = 5, -2
+    only_nonzero = {3: columns[3], 7: columns[7]}
+    size = unknown_layout(4, 2).size
+    expected = [5 * a - 2 * b for a, b in zip(_dense(columns[3], size), _dense(columns[7], size))]
+    assert column_sum(only_nonzero, vec, size) == expected
 
 
 @pytest.mark.parametrize("n,k", CELLS)

@@ -1,5 +1,6 @@
 """Faces, orientations, barycentric coordinates, and cochains."""
 
+import itertools
 import json
 from fractions import Fraction
 from random import Random
@@ -427,3 +428,23 @@ def test_bool_is_not_a_scalar(value):
             flag * value
     assert value * 1 == value == 1 * value
     assert value * Fraction(2) == 2 * value
+
+
+def test_basis_is_the_unit_vector_of_every_oriented_face(monkeypatch):
+    # built straight from its face position: no Fraction, no cochain constructor
+    cases = []
+    for n in range(1, 5):
+        for k in range(n + 1):
+            for face in enumerate_faces(n, k):
+                for order in itertools.permutations(face.vertices):
+                    for sign in (1, -1):
+                        oriented = Face(n, order, sign)
+                        cases.append((oriented, Cochain.from_terms(n, k, [(oriented, 1)])))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the basis cochain left the integer path")
+
+    monkeypatch.setattr(simplicial, "Fraction", refuse)
+    monkeypatch.setattr(Cochain, "__init__", refuse)
+    for oriented, expected in cases:
+        assert Cochain.basis(oriented) == expected
