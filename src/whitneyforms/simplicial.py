@@ -309,7 +309,15 @@ class ScaledVector:
         self._assign(n, k, [v.numerator * (q // v.denominator) for v in values], q)
 
     def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
-        g = math.gcd(q, *vec)  # a TypeError for any entry that is not an integer
+        g = q
+        if q >> 64:
+            # The entries tend to share most factors of a multi-word q, so the running gcd
+            # stays long for many steps. L = sum((2i+1) * vec[i]) combines the entries, so
+            # gcd(q, L, *vec) = gcd(q, *vec), and gcd(q, L) is short: on 62-bit cochains and
+            # their forms it had 5 bits (median; 90th pct 12), against 7 (64) for weights
+            # 1, 2, 3, ... and 159 (1966) for a plain sum.
+            g = math.gcd(q, sum(map(operator.mul, vec, range(1, 2 * len(vec), 2))))
+        g = math.gcd(g, *vec)  # a TypeError for any entry that is not an integer
         if g != 1:
             vec = [v // g for v in vec]
             q //= g
@@ -432,12 +440,12 @@ def cochain_eval(c: Cochain, face: Face) -> Fraction:
 
 
 def random_cochain(rng: Random, n: int, k: int) -> Cochain:
-    """Reproducible cochain with small rational coefficients (|p|, q <= 10)."""
-    terms = {
-        face: Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-        for face in itertools.combinations(range(n + 1), k + 1)
-    }
-    return Cochain(n, k, terms)
+    """Reproducible cochain with small rational coefficients (|p|, q <= 10).
+
+    It draws per face, in lexicographic order, the numerator and then the denominator."""
+    pairs = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(Cochain.size(n, k))]
+    q = math.lcm(*(d for _, d in pairs))
+    return Cochain.from_vector(n, k, [p * (q // d) for p, d in pairs], q)
 
 
 def cochain_to_json(c: Cochain) -> dict:

@@ -144,6 +144,25 @@ def fraction_vector(form: AffineForm) -> tuple[Fraction, ...]:
     return tuple(Fraction(v, form.q) for v in form.vec)
 
 
+def canonical_pair(vec, q: int) -> tuple[tuple[int, ...], int]:
+    """(vec', q') with vec' / q' = vec / q in lowest terms, from one Fraction per entry.
+
+    q' is the lcm of the reduced entries' denominators, so no gcd of the whole
+    vector is taken.
+    """
+    values = [Fraction(v, q) for v in vec]
+    scale = math.lcm(*(v.denominator for v in values))
+    return tuple(v.numerator * (scale // v.denominator) for v in values), scale
+
+
+def dict_random_cochain(rng: Random, n: int, k: int) -> Cochain:
+    """``random_cochain`` as a dict of Fractions through the validating constructor."""
+    return Cochain(n, k, {
+        face.vertices: Fraction(rng.randint(-10, 10), rng.randint(1, 10))
+        for face in enumerate_faces(n, k)
+    })
+
+
 def coeffs_add(a: dict, b: dict) -> dict:
     """Oracle sum of two {multi-index: AffineFunction} dicts, zero blocks dropped."""
     out = dict(a)

@@ -2,6 +2,8 @@
 
 import itertools
 import json
+import math
+import operator
 from fractions import Fraction
 from random import Random
 
@@ -9,7 +11,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import LinearSolver, bubble_sort_parity, count_subsets, nullspace, rank
+from helpers import (
+    LinearSolver,
+    bubble_sort_parity,
+    canonical_pair,
+    count_subsets,
+    dense_system,
+    dict_random_cochain,
+    nullspace,
+    rank,
+)
 from whitneyforms import (
     AffineForm,
     AffineFunction,
@@ -22,6 +33,7 @@ from whitneyforms import (
     cochain_eval,
     cochain_from_json,
     cochain_to_json,
+    derham,
     enumerate_faces,
     evaluate,
     face_parametrization,
@@ -260,18 +272,107 @@ def test_random_cochain_is_reproducible():
     assert all(abs(v) <= 10 and v.denominator <= 10 for v in values)
 
 
-def test_random_cochain_draws_face_by_face():
-    # the same draws, in the same order, as over enumerate_faces
-    for seed in range(4):
-        for n in range(1, 6):
+def test_random_cochain_draws_face_by_face(monkeypatch):
+    # the same draws, in the same order, as the dict-built oracle, and straight into the vector
+    cases = []
+    for seed in range(50):
+        for n in range(1, 7):
             for k in range(n + 1):
-                rng, reference = Random(seed), Random(seed)
-                for _ in range(2):
-                    expected = Cochain(n, k, {
-                        face.vertices: Fraction(reference.randint(-10, 10), reference.randint(1, 10))
-                        for face in enumerate_faces(n, k)
-                    })
-                    assert random_cochain(rng, n, k) == expected
+                reference = Random(seed)
+                expected = [dict_random_cochain(reference, n, k) for _ in range(2)]
+                cases.append((seed, n, k, expected, reference.getstate()))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the random cochain left the integer path")
+
+    monkeypatch.setattr(simplicial, "Fraction", refuse)
+    monkeypatch.setattr(Cochain, "__init__", refuse)
+    for seed, n, k, expected, state in cases:
+        rng = Random(seed)
+        drawn = [random_cochain(rng, n, k) for _ in range(2)]
+        assert [(c.vec, c.q) for c in drawn] == [(c.vec, c.q) for c in expected]
+        assert rng.getstate() == state
+
+
+@st.composite
+def big_scale_vectors(draw):
+    """(class, n, k, vec, q): a random common factor over a scale q >= 2**64.
+
+    Half the cases scale entries p_i / d_i by the lcm of the d_i, so that each
+    entry shares most factors of q, as the Whitney and de Rham maps make them.
+    """
+    cls = draw(st.sampled_from([Cochain, AffineForm]))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    size = cls.size(n, k)
+    bits = draw(st.integers(1, 70))
+    numerators = draw(st.lists(
+        st.one_of(st.just(0), st.integers(-(2**bits), 2**bits)), min_size=size, max_size=size
+    ))
+    factor = draw(st.integers(1, 2**100))
+    if draw(st.booleans()):
+        denominators = draw(st.lists(st.integers(1, 2**bits), min_size=size, max_size=size))
+        q = math.lcm(*denominators) * draw(st.integers(1, 2**20))
+        vec = [p * (q // d) for p, d in zip(numerators, denominators)]
+    else:
+        q, vec = draw(st.integers(1, 2**100)), numerators
+    if q * factor < 2**64:
+        factor *= 2**64
+    return cls, n, k, [factor * v for v in vec], factor * q
+
+
+@given(big_scale_vectors())
+@settings(max_examples=150, deadline=None)
+def test_big_scale_vector_is_reduced_like_each_entry(case):
+    cls, n, k, vec, q = case
+    out = cls.from_vector(n, k, vec, q)
+    assert (out.vec, out.q) == canonical_pair(vec, q)
+    assert math.gcd(out.q, *out.vec) == 1
+
+
+@pytest.mark.parametrize("cls", [Cochain, AffineForm])
+def test_big_scale_vector_whose_combination_vanishes(cls):
+    # the combination sum((2i+1) * vec[i]) is 0, so gcd(q, L) = q and only the entries reduce q
+    rng = Random(5)
+    tail = [rng.randrange(-(2**70), 2**70) * 6**7 for _ in range(cls.size(3, 1) - 1)]
+    vec = [-sum(map(operator.mul, tail, itertools.count(3, 2)))] + tail
+    assert sum(map(operator.mul, vec, itertools.count(1, 2))) == 0
+    q = 2**80 * 3**9 * 5
+    out = cls.from_vector(3, 1, vec, q)
+    assert (out.vec, out.q) == canonical_pair(vec, q)
+    assert math.gcd(out.q, *out.vec) == 1 and out.q < q
+
+
+@pytest.mark.parametrize("cls", [Cochain, AffineForm])
+def test_big_scale_zero_vector_has_scale_one(cls):
+    zero = cls.from_vector(3, 1, [0] * cls.size(3, 1), 2**200)
+    assert zero.q == 1 and zero == cls.zero(3, 1)
+
+
+def test_big_scale_form_in_the_kernel_of_derham_integrates_to_zero():
+    n, k = 3, 1
+    _, integrals = dense_system(n, k)
+    kernel = nullspace(integrals, AffineForm.size(n, k))
+    assert kernel
+    for direction in kernel:
+        scale = math.lcm(*(v.denominator for v in direction))
+        vec = [int(v * scale) * 3**50 for v in direction]
+        form = AffineForm.from_vector(n, k, vec, 2**70 * 3**60 + 2**64)
+        assert not form.is_zero() and form.q >> 64
+        image = derham(form)
+        assert image == Cochain.zero(n, k) and image.q == 1
+
+
+@pytest.mark.parametrize("q", [7, 2**64, 2**200])
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2)])
+def test_non_integer_entry_is_a_type_error_at_any_scale(q, bad):
+    for cls in (Cochain, AffineForm):
+        size = cls.size(3, 1)
+        for at in (0, size - 1):
+            vec = [2**70] * size
+            vec[at] = bad
+            with pytest.raises(TypeError):
+                cls.from_vector(3, 1, vec, q)
 
 
 def test_cochain_json_round_trip():
