@@ -1,9 +1,11 @@
 """Integrate forms over faces, exactly, and close the loop.
 
-Every integral here is a plain Fraction: the pullback to a face has an
-affine coefficient, and the simplex moments of an affine function are
-closed-form. Integrating a Whitney form over all faces recovers the
-cochain it was built from, coefficient for coefficient.
+Every integral here is a plain Fraction read off integer rows: the
+pullback to a face, along its vertex order, is a sparse integer operator,
+and since the simplex moments of an affine coefficient are closed-form,
+(k+1)! times the integral over a k-face is one fixed combination of its
+rows. Integrating a Whitney form over all faces recovers the cochain it
+was built from, coefficient for coefficient.
 """
 
 from random import Random

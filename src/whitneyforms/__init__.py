@@ -16,7 +16,7 @@ from .characterize import (
     proof_trace,
     solve_characterization,
 )
-from .derham import derham, integrate_over_face, simplex_integral
+from .derham import derham, integrate_over_face, pullback
 from .forms import (
     AffineForm,
     DegreeOverflow,
@@ -26,7 +26,6 @@ from .forms import (
     form_from_json,
     form_to_json,
     is_constant,
-    pullback,
     wedge,
 )
 from .linalg import format_rational, parse_rational
@@ -43,7 +42,6 @@ from .simplicial import (
     cochain_from_json,
     cochain_to_json,
     enumerate_faces,
-    face_parametrization,
     permutation_sign,
     random_cochain,
     vertex_point,
@@ -76,7 +74,6 @@ __all__ = [
     "derham",
     "enumerate_faces",
     "evaluate",
-    "face_parametrization",
     "form_from_json",
     "form_to_json",
     "format_rational",
@@ -93,7 +90,6 @@ __all__ = [
     "render_cochain",
     "render_form",
     "run_verification",
-    "simplex_integral",
     "solve_characterization",
     "verify_cell",
     "vertex_point",

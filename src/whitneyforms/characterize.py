@@ -14,8 +14,11 @@ triangular order of the square system in which every row determines one
 new unknown. Stage 1 takes the constancy rows and then the integral row of
 each face through vertex 0; stage 2 takes, for each multi-index L and
 vertex m >= 1 outside it, the constant term r(m, L) of the coefficient
-pulled back to the face G = sorted((m,) + L), i.e. its value at vertex m.
-That row is no row of the system, but the identity
+pulled back to the face (m, *L), i.e. its value at vertex m: the row
+T_{(m, *L)}[b'] of that face's pullback operator
+(:func:`~whitneyforms.operators.pullback_rows`), of which C and D are
+slices too. That row is no row of the system, but with G = sorted((m,) + L)
+the identity
 
     (k+1) r(m, L) = sigma (D~_G - sum_{s=1..k} C_{G,s} + (k+1) C_{G,j}),
 
@@ -57,10 +60,11 @@ from typing import NamedTuple
 from .forms import AffineForm, MultiIndex
 from .operators import (
     SparseRow,
+    _combine,
     column_sum,
     constancy_rows,
-    constant_term_row,
     derham_rows,
+    pullback_rows,
     transpose,
     unknown_layout,
     whitney_columns,
@@ -144,15 +148,6 @@ class _Schedule(NamedTuple):
     steps: tuple[_Step, ...]
 
 
-def _combine(terms: list[tuple[int, SparseRow]]) -> dict[int, int]:
-    """The nonzero entries of sum(weight * row)."""
-    out: dict[int, int] = {}
-    for weight, row in terms:
-        for pos, value in row:
-            out[pos] = out.get(pos, 0) + weight * value
-    return {pos: value for pos, value in out.items() if value}
-
-
 def _step(row: SparseRow, alive: list[bool], target: int, face: int, scale: int) -> _Step | None:
     """The row as the step that determines target; None unless it is the one live unknown."""
     if [pos for pos, _ in row if alive[pos]] != [target]:
@@ -168,7 +163,7 @@ def _schedule(n: int, k: int) -> _Schedule:
 
     Stage 1 takes, for each face [0] + L, its constancy rows and then its
     integral row, which must determine each a_{L,t} (t in L) and then b_L.
-    Stage 2 takes the constant-term row r(m, L) of each face
+    Stage 2 takes the constant-term row r(m, L) = T_{(m, *L)}[b'] of each face
     G = sorted((m,) + L), which must determine a_{L,m} with pivot 1, checked
     against the identity in the module docstring (its last term is absent
     when m is G's first vertex). Raises CertificateError, with the reason,
@@ -202,7 +197,7 @@ def _schedule(n: int, k: int) -> _Schedule:
         for m in range(1, n + 1):
             if m in span:
                 continue
-            row = constant_term_row(n, k, m, span)
+            row = pullback_rows(n, k, (m, *span))[0]
             g = tuple(sorted((m, *span)))
             i = index[g]
             sigma = permutation_sign((m, *span))

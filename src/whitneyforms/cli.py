@@ -45,7 +45,7 @@ from .whitney import whitney as whitney_map
 FORMAT = click.Choice(["text", "json", "latex"])
 
 MAX_SAMPLES = 1000
-"""Most random cochains verify draws per (n, k); --n-max 8 then takes about 9 s on 2 vCPUs."""
+"""Most random cochains verify draws per (n, k); --n-max 8 then takes about 6.5 s on 2 vCPUs."""
 
 
 def _check_size(n: int, k: int) -> None:

@@ -1,20 +1,23 @@
-"""Face-wise integration of affine-coefficient forms.
+"""Face-wise integration and pullback of affine-coefficient forms.
 
-Integrating a k-form over an oriented k-face reduces, after pulling back
-to the standard k-simplex, to two closed-form moments:
+Pulling a form back to a face G, in the face's own vertex order, is the
+sparse integer operator T_G of :mod:`whitneyforms.operators`, applied to
+the form's integer vector over the same q. Integrating a k-form over an
+oriented k-face then reduces to two closed-form moments of the standard
+k-simplex:
 
     integral of 1    over the standard k-simplex = 1/k!
     integral of t^s  over the standard k-simplex = 1/(k+1)!
 
 so no numerical quadrature is needed and every value is an exact rational.
-``integrate_over_face`` does exactly that for one face of any orientation.
+That makes (k+1)! times the integral one integer row of T_F,
+``operators.integral_row``, which ``integrate_over_face`` applies to the
+form's ``vec`` for one face of any orientation, with no pullback built.
 
-``derham`` takes every face integral at once with no pullback: the moments
-above, applied to the closed-form minors of each face, make it one sparse
-integer matrix D*(k+1)! per (n, k) (:mod:`whitneyforms.operators`). Its
+``derham`` takes every face integral at once: those rows, for every
+canonical face, are one sparse integer matrix D*(k+1)! per (n, k). Its
 columns at the nonzero entries of the form's ``vec`` are summed in Python
-ints, over q * (k+1)!, with no Fraction made. The per-face route stays as
-the independent check of that matrix.
+ints, over q * (k+1)!, with no Fraction made.
 """
 
 from __future__ import annotations
@@ -22,47 +25,50 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .forms import AffineForm, DimensionMismatch, pullback
-from .operators import column_sum, derham_columns
-from .simplicial import AffineFunction, Cochain, DegreeMismatch, Face
+from .forms import AffineForm, DimensionMismatch
+from .operators import column_sum, derham_columns, integral_row, pullback_rows, transpose
+from .simplicial import Cochain, DegreeMismatch, Face
 
 __all__ = [
-    "simplex_integral",
+    "pullback",
     "integrate_over_face",
     "derham",
 ]
 
 
-def simplex_integral(f: AffineFunction) -> Fraction:
-    """Exact integral of an affine function over the standard simplex.
+def pullback(form: AffineForm, face: Face) -> AffineForm:
+    """Pull the form back to the face along its vertex order: T_G applied to vec.
 
-    In dimension 0 the simplex is a point and the integral is evaluation.
+    The result lives on the standard t-simplex in the t coordinates of the
+    face (t the face degree), so a non-canonical vertex order reparametrises
+    it. The face's orientation sign is deliberately not applied here;
+    integration applies it.
     """
-    if f.n == 0:
-        return f.constant
-    return Fraction(f.constant, math.factorial(f.n)) + Fraction(
-        sum(f.gradient, Fraction(0)), math.factorial(f.n + 1)
-    )
+    if face.n != form.n:
+        raise DimensionMismatch("face and form live in different dimensions")
+    t = face.degree
+    if t < form.k:
+        raise DimensionMismatch(f"cannot pull a degree-{form.k} form back to a {t}-face")
+    rows = pullback_rows(form.n, form.k, face.vertices)
+    vec = column_sum(transpose(rows, len(form.vec)), form.vec, len(rows))
+    return AffineForm.from_vector(t, form.k, vec, form.q)
 
 
 def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
     """Integral of a k-form over an oriented k-face, exactly.
 
-    The pullback to the face's parameter simplex is a top-degree form there,
-    a single affine coefficient times dt^1^...^dt^k; its simplex integral,
-    times the face's orientation sign, is the answer. A 0-form is simply
-    evaluated at the vertex.
+    The face's integral row of T_F, times the face's orientation sign,
+    applied to ``vec`` over (k+1)! q. A 0-form is simply evaluated at the
+    vertex.
     """
     if face.n != form.n:
         raise DimensionMismatch("face and form live in different dimensions")
-    if face.degree != form.k:
-        raise DegreeMismatch(
-            f"cannot integrate a degree-{form.k} form over a {face.degree}-face"
-        )
-    pulled = pullback(form, face)
-    top = tuple(range(1, face.degree + 1))
-    coeff = pulled.coeffs.get(top, AffineFunction.zero(face.degree))
-    return face.sign * simplex_integral(coeff)
+    k = form.k
+    if face.degree != k:
+        raise DegreeMismatch(f"cannot integrate a degree-{k} form over a {face.degree}-face")
+    row = integral_row(k, pullback_rows(form.n, k, face.vertices))
+    total = sum(value * form.vec[pos] for pos, value in row)
+    return Fraction(face.sign * total, math.factorial(k + 1) * form.q)
 
 
 def derham(form: AffineForm) -> Cochain:

@@ -3,8 +3,9 @@
 A form is a finite sum  sum_I f_I(x) dx^I  over strictly increasing
 multi-indices I in {1..n}, where each coefficient f_I is an affine function.
 That class is closed under wedge with constant forms and under pullback
-along affine maps with the parameter point appearing at most linearly,
-which is all the simplex geometry here ever needs.
+along affine maps, which is all the simplex geometry here ever needs; the
+pullback to a face is the integer operator T_G of
+:mod:`whitneyforms.operators`, applied by ``derham.pullback``.
 
 An :class:`AffineForm` is its coefficient vector in :class:`UnknownLayout`
 order (per multi-index I, b_I then a_{I,1}, ..., a_{I,n}) scaled to
@@ -13,7 +14,7 @@ gcd(q, *vec) = 1. It is a :class:`~whitneyforms.simplicial.ScaledVector`,
 like a cochain, and takes its canonical pair, equality and arithmetic from
 there; :mod:`whitneyforms.operators` acts on ``vec`` directly. The
 {multi-index: AffineFunction} view ``coeffs`` is built only when render,
-evaluate, pullback, wedge or the JSON writer reads it.
+evaluate, wedge or the JSON writer reads it.
 
 A constant form is an AffineForm whose gradient slots are all zero
 (:func:`is_constant`); it has no class of its own. ``wedge`` takes one as
@@ -35,11 +36,9 @@ from .linalg import exact_int, exact_rational, format_rational, parse_rational
 from .simplicial import (
     MAX_UNKNOWNS,
     AffineFunction,
-    Face,
     ScaledVector,
     _face_positions,
     check_unknowns,
-    face_parametrization,
     permutation_sign,
 )
 
@@ -52,7 +51,6 @@ __all__ = [
     "check_unknowns",
     "AffineForm",
     "wedge",
-    "pullback",
     "is_constant",
     "evaluate",
     "form_to_json",
@@ -222,44 +220,6 @@ def wedge(a: AffineForm, b: AffineForm) -> AffineForm:
     return AffineForm(a.n, a.k + b.k, acc)
 
 
-def _compose_affine(f: AffineFunction, param) -> AffineFunction:
-    """f after the parametrization, as an affine function of t."""
-    constant = f(param.origin)
-    grad = tuple(
-        sum((g * d for g, d in zip(f.gradient, direction) if g and d), Fraction(0))
-        for direction in param.directions
-    )
-    return AffineFunction(param.k, constant, grad)
-
-
-def pullback(form: AffineForm, face: Face) -> AffineForm:
-    """Pull the form back along the face parametrization.
-
-    The result lives on the standard k-simplex in the t coordinates of the
-    face (k the face degree). The face's orientation sign is deliberately
-    not applied here; integration applies it.
-    """
-    if face.n != form.n:
-        raise DimensionMismatch("face and form live in different dimensions")
-    kf = face.degree
-    if kf < form.k:
-        raise DimensionMismatch(
-            f"cannot pull a degree-{form.k} form back to a {kf}-face"
-        )
-    param = face_parametrization(face)
-    directions = param.directions
-    acc: dict[MultiIndex, AffineFunction] = {}
-    for idx, f in form.coeffs.items():
-        pulled_f = _compose_affine(f, param)
-        for target in itertools.combinations(range(1, kf + 1), form.k):
-            d = linalg.det([[directions[t - 1][i - 1] for t in target] for i in idx])
-            if not d:
-                continue
-            term = d * pulled_f
-            acc[target] = acc[target] + term if target in acc else term
-    return AffineForm(kf, form.k, acc)
-
-
 def is_constant(form: AffineForm) -> bool:
     """True when every coefficient has zero gradient."""
     return all(f.is_constant for f in form.coeffs.values())
@@ -320,19 +280,22 @@ def form_from_json(data: Mapping) -> AffineForm:
         raise ValueError(f"malformed form JSON: {exc}") from exc
     check_unknowns(n, k)  # before any of the (n+1)*C(n,k) entries is allocated
     acc: dict[MultiIndex, AffineFunction] = {}
-    for entry in raw_terms:
-        try:
-            if not isinstance(entry["dx"], list) or not isinstance(entry["grad"], list):
-                raise ValueError("malformed form term: dx and grad must be lists")
-            dx = tuple(exact_int(i) for i in entry["dx"])
-            const = parse_rational(entry["const"])
-            grad = tuple(parse_rational(g) for g in entry["grad"])
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed form term: {exc}") from exc
-        if len(set(dx)) != len(dx):
-            raise ValueError(f"repeated index in dx {list(dx)}")
-        sign = permutation_sign(dx)
-        key = tuple(sorted(dx))
-        f = sign * AffineFunction(n, const, grad)
-        acc[key] = acc[key] + f if key in acc else f
+    try:
+        for entry in raw_terms:
+            try:
+                if not isinstance(entry["dx"], list) or not isinstance(entry["grad"], list):
+                    raise ValueError("malformed form term: dx and grad must be lists")
+                dx = tuple(exact_int(i) for i in entry["dx"])
+                const = parse_rational(entry["const"])
+                grad = tuple(parse_rational(g) for g in entry["grad"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed form term: {exc}") from exc
+            if len(set(dx)) != len(dx):
+                raise ValueError(f"repeated index in dx {list(dx)}")
+            sign = permutation_sign(dx)
+            key = tuple(sorted(dx))
+            f = sign * AffineFunction(n, const, grad)
+            acc[key] = acc[key] + f if key in acc else f
+    except TypeError as exc:  # "terms" that is no list, such as 5 or null
+        raise ValueError(f"malformed form JSON: {exc}") from exc
     return AffineForm(n, k, acc)

@@ -3,9 +3,11 @@
 Every scalar is a ``fractions.Fraction``, stored reduced with a positive
 denominator, so structural equality of results is mathematical equality and
 no operation anywhere in this module carries a tolerance. The package needs
-no elimination beyond :func:`det`, which gives the pullback minors: the
-constraint system is solved and certified along its sparse elimination
-schedule in :mod:`whitneyforms.characterize`.
+no elimination beyond :func:`det`, which ``forms.evaluate`` alone calls on
+the tangent vectors: the pullback minors are closed-form integers in
+:mod:`whitneyforms.operators`, and the constraint system is solved and
+certified along its sparse elimination schedule in
+:mod:`whitneyforms.characterize`.
 """
 
 from __future__ import annotations

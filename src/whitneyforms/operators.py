@@ -13,6 +13,9 @@ once per (n, k) as sparse rows of ``(position, int)`` pairs:
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
+D and C are slices of one more map, T_G, the pullback to a face, which is
+built per call.
+
 Each map is a :func:`column_sum` over its input's nonzero entries, so a
 sparse input costs its nonzeros; ``derham`` uses :func:`derham_columns`.
 
@@ -23,25 +26,40 @@ order, so the operators map integer vectors to integer vectors: W takes
 ``form.vec`` to ``cochain.vec`` over q * (k+1)!. No Fraction is made on
 either way.
 
-D and C come from one closed form. Parametrize the canonical face
-F = (v_0 < ... < v_k) by x(t) = p_{v_0} + sum_s t^s (p_{v_s} - p_{v_0}). The
-pullback of dx^I is the minor of the direction matrix on the rows I. A row
-outside F vanishes, so only the multi-indices I_r = F \\ {v_r} can have a
-nonzero minor, and only those inside {1..n} exist: when v_0 = 0 that leaves
-r = 0 alone. The minor of I_r is (-1)^r: the identity for r = 0, and for
-r >= 1 the row v_0 is all -1, whose entry in column r is the only one there.
-The standard k-simplex has moments 1/k! (of 1) and 1/(k+1)! (of each t^s),
-and x^j(t) is the barycentric coordinate of vertex j on F (zero unless j is
-a vertex of F), so
+T_G is the pullback to a face G = (g_0, ..., g_t), t >= k, taken along its
+own vertex order: x(s) = p_{g_0} + sum_r s^r (p_{g_r} - p_{g_0}), with p_0
+the origin and p_i = e_i. A coefficient b_I + sum_j a_{I,j} x^j becomes
 
-    integral over F of x^j dx^{I_r} = (-1)^r [j in F] / (k+1)!
-    integral over F of     dx^{I_r} = (-1)^r / k!
+    (b_I + a_{I,g_0}) + sum_{r=1..t} s^r (a_{I,g_r} - a_{I,g_0}),    a_{I,0} = 0,
 
-and D*(k+1)! puts (-1)^r (k+1) on b_{I_r} and (-1)^r on a_{I_r,j} for each
-vertex j >= 1 of F. The t^s-derivative of the pulled-back coefficient is
-sum_r (-1)^r (a_{I_r,v_s} - a_{I_r,v_0}), with a_{I,0} taken as zero, so C
-has entries in {-1, 0, 1}. Distinct r give distinct blocks I_r, so no two
-terms of a row ever share a position.
+and dx^I becomes sum_J M_{I,J} ds^J, with M_{I,J} the minor on the rows I
+of the sub-face (g_0, g_J) = (g_0, g_{j_1}, ..., g_{j_k}). On a face
+V = (v_0, ..., v_k) a row outside V vanishes, so only the multi-indices
+I = V \\ {v_r} can have a nonzero minor, and only those inside {1..n} exist:
+a rest that contains 0 names none. With its rows in the order of the rest,
+the minor is 1 for r = 0 (the identity), and (-1)^r for r >= 1, where the
+row v_0 is all -1 and holds the only entry of column r; sorting the rows
+multiplies it by the sign of sorting the rest (:func:`face_minors`).
+Distinct r give distinct blocks I, so no two terms of a row share a
+position, and T_G maps the (n, k) layout to the (t, k) layout by
+
+    b'_J     = sum sigma (b_I + a_{I,g_0}),
+    a'_{J,r} = sum sigma (a_{I,g_r} - a_{I,g_0}),
+
+summed over the minors (I, sigma) of (g_0, g_J) (:func:`pullback_rows`).
+``derham.pullback`` applies it to ``form.vec``. The other face rows are
+slices of T_F for a k-face F, whose one target multi-index J = (1..k)
+leaves the k+1 rows b', a'_1, ..., a'_k:
+
+* C is the gradient rows a'_1, ..., a'_k: the pullback is constant exactly
+  when they vanish, and their entries lie in {-1, 0, 1};
+* D~ = D*(k+1)! is (k+1) T_F[b'] + sum_s T_F[a'_s] (:func:`integral_row`),
+  because the standard k-simplex has moments 1/k! (of 1) and 1/(k+1)! (of
+  each s^r): it puts sigma (k+1) on b_I and sigma on a_{I,j} for each vertex
+  j >= 1 of F;
+* r(m, L), the value at vertex m of the coefficient pulled back to the face
+  (m, *L), is T_{(m, *L)}[b'], sigma on both b_I and a_{I,m}; the
+  elimination schedule of :mod:`whitneyforms.characterize` reads it.
 
 W has a closed form too. The basis form of F is
 
@@ -78,13 +96,14 @@ __all__ = [
     "UnknownLayout",
     "unknown_layout",
     "face_minors",
+    "pullback_rows",
+    "integral_row",
     "whitney_columns",
     "derham_rows",
     "derham_columns",
     "transpose",
     "column_sum",
     "constancy_rows",
-    "constant_term_row",
 ]
 
 SparseRow = tuple[tuple[int, int], ...]
@@ -92,12 +111,59 @@ SparseRow = tuple[tuple[int, int], ...]
 
 
 def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
-    """(I_r, (-1)^r) for each multi-index with a nonzero minor on a canonical face."""
-    return tuple(
-        (vertices[:r] + vertices[r + 1 :], -1 if r % 2 else 1)
-        for r in range(len(vertices))
-        if r == 0 or vertices[0] != 0
-    )
+    """(I, minor) for each multi-index with a nonzero minor on the face, vertices in any order.
+
+    Dropping v_r leaves rest, I = sorted(rest) and the minor is (-1)^r times
+    the sign of sorting rest; a rest that contains 0 names no multi-index.
+    """
+    minors: list[tuple[MultiIndex, int]] = []
+    for r in range(len(vertices)):
+        rest = vertices[:r] + vertices[r + 1 :]
+        if 0 not in rest:
+            sign = permutation_sign(rest)
+            minors.append((tuple(sorted(rest)), -sign if r % 2 else sign))
+    return tuple(minors)
+
+
+def pullback_rows(n: int, k: int, vertices: tuple[int, ...]) -> tuple[SparseRow, ...]:
+    """T_G: row p is entry p of the (t, k) layout vector of the pullback to G = vertices.
+
+    Per target multi-index J, the row of b'_J and then those of a'_{J,1..t}.
+    """
+    layout = unknown_layout(n, k)
+    g0, rest = vertices[0], vertices[1:]
+    rows: list[SparseRow] = []
+    for span in unknown_layout(len(rest), k).multi_indices:
+        sub_face = (g0, *(rest[j - 1] for j in span))
+        minors = [(layout.position(idx), sign) for idx, sign in face_minors(sub_face)]
+        # a_{I,0} = 0: a slot g = 0 adds no entry
+        at_g0 = [(base + g0, sign) for base, sign in minors] if g0 else []
+        rows.append(tuple(sorted(minors + at_g0)))
+        for g in rest:
+            row = [(base + g, sign) for base, sign in minors] if g else []
+            rows.append(tuple(sorted(row + [(pos, -sign) for pos, sign in at_g0])))
+    return tuple(rows)
+
+
+def integral_row(k: int, face_rows: Sequence[SparseRow]) -> SparseRow:
+    """(k+1)! times the integral over a k-face F, from T_F: (k+1) T_F[b'] + sum_s T_F[a'_s]."""
+    terms = [(k + 1, face_rows[0])] + [(1, row) for row in face_rows[1:]]
+    return tuple(sorted(_combine(terms).items()))
+
+
+def _combine(terms: Iterable[tuple[int, SparseRow]]) -> dict[int, int]:
+    """The nonzero entries of sum(weight * row)."""
+    out: dict[int, int] = {}
+    for weight, row in terms:
+        for pos, value in row:
+            out[pos] = out.get(pos, 0) + weight * value
+    return {pos: value for pos, value in out.items() if value}
+
+
+@cache
+def _face_pullbacks(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
+    """T_F for each of layout.faces: the k+1 rows b', a'_1, ..., a'_k."""
+    return tuple(pullback_rows(n, k, face) for face in unknown_layout(n, k).faces)
 
 
 @cache
@@ -130,15 +196,7 @@ def whitney_columns(n: int, k: int) -> tuple[SparseRow, ...]:
 @cache
 def derham_rows(n: int, k: int) -> tuple[SparseRow, ...]:
     """D*(k+1)!: row i integrates over layout.faces[i], times (k+1)!."""
-    layout = unknown_layout(n, k)
-    rows: list[SparseRow] = []
-    for face in layout.faces:
-        row: list[tuple[int, int]] = []
-        for idx, sign in face_minors(face):
-            row.append((layout.position(idx), sign * (k + 1)))
-            row.extend((layout.position(idx, j), sign) for j in face if j)
-        rows.append(tuple(sorted(row)))
-    return tuple(rows)
+    return tuple(integral_row(k, face_rows) for face_rows in _face_pullbacks(n, k))
 
 
 @cache
@@ -168,33 +226,5 @@ def column_sum(columns: Sequence[SparseRow], values: Sequence[int], size: int) -
 
 @cache
 def constancy_rows(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
-    """C: for layout.faces[i], the t^1..t^k derivatives of the pulled-back coefficient."""
-    layout = unknown_layout(n, k)
-    out: list[tuple[SparseRow, ...]] = []
-    for face in layout.faces:
-        minors = face_minors(face)
-        rows: list[SparseRow] = []
-        for v in face[1:]:
-            row = [(layout.position(idx, v), sign) for idx, sign in minors]
-            if face[0]:
-                row += [(layout.position(idx, face[0]), -sign) for idx, sign in minors]
-            rows.append(tuple(sorted(row)))
-        out.append(tuple(rows))
-    return tuple(out)
-
-
-def constant_term_row(n: int, k: int, m: int, span: MultiIndex) -> SparseRow:
-    """Constant term of the coefficient pulled back to the face (m, *span).
-
-    That constant term is the coefficient's value at vertex m >= 1. Ordering
-    the face as G = sorted((m,) + span) multiplies every minor by
-    sigma = permutation_sign((m,) + span), so the row puts sigma (-1)^r on
-    both b_I and a_{I,m} for each I = G \\ {g_r}.
-    """
-    layout = unknown_layout(n, k)
-    face = (m, *span)
-    sigma = permutation_sign(face)
-    row: list[tuple[int, int]] = []
-    for idx, sign in face_minors(tuple(sorted(face))):
-        row += [(layout.position(idx), sigma * sign), (layout.position(idx, m), sigma * sign)]
-    return tuple(sorted(row))
+    """C: for layout.faces[i], the s^1..s^k derivatives of the pulled-back coefficient."""
+    return tuple(face_rows[1:] for face_rows in _face_pullbacks(n, k))

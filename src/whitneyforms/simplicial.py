@@ -34,13 +34,11 @@ __all__ = [
     "MAX_UNKNOWNS",
     "check_unknowns",
     "AffineFunction",
-    "FaceParametrization",
     "canonicalize",
     "permutation_sign",
     "enumerate_faces",
     "barycentric_functions",
     "vertex_point",
-    "face_parametrization",
     "cochain_eval",
     "random_cochain",
     "cochain_to_json",
@@ -224,51 +222,6 @@ def vertex_point(n: int, label: int) -> tuple[Fraction, ...]:
     if not 0 <= label <= n:
         raise ValueError(f"vertex label {label} outside 0..{n}")
     return tuple(Fraction(1) if i == label else Fraction(0) for i in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class FaceParametrization:
-    """Affine map t -> origin + sum_s t^s direction_s onto a face.
-
-    Domain is the standard k-simplex in the t coordinates; the basis
-    (direction_1, ..., direction_k) fixes the orientation convention that
-    every integral downstream inherits. Parameter points go through
-    ``exact_rational``, as every other exact input does.
-    """
-
-    origin: tuple[Fraction, ...]
-    directions: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.directions)
-
-    @property
-    def n(self) -> int:
-        return len(self.origin)
-
-    def __call__(self, t: Sequence[object]) -> tuple[Fraction, ...]:
-        ts = tuple(exact_rational(x) for x in t)
-        if len(ts) != self.k:
-            raise ValueError("parameter point has the wrong dimension")
-        point = list(self.origin)
-        for value, direction in zip(ts, self.directions):
-            if value == 0:
-                continue
-            for i, d in enumerate(direction):
-                if d:
-                    point[i] += value * d
-        return tuple(point)
-
-
-def face_parametrization(face: Face) -> FaceParametrization:
-    """Map the standard k-simplex onto the face, vertices in tuple order."""
-    points = [vertex_point(face.n, v) for v in face.vertices]
-    origin = points[0]
-    directions = tuple(
-        tuple(a - b for a, b in zip(p, origin)) for p in points[1:]
-    )
-    return FaceParametrization(origin, directions)
 
 
 @dataclass(frozen=True, init=False)

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the library's fast paths: parity
 comes from bubble sort, subset counts from explicit enumeration, integrals
-from a floating-point quadrature rule built on numpy, the constraint rows
-from the general ``pullback`` of each unit form, the Whitney basis forms
+from a floating-point quadrature rule built on numpy and from the simplex
+moments of a pulled-back coefficient, the pullback itself from a
+``Fraction`` face parametrization with one ``det`` per minor, the
+constraint rows from that ``pullback`` of each unit form, the Whitney basis forms
 from ``wedge`` alone (an affine 0-form on the left scales by a barycentric
 coordinate), which the cached operators never call, and the extreme-degree
 closed forms from barycentric coordinates.
@@ -18,6 +20,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 from random import Random
@@ -28,13 +31,12 @@ from whitneyforms import (
     AffineForm,
     AffineFunction,
     Cochain,
+    DimensionMismatch,
     Face,
     UnknownLayout,
     barycentric_differential,
     barycentric_functions,
     enumerate_faces,
-    pullback,
-    simplex_integral,
     vertex_point,
     wedge,
 )
@@ -174,6 +176,105 @@ def coeffs_add(a: dict, b: dict) -> dict:
 def coeffs_scale(s: Fraction, a: dict) -> dict:
     """Oracle scalar multiple of a {multi-index: AffineFunction} dict."""
     return {idx: s * f for idx, f in a.items() if s}
+
+
+@dataclass(frozen=True)
+class FaceParametrization:
+    """Affine map t -> origin + sum_s t^s direction_s onto a face.
+
+    Domain is the standard k-simplex in the t coordinates; the basis
+    (direction_1, ..., direction_k) fixes the orientation convention that
+    every integral downstream inherits. Parameter points go through
+    ``exact_rational``, as every other exact input does.
+    """
+
+    origin: tuple[Fraction, ...]
+    directions: tuple[tuple[Fraction, ...], ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.directions)
+
+    @property
+    def n(self) -> int:
+        return len(self.origin)
+
+    def __call__(self, t) -> tuple[Fraction, ...]:
+        ts = tuple(exact_rational(x) for x in t)
+        if len(ts) != self.k:
+            raise ValueError("parameter point has the wrong dimension")
+        point = list(self.origin)
+        for value, direction in zip(ts, self.directions):
+            if value == 0:
+                continue
+            for i, d in enumerate(direction):
+                if d:
+                    point[i] += value * d
+        return tuple(point)
+
+
+def face_parametrization(face: Face) -> FaceParametrization:
+    """Map the standard k-simplex onto the face, vertices in tuple order."""
+    points = [vertex_point(face.n, v) for v in face.vertices]
+    origin = points[0]
+    directions = tuple(
+        tuple(a - b for a, b in zip(p, origin)) for p in points[1:]
+    )
+    return FaceParametrization(origin, directions)
+
+
+def compose_affine(f: AffineFunction, param: FaceParametrization) -> AffineFunction:
+    """f after the parametrization, as an affine function of t."""
+    constant = f(param.origin)
+    grad = tuple(
+        sum((g * d for g, d in zip(f.gradient, direction) if g and d), Fraction(0))
+        for direction in param.directions
+    )
+    return AffineFunction(param.k, constant, grad)
+
+
+def pullback(form: AffineForm, face: Face) -> AffineForm:
+    """Pull the form back along the face parametrization, one ``det`` per minor.
+
+    The result lives on the standard t-simplex in the t coordinates of the
+    face (t the face degree). The face's orientation sign is not applied.
+    """
+    if face.n != form.n:
+        raise DimensionMismatch("face and form live in different dimensions")
+    kf = face.degree
+    if kf < form.k:
+        raise DimensionMismatch(f"cannot pull a degree-{form.k} form back to a {kf}-face")
+    param = face_parametrization(face)
+    directions = param.directions
+    acc: dict[tuple[int, ...], AffineFunction] = {}
+    for idx, f in form.coeffs.items():
+        pulled_f = compose_affine(f, param)
+        for target in itertools.combinations(range(1, kf + 1), form.k):
+            d = linalg.det([[directions[t - 1][i - 1] for t in target] for i in idx])
+            if not d:
+                continue
+            term = d * pulled_f
+            acc[target] = acc[target] + term if target in acc else term
+    return AffineForm(kf, form.k, acc)
+
+
+def simplex_integral(f: AffineFunction) -> Fraction:
+    """Exact integral of an affine function over the standard simplex.
+
+    In dimension 0 the simplex is a point and the integral is evaluation.
+    """
+    if f.n == 0:
+        return f.constant
+    return Fraction(f.constant, math.factorial(f.n)) + Fraction(
+        sum(f.gradient, Fraction(0)), math.factorial(f.n + 1)
+    )
+
+
+def pullback_integral(form: AffineForm, face: Face) -> Fraction:
+    """The face integral as the face sign times the simplex integral of the pulled-back top coefficient."""
+    top = tuple(range(1, face.degree + 1))
+    coeff = pullback(form, face).coeffs.get(top, AffineFunction.zero(face.degree))
+    return face.sign * simplex_integral(coeff)
 
 
 def _pulled_top_coefficients(layout: UnknownLayout, face: Face) -> list[AffineFunction]:

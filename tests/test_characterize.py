@@ -348,20 +348,22 @@ def test_solved_coefficients_are_fractions():
                 assert all(type(g) is Fraction for g in f.gradient)
 
 
-def _isolates_nothing(n, k, m, span):
-    return ()
+def _isolates_nothing(n, k, vertices):
+    # a T_G whose constant-term row b' is empty
+    return ((),)
 
 
-def _outside_the_row_space(n, k, m, span):
+def _outside_the_row_space(n, k, vertices):
     # isolates the right unknown, but is not a combination of the face's rows
-    return ((unknown_layout(n, k).position(span, m), 1),)
+    m, *span = vertices
+    return (((unknown_layout(n, k).position(span, m), 1),),)
 
 
 @pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
 def test_broken_stage2_row_fails_every_certificate_alike(monkeypatch, row):
     # one schedule, one failure: the solve, the replay and the count raise
     # the schedule's own CertificateError, and the kernel is not certified
-    monkeypatch.setattr(characterize, "constant_term_row", row)
+    monkeypatch.setattr(characterize, "pullback_rows", row)
     clear_caches()
     try:
         messages = []
@@ -398,10 +400,11 @@ def test_schedule_rejects_a_stage1_row_off_its_unknown(monkeypatch):
 
 def test_schedule_rejects_a_stage2_pivot_other_than_one(monkeypatch):
     # the right unknown with pivot 2 is refused, before the row-space identity
-    def doubled(n, k, m, span):
-        return ((unknown_layout(n, k).position(span, m), 2),)
+    def doubled(n, k, vertices):
+        m, *span = vertices
+        return (((unknown_layout(n, k).position(span, m), 2),),)
 
-    monkeypatch.setattr(characterize, "constant_term_row", doubled)
+    monkeypatch.setattr(characterize, "pullback_rows", doubled)
     clear_caches()
     try:
         with pytest.raises(CertificateError, match="with coefficient one"):
@@ -444,7 +447,7 @@ def test_certificates_need_no_dense_elimination(n, k):
 @pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
 def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     assert_no_dense_elimination()
-    monkeypatch.setattr(characterize, "constant_term_row", row)
+    monkeypatch.setattr(characterize, "pullback_rows", row)
     clear_caches()
     try:
         with pytest.raises(CertificateError, match="evaluation at vertex"):

@@ -135,6 +135,10 @@ def test_derham_text_output():
 def test_derham_rejects_malformed_form():
     assert run("derham", "--form", "{\"n\": 2}").exit_code == 2
     assert run("derham", "--form", "[1,2]").exit_code == 2
+    for terms in ("5", "null"):
+        result = run("derham", "--form", '{"n": 2, "k": 1, "terms": %s}' % terms)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "bad form: malformed form JSON: " in result.output
 
 
 # json.loads refuses an integer literal over 4300 digits with a plain ValueError
@@ -438,7 +442,7 @@ def test_unknown_cap_admits_every_cell_up_to_eight():
 
 
 def test_broken_replay_exits_one_with_a_message(monkeypatch):
-    monkeypatch.setattr(characterize, "constant_term_row", lambda n, k, m, span: ())
+    monkeypatch.setattr(characterize, "pullback_rows", lambda n, k, vertices: ((),))
     clear_caches()
     cochain = json.dumps({"n": 3, "k": 1, "terms": [{"face": [1, 2], "coeff": "1"}]})
     try:

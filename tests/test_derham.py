@@ -1,5 +1,6 @@
-"""Face integration and the round trip from cochains through forms and back."""
+"""Pullback to a face, face integration, and the round trip from cochains through forms and back."""
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -9,21 +10,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import quadrature_integral, random_affine_form
+import helpers
+import whitneyforms
+from helpers import pullback_integral, quadrature_integral, random_affine_form, simplex_integral
 from whitneyforms import (
     AffineForm,
     AffineFunction,
     Cochain,
     DegreeMismatch,
+    DimensionMismatch,
     Face,
     derham,
     enumerate_faces,
     integrate_over_face,
+    pullback,
     random_cochain,
-    simplex_integral,
     whitney,
     whitney_basis_form,
 )
+from whitneyforms import operators
 
 
 def affine(n, const, *grad):
@@ -67,6 +72,44 @@ def test_integrate_degree_mismatch():
     form = AffineForm(2, 1, {(1,): affine(2, 1, 0, 0)})
     with pytest.raises(DegreeMismatch):
         integrate_over_face(form, Face(2, (0, 1, 2)))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_pullback_and_integral_match_the_oracle_on_every_vertex_order(n):
+    # every vertex order of every t-face, k <= t <= n: a non-canonical order
+    # reparametrises the t-simplex, and only integration applies the sign
+    rng = Random(100 + n)
+    for k in range(n + 1):
+        forms = [random_affine_form(rng, n, k, bits) for bits in (0, 62)]
+        for t in range(k, n + 1):
+            for vertices in itertools.permutations(range(n + 1), t + 1):
+                face = Face(n, vertices)
+                for form in forms:
+                    assert pullback(form, face) == helpers.pullback(form, face)
+                    if t == k:
+                        for signed in (face, Face(n, vertices, -1)):
+                            assert integrate_over_face(form, signed) == pullback_integral(
+                                form, signed
+                            )
+
+
+def test_the_pullback_oracles_stay_independent():
+    # the Fraction pullback, its parametrization and the simplex moments are
+    # defined in helpers, which binds none of the integer routes they check
+    for oracle in (helpers.pullback, helpers.face_parametrization, helpers.simplex_integral):
+        assert oracle.__module__ == "helpers"
+    checked = (whitneyforms.pullback, whitneyforms.integrate_over_face, operators.pullback_rows)
+    assert not any(value is route for value in vars(helpers).values() for route in checked)
+
+
+def test_pullback_and_integral_refuse_a_mismatched_face():
+    form = random_affine_form(Random(5), 3, 2)
+    with pytest.raises(DimensionMismatch):
+        pullback(form, Face(3, (2, 0)))  # t = 1 < k = 2
+    with pytest.raises(DimensionMismatch):
+        pullback(form, Face(4, (0, 1, 2)))
+    with pytest.raises(DimensionMismatch):
+        integrate_over_face(form, Face(4, (0, 1, 2)))
 
 
 def test_derham_collects_all_faces():

@@ -21,6 +21,7 @@ from whitneyforms import (
     DegreeOverflow,
     DimensionMismatch,
     Face,
+    cochain_from_json,
     evaluate,
     form_from_json,
     form_to_json,
@@ -200,6 +201,15 @@ def test_form_json_rejects_garbage():
         form_from_json({"n": 2, "k": 1, "terms": [{"dx": "2", "const": "1", "grad": "34"}]})
     with pytest.raises(ValueError, match="must be lists"):
         form_from_json({"n": 2, "k": 1, "terms": [{"dx": [2], "const": "1", "grad": "34"}]})
+
+
+@pytest.mark.parametrize("terms", [5, None])
+def test_json_readers_refuse_terms_that_are_no_list(terms):
+    # a ValueError from both readers, never the TypeError of iterating the value
+    with pytest.raises(ValueError, match="malformed form JSON: .* is not iterable"):
+        form_from_json({"n": 2, "k": 1, "terms": terms})
+    with pytest.raises(ValueError, match="malformed cochain JSON: .* is not iterable"):
+        cochain_from_json({"n": 2, "k": 1, "terms": terms})
 
 
 

@@ -1,9 +1,11 @@
 """The cached sparse integer operators against the independent routes.
 
 Every fast path (``derham``, ``whitney``, the system matrices and the
-replay's rows) is compared with a route that does not use the operators:
-per-face ``integrate_over_face``, rows rebuilt from ``pullback`` of the unit
-forms, and the sum of basis forms built by ``wedge``.
+replay's rows, all of them but W slices of the pullback operator T_G) is
+compared with a route that does not use the operators: per-face
+``integrate_over_face``, rows rebuilt from the ``Fraction`` pullback oracle
+of ``helpers`` applied to the unit forms, and the sum of basis forms built
+by ``wedge``.
 """
 
 import math
@@ -22,6 +24,7 @@ from helpers import (
     random_affine_form,
     wedge_basis_form,
 )
+import whitneyforms
 from whitneyforms import (
     AffineForm,
     AffineFunction,
@@ -44,9 +47,9 @@ from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     column_sum,
     constancy_rows,
-    constant_term_row,
     derham_columns,
     derham_rows,
+    pullback_rows,
     transpose,
     unknown_layout,
     whitney_columns,
@@ -188,8 +191,9 @@ def test_constant_term_row_matches_pullback(n):
             for m in range(1, n + 1):
                 if m in span:
                     continue
+                # r(m, L) is the b' row of T_G along the vertex order (m, *L)
                 expected = pullback_constant_term_row(n, k, Face(n, (m,) + span))
-                assert _dense(constant_term_row(n, k, m, span), size) == expected
+                assert _dense(pullback_rows(n, k, (m,) + span)[0], size) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -210,7 +214,7 @@ def test_constant_term_row_is_a_combination_of_its_face_rows(n):
                         a + weight * b for a, b in zip(combination, _dense(row, layout.size))
                     ]
                 sigma = permutation_sign((m,) + span)
-                lhs = _dense(constant_term_row(n, k, m, span), layout.size)
+                lhs = _dense(pullback_rows(n, k, (m,) + span)[0], layout.size)
                 assert [(k + 1) * v for v in lhs] == [sigma * v for v in combination]
 
 
@@ -235,7 +239,7 @@ def test_hot_paths_never_pull_back(monkeypatch):
     clear_caches()
     try:
         with pytest.raises(AssertionError, match="hot path"):
-            integrate_over_face(whitney_basis_form(Face(2, (0, 1))), Face(2, (0, 1)))
+            whitneyforms.pullback(whitney_basis_form(Face(2, (0, 1))), Face(2, (0, 1)))
         for n, k in [(4, 2), (5, 3)]:
             c = random_cochain(Random(n + k), n, k)
             form = whitney(c)

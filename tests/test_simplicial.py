@@ -18,6 +18,7 @@ from helpers import (
     count_subsets,
     dense_system,
     dict_random_cochain,
+    face_parametrization,
     nullspace,
     rank,
 )
@@ -36,7 +37,6 @@ from whitneyforms import (
     derham,
     enumerate_faces,
     evaluate,
-    face_parametrization,
     permutation_sign,
     random_cochain,
     vertex_point,
