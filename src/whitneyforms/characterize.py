@@ -30,24 +30,29 @@ proves the kernel trivial.
 
 The solve is linear, so :func:`_solution_columns` forward-substitutes the
 schedule once per (n, k), each unknown an integer combination of the face
-values, into the cached integer matrix S. The pivots are +-1, except the
-stage-1 integral rows, whose pivot k+1 divides (k+1)! c(F) once the face's
-own gradient unknowns are zero. Each division is checked exact there, on
-the unit cochains; a step's right-hand side for any integer vector is an
-integer combination of theirs, so by induction over the steps it is exact
-on every cochain vec / q, and S.vec / q is its forward substitution. So
+values, into the cached integer matrix S/k!: every right-hand side scale,
+(k+1)! or sigma k!, is divided by k!, so the entries of S/k! are +-1 like
+those of W/k!, and k! goes into the form's scale instead. The pivots are
++-1, except the stage-1 integral rows, whose pivot k+1 divides (k+1) c(F)
+once the face's own gradient unknowns are zero. Each division is checked
+exact there, on the unit cochains; a step's right-hand side for any integer
+vector is an integer combination of theirs, so by induction over the steps
+it is exact on every cochain vec / q, and k! (S/k!).vec / q is its forward
+substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I:
+under that hypothesis :func:`~whitneyforms.operators.factorial_image` needs
+to divide out no factor but one of k+1 to make the result canonical. So
 :func:`solve_characterization` is O(nnz) work that makes no Fraction, and
-S, built from C and D alone, agreeing with W is an independent check.
+S/k!, built from C and D alone, agreeing with W/k! is an independent check.
 :func:`proof_trace` only formats the same schedule. It is complete
 whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
 one per unknown in all.
 
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
-C.W = 0, D~.W = (k+1)! I (W the Whitney operator), which puts face-many
-independent forms in ker C. There is no second, dense path: a certificate
-that fails raises :class:`CertificateError`, and the schedule raises it with
-one reason for the solve, the replay and the counts alike.
+C.(W/k!) = 0, D~.(W/k!) = (k+1) I (W the Whitney operator), which puts
+face-many independent forms in ker C. There is no second, dense path: a
+certificate that fails raises :class:`CertificateError`, and the schedule
+raises it with one reason for the solve, the replay and the counts alike.
 """
 
 from __future__ import annotations
@@ -61,9 +66,9 @@ from .forms import AffineForm, MultiIndex
 from .operators import (
     SparseRow,
     _combine,
-    column_sum,
     constancy_rows,
     derham_rows,
+    factorial_image,
     pullback_rows,
     transpose,
     unknown_layout,
@@ -93,35 +98,38 @@ def lambda_e_dimension(n: int, k: int) -> int:
 
     It is the number of k-faces, which makes prescribing one integral per
     face a square problem, once two certificates hold: a complete schedule
-    makes [C; D] injective, so dim ker C <= #faces, and C.W = 0 with
-    D~.W = (k+1)! I puts face-many independent columns of W in ker C.
+    makes [C; D] injective, so dim ker C <= #faces, and C.(W/k!) = 0 with
+    D~.(W/k!) = (k+1) I puts face-many independent columns of W in ker C.
     Raises CertificateError, with the reason, when either certificate fails.
     """
     _schedule(n, k)
     if not _whitney_columns_certified(n, k):
         raise CertificateError(
-            f"the Whitney columns at (n={n}, k={k}) fail C.W = 0, D~.W = (k+1)! I"
+            f"the Whitney columns at (n={n}, k={k}) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I"
         )
     return len(unknown_layout(n, k).faces)
 
 
 @cache
 def _whitney_columns_certified(n: int, k: int) -> bool:
-    """C.W = 0 and D~.W = (k+1)! I, checked exactly on the sparse integer rows."""
+    """C.(W/k!) = 0 and D~.(W/k!) = (k+1) I, checked exactly on the sparse integer rows."""
+    return _certified(n, k, whitney_columns(n, k))
+
+
+def _certified(n: int, k: int, columns: tuple[SparseRow, ...]) -> bool:
+    """C.X = 0 and D~.X = (k+1) I for the face-many columns of X."""
     layout = unknown_layout(n, k)
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
     rows = constancy + list(derham_rows(n, k))
     by_position = transpose(rows, layout.size)
-    columns = whitney_columns(n, k)
     if len(columns) != len(layout.faces):
         return False
-    scale = math.factorial(k + 1)
     for i, column in enumerate(columns):
         image: dict[int, int] = {}
         for pos, w in column:
             for r, value in by_position[pos]:
                 image[r] = image.get(r, 0) + value * w
-        if {r: v for r, v in image.items() if v} != {len(constancy) + i: scale}:
+        if {r: v for r, v in image.items() if v} != {len(constancy) + i: k + 1}:
             return False
     return True
 
@@ -197,7 +205,7 @@ def _schedule(n: int, k: int) -> _Schedule:
         for m in range(1, n + 1):
             if m in span:
                 continue
-            row = pullback_rows(n, k, (m, *span))[0]
+            row = next(pullback_rows(n, k, (m, *span)))
             g = tuple(sorted((m, *span)))
             i = index[g]
             sigma = permutation_sign((m, *span))
@@ -245,31 +253,45 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
 
 @cache
 def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
-    """S: column i solves the unit cochain on faces[i]; inexact pivots raise CertificateError."""
+    """S/k!: column i solves the unit cochain on faces[i], over k!.
+
+    Each step's scale is divided by k! before its pivot divides; an inexact
+    division raises CertificateError, and so does a result that fails
+    C.X = 0, D~.X = (k+1) I, on which the canonicalisation of every solve
+    relies.
+    """
+    f = math.factorial(k)
     rows: dict[int, dict[int, int]] = {}
     for target, pivot, others, face, scale in _schedule(n, k).steps:
-        total = {face: scale} if scale else {}
+        unit, rest = divmod(scale, f)
+        total = {face: unit} if unit else {}
         for pos, value in others:
-            for f, x in rows[pos].items():
-                total[f] = total.get(f, 0) - value * x
-        if any(t % pivot for t in total.values()):
+            for i, x in rows[pos].items():
+                total[i] = total.get(i, 0) - value * x
+        if rest or any(t % pivot for t in total.values()):
             raise CertificateError(f"inexact pivot at (n={n}, k={k})")
-        rows[target] = {f: t // pivot for f, t in total.items() if t}
-    return transpose((rows[p].items() for p in sorted(rows)), Cochain.size(n, k))
+        rows[target] = {i: t // pivot for i, t in total.items() if t}
+    columns = transpose((rows[p].items() for p in sorted(rows)), Cochain.size(n, k))
+    if not _certified(n, k, columns):
+        raise CertificateError(
+            f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
+        )
+    return columns
 
 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
-    O(nnz) work: the columns of S at the cochain's nonzero entries, summed
-    in Python ints, over the cochain's own q. Raises CertificateError, the
-    schedule's own, when the schedule does not build, and when a pivot is
-    inexact or the closed form disagrees.
+    O(nnz) work: the +-1 columns of S/k! at the cochain's nonzero entries,
+    summed in Python ints, with k! in the scale
+    (:func:`~whitneyforms.operators.factorial_image`, as ``whitney``).
+    Raises CertificateError, the schedule's own, when the schedule does not
+    build, and when a pivot is inexact, S/k! fails its certificate or the
+    closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
-    vec = column_sum(_solution_columns(n, k), cochain.vec, unknown_layout(n, k).size)
-    result = AffineForm.from_vector(n, k, vec, cochain.q)
+    result = factorial_image(_solution_columns(n, k), cochain)
     _closed_form_check(n, k, cochain, result)
     return result
 

@@ -49,7 +49,7 @@ def pullback(form: AffineForm, face: Face) -> AffineForm:
     t = face.degree
     if t < form.k:
         raise DimensionMismatch(f"cannot pull a degree-{form.k} form back to a {t}-face")
-    rows = pullback_rows(form.n, form.k, face.vertices)
+    rows = tuple(pullback_rows(form.n, form.k, face.vertices))
     vec = column_sum(transpose(rows, len(form.vec)), form.vec, len(rows))
     return AffineForm.from_vector(t, form.k, vec, form.q)
 

@@ -8,8 +8,8 @@ a_{I,1}, ..., a_{I,n}. Every map the package needs between such vectors
 and cochains is linear, and each has small integer entries, so it is built
 once per (n, k) as sparse rows of ``(position, int)`` pairs:
 
-* W, the Whitney map: per canonical k-face, in face order, the vector of
-  its basis form (entries +-k!);
+* W/k!, the Whitney map over k!: per canonical k-face, in face order, the
+  vector of its basis form divided by k! (entries +-1);
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
@@ -21,10 +21,11 @@ sparse input costs its nonzeros; ``derham`` uses :func:`derham_columns`.
 
 An AffineForm is stored as that vector already scaled to integers, vec / q,
 and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
-order, so the operators map integer vectors to integer vectors: W takes
-``cochain.vec`` to ``form.vec`` over the same q, and D*(k+1)! takes
-``form.vec`` to ``cochain.vec`` over q * (k+1)!. No Fraction is made on
-either way.
+order, so the operators map integer vectors to integer vectors: W/k! takes
+``cochain.vec`` to ``form.vec`` with k! in the scale
+(:func:`factorial_image`, which the solve's S/k! shares), and D*(k+1)!
+takes ``form.vec`` to ``cochain.vec`` over q * (k+1)!. No Fraction is made
+on either way.
 
 T_G is the pullback to a face G = (g_0, ..., g_t), t >= k, taken along its
 own vertex order: x(s) = p_{g_0} + sum_r s^r (p_{g_r} - p_{g_0}), with p_0
@@ -79,17 +80,19 @@ i = v_j the count is j - 1, the index is T and the amount is +k!, which
 cancels term 0's entry on a_{T,v_j}. No other two terms meet: the slot v_j
 names j, and then the index names i. So the column is +k! on b_T, -k! on
 a_{T,i} and the term-j amounts for each i outside F; every entry of W is
-+-k!, and W is built without a single wedge product.
++-k!. :func:`whitney_columns` stores W/k!, entries +-1, so that k! rides in
+the form's scale and no entry of a sum is multiplied by it, and it is built
+without a single wedge product.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .forms import MultiIndex, UnknownLayout, unknown_layout
-from .simplicial import permutation_sign
+from .forms import AffineForm, MultiIndex, UnknownLayout, unknown_layout
+from .simplicial import Cochain, permutation_sign
 
 __all__ = [
     "SparseRow",
@@ -103,6 +106,7 @@ __all__ = [
     "derham_columns",
     "transpose",
     "column_sum",
+    "factorial_image",
     "constancy_rows",
 ]
 
@@ -125,29 +129,30 @@ def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]
     return tuple(minors)
 
 
-def pullback_rows(n: int, k: int, vertices: tuple[int, ...]) -> tuple[SparseRow, ...]:
+def pullback_rows(n: int, k: int, vertices: tuple[int, ...]) -> Iterator[SparseRow]:
     """T_G: row p is entry p of the (t, k) layout vector of the pullback to G = vertices.
 
     Per target multi-index J, the row of b'_J and then those of a'_{J,1..t}.
+    The rows are built as they are read, so a caller that needs only the
+    first, b' of the first J, builds no other.
     """
     layout = unknown_layout(n, k)
     g0, rest = vertices[0], vertices[1:]
-    rows: list[SparseRow] = []
     for span in unknown_layout(len(rest), k).multi_indices:
         sub_face = (g0, *(rest[j - 1] for j in span))
         minors = [(layout.position(idx), sign) for idx, sign in face_minors(sub_face)]
         # a_{I,0} = 0: a slot g = 0 adds no entry
         at_g0 = [(base + g0, sign) for base, sign in minors] if g0 else []
-        rows.append(tuple(sorted(minors + at_g0)))
+        yield tuple(sorted(minors + at_g0))
         for g in rest:
             row = [(base + g, sign) for base, sign in minors] if g else []
-            rows.append(tuple(sorted(row + [(pos, -sign) for pos, sign in at_g0])))
-    return tuple(rows)
+            yield tuple(sorted(row + [(pos, -sign) for pos, sign in at_g0]))
 
 
-def integral_row(k: int, face_rows: Sequence[SparseRow]) -> SparseRow:
+def integral_row(k: int, face_rows: Iterable[SparseRow]) -> SparseRow:
     """(k+1)! times the integral over a k-face F, from T_F: (k+1) T_F[b'] + sum_s T_F[a'_s]."""
-    terms = [(k + 1, face_rows[0])] + [(1, row) for row in face_rows[1:]]
+    constant, *gradient = face_rows
+    terms = [(k + 1, constant)] + [(1, row) for row in gradient]
     return tuple(sorted(_combine(terms).items()))
 
 
@@ -163,32 +168,31 @@ def _combine(terms: Iterable[tuple[int, SparseRow]]) -> dict[int, int]:
 @cache
 def _face_pullbacks(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
     """T_F for each of layout.faces: the k+1 rows b', a'_1, ..., a'_k."""
-    return tuple(pullback_rows(n, k, face) for face in unknown_layout(n, k).faces)
+    return tuple(tuple(pullback_rows(n, k, face)) for face in unknown_layout(n, k).faces)
 
 
 @cache
 def whitney_columns(n: int, k: int) -> tuple[SparseRow, ...]:
-    """W: column i is the coefficient vector of layout.faces[i]'s Whitney basis form."""
+    """W/k!: column i is layout.faces[i]'s Whitney basis form over k!, entries +-1."""
     layout = unknown_layout(n, k)
-    f = math.factorial(k)
     columns: list[SparseRow] = []
     for face in layout.faces:
         column: list[tuple[int, int]] = []
         if face[0]:
             for j, v in enumerate(face):
-                column.append((layout.position(face[:j] + face[j + 1 :], v), -f if j % 2 else f))
+                column.append((layout.position(face[:j] + face[j + 1 :], v), -1 if j % 2 else 1))
         else:
             # the a_{T,v_j} entries cancel, so only i outside F remain
             span = face[1:]
             outside = [i for i in range(1, n + 1) if i not in span]
-            column.append((layout.position(span), f))
-            column += [(layout.position(span, i), -f) for i in outside]
+            column.append((layout.position(span), 1))
+            column += [(layout.position(span, i), -1) for i in outside]
             for j, v in enumerate(span, 1):
                 rest = span[: j - 1] + span[j:]
                 for i in outside:
                     below = sum(r < i for r in rest)
                     pos = layout.position(tuple(sorted((*rest, i))), v)
-                    column.append((pos, f if (j + below) % 2 else -f))
+                    column.append((pos, 1 if (j + below) % 2 else -1))
         columns.append(tuple(sorted(column)))
     return tuple(columns)
 
@@ -222,6 +226,25 @@ def column_sum(columns: Sequence[SparseRow], values: Sequence[int], size: int) -
             for pos, entry in columns[i]:
                 out[pos] += value * entry
     return out
+
+
+def factorial_image(columns: Sequence[SparseRow], cochain: Cochain) -> AffineForm:
+    """k! X.c for the cochain c = vec / q and an X with D~.X = (k+1) I, such as W/k!.
+
+    With a = gcd(q, k!) and m = k!/a this is u / (q/a), u = X.(m vec), one
+    :func:`column_sum` in which no entry is multiplied by k!. The pair is
+    canonical once divided by g = gcd(q/a, *u), and g divides k+1: every
+    entry of D~.u = (k+1) m vec is a multiple of g, so g divides
+    (k+1) m gcd(*vec); g shares no factor with m, because gcd(q/a, m) = 1,
+    nor with gcd(*vec), because gcd(q, *vec) = 1. So only gcd(q/a, k+1) is
+    tried against the entries.
+    """
+    n, k, q = cochain.n, cochain.k, cochain.q
+    a = math.gcd(q, math.factorial(k))
+    m = math.factorial(k) // a
+    values = cochain.vec if m == 1 else [m * v for v in cochain.vec]
+    u = column_sum(columns, values, unknown_layout(n, k).size)
+    return AffineForm._canonical(n, k, u, q // a, k + 1)
 
 
 @cache

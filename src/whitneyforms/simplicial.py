@@ -248,8 +248,17 @@ class ScaledVector:
             raise ValueError(f"expected a vector of length {size}")
         if type(q) is not int or q < 1:
             raise ValueError(f"the scale must be a positive integer, not {q!r}")
+        return cls._canonical(n, k, vec, q)
+
+    @classmethod
+    def _canonical(cls, n: int, k: int, vec: Sequence[int], q: int, bound: int = 0):
+        """vec / q, divided by its gcd; a nonzero bound is a multiple of gcd(q, *vec).
+
+        With a bound only gcd(q, bound) is tried, so a caller that has proved
+        one spares the gcd of q with every entry. The vector is not checked.
+        """
         obj = object.__new__(cls)
-        obj._assign(n, k, vec, q)
+        obj._assign(n, k, vec, q, bound)
         return obj
 
     @classmethod
@@ -261,9 +270,9 @@ class ScaledVector:
         q = math.lcm(*(v.denominator for v in values))
         self._assign(n, k, [v.numerator * (q // v.denominator) for v in values], q)
 
-    def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
-        g = q
-        if q >> 64:
+    def _assign(self, n: int, k: int, vec: Sequence[int], q: int, bound: int = 0) -> None:
+        g = math.gcd(q, bound) if bound else q
+        if g >> 64:
             # The entries tend to share most factors of a multi-word q, so the running gcd
             # stays long for many steps. L = sum((2i+1) * vec[i]) combines the entries, so
             # gcd(q, L, *vec) = gcd(q, *vec), and gcd(q, L) is short: on 62-bit cochains and

@@ -10,18 +10,20 @@ the construction is a right inverse to face-wise integration. Reversing
 the face orientation negates the form; the sign carried by a Face is folded
 in here.
 
-The basis forms have integer coefficients and are the columns of the
-operator W, which :mod:`whitneyforms.operators` writes down in closed form,
-with no wedge product. ``whitney`` of a cochain vec / q is W.vec / q, a
-column sum over the cochain's nonzero entries in Python ints, with no
-Fraction made. ``barycentric_differential`` gives d nu_i as a constant
-AffineForm, the right factor ``wedge`` takes.
+The basis forms have integer coefficients, each nonzero one +-k!, and over
+k! they are the columns of the operator W/k!, entries +-1, which
+:mod:`whitneyforms.operators` writes down in closed form, with no wedge
+product. ``whitney`` of a cochain vec / q is k! (W/k!).vec / q, one column
+sum over the cochain's nonzero entries in Python ints
+(:func:`~whitneyforms.operators.factorial_image`), with k! carried in the
+scale and no Fraction made. ``barycentric_differential`` gives d nu_i as a
+constant AffineForm, the right factor ``wedge`` takes.
 """
 
 from __future__ import annotations
 
 from .forms import AffineForm
-from .operators import column_sum, unknown_layout, whitney_columns
+from .operators import factorial_image, whitney_columns
 from .simplicial import Cochain, Face
 
 __all__ = [
@@ -41,15 +43,15 @@ def barycentric_differential(n: int, label: int) -> AffineForm:
 
 
 def whitney_basis_form(face: Face) -> AffineForm:
-    """The Whitney form of one oriented face: its column of W, times its sign."""
+    """The Whitney form of one oriented face: k! times its column of W/k!, times its sign."""
     return whitney(Cochain.basis(face))
 
 
 def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
-    The cochain's nonzero integer entries times the integer columns of W are
-    summed in Python ints, and the form is that sum over the cochain's own q.
+    The cochain's nonzero integer entries times the +-1 columns of W/k! are
+    summed in Python ints, and k! goes into the scale, where
+    D~.(W/k!) = (k+1) I bounds the gcd that canonicalisation divides out.
     """
-    vec = column_sum(whitney_columns(c.n, c.k), c.vec, unknown_layout(c.n, c.k).size)
-    return AffineForm.from_vector(c.n, c.k, vec, c.q)
+    return factorial_image(whitney_columns(c.n, c.k), c)

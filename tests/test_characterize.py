@@ -339,6 +339,55 @@ def test_an_inexact_pivot_fails_every_solve_of_its_cell(monkeypatch):
         clear_caches()
 
 
+def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
+    # S/k! is certified by C.X = 0, D~.X = (k+1) I when it is built. One
+    # wrong coefficient in a stage-2 step, whose pivot 1 keeps every division
+    # exact, corrupts entries of S/k!, and every solve of the cell raises,
+    # while the replay, which only formats the schedule, builds
+    clear_caches()
+    schedule = _schedule(4, 2)
+    span, m, step = next(entry for entry in schedule.stage2 if entry[2].others)
+    (pos, value), *rest = step.others
+    corrupted = step._replace(others=((pos, value + 1), *rest))
+    broken = schedule._replace(
+        stage2=tuple((s, mm, corrupted if t is step else t) for s, mm, t in schedule.stage2),
+        steps=tuple(corrupted if t is step else t for t in schedule.steps),
+    )
+    monkeypatch.setattr(characterize, "_schedule", lambda n, k: broken)
+    clear_caches()
+    try:
+        basis = [Cochain.basis(face) for face in enumerate_faces(4, 2)]
+        assert any(schedule_solve(4, 2, c) != whitney(c) for c in basis)
+        for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
+            with pytest.raises(
+                CertificateError, match=r"the solution columns at \(n=4, k=2\) fail"
+            ):
+                solve_characterization(4, 2, c)
+        assert proof_trace(4, 2).to_json()["complete"] is True
+    finally:
+        clear_caches()
+
+
+def test_the_schedule_builds_only_the_constant_term_rows(monkeypatch):
+    # stage 2 reads b' of T_{(m, *L)}, and the lazy rows stop there
+    built = []
+
+    rows = characterize.pullback_rows
+
+    def counted(n, k, vertices):
+        for row in rows(n, k, vertices):
+            built.append(vertices)
+            yield row
+
+    monkeypatch.setattr(characterize, "pullback_rows", counted)
+    clear_caches()
+    try:
+        schedule = _schedule(5, 2)
+    finally:
+        clear_caches()
+    assert len(built) == len(set(built)) == len(schedule.stage2)
+
+
 def test_solved_coefficients_are_fractions():
     for n, k in [(2, 0), (3, 1), (4, 2), (3, 3)]:
         for c in [Cochain.basis(enumerate_faces(n, k)[-1]), random_cochain(Random(n + k), n, k)]:
@@ -350,13 +399,13 @@ def test_solved_coefficients_are_fractions():
 
 def _isolates_nothing(n, k, vertices):
     # a T_G whose constant-term row b' is empty
-    return ((),)
+    return iter(((),))
 
 
 def _outside_the_row_space(n, k, vertices):
     # isolates the right unknown, but is not a combination of the face's rows
     m, *span = vertices
-    return (((unknown_layout(n, k).position(span, m), 1),),)
+    return iter((((unknown_layout(n, k).position(span, m), 1),),))
 
 
 @pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
@@ -402,7 +451,7 @@ def test_schedule_rejects_a_stage2_pivot_other_than_one(monkeypatch):
     # the right unknown with pivot 2 is refused, before the row-space identity
     def doubled(n, k, vertices):
         m, *span = vertices
-        return (((unknown_layout(n, k).position(span, m), 2),),)
+        return iter((((unknown_layout(n, k).position(span, m), 2),),))
 
     monkeypatch.setattr(characterize, "pullback_rows", doubled)
     clear_caches()
@@ -424,7 +473,9 @@ def test_every_admitted_cell_is_certified():
         schedule = _schedule(n, k)
         assert len(schedule.steps) == unknown_layout(n, k).size
         assert _whitney_columns_certified(n, k)
+        # S/k! and W/k!, both with entries +-1
         assert _solution_columns(n, k) == whitney_columns(n, k)
+        assert all(v in (1, -1) for column in whitney_columns(n, k) for _, v in column)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])
@@ -485,5 +536,5 @@ def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
     assert all(cell[name] for name in ("rw_identity", "characterization", "proof_trace"))
     assert cell["counterexample"] == {
         "check": "dimension",
-        "error": "the Whitney columns at (n=3, k=1) fail C.W = 0, D~.W = (k+1)! I",
+        "error": "the Whitney columns at (n=3, k=1) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I",
     }

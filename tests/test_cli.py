@@ -442,7 +442,7 @@ def test_unknown_cap_admits_every_cell_up_to_eight():
 
 
 def test_broken_replay_exits_one_with_a_message(monkeypatch):
-    monkeypatch.setattr(characterize, "pullback_rows", lambda n, k, vertices: ((),))
+    monkeypatch.setattr(characterize, "pullback_rows", lambda n, k, vertices: iter(((),)))
     clear_caches()
     cochain = json.dumps({"n": 3, "k": 1, "terms": [{"face": [1, 2], "coeff": "1"}]})
     try:

@@ -5,7 +5,9 @@ exit code); ``tests/golden/<name>.out`` holds its stdout as captured from
 ``python -m whitneyforms``. The cases cover the README's ``whitney``,
 ``derham`` and ``characterize`` examples in json, text and latex, a dense
 (3, 1) cochain, ``trace --n 4 --k 2``, ``dims --n 6`` and
-``verify --n-max 4 --seed 1``. Each is replayed through ``cli.main``.
+``verify --n-max 4 --seed 1``, and ``whitney`` and ``characterize`` in json
+on one seeded dense (8, 4) cochain whose numerators and denominators have
+62 bits, read from stdin. Each is replayed through ``cli.main``.
 """
 
 import json

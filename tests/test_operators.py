@@ -8,6 +8,7 @@ of ``helpers`` applied to the unit forms, and the sum of basis forms built
 by ``wedge``.
 """
 
+import itertools
 import math
 import sys
 from fractions import Fraction
@@ -17,11 +18,13 @@ import pytest
 
 from helpers import (
     assert_no_dense_elimination,
+    canonical_pair,
     clear_caches,
     dense_system,
     pullback_constant_term_row,
     pullback_system_rows,
     random_affine_form,
+    schedule_solve,
     wedge_basis_form,
 )
 import whitneyforms
@@ -75,7 +78,7 @@ def test_operator_entries_are_small_integers(n, k):
         assert all({v for _, v in row} <= {1, -1} for row in rows)
     for column in whitney_columns(n, k):
         assert all(type(v) is int for _, v in column)
-        assert {v for _, v in column} <= {math.factorial(k), -math.factorial(k)}
+        assert {v for _, v in column} <= {1, -1}
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
     for row in [*derham_rows(n, k), *constancy, *whitney_columns(n, k)]:
         positions = [p for p, _ in row]
@@ -134,6 +137,80 @@ def test_column_sum_reads_only_the_nonzero_entries():
     assert column_sum(only_nonzero, vec, size) == expected
 
 
+def _parent_pair(c):
+    """k! (W/k!).vec / q in lowest terms, reduced one entry at a time."""
+    u = column_sum(whitney_columns(c.n, c.k), c.vec, unknown_layout(c.n, c.k).size)
+    return canonical_pair([math.factorial(c.k) * v for v in u], c.q)
+
+
+def _walk_pair(c):
+    """The whole-schedule walk with the undivided scales, in lowest terms."""
+    walked = schedule_solve(c.n, c.k, c)
+    return canonical_pair(walked.vec, walked.q)
+
+
+def _assert_pair(form, expected):
+    assert math.gcd(form.q, *form.vec) == 1
+    assert (form.vec, form.q) == expected
+
+
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(n + 1)])
+def test_k_factorial_in_the_scale_gives_the_canonical_pair(n, k):
+    # whitney and the solve carry k! in the scale and divide out only gcd(q/a, k+1)
+    rng = Random(4000 * n + k)
+    big = 2**62
+    cochains = [Cochain.basis(face) for face in enumerate_faces(n, k)]
+    cochains += [random_cochain(rng, n, k) for _ in range(2)]
+    cochains.append(
+        Cochain(
+            n,
+            k,
+            {
+                face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+                for face in enumerate_faces(n, k)
+            },
+        )
+    )
+    for c in cochains:
+        _assert_pair(whitney(c), _parent_pair(c))
+        _assert_pair(solve_characterization(n, k, c), _walk_pair(c))
+
+
+def test_k_factorial_in_the_scale_on_every_small_cochain():
+    # every cochain with entries in {-1, 0, 1} over each q at n <= 3: with
+    # a = gcd(q, k!) and m = k!/a, the sweep meets m > 1, a = k! > 1 and a
+    # bound gcd(q/a, k+1) > 1
+    seen = set()
+    for n in range(1, 4):
+        for k in range(n + 1):
+            f = math.factorial(k)
+            for entries in itertools.product((-1, 0, 1), repeat=Cochain.size(n, k)):
+                for q in (1, 2, 3, 4, 6, 12, 24):
+                    c = Cochain.from_vector(n, k, entries, q)
+                    a = math.gcd(c.q, f)
+                    form = whitney(c)
+                    _assert_pair(form, _parent_pair(c))
+                    _assert_pair(solve_characterization(n, k, c), _walk_pair(c))
+                    seen |= {
+                        name
+                        for name, holds in (
+                            ("m > 1", f // a > 1),
+                            ("a = k! > 1", a == f > 1),
+                            ("bound > 1", math.gcd(c.q // a, k + 1) > 1),
+                        )
+                        if holds
+                    }
+    assert seen == {"m > 1", "a = k! > 1", "bound > 1"}
+
+
+def test_pullback_rows_are_built_as_they_are_read():
+    rows = pullback_rows(5, 2, (4, 1, 3))
+    assert iter(rows) is rows
+    everything = tuple(pullback_rows(5, 2, (4, 1, 3)))
+    assert len(everything) == 3
+    assert next(rows) == everything[0]
+
+
 @pytest.mark.parametrize("n,k", CELLS)
 def test_system_matrices_match_pullback(n, k):
     constancy, integrals = dense_system(n, k)
@@ -174,9 +251,11 @@ def test_whitney_columns_match_the_wedge_construction(n):
         columns = whitney_columns(n, k)
         assert len(columns) == len(layout.faces)
         for face, column in zip(layout.faces, columns):
+            # W/k!: the basis form over k!
             form = wedge_basis_form(n, face)
             assert form.q == 1
-            assert column == tuple((pos, v) for pos, v in enumerate(form.vec) if v)
+            scaled = tuple((pos, math.factorial(k) * v) for pos, v in column)
+            assert scaled == tuple((pos, v) for pos, v in enumerate(form.vec) if v)
         # an oriented face: a reversed or permuted vertex order flips the sign
         face = Face(n, tuple(reversed(layout.faces[-1])))
         assert whitney_basis_form(face) == wedge_basis_form(n, face.vertices)
@@ -193,7 +272,7 @@ def test_constant_term_row_matches_pullback(n):
                     continue
                 # r(m, L) is the b' row of T_G along the vertex order (m, *L)
                 expected = pullback_constant_term_row(n, k, Face(n, (m,) + span))
-                assert _dense(pullback_rows(n, k, (m,) + span)[0], size) == expected
+                assert _dense(next(pullback_rows(n, k, (m,) + span)), size) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -214,7 +293,7 @@ def test_constant_term_row_is_a_combination_of_its_face_rows(n):
                         a + weight * b for a, b in zip(combination, _dense(row, layout.size))
                     ]
                 sigma = permutation_sign((m,) + span)
-                lhs = _dense(pullback_rows(n, k, (m,) + span)[0], layout.size)
+                lhs = _dense(next(pullback_rows(n, k, (m,) + span)), layout.size)
                 assert [(k + 1) * v for v in lhs] == [sigma * v for v in combination]
 
 
