@@ -9,41 +9,40 @@ the unknowns ("b_(1,2)", "a_(1,2),3"). This module solves the square system
 [C; D], certifies uniqueness by a trivial kernel, and replays the two-stage
 elimination that proves uniqueness row by row.
 
-The replay and the solve are one schedule, built once per (n, k): a
-triangular order of the square system in which every row determines one
-new unknown. Stage 1 takes the constancy rows and then the integral row of
-each face through vertex 0; stage 2 takes, for each multi-index L and
-vertex m >= 1 outside it, the constant term r(m, L) of the coefficient
-pulled back to the face (m, *L), i.e. its value at vertex m: the row
-T_{(m, *L)}[b'] of that face's pullback operator
-(:func:`~whitneyforms.operators.pullback_rows`), of which C and D are
-slices too. That row is no row of the system, but with G = sorted((m,) + L)
-the identity
+The replay and the solve are one schedule, built once per (n, k) from C
+and D~ = D*(k+1)! alone: a triangular order of rows in their row space, in
+which every row determines one new unknown. Stage 1 takes the constancy
+rows and then the integral row of each face through vertex 0. Stage 2
+takes, for each multi-index L and vertex m >= 1 outside it, the row
 
-    (k+1) r(m, L) = sigma (D~_G - sum_{s=1..k} C_{G,s} + (k+1) C_{G,j}),
+    rho(m, L) = D~_G - sum_{s=1..k} C_{G,s} + (k+1) C_{G,j}
 
-checked exactly when the schedule is built (D~ = D*(k+1)!, C_{G,s} the
-constancy row of vertex G[s], j = G.index(m) with the last term absent
-when j = 0, sigma the sign of sorting (m,) + L), puts it in their row
-space with right-hand side sigma k! c(G). A complete schedule therefore
-proves the kernel trivial.
+of the face G = sorted((m,) + L), with right-hand side (k+1)! c(G), where
+C_{G,s} is the constancy row of vertex G[s] and j = G.index(m), the last
+term absent when j = 0. It is sigma (k+1) r(m, L), sigma the sign of
+sorting (m,) + L and r(m, L) the paper's row: the value at vertex m of the
+coefficient pulled back to the face (m, *L), with coefficient one on
+a_{L,m}. Each step is an integer combination of one face's rows, so a
+complete schedule proves the kernel trivial.
 
 The solve is linear, so :func:`_solution_columns` forward-substitutes the
 schedule once per (n, k), each unknown an integer combination of the face
-values, into the cached integer matrix S/k!: every right-hand side scale,
-(k+1)! or sigma k!, is divided by k!, so the entries of S/k! are +-1 like
-those of W/k!, and k! goes into the form's scale instead. The pivots are
-+-1, except the stage-1 integral rows, whose pivot k+1 divides (k+1) c(F)
-once the face's own gradient unknowns are zero. Each division is checked
-exact there, on the unit cochains; a step's right-hand side for any integer
-vector is an integer combination of theirs, so by induction over the steps
-it is exact on every cochain vec / q, and k! (S/k!).vec / q is its forward
+values, into the cached integer matrix S/k!: every right-hand side scale
+(k+1)! is divided by k!, so the entries of S/k! are +-1 like those of
+W/k!, and k! goes into the form's scale instead. The pivots are +-1 on the
+constancy rows and +-(k+1) on the others: a stage-1 integral row's divides
+(k+1) c(F) once the face's own gradient unknowns are zero, and a stage-2
+row is k+1 times an integer row. Each division is checked exact there, on
+the unit cochains; a step's right-hand side for any integer vector is an
+integer combination of theirs, so by induction over the steps it is exact
+on every cochain vec / q, and k! (S/k!).vec / q is its forward
 substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I:
 under that hypothesis :func:`~whitneyforms.operators.factorial_image` needs
 to divide out no factor but one of k+1 to make the result canonical. So
 :func:`solve_characterization` is O(nnz) work that makes no Fraction, and
 S/k!, built from C and D alone, agreeing with W/k! is an independent check.
-:func:`proof_trace` only formats the same schedule. It is complete
+:func:`proof_trace` only formats the same schedule, a step on a face
+through vertex 0 in stage 1 and any other in stage 2. It is complete
 whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
 one per unknown in all.
 
@@ -62,19 +61,18 @@ from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
-from .forms import AffineForm, MultiIndex
+from .forms import AffineForm
 from .operators import (
     SparseRow,
     _combine,
     constancy_rows,
     derham_rows,
     factorial_image,
-    pullback_rows,
     transpose,
     unknown_layout,
     whitney_columns,
 )
-from .simplicial import BadDegree, Cochain, DegreeMismatch, permutation_sign
+from .simplicial import BadDegree, Cochain, DegreeMismatch, _face_positions
 
 __all__ = [
     "CertificateError",
@@ -103,17 +101,11 @@ def lambda_e_dimension(n: int, k: int) -> int:
     Raises CertificateError, with the reason, when either certificate fails.
     """
     _schedule(n, k)
-    if not _whitney_columns_certified(n, k):
+    if not _certified(n, k, whitney_columns(n, k)):
         raise CertificateError(
             f"the Whitney columns at (n={n}, k={k}) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I"
         )
     return len(unknown_layout(n, k).faces)
-
-
-@cache
-def _whitney_columns_certified(n: int, k: int) -> bool:
-    """C.(W/k!) = 0 and D~.(W/k!) = (k+1) I, checked exactly on the sparse integer rows."""
-    return _certified(n, k, whitney_columns(n, k))
 
 
 def _certified(n: int, k: int, columns: tuple[SparseRow, ...]) -> bool:
@@ -138,7 +130,7 @@ class _Step(NamedTuple):
     """One row of the elimination: pivot * x[target] + others . x = scale * c(faces[face]).
 
     ``others`` are the row's remaining entries, all on unknowns that earlier
-    steps determined; ``scale`` is 0 for a constancy row.
+    steps determined; ``scale`` is 0 for a constancy row and (k+1)! otherwise.
     """
 
     target: int
@@ -148,86 +140,47 @@ class _Step(NamedTuple):
     scale: int
 
 
-class _Schedule(NamedTuple):
-    """The replay's rows in order: per face through the origin, then per (L, m)."""
-
-    stage1: tuple[tuple[tuple[int, ...], tuple[_Step, ...]], ...]
-    stage2: tuple[tuple[MultiIndex, int, _Step], ...]
-    steps: tuple[_Step, ...]
-
-
-def _step(row: SparseRow, alive: list[bool], target: int, face: int, scale: int) -> _Step | None:
-    """The row as the step that determines target; None unless it is the one live unknown."""
-    if [pos for pos, _ in row if alive[pos]] != [target]:
-        return None
-    alive[target] = False
-    pivot = next(value for pos, value in row if pos == target)
-    return _Step(target, pivot, tuple(e for e in row if e[0] != target), face, scale)
-
-
 @cache
-def _schedule(n: int, k: int) -> _Schedule:
-    """The two-stage elimination as a triangular order of the stacked system.
+def _schedule(n: int, k: int) -> tuple[_Step, ...]:
+    """The two-stage elimination as one triangular list of steps of [C; D~].
 
     Stage 1 takes, for each face [0] + L, its constancy rows and then its
     integral row, which must determine each a_{L,t} (t in L) and then b_L.
-    Stage 2 takes the constant-term row r(m, L) = T_{(m, *L)}[b'] of each face
-    G = sorted((m,) + L), which must determine a_{L,m} with pivot 1, checked
-    against the identity in the module docstring (its last term is absent
-    when m is G's first vertex). Raises CertificateError, with the reason,
-    when a row breaks that shape or the identity fails; a schedule that is
-    returned is complete.
+    Stage 2 defines, for each L and vertex m >= 1 outside it, its row as
+    rho(m, L) = D~_G - sum_s C_{G,s} + (k+1) C_{G,j} on the face
+    G = sorted((m,) + L), j = G.index(m), which must determine a_{L,m}. Each
+    row is one face's rows or an integer combination of them, so no identity
+    is left to check. Raises CertificateError when a row does not isolate
+    its unknown among those still alive; a returned schedule is complete.
     """
     layout = unknown_layout(n, k)
-    index = {face: i for i, face in enumerate(layout.faces)}
     constancy, integrals = constancy_rows(n, k), derham_rows(n, k)
-    alive = [True] * layout.size
-
-    stage1: list[tuple[tuple[int, ...], tuple[_Step, ...]]] = []
+    scale = math.factorial(k + 1)
+    rows: list[tuple[SparseRow, int, int, int]] = []
     for i, face in enumerate(layout.faces):
-        if face[0] != 0:
-            continue
-        span = face[1:]
-        rows = [(row, 0, layout.position(span, t)) for row, t in zip(constancy[i], span)]
-        rows.append((integrals[i], math.factorial(k + 1), layout.position(span)))
-        steps: list[_Step] = []
-        for row, scale, target in rows:
-            step = _step(row, alive, target, i, scale)
-            if step is None:
-                raise CertificateError(
-                    f"a row on face {list(face)} does not isolate {layout.labels[target]}"
-                )
-            steps.append(step)
-        stage1.append((face, tuple(steps)))
-
-    stage2: list[tuple[MultiIndex, int, _Step]] = []
+        if face[0] == 0:
+            span = face[1:]
+            rows += [(row, i, 0, layout.position(span, t)) for row, t in zip(constancy[i], span)]
+            rows.append((integrals[i], i, scale, layout.position(span)))
     for span in layout.multi_indices:
         for m in range(1, n + 1):
-            if m in span:
-                continue
-            row = next(pullback_rows(n, k, (m, *span)))
-            g = tuple(sorted((m, *span)))
-            i = index[g]
-            sigma = permutation_sign((m, *span))
-            step = _step(row, alive, layout.position(span, m), i, sigma * math.factorial(k))
-            if step is None or step.pivot != 1:
-                raise CertificateError(
-                    f"evaluation at vertex {m} of face {[m, *span]} does not "
-                    f"isolate {layout.label(span, m)} with coefficient one"
-                )
-            j = g.index(m)
-            combination = [(sigma, integrals[i])] + [
-                (sigma * ((k + 1) * (s == j) - 1), c) for s, c in enumerate(constancy[i], 1)
-            ]
-            if _combine([(k + 1, row)]) != _combine(combination):
-                raise CertificateError(
-                    f"evaluation at vertex {m} of face {[m, *span]} is not a "
-                    f"combination of the rows of face {list(g)}"
-                )
-            stage2.append((span, m, step))
-
-    steps = tuple(s for _, face_steps in stage1 for s in face_steps)
-    return _Schedule(tuple(stage1), tuple(stage2), steps + tuple(s for _, _, s in stage2))
+            if m not in span:
+                g = tuple(sorted((m, *span)))
+                i, j = _face_positions(n, k)[g], g.index(m)
+                weights = [(k + 1) * (s == j) - 1 for s in range(1, k + 1)]
+                row = _combine([(1, integrals[i]), *zip(weights, constancy[i])])
+                rows.append((tuple(sorted(row.items())), i, scale, layout.position(span, m)))
+    alive = [True] * layout.size
+    steps: list[_Step] = []
+    for row, i, rhs, target in rows:
+        if [pos for pos, _ in row if alive[pos]] != [target]:
+            raise CertificateError(
+                f"a row on face {list(layout.faces[i])} does not isolate {layout.labels[target]}"
+            )
+        alive[target] = False
+        others = tuple(e for e in row if e[0] != target)
+        steps.append(_Step(target, dict(row)[target], others, i, rhs))
+    return tuple(steps)
 
 
 def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> None:
@@ -262,7 +215,7 @@ def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
     """
     f = math.factorial(k)
     rows: dict[int, dict[int, int]] = {}
-    for target, pivot, others, face, scale in _schedule(n, k).steps:
+    for target, pivot, others, face, scale in _schedule(n, k):
         unit, rest = divmod(scale, f)
         total = {face: unit} if unit else {}
         for pos, value in others:
@@ -352,18 +305,25 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     Stage 1 walks the faces through vertex 0: on each, the pulled-back
     coefficient involves only its own block, so each constancy row names a
     gradient unknown and the integral row then the constant one. Stage 2
-    walks the faces [m, *L], whose constant term, restricted to the unknowns
-    still alive, is a_{L,m} with coefficient one. This only formats the
-    schedule that S is built from, so the replay and the solve cannot drift
-    apart: both raise its CertificateError.
+    walks the pairs (L, m), whose row on the face sorted((m,) + L) is
+    sigma (k+1) times the value at vertex m of the coefficient pulled back
+    to [m, *L]: restricted to the unknowns still alive, it is a_{L,m} alone.
+    This only formats the schedule that S is built from, so the replay and
+    the solve cannot drift apart: both raise its CertificateError.
     """
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
-    labels = unknown_layout(n, k).labels
-    schedule = _schedule(n, k)
-    stage1 = tuple(
-        Stage1Kill(face, tuple(labels[p] for p in sorted(s.target for s in steps)))
-        for face, steps in schedule.stage1
+    layout = unknown_layout(n, k)
+    stage1: dict[int, list[int]] = {}
+    stage2: list[Stage2Kill] = []
+    for step in _schedule(n, k):
+        if layout.faces[step.face][0] == 0:
+            stage1.setdefault(step.face, []).append(step.target)
+        else:
+            block, m = divmod(step.target, n + 1)
+            stage2.append(Stage2Kill(layout.multi_indices[block], m, layout.labels[step.target]))
+    kills = tuple(
+        Stage1Kill(layout.faces[i], tuple(layout.labels[p] for p in sorted(targets)))
+        for i, targets in stage1.items()
     )
-    stage2 = tuple(Stage2Kill(span, m, labels[s.target]) for span, m, s in schedule.stage2)
-    return ProofTrace(n, k, stage1, stage2)
+    return ProofTrace(n, k, kills, tuple(stage2))

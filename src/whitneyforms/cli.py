@@ -95,6 +95,13 @@ def _parse_form(data: dict) -> AffineForm:
         raise click.UsageError(f"bad form: {exc}") from exc
 
 
+def _vertex_label(text: str) -> int:
+    """One --face label, ASCII digits only: int() would read 1_0 as 10 and accept +3."""
+    if not (text.isascii() and text.isdigit()):
+        raise click.UsageError(f"--face labels are vertex numbers, got {text!r}")
+    return int(text)
+
+
 def _emit_form(form, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(form_to_json(form)))
@@ -129,7 +136,7 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
     _check_size(n, k)
     try:
         if face_arg is not None:
-            labels = tuple(int(v) for v in face_arg.split(","))
+            labels = tuple(_vertex_label(v) for v in face_arg.split(","))
             if len(labels) != k + 1:
                 raise click.UsageError(f"--face needs {k + 1} vertices for k={k}")
             c = Cochain.basis(Face(n, labels))

@@ -10,9 +10,9 @@ k-simplex:
     integral of t^s  over the standard k-simplex = 1/(k+1)!
 
 so no numerical quadrature is needed and every value is an exact rational.
-That makes (k+1)! times the integral one integer row of T_F,
-``operators.integral_row``, which ``integrate_over_face`` applies to the
-form's ``vec`` for one face of any orientation, with no pullback built.
+That makes (k+1)! times the integral over a canonical face a row of the
+cached ``operators.derham_rows``, which ``integrate_over_face`` applies to
+the form's ``vec`` with the face's orientation sign, building no pullback.
 
 ``derham`` takes every face integral at once: those rows, for every
 canonical face, are one sparse integer matrix D*(k+1)! per (n, k). Its
@@ -26,8 +26,8 @@ import math
 from fractions import Fraction
 
 from .forms import AffineForm, DimensionMismatch
-from .operators import column_sum, derham_columns, integral_row, pullback_rows, transpose
-from .simplicial import Cochain, DegreeMismatch, Face
+from .operators import column_sum, derham_columns, derham_rows, pullback_rows
+from .simplicial import Cochain, DegreeMismatch, Face, _face_positions, canonicalize
 
 __all__ = [
     "pullback",
@@ -49,26 +49,27 @@ def pullback(form: AffineForm, face: Face) -> AffineForm:
     t = face.degree
     if t < form.k:
         raise DimensionMismatch(f"cannot pull a degree-{form.k} form back to a {t}-face")
-    rows = tuple(pullback_rows(form.n, form.k, face.vertices))
-    vec = column_sum(transpose(rows, len(form.vec)), form.vec, len(rows))
+    rows = pullback_rows(form.n, form.k, face.vertices)
+    vec = [sum(value * form.vec[pos] for pos, value in row) for row in rows]
     return AffineForm.from_vector(t, form.k, vec, form.q)
 
 
 def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
     """Integral of a k-form over an oriented k-face, exactly.
 
-    The face's integral row of T_F, times the face's orientation sign,
-    applied to ``vec`` over (k+1)! q. A 0-form is simply evaluated at the
-    vertex.
+    The canonical face's row of D*(k+1)!, times the orientation sign of
+    the face against it, applied to ``vec`` over (k+1)! q. A 0-form is
+    simply evaluated at the vertex.
     """
     if face.n != form.n:
         raise DimensionMismatch("face and form live in different dimensions")
-    k = form.k
+    n, k = form.n, form.k
     if face.degree != k:
         raise DegreeMismatch(f"cannot integrate a degree-{k} form over a {face.degree}-face")
-    row = integral_row(k, pullback_rows(form.n, k, face.vertices))
+    canon = canonicalize(face)
+    row = derham_rows(n, k)[_face_positions(n, k)[canon.vertices]]
     total = sum(value * form.vec[pos] for pos, value in row)
-    return Fraction(face.sign * total, math.factorial(k + 1) * form.q)
+    return Fraction(canon.sign * total, math.factorial(k + 1) * form.q)
 
 
 def derham(form: AffineForm) -> Cochain:

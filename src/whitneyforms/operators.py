@@ -13,8 +13,8 @@ once per (n, k) as sparse rows of ``(position, int)`` pairs:
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
-D and C are slices of one more map, T_G, the pullback to a face, which is
-built per call.
+D and C are slices of one more map, T_G, the pullback to a face; only
+``derham.pullback`` builds it per call.
 
 Each map is a :func:`column_sum` over its input's nonzero entries, so a
 sparse input costs its nonzeros; ``derham`` uses :func:`derham_columns`.
@@ -58,9 +58,10 @@ leaves the k+1 rows b', a'_1, ..., a'_k:
   because the standard k-simplex has moments 1/k! (of 1) and 1/(k+1)! (of
   each s^r): it puts sigma (k+1) on b_I and sigma on a_{I,j} for each vertex
   j >= 1 of F;
-* r(m, L), the value at vertex m of the coefficient pulled back to the face
-  (m, *L), is T_{(m, *L)}[b'], sigma on both b_I and a_{I,m}; the
-  elimination schedule of :mod:`whitneyforms.characterize` reads it.
+* r(m, L) = T_{(m, *L)}[b'], the value at vertex m of the coefficient
+  pulled back to (m, *L), is sigma on b_I and a_{I,m}. It is no slice, but
+  with G = sorted((m,) + L) the stage-2 row of :mod:`whitneyforms.characterize`
+  is sigma (k+1) r(m, L) = D~_G - sum_s C_{G,s} + (k+1) C_{G,G.index(m)}.
 
 W has a closed form too. The basis form of F is
 

@@ -42,7 +42,7 @@ from whitneyforms import (
 )
 from whitneyforms import characterize, linalg
 from whitneyforms.linalg import exact_rational
-from whitneyforms.operators import constancy_rows, derham_rows, unknown_layout
+from whitneyforms.operators import SparseRow, constancy_rows, derham_rows, unknown_layout
 
 
 def bubble_sort_parity(seq) -> int:
@@ -463,12 +463,24 @@ def schedule_solve(n: int, k: int, cochain: Cochain) -> AffineForm:
     """
     values = cochain.vec
     vec = [0] * unknown_layout(n, k).size
-    for target, pivot, others, face, scale in characterize._schedule(n, k).steps:
+    for target, pivot, others, face, scale in characterize._schedule(n, k):
         total = scale * values[face] - sum(value * vec[pos] for pos, value in others)
         vec[target], remainder = divmod(total, pivot)
         if remainder:
             raise AssertionError(f"inexact pivot at (n={n}, k={k})")
     return AffineForm.from_vector(n, k, vec, cochain.q)
+
+
+def empty_first_stage2_integral(n: int, k: int) -> tuple[SparseRow, ...]:
+    """D*(k+1)! with the row of the face [1, ..., k+1] emptied, for k < n.
+
+    The first stage-2 step of the schedule combines that face's rows, so it
+    no longer isolates its unknown; stage 1 reads only faces through 0.
+    """
+    rows = list(derham_rows(n, k))
+    if k < n:
+        rows[unknown_layout(n, k).faces.index(tuple(range(1, k + 2)))] = ()
+    return tuple(rows)
 
 
 def dense_system(n: int, k: int) -> tuple[list[list[Fraction]], list[list[Fraction]]]:

@@ -14,6 +14,7 @@ from helpers import (
     barycentric_closed_form,
     clear_caches,
     dense_system,
+    empty_first_stage2_integral,
     form_from_fractions,
     fraction_vector,
     nullspace,
@@ -42,19 +43,22 @@ from whitneyforms import (
     vertex_point,
     whitney,
 )
+from whitneyforms import operators
 from whitneyforms.characterize import (
     CertificateError,
+    _certified,
     _schedule,
     _solution_columns,
-    _whitney_columns_certified,
 )
 from whitneyforms.cli import main
 from whitneyforms.operators import (
     constancy_rows,
     derham_rows,
+    pullback_rows,
     unknown_layout,
     whitney_columns,
 )
+from whitneyforms.simplicial import permutation_sign
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
 
@@ -320,14 +324,10 @@ def test_an_inexact_pivot_fails_every_solve_of_its_cell(monkeypatch):
     # the zero cochain too, while the replay, which divides nothing, builds
     clear_caches()
     schedule = _schedule(2, 1)
-    face, steps = schedule.stage1[0]
-    integral = steps[-1]
+    integral = next(step for step in schedule if step.scale)
     assert (integral.pivot, integral.scale) == (2, 2)
     inexact = integral._replace(scale=1)
-    broken = schedule._replace(
-        stage1=((face, steps[:-1] + (inexact,)),) + schedule.stage1[1:],
-        steps=tuple(inexact if step is integral else step for step in schedule.steps),
-    )
+    broken = tuple(inexact if step is integral else step for step in schedule)
     monkeypatch.setattr(characterize, "_schedule", lambda n, k: broken)
     clear_caches()
     try:
@@ -341,18 +341,16 @@ def test_an_inexact_pivot_fails_every_solve_of_its_cell(monkeypatch):
 
 def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
     # S/k! is certified by C.X = 0, D~.X = (k+1) I when it is built. One
-    # wrong coefficient in a stage-2 step, whose pivot 1 keeps every division
-    # exact, corrupts entries of S/k!, and every solve of the cell raises,
-    # while the replay, which only formats the schedule, builds
+    # coefficient of a stage-2 step off by the step's pivot keeps every
+    # division exact but corrupts entries of S/k!, and every solve of the
+    # cell raises, while the replay, which only formats the schedule, builds
     clear_caches()
     schedule = _schedule(4, 2)
-    span, m, step = next(entry for entry in schedule.stage2 if entry[2].others)
+    faces = unknown_layout(4, 2).faces
+    step = next(s for s in schedule if faces[s.face][0] and s.others)
     (pos, value), *rest = step.others
-    corrupted = step._replace(others=((pos, value + 1), *rest))
-    broken = schedule._replace(
-        stage2=tuple((s, mm, corrupted if t is step else t) for s, mm, t in schedule.stage2),
-        steps=tuple(corrupted if t is step else t for t in schedule.steps),
-    )
+    corrupted = step._replace(others=((pos, value + step.pivot), *rest))
+    broken = tuple(corrupted if s is step else s for s in schedule)
     monkeypatch.setattr(characterize, "_schedule", lambda n, k: broken)
     clear_caches()
     try:
@@ -368,24 +366,44 @@ def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
         clear_caches()
 
 
-def test_the_schedule_builds_only_the_constant_term_rows(monkeypatch):
-    # stage 2 reads b' of T_{(m, *L)}, and the lazy rows stop there
-    built = []
+def test_the_schedule_builds_no_pullback(monkeypatch):
+    # stage 2 combines the cached rows of C and D~, so no T_G is built
+    assert not {"pullback_rows", "permutation_sign"} & set(vars(characterize))
 
-    rows = characterize.pullback_rows
+    def refuse(*args):
+        raise AssertionError("a pullback was built")
 
-    def counted(n, k, vertices):
-        for row in rows(n, k, vertices):
-            built.append(vertices)
-            yield row
-
-    monkeypatch.setattr(characterize, "pullback_rows", counted)
-    clear_caches()
+    constancy_rows(5, 2), derham_rows(5, 2)
+    monkeypatch.setattr(operators, "pullback_rows", refuse)
+    _schedule.cache_clear()
     try:
-        schedule = _schedule(5, 2)
+        assert len(_schedule(5, 2)) == unknown_layout(5, 2).size
     finally:
-        clear_caches()
-    assert len(built) == len(set(built)) == len(schedule.stage2)
+        _schedule.cache_clear()
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_stage2_steps_are_the_value_at_vertex_rows(n):
+    # the step of (L, m) is sigma (k+1) times r(m, L) = T_{(m, *L)}[b'], the
+    # value at vertex m of the coefficient pulled back to the face [m, *L]
+    for k in range(n):
+        layout = unknown_layout(n, k)
+        pairs = []
+        for step in _schedule(n, k):
+            if layout.faces[step.face][0] == 0:
+                continue
+            block, m = divmod(step.target, n + 1)
+            span = layout.multi_indices[block]
+            pairs.append((span, m))
+            factor = permutation_sign((m, *span)) * (k + 1)
+            r = dict(next(pullback_rows(n, k, (m, *span))))
+            assert r.pop(step.target) == 1
+            assert step.pivot == factor
+            assert dict(step.others) == {pos: factor * v for pos, v in r.items()}
+            assert layout.faces[step.face] == tuple(sorted((m, *span)))
+            assert step.scale == math.factorial(k + 1)
+        every = [(span, m) for span in layout.multi_indices for m in range(1, n + 1) if m not in span]
+        assert pairs == every
 
 
 def test_solved_coefficients_are_fractions():
@@ -397,22 +415,16 @@ def test_solved_coefficients_are_fractions():
                 assert all(type(g) is Fraction for g in f.gradient)
 
 
-def _isolates_nothing(n, k, vertices):
-    # a T_G whose constant-term row b' is empty
-    return iter(((),))
+def _isolates_nothing(n, k):
+    # D~ without the row of [1, ..., k+1], which the first stage-2 step reads
+    return empty_first_stage2_integral(n, k)
 
 
-def _outside_the_row_space(n, k, vertices):
-    # isolates the right unknown, but is not a combination of the face's rows
-    m, *span = vertices
-    return iter((((unknown_layout(n, k).position(span, m), 1),),))
-
-
-@pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
+@pytest.mark.parametrize("row", [_isolates_nothing])
 def test_broken_stage2_row_fails_every_certificate_alike(monkeypatch, row):
     # one schedule, one failure: the solve, the replay and the count raise
     # the schedule's own CertificateError, and the kernel is not certified
-    monkeypatch.setattr(characterize, "pullback_rows", row)
+    monkeypatch.setattr(characterize, "derham_rows", row)
     clear_caches()
     try:
         messages = []
@@ -427,7 +439,7 @@ def test_broken_stage2_row_fails_every_certificate_alike(monkeypatch, row):
         assert kernel_is_trivial(3, 1) is False
     finally:
         clear_caches()
-    assert messages[0].startswith("evaluation at vertex")
+    assert messages[0] == "a row on face [1, 2] does not isolate a_(1),2"
     assert messages == [messages[0]] * 3
 
 
@@ -447,21 +459,6 @@ def test_schedule_rejects_a_stage1_row_off_its_unknown(monkeypatch):
         clear_caches()
 
 
-def test_schedule_rejects_a_stage2_pivot_other_than_one(monkeypatch):
-    # the right unknown with pivot 2 is refused, before the row-space identity
-    def doubled(n, k, vertices):
-        m, *span = vertices
-        return iter((((unknown_layout(n, k).position(span, m), 2),),))
-
-    monkeypatch.setattr(characterize, "pullback_rows", doubled)
-    clear_caches()
-    try:
-        with pytest.raises(CertificateError, match="with coefficient one"):
-            solve_characterization(2, 1, Cochain.zero(2, 1))
-    finally:
-        clear_caches()
-
-
 ADMITTED_EDGE_CELLS = [(24, 1), (24, 23), (60, 0), (60, 60)]
 
 
@@ -470,9 +467,8 @@ def test_every_admitted_cell_is_certified():
     # (n, 1), (n, n-1), (n, 0), (n, n) with at most 630 unknowns
     cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
     for n, k in cells:
-        schedule = _schedule(n, k)
-        assert len(schedule.steps) == unknown_layout(n, k).size
-        assert _whitney_columns_certified(n, k)
+        assert len(_schedule(n, k)) == unknown_layout(n, k).size
+        assert _certified(n, k, whitney_columns(n, k))
         # S/k! and W/k!, both with entries +-1
         assert _solution_columns(n, k) == whitney_columns(n, k)
         assert all(v in (1, -1) for column in whitney_columns(n, k) for _, v in column)
@@ -495,13 +491,13 @@ def test_certificates_need_no_dense_elimination(n, k):
         clear_caches()
 
 
-@pytest.mark.parametrize("row", [_isolates_nothing, _outside_the_row_space])
+@pytest.mark.parametrize("row", [_isolates_nothing])
 def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     assert_no_dense_elimination()
-    monkeypatch.setattr(characterize, "pullback_rows", row)
+    monkeypatch.setattr(characterize, "derham_rows", row)
     clear_caches()
     try:
-        with pytest.raises(CertificateError, match="evaluation at vertex"):
+        with pytest.raises(CertificateError, match=r"a row on face \[1, 2\] does not isolate"):
             lambda_e_dimension(3, 1)
         assert kernel_is_trivial(3, 1) is False
         cell = verify_cell(3, 1, samples=2)
@@ -511,9 +507,9 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     assert not cell["pass"]
     assert (cell["dimension"], cell["kernel"], cell["proof_trace"]) == (False, False, False)
     assert cell["counterexample"]["check"] == "dimension"
-    assert cell["counterexample"]["error"].startswith("evaluation at vertex")
+    assert cell["counterexample"]["error"].startswith("a row on face [1, 2] does not isolate")
     assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-    assert result.stderr.startswith("certification failed: evaluation at vertex")
+    assert result.stderr.startswith("certification failed: a row on face [1, 2] does not isolate")
     # the certificate failed, not the theorem: the dense oracle still finds no kernel
     constancy, integrals = dense_system(3, 1)
     assert nullspace(constancy + integrals, 12) == []

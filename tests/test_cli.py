@@ -6,7 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from helpers import clear_caches, dense_system, rank
+from helpers import clear_caches, dense_system, empty_first_stage2_integral, rank
 from whitneyforms import characterize, cli, forms, simplicial
 from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS, main
 
@@ -100,6 +100,15 @@ def test_whitney_usage_errors():
     assert run("whitney", "--n", "2", "--k", "1", "--face", "1,5").exit_code == 2
     assert run("whitney", "--n", "2", "--k", "1", "--cochain", "{not json").exit_code == 2
     assert run("whitney", "--n", "2", "--k", "1", "--cochain", "/nope.json").exit_code == 2
+
+
+def test_whitney_face_labels_are_ascii_digits():
+    # int() reads 1_0 as vertex 10, +3 as 3 and a fullwidth 2 as 2
+    for face in ("1_0,2", "+3,1", "1,\uff12"):
+        result = run("whitney", "--n", "24", "--k", "1", "--face", face)
+        assert result.exit_code == 2
+        assert "--face labels are vertex numbers" in result.output
+    assert run("whitney", "--n", "24", "--k", "1", "--face", "10,2").exit_code == 0
 
 
 def test_whitney_rejects_cochain_of_wrong_degree():
@@ -442,7 +451,7 @@ def test_unknown_cap_admits_every_cell_up_to_eight():
 
 
 def test_broken_replay_exits_one_with_a_message(monkeypatch):
-    monkeypatch.setattr(characterize, "pullback_rows", lambda n, k, vertices: iter(((),)))
+    monkeypatch.setattr(characterize, "derham_rows", empty_first_stage2_integral)
     clear_caches()
     cochain = json.dumps({"n": 3, "k": 1, "terms": [{"face": [1, 2], "coeff": "1"}]})
     try:
@@ -453,12 +462,12 @@ def test_broken_replay_exits_one_with_a_message(monkeypatch):
     finally:
         clear_caches()
     assert solved.exit_code == 1 and isinstance(solved.exception, SystemExit)
-    assert solved.stderr.startswith("characterization failed: evaluation at vertex")
+    assert solved.stderr.startswith("characterization failed: a row on face [1, 2] does not")
     assert replay.exit_code == 1 and isinstance(replay.exception, SystemExit)
-    assert replay.stderr.startswith("replay failed: evaluation at vertex")
+    assert replay.stderr.startswith("replay failed: a row on face [1, 2] does not isolate")
     assert dims.exit_code == 1 and isinstance(dims.exception, SystemExit)
     assert dims.stdout == ""
-    assert dims.stderr.startswith("certification failed: evaluation at vertex 1 of face [1]")
+    assert dims.stderr.startswith("certification failed: a row on face [1] does not isolate")
     assert dims.stderr.count("\n") == 1
     assert verify.exit_code == 1 and isinstance(verify.exception, SystemExit)
     assert "FAILED cells: (n=1, k=0), (n=2, k=0), (n=2, k=1), (n=3, k=0)," in verify.stdout

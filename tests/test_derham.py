@@ -102,6 +102,23 @@ def test_the_pullback_oracles_stay_independent():
     assert not any(value is route for value in vars(helpers).values() for route in checked)
 
 
+def test_integrate_over_face_reads_the_cached_integral_rows(monkeypatch):
+    # once D*(k+1)! is cached, integrating over a face of any vertex order
+    # and sign builds no pullback and no integral row
+    def refuse(*args):
+        raise AssertionError("a face row was built")
+
+    form = random_affine_form(Random(7), 4, 2, 62)
+    faces = [Face(4, (3, 1, 4)), Face(4, (0, 2, 1), -1), Face(4, (1, 2, 3))]
+    expected = [pullback_integral(form, face) for face in faces]
+    operators.derham_rows(4, 2)
+    for module in (sys.modules["whitneyforms.derham"], operators):
+        for name in ("pullback_rows", "integral_row"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    assert [integrate_over_face(form, face) for face in faces] == expected
+
+
 def test_pullback_and_integral_refuse_a_mismatched_face():
     form = random_affine_form(Random(5), 3, 2)
     with pytest.raises(DimensionMismatch):
