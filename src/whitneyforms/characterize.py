@@ -36,9 +36,9 @@ row is k+1 times an integer row. Each division is checked exact there, on
 the unit cochains; a step's right-hand side for any integer vector is an
 integer combination of theirs, so by induction over the steps it is exact
 on every cochain vec / q, and k! (S/k!).vec / q is its forward
-substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I:
-under that hypothesis :func:`~whitneyforms.operators.factorial_image` needs
-to divide out no factor but one of k+1 to make the result canonical. So
+substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I,
+which makes the rows T_F[b'] its integer left inverse, so
+:func:`~whitneyforms.operators.factorial_image` takes no gcd. So
 :func:`solve_characterization` is O(nnz) work that makes no Fraction, and
 S/k!, built from C and D alone, agreeing with W/k! is an independent check.
 :func:`proof_trace` only formats the same schedule, a step on a face
@@ -210,8 +210,8 @@ def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
 
     Each step's scale is divided by k! before its pivot divides; an inexact
     division raises CertificateError, and so does a result that fails
-    C.X = 0, D~.X = (k+1) I, on which the canonicalisation of every solve
-    relies.
+    C.X = 0, D~.X = (k+1) I: then T[b'].X = I, which makes every solve's
+    pair canonical with no gcd.
     """
     f = math.factorial(k)
     rows: dict[int, dict[int, int]] = {}

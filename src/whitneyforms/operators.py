@@ -230,22 +230,22 @@ def column_sum(columns: Sequence[SparseRow], values: Sequence[int], size: int) -
 
 
 def factorial_image(columns: Sequence[SparseRow], cochain: Cochain) -> AffineForm:
-    """k! X.c for the cochain c = vec / q and an X with D~.X = (k+1) I, such as W/k!.
+    """k! X.c for the cochain c = vec / q and an X with C.X = 0, D~.X = (k+1) I, such as W/k!.
 
     With a = gcd(q, k!) and m = k!/a this is u / (q/a), u = X.(m vec), one
     :func:`column_sum` in which no entry is multiplied by k!. The pair is
-    canonical once divided by g = gcd(q/a, *u), and g divides k+1: every
-    entry of D~.u = (k+1) m vec is a multiple of g, so g divides
-    (k+1) m gcd(*vec); g shares no factor with m, because gcd(q/a, m) = 1,
-    nor with gcd(*vec), because gcd(q, *vec) = 1. So only gcd(q/a, k+1) is
-    tried against the entries.
+    canonical with no gcd, because T_F[b'] is an integer left inverse of X:
+    D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
+    (k+1) T[b'].X = (D~ - sum_s C_s).X = (k+1) I and m vec = T[b'].u. Any g dividing
+    q/a and every entry of u divides m gcd(*vec); g shares no factor with m,
+    because gcd(q/a, m) = 1, nor with gcd(*vec), because gcd(q, *vec) = 1.
     """
     n, k, q = cochain.n, cochain.k, cochain.q
     a = math.gcd(q, math.factorial(k))
     m = math.factorial(k) // a
     values = cochain.vec if m == 1 else [m * v for v in cochain.vec]
     u = column_sum(columns, values, unknown_layout(n, k).size)
-    return AffineForm._canonical(n, k, u, q // a, k + 1)
+    return AffineForm._canonical(n, k, u, q // a)
 
 
 @cache

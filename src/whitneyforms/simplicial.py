@@ -242,23 +242,33 @@ class ScaledVector:
 
     @classmethod
     def from_vector(cls, n: int, k: int, vec: Sequence[int], q: int = 1):
-        """The vector vec / q; no Fraction is made, the pair is only divided by its gcd."""
+        """The vector vec / q, divided by its gcd; an entry that is not an int is a TypeError."""
         size = cls.size(n, k)
         if len(vec) != size:
             raise ValueError(f"expected a vector of length {size}")
         if type(q) is not int or q < 1:
             raise ValueError(f"the scale must be a positive integer, not {q!r}")
+        if not set(map(type, vec)) <= {int}:
+            raise TypeError("the entries of an exact vector must be ints")
+        g = q
+        if q >> 64:
+            # The entries tend to share most factors of a multi-word q, so the running gcd
+            # stays long for many steps. L = sum((2i+1) * vec[i]) combines the entries, so
+            # gcd(q, L, *vec) = gcd(q, *vec), and gcd(q, L) is short: on 62-bit cochains and
+            # their forms it had 5 bits (median; 90th pct 12), against 7 (64) for weights
+            # 1, 2, 3, ... and 159 (1966) for a plain sum.
+            g = math.gcd(q, sum(map(operator.mul, vec, range(1, 2 * len(vec), 2))))
+        g = math.gcd(g, *vec)
+        if g != 1:
+            vec = [v // g for v in vec]
+            q //= g
         return cls._canonical(n, k, vec, q)
 
     @classmethod
-    def _canonical(cls, n: int, k: int, vec: Sequence[int], q: int, bound: int = 0):
-        """vec / q, divided by its gcd; a nonzero bound is a multiple of gcd(q, *vec).
-
-        With a bound only gcd(q, bound) is tried, so a caller that has proved
-        one spares the gcd of q with every entry. The vector is not checked.
-        """
+    def _canonical(cls, n: int, k: int, vec: Sequence[int], q: int):
+        """vec / q for a pair that is canonical already: it is neither checked nor divided."""
         obj = object.__new__(cls)
-        obj._assign(n, k, vec, q, bound)
+        obj._assign(n, k, vec, q)
         return obj
 
     @classmethod
@@ -266,23 +276,13 @@ class ScaledVector:
         return cls.from_vector(n, k, [0] * cls.size(n, k))
 
     def _assign_rationals(self, n: int, k: int, values: Sequence[Fraction]) -> None:
-        """Scale rational entries by the lcm of their denominators."""
+        """Scale reduced rationals by the lcm q of their denominators: canonical with no gcd.
+
+        For p^e exactly dividing q, the entry whose denominator holds p^e stays prime to p."""
         q = math.lcm(*(v.denominator for v in values))
         self._assign(n, k, [v.numerator * (q // v.denominator) for v in values], q)
 
-    def _assign(self, n: int, k: int, vec: Sequence[int], q: int, bound: int = 0) -> None:
-        g = math.gcd(q, bound) if bound else q
-        if g >> 64:
-            # The entries tend to share most factors of a multi-word q, so the running gcd
-            # stays long for many steps. L = sum((2i+1) * vec[i]) combines the entries, so
-            # gcd(q, L, *vec) = gcd(q, *vec), and gcd(q, L) is short: on 62-bit cochains and
-            # their forms it had 5 bits (median; 90th pct 12), against 7 (64) for weights
-            # 1, 2, 3, ... and 159 (1966) for a plain sum.
-            g = math.gcd(q, sum(map(operator.mul, vec, range(1, 2 * len(vec), 2))))
-        g = math.gcd(g, *vec)  # a TypeError for any entry that is not an integer
-        if g != 1:
-            vec = [v // g for v in vec]
-            q //= g
+    def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
         for name, value in (("n", n), ("k", k), ("vec", tuple(vec)), ("q", q)):
             object.__setattr__(self, name, value)
 

@@ -51,7 +51,7 @@ def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
     The cochain's nonzero integer entries times the +-1 columns of W/k! are
-    summed in Python ints, and k! goes into the scale, where
-    D~.(W/k!) = (k+1) I bounds the gcd that canonicalisation divides out.
+    summed in Python ints, and k! goes into the scale. The pair is canonical with
+    no gcd, as the rows T_F[b'] are a left inverse of W/k! (``factorial_image``).
     """
     return factorial_image(whitney_columns(c.n, c.k), c)

@@ -46,8 +46,10 @@ from whitneyforms import (
     whitney,
     whitney_basis_form,
 )
+from whitneyforms.characterize import _solution_columns
 from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
+    _face_pullbacks,
     column_sum,
     constancy_rows,
     derham_columns,
@@ -156,7 +158,7 @@ def _assert_pair(form, expected):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(1, 7) for k in range(n + 1)])
 def test_k_factorial_in_the_scale_gives_the_canonical_pair(n, k):
-    # whitney and the solve carry k! in the scale and divide out only gcd(q/a, k+1)
+    # whitney and the solve carry k! in the scale and divide out no gcd
     rng = Random(4000 * n + k)
     big = 2**62
     cochains = [Cochain.basis(face) for face in enumerate_faces(n, k)]
@@ -178,8 +180,8 @@ def test_k_factorial_in_the_scale_gives_the_canonical_pair(n, k):
 
 def test_k_factorial_in_the_scale_on_every_small_cochain():
     # every cochain with entries in {-1, 0, 1} over each q at n <= 3: with
-    # a = gcd(q, k!) and m = k!/a, the sweep meets m > 1, a = k! > 1 and a
-    # bound gcd(q/a, k+1) > 1
+    # a = gcd(q, k!) and m = k!/a, the sweep meets m > 1, a = k! > 1 and
+    # gcd(q/a, k+1) > 1
     seen = set()
     for n in range(1, 4):
         for k in range(n + 1):
@@ -196,11 +198,11 @@ def test_k_factorial_in_the_scale_on_every_small_cochain():
                         for name, holds in (
                             ("m > 1", f // a > 1),
                             ("a = k! > 1", a == f > 1),
-                            ("bound > 1", math.gcd(c.q // a, k + 1) > 1),
+                            ("gcd(q/a, k+1) > 1", math.gcd(c.q // a, k + 1) > 1),
                         )
                         if holds
                     }
-    assert seen == {"m > 1", "a = k! > 1", "bound > 1"}
+    assert seen == {"m > 1", "a = k! > 1", "gcd(q/a, k+1) > 1"}
 
 
 def test_pullback_rows_are_built_as_they_are_read():
@@ -295,6 +297,27 @@ def test_constant_term_row_is_a_combination_of_its_face_rows(n):
                 sigma = permutation_sign((m,) + span)
                 lhs = _dense(next(pullback_rows(n, k, (m,) + span)), layout.size)
                 assert [(k + 1) * v for v in lhs] == [sigma * v for v in combination]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_constant_term_rows_are_a_left_inverse(n):
+    # D~_F - sum_s C_{F,s} = (k+1) T_F[b'], so T[b'].X = I for any X with C.X = 0 and
+    # D~.X = (k+1) I: whitney and the solve then return canonical pairs with no gcd
+    for k in range(n + 1):
+        size = unknown_layout(n, k).size
+        inverse = [face_rows[0] for face_rows in _face_pullbacks(n, k)]
+        for constant, integral, gradient in zip(inverse, derham_rows(n, k), constancy_rows(n, k)):
+            difference = _dense(integral, size)
+            for row in gradient:
+                difference = [a - b for a, b in zip(difference, _dense(row, size))]
+            assert difference == [(k + 1) * v for v in _dense(constant, size)]
+        identity = [[int(i == j) for j in range(len(inverse))] for i in range(len(inverse))]
+        for columns in (whitney_columns(n, k), _solution_columns(n, k)):
+            product = [
+                [sum(row.get(pos, 0) * w for pos, w in column) for column in columns]
+                for row in map(dict, inverse)
+            ]
+            assert product == identity
 
 
 def test_hot_paths_never_pull_back(monkeypatch):

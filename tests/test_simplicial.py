@@ -7,6 +7,7 @@ import operator
 from fractions import Fraction
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -363,8 +364,42 @@ def test_big_scale_form_in_the_kernel_of_derham_integrates_to_zero():
         assert image == Cochain.zero(n, k) and image.q == 1
 
 
-@pytest.mark.parametrize("q", [7, 2**64, 2**200])
-@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2)])
+@st.composite
+def dict_constructor_cases(draw):
+    """(class, n, k, values): reduced Fractions, zero, small or 62-bit, one per vector entry."""
+    cls = draw(st.sampled_from([Cochain, AffineForm]))
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(0, n))
+    size = cls.size(n, k)
+    entry = st.one_of(
+        st.just(Fraction(0)),
+        st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(-(2**62), 2**62), st.integers(1, 2**62)),
+    )
+    return cls, n, k, draw(st.lists(entry, min_size=size, max_size=size))
+
+
+@given(dict_constructor_cases())
+@settings(max_examples=150, deadline=None)
+def test_dict_constructors_are_canonical_without_a_gcd(case):
+    # the lcm of the reduced denominators is already the canonical scale
+    cls, n, k, values = case
+    if cls is Cochain:
+        faces = itertools.combinations(range(n + 1), k + 1)
+        out = Cochain(n, k, dict(zip(faces, values)))
+    else:
+        blocks = [values[i : i + n + 1] for i in range(0, len(values), n + 1)]
+        spans = itertools.combinations(range(1, n + 1), k)
+        out = AffineForm(n, k, {
+            idx: AffineFunction(n, b, tuple(grad)) for idx, (b, *grad) in zip(spans, blocks)
+        })
+    assert [Fraction(v, out.q) for v in out.vec] == values
+    assert math.gcd(out.q, *out.vec) == 1
+    assert out == cls.from_vector(n, k, out.vec, out.q)
+
+
+@pytest.mark.parametrize("q", [1, 7, 2**64, 2**200])
+@pytest.mark.parametrize("bad", [0.5, 2.0, Fraction(1, 2), Fraction(2), True, np.int64(3)])
 def test_non_integer_entry_is_a_type_error_at_any_scale(q, bad):
     for cls in (Cochain, AffineForm):
         size = cls.size(3, 1)
