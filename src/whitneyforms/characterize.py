@@ -29,7 +29,9 @@ The solve is linear, so :func:`_solution_columns` forward-substitutes the
 schedule once per (n, k), each unknown an integer combination of the face
 values, into the cached integer matrix S/k!: every right-hand side scale
 (k+1)! is divided by k!, so the entries of S/k! are +-1 like those of
-W/k!, and k! goes into the form's scale instead. The pivots are +-1 on the
+W/k!, and k! goes into the form's scale instead. S/k! is stored as W/k!
+is, as signed columns (:data:`~whitneyforms.operators.SignedColumn`), and
+an entry that is not +-1 raises CertificateError. The pivots are +-1 on the
 constancy rows and +-(k+1) on the others: a stage-1 integral row's divides
 (k+1) c(F) once the face's own gradient unknowns are zero, and a stage-2
 row is k+1 times an integer row. Each division is checked exact there, on
@@ -39,7 +41,8 @@ on every cochain vec / q, and k! (S/k!).vec / q is its forward
 substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I,
 which makes the rows T_F[b'] its integer left inverse, so
 :func:`~whitneyforms.operators.factorial_image` takes no gcd. So
-:func:`solve_characterization` is O(nnz) work that makes no Fraction, and
+:func:`solve_characterization` is O(nnz) additions that make no Fraction
+and multiply no entry, and
 S/k!, built from C and D alone, agreeing with W/k! is an independent check.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2. It is complete
@@ -63,11 +66,13 @@ from typing import NamedTuple
 
 from .forms import AffineForm
 from .operators import (
+    SignedColumn,
     SparseRow,
     _combine,
     constancy_rows,
     derham_rows,
     factorial_image,
+    signed,
     transpose,
     unknown_layout,
     whitney_columns,
@@ -108,19 +113,20 @@ def lambda_e_dimension(n: int, k: int) -> int:
     return len(unknown_layout(n, k).faces)
 
 
-def _certified(n: int, k: int, columns: tuple[SparseRow, ...]) -> bool:
-    """C.X = 0 and D~.X = (k+1) I for the face-many columns of X."""
+def _certified(n: int, k: int, columns: tuple[SignedColumn, ...]) -> bool:
+    """C.X = 0 and D~.X = (k+1) I for the face-many signed columns of X."""
     layout = unknown_layout(n, k)
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
     rows = constancy + list(derham_rows(n, k))
     by_position = transpose(rows, layout.size)
     if len(columns) != len(layout.faces):
         return False
-    for i, column in enumerate(columns):
+    for i, (plus, minus) in enumerate(columns):
         image: dict[int, int] = {}
-        for pos, w in column:
-            for r, value in by_position[pos]:
-                image[r] = image.get(r, 0) + value * w
+        for sign, positions in ((1, plus), (-1, minus)):
+            for pos in positions:
+                for r, value in by_position[pos]:
+                    image[r] = image.get(r, 0) + sign * value
         if {r: v for r, v in image.items() if v} != {len(constancy) + i: k + 1}:
             return False
     return True
@@ -205,11 +211,12 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
 
 
 @cache
-def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
-    """S/k!: column i solves the unit cochain on faces[i], over k!.
+def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
+    """S/k!: column i solves the unit cochain on faces[i], over k!, as signed positions.
 
     Each step's scale is divided by k! before its pivot divides; an inexact
-    division raises CertificateError, and so does a result that fails
+    division raises CertificateError, and so do an entry that is not +-1,
+    which a signed column cannot hold, and a result that fails
     C.X = 0, D~.X = (k+1) I: then T[b'].X = I, which makes every solve's
     pair canonical with no gcd.
     """
@@ -224,7 +231,11 @@ def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
         if rest or any(t % pivot for t in total.values()):
             raise CertificateError(f"inexact pivot at (n={n}, k={k})")
         rows[target] = {i: t // pivot for i, t in total.items() if t}
-    columns = transpose((rows[p].items() for p in sorted(rows)), Cochain.size(n, k))
+    entries = transpose((rows[p].items() for p in sorted(rows)), Cochain.size(n, k))
+    try:
+        columns = tuple(map(signed, entries))
+    except ValueError as exc:
+        raise CertificateError(f"the solution columns at (n={n}, k={k}) fail: {exc}") from exc
     if not _certified(n, k, columns):
         raise CertificateError(
             f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
@@ -235,9 +246,10 @@ def _solution_columns(n: int, k: int) -> tuple[SparseRow, ...]:
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
-    O(nnz) work: the +-1 columns of S/k! at the cochain's nonzero entries,
-    summed in Python ints, with k! in the scale
-    (:func:`~whitneyforms.operators.factorial_image`, as ``whitney``).
+    O(nnz) work: each nonzero entry of the cochain is added and subtracted
+    at the signed positions of its column of S/k!, in Python ints, with k!
+    in the scale (:func:`~whitneyforms.operators.factorial_image`, as
+    ``whitney``).
     Raises CertificateError, the schedule's own, when the schedule does not
     build, and when a pivot is inexact, S/k! fails its certificate or the
     closed form disagrees.

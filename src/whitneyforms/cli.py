@@ -64,9 +64,14 @@ def _load_json_arg(value: str) -> dict:
         text = value
     else:
         path = Path(value)
-        if not path.is_file():
+        try:
+            text = path.read_text() if path.is_file() else None
+        except OSError as exc:  # a name the file system refuses, such as one too long
+            raise click.UsageError(f"cannot read {value}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise click.UsageError(f"cannot read {value}: {exc.reason}") from exc
+        if text is None:
             raise click.UsageError(f"no such file: {value}")
-        text = path.read_text()
     try:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit

@@ -6,18 +6,22 @@ rationals in the coordinates of :class:`UnknownLayout` (defined next to
 multi-index I, the constant term b_I and then the gradient entries
 a_{I,1}, ..., a_{I,n}. Every map the package needs between such vectors
 and cochains is linear, and each has small integer entries, so it is built
-once per (n, k) as sparse rows of ``(position, int)`` pairs:
+once per (n, k):
 
 * W/k!, the Whitney map over k!: per canonical k-face, in face order, the
-  vector of its basis form divided by k! (entries +-1);
+  vector of its basis form divided by k!, whose entries are all +-1, as a
+  :data:`SignedColumn`, the sorted positions of its +1 and of its -1 entries;
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
-D and C are slices of one more map, T_G, the pullback to a face; only
-``derham.pullback`` builds it per call.
+D and C, sparse rows of ``(position, int)`` pairs, are slices of one more
+map, T_G, the pullback to a face; only ``derham.pullback`` builds it per
+call.
 
-Each map is a :func:`column_sum` over its input's nonzero entries, so a
-sparse input costs its nonzeros; ``derham`` uses :func:`derham_columns`.
+Each map reads only its input's nonzero entries, so a sparse input costs
+its nonzeros. ``derham`` is a :func:`column_sum` of :func:`derham_columns`,
+whose entries +-(k+1) it multiplies; :func:`factorial_image`, which applies
+W/k! and the solve's S/k!, only adds and subtracts.
 
 An AffineForm is stored as that vector already scaled to integers, vec / q,
 and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
@@ -81,8 +85,8 @@ i = v_j the count is j - 1, the index is T and the amount is +k!, which
 cancels term 0's entry on a_{T,v_j}. No other two terms meet: the slot v_j
 names j, and then the index names i. So the column is +k! on b_T, -k! on
 a_{T,i} and the term-j amounts for each i outside F; every entry of W is
-+-k!. :func:`whitney_columns` stores W/k!, entries +-1, so that k! rides in
-the form's scale and no entry of a sum is multiplied by it, and it is built
++-k!. :func:`whitney_columns` stores W/k! as signed columns, so that k!
+rides in the form's scale and a sum multiplies no entry, and it is built
 without a single wedge product.
 """
 
@@ -97,6 +101,7 @@ from .simplicial import Cochain, permutation_sign
 
 __all__ = [
     "SparseRow",
+    "SignedColumn",
     "UnknownLayout",
     "unknown_layout",
     "face_minors",
@@ -106,6 +111,7 @@ __all__ = [
     "derham_rows",
     "derham_columns",
     "transpose",
+    "signed",
     "column_sum",
     "factorial_image",
     "constancy_rows",
@@ -113,6 +119,9 @@ __all__ = [
 
 SparseRow = tuple[tuple[int, int], ...]
 """Nonzero entries of one row (or column) as (position, value), by position."""
+
+SignedColumn = tuple[tuple[int, ...], tuple[int, ...]]
+"""A column whose entries are all +-1, as (plus, minus): the sorted positions of each sign."""
 
 
 def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
@@ -173,10 +182,10 @@ def _face_pullbacks(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
 
 
 @cache
-def whitney_columns(n: int, k: int) -> tuple[SparseRow, ...]:
-    """W/k!: column i is layout.faces[i]'s Whitney basis form over k!, entries +-1."""
+def whitney_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
+    """W/k!: column i is layout.faces[i]'s Whitney basis form over k!, as signed positions."""
     layout = unknown_layout(n, k)
-    columns: list[SparseRow] = []
+    columns: list[SignedColumn] = []
     for face in layout.faces:
         column: list[tuple[int, int]] = []
         if face[0]:
@@ -194,8 +203,19 @@ def whitney_columns(n: int, k: int) -> tuple[SparseRow, ...]:
                     below = sum(r < i for r in rest)
                     pos = layout.position(tuple(sorted((*rest, i))), v)
                     column.append((pos, 1 if (j + below) % 2 else -1))
-        columns.append(tuple(sorted(column)))
+        columns.append(signed(column))
     return tuple(columns)
+
+
+def signed(entries: Iterable[tuple[int, int]]) -> SignedColumn:
+    """The (plus, minus) positions of (position, value) entries; ValueError on a value not +-1."""
+    plus: list[int] = []
+    minus: list[int] = []
+    for pos, value in sorted(entries):
+        if value not in (1, -1):
+            raise ValueError(f"entry {value} at position {pos} is not +-1")
+        (plus if value == 1 else minus).append(pos)
+    return tuple(plus), tuple(minus)
 
 
 @cache
@@ -229,12 +249,14 @@ def column_sum(columns: Sequence[SparseRow], values: Sequence[int], size: int) -
     return out
 
 
-def factorial_image(columns: Sequence[SparseRow], cochain: Cochain) -> AffineForm:
+def factorial_image(columns: Sequence[SignedColumn], cochain: Cochain) -> AffineForm:
     """k! X.c for the cochain c = vec / q and an X with C.X = 0, D~.X = (k+1) I, such as W/k!.
 
-    With a = gcd(q, k!) and m = k!/a this is u / (q/a), u = X.(m vec), one
-    :func:`column_sum` in which no entry is multiplied by k!. The pair is
-    canonical with no gcd, because T_F[b'] is an integer left inverse of X:
+    With a = gcd(q, k!) and m = k!/a this is u / (q/a), u = X.(m vec): each
+    nonzero value is added at the plus positions of its signed column and
+    subtracted at the minus ones, so no entry is multiplied, by k! or by
+    +-1, and a zero value reads no column. The pair is canonical with no
+    gcd, because T_F[b'] is an integer left inverse of X:
     D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
     (k+1) T[b'].X = (D~ - sum_s C_s).X = (k+1) I and m vec = T[b'].u. Any g dividing
     q/a and every entry of u divides m gcd(*vec); g shares no factor with m,
@@ -244,7 +266,14 @@ def factorial_image(columns: Sequence[SparseRow], cochain: Cochain) -> AffineFor
     a = math.gcd(q, math.factorial(k))
     m = math.factorial(k) // a
     values = cochain.vec if m == 1 else [m * v for v in cochain.vec]
-    u = column_sum(columns, values, unknown_layout(n, k).size)
+    u = [0] * unknown_layout(n, k).size
+    for i, value in enumerate(values):
+        if value:
+            plus, minus = columns[i]
+            for pos in plus:
+                u[pos] += value
+            for pos in minus:
+                u[pos] -= value
     return AffineForm._canonical(n, k, u, q // a)
 
 

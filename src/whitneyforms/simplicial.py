@@ -401,11 +401,32 @@ def cochain_eval(c: Cochain, face: Face) -> Fraction:
     return canon.sign * c.terms.get(canon.vertices, Fraction(0))
 
 
+def _random_pairs(rng: Random, count: int) -> list[tuple[int, int]]:
+    """count pairs (rng.randint(-10, 10), rng.randint(1, 10)), drawn as randint draws them.
+
+    randint(a, b) takes getrandbits of the bit length of b - a + 1 and draws
+    again while the result is out of range: 5 bits below 21, then 4 bits
+    below 10. Calling getrandbits directly gives the same pairs and leaves
+    rng in the same state, without randint's layers of calls per draw.
+    """
+    draw = rng.getrandbits
+    pairs = []
+    for _ in range(count):
+        p = draw(5)
+        while p >= 21:
+            p = draw(5)
+        d = draw(4)
+        while d >= 10:
+            d = draw(4)
+        pairs.append((p - 10, d + 1))
+    return pairs
+
+
 def random_cochain(rng: Random, n: int, k: int) -> Cochain:
     """Reproducible cochain with small rational coefficients (|p|, q <= 10).
 
     It draws per face, in lexicographic order, the numerator and then the denominator."""
-    pairs = [(rng.randint(-10, 10), rng.randint(1, 10)) for _ in range(Cochain.size(n, k))]
+    pairs = _random_pairs(rng, Cochain.size(n, k))
     q = math.lcm(*(d for _, d in pairs))
     return Cochain.from_vector(n, k, [p * (q // d) for p, d in pairs], q)
 

@@ -13,11 +13,13 @@ in here.
 The basis forms have integer coefficients, each nonzero one +-k!, and over
 k! they are the columns of the operator W/k!, entries +-1, which
 :mod:`whitneyforms.operators` writes down in closed form, with no wedge
-product. ``whitney`` of a cochain vec / q is k! (W/k!).vec / q, one column
-sum over the cochain's nonzero entries in Python ints
-(:func:`~whitneyforms.operators.factorial_image`), with k! carried in the
-scale and no Fraction made. ``barycentric_differential`` gives d nu_i as a
-constant AffineForm, the right factor ``wedge`` takes.
+product, and stores as the sorted positions of each sign. ``whitney`` of a
+cochain vec / q is k! (W/k!).vec / q: each nonzero entry of vec is added at
+its column's +1 positions and subtracted at its -1 positions, in Python
+ints (:func:`~whitneyforms.operators.factorial_image`), with k! carried in
+the scale, no entry multiplied and no Fraction made.
+``barycentric_differential`` gives d nu_i as a constant AffineForm, the
+right factor ``wedge`` takes.
 """
 
 from __future__ import annotations
@@ -50,8 +52,9 @@ def whitney_basis_form(face: Face) -> AffineForm:
 def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
-    The cochain's nonzero integer entries times the +-1 columns of W/k! are
-    summed in Python ints, and k! goes into the scale. The pair is canonical with
+    The cochain's nonzero integer entries are added and subtracted at the
+    signed positions of their columns of W/k!, in Python ints, and k! goes
+    into the scale. The pair is canonical with
     no gcd, as the rows T_F[b'] are a left inverse of W/k! (``factorial_image``).
     """
     return factorial_image(whitney_columns(c.n, c.k), c)

@@ -339,31 +339,63 @@ def test_an_inexact_pivot_fails_every_solve_of_its_cell(monkeypatch):
         clear_caches()
 
 
-def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
-    # S/k! is certified by C.X = 0, D~.X = (k+1) I when it is built. One
-    # coefficient of a stage-2 step off by the step's pivot keeps every
-    # division exact but corrupts entries of S/k!, and every solve of the
-    # cell raises, while the replay, which only formats the schedule, builds
+def _corrupt_first_stage2_coefficient(monkeypatch, delta):
+    """Add delta times its pivot to the first coefficient of the first stage-2 step at (4, 2).
+
+    Every division stays exact, but entries of S/k! move; the replay, which
+    only formats the schedule, still builds.
+    """
     clear_caches()
     schedule = _schedule(4, 2)
     faces = unknown_layout(4, 2).faces
     step = next(s for s in schedule if faces[s.face][0] and s.others)
     (pos, value), *rest = step.others
-    corrupted = step._replace(others=((pos, value + step.pivot), *rest))
+    corrupted = step._replace(others=((pos, value + delta * step.pivot), *rest))
     broken = tuple(corrupted if s is step else s for s in schedule)
     monkeypatch.setattr(characterize, "_schedule", lambda n, k: broken)
     clear_caches()
+
+
+def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
+    # S/k! is certified by C.X = 0, D~.X = (k+1) I when it is built. Here the
+    # corrupted entries stay in {-1, 0, 1}, so the signed columns hold them
+    # and the certificate itself refuses them: every solve of the cell raises
+    _corrupt_first_stage2_coefficient(monkeypatch, -1)
     try:
         basis = [Cochain.basis(face) for face in enumerate_faces(4, 2)]
         assert any(schedule_solve(4, 2, c) != whitney(c) for c in basis)
         for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
             with pytest.raises(
-                CertificateError, match=r"the solution columns at \(n=4, k=2\) fail"
+                CertificateError,
+                match=r"the solution columns at \(n=4, k=2\) fail C\.\(S/k!\) = 0",
             ):
                 solve_characterization(4, 2, c)
         assert proof_trace(4, 2).to_json()["complete"] is True
     finally:
         clear_caches()
+
+
+def test_a_solution_entry_off_plus_minus_one_fails_every_solve_of_its_cell(monkeypatch):
+    # moved the other way, the same coefficient makes an entry of S/k! -2 with
+    # every division still exact; a signed column cannot hold it, so the build
+    # refuses it, every solve of the cell raises and verify marks the
+    # characterization false
+    _corrupt_first_stage2_coefficient(monkeypatch, 1)
+    off = r"the solution columns at \(n=4, k=2\) fail: entry -2 at position \d+ is not \+-1"
+    try:
+        with pytest.raises(CertificateError, match=off):
+            _solution_columns(4, 2)
+        basis = [Cochain.basis(face) for face in enumerate_faces(4, 2)]
+        for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
+            with pytest.raises(CertificateError, match=off):
+                solve_characterization(4, 2, c)
+        assert proof_trace(4, 2).to_json()["complete"] is True
+        cell = verify_cell(4, 2, samples=2)
+    finally:
+        clear_caches()
+    assert (cell["characterization"], cell["pass"]) == (False, False)
+    assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
+    assert cell["counterexample"]["check"] == "characterization"
 
 
 def test_the_schedule_builds_no_pullback(monkeypatch):
@@ -469,9 +501,9 @@ def test_every_admitted_cell_is_certified():
     for n, k in cells:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
         assert _certified(n, k, whitney_columns(n, k))
-        # S/k! and W/k!, both with entries +-1
+        # S/k! and W/k!, both as signed columns whose +1 and -1 positions never meet
         assert _solution_columns(n, k) == whitney_columns(n, k)
-        assert all(v in (1, -1) for column in whitney_columns(n, k) for _, v in column)
+        assert all(not set(plus) & set(minus) for plus, minus in whitney_columns(n, k))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])
@@ -517,7 +549,8 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
 
 def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
     columns = list(characterize.whitney_columns(3, 1))
-    columns[0] = columns[0][1:]
+    plus, minus = columns[0]
+    columns[0] = (plus[1:], minus)
     monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
     clear_caches()
     try:

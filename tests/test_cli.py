@@ -168,6 +168,28 @@ def test_huge_json_integer_exits_two(args):
     assert "invalid JSON" in result.output
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("whitney", "--n", "2", "--k", "1", "--cochain"),
+        ("characterize", "--n", "2", "--k", "1", "--cochain"),
+        ("derham", "--form"),
+    ],
+)
+def test_an_unreadable_path_exits_two(args, tmp_path):
+    # a JSON array is not inline JSON, so it is read as a path, whose name the
+    # file system refuses when it is too long; a file that is not UTF-8 cannot be read either
+    not_utf8 = tmp_path / "form.json"
+    not_utf8.write_bytes(b"\xff\xfe{")
+    for value, reason in [
+        (json.dumps([{"n": 2}] * 40), "File name too long"),
+        (str(not_utf8), "invalid start byte"),
+    ]:
+        result = run(*args, value)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert f"cannot read {value}: {reason}" in result.output
+
+
 STRING_FACE = json.dumps({"n": 2, "k": 1, "terms": [{"face": "12", "coeff": "1"}]})
 
 

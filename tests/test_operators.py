@@ -54,6 +54,7 @@ from whitneyforms.operators import (
     constancy_rows,
     derham_columns,
     derham_rows,
+    factorial_image,
     pullback_rows,
     transpose,
     unknown_layout,
@@ -70,6 +71,12 @@ def _dense(row, size):
     return out
 
 
+def _pairs(column):
+    """A signed column (plus, minus) as its (position, +-1) entries, by position."""
+    plus, minus = column
+    return tuple(sorted([(pos, 1) for pos in plus] + [(pos, -1) for pos in minus]))
+
+
 @pytest.mark.parametrize("n,k", CELLS)
 def test_operator_entries_are_small_integers(n, k):
     size = unknown_layout(n, k).size
@@ -78,11 +85,13 @@ def test_operator_entries_are_small_integers(n, k):
     for rows in constancy_rows(n, k):
         assert len(rows) == k
         assert all({v for _, v in row} <= {1, -1} for row in rows)
-    for column in whitney_columns(n, k):
-        assert all(type(v) is int for _, v in column)
-        assert {v for _, v in column} <= {1, -1}
+    for plus, minus in whitney_columns(n, k):
+        assert all(type(p) is int for p in plus + minus)
+        assert not set(plus) & set(minus)
+        for positions in (plus, minus):
+            assert list(positions) == sorted(set(positions))
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
-    for row in [*derham_rows(n, k), *constancy, *whitney_columns(n, k)]:
+    for row in [*derham_rows(n, k), *constancy, *map(_pairs, whitney_columns(n, k))]:
         positions = [p for p, _ in row]
         assert positions == sorted(set(positions)) and all(0 <= p < size for p in positions)
 
@@ -130,18 +139,32 @@ def test_derham_columns_are_the_transposed_rows(n, k):
 
 def test_column_sum_reads_only_the_nonzero_entries():
     # a zero entry's column is never looked up, so a sparse input costs its nonzeros
+    columns = derham_columns(4, 2)
+    vec = [0] * len(columns)
+    vec[3], vec[7] = 5, -2
+    only_nonzero = {3: columns[3], 7: columns[7]}
+    size = len(derham_rows(4, 2))
+    expected = [5 * a - 2 * b for a, b in zip(_dense(columns[3], size), _dense(columns[7], size))]
+    assert column_sum(only_nonzero, vec, size) == expected
+
+
+def test_factorial_image_reads_only_the_nonzero_entries():
+    # the same for the signed columns of W/k!, whose entries are added and subtracted
     columns = whitney_columns(4, 2)
     vec = [0] * len(columns)
     vec[3], vec[7] = 5, -2
     only_nonzero = {3: columns[3], 7: columns[7]}
     size = unknown_layout(4, 2).size
-    expected = [5 * a - 2 * b for a, b in zip(_dense(columns[3], size), _dense(columns[7], size))]
-    assert column_sum(only_nonzero, vec, size) == expected
+    a, b = _dense(_pairs(columns[3]), size), _dense(_pairs(columns[7]), size)
+    # q = 1, so a = 1 and m = k! = 2 multiplies each value
+    expected = AffineForm.from_vector(4, 2, [2 * (5 * x - 2 * y) for x, y in zip(a, b)], 1)
+    assert factorial_image(only_nonzero, Cochain.from_vector(4, 2, vec, 1)) == expected
 
 
 def _parent_pair(c):
     """k! (W/k!).vec / q in lowest terms, reduced one entry at a time."""
-    u = column_sum(whitney_columns(c.n, c.k), c.vec, unknown_layout(c.n, c.k).size)
+    columns = [_pairs(column) for column in whitney_columns(c.n, c.k)]
+    u = column_sum(columns, c.vec, unknown_layout(c.n, c.k).size)
     return canonical_pair([math.factorial(c.k) * v for v in u], c.q)
 
 
@@ -221,13 +244,24 @@ def test_system_matrices_match_pullback(n, k):
     assert integrals == expected_integrals
 
 
+def _prime_to(d, f):
+    """d with every prime factor of f divided out."""
+    while (g := math.gcd(d, f)) > 1:
+        d //= g
+    return d
+
+
 @pytest.mark.parametrize("n,k", CELLS)
 def test_whitney_is_the_sum_of_basis_forms(n, k):
+    # neither side reads W/k! or S/k!: the expected form is sum c(F) times the
+    # wedge-built basis form of F, in Fractions
     rng = Random(2000 * n + k)
     big = 2**62
+    f = math.factorial(k)
+    faces = enumerate_faces(n, k)
     cochains = [
         random_cochain(rng, n, k),
-        Cochain.basis(enumerate_faces(n, k)[-1]),
+        Cochain.basis(faces[-1]),
         Cochain.zero(n, k),
         # 62-bit numerators over unrelated 62-bit denominators
         Cochain(
@@ -235,15 +269,32 @@ def test_whitney_is_the_sum_of_basis_forms(n, k):
             k,
             {
                 face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
-                for face in enumerate_faces(n, k)
+                for face in faces
+            },
+        ),
+        # a small dense cochain whose q is a multiple of k!, so m = 1
+        Cochain.from_vector(n, k, [1] + [rng.randint(-10, 10) or 1 for _ in faces[1:]], 143 * f),
+        # small and 62-bit dense cochains whose q is prime to k!, so m = k! / gcd(q, k!) = k!
+        Cochain.from_vector(n, k, [rng.randint(-10, 10) or 1 for _ in faces], 143),
+        Cochain(
+            n,
+            k,
+            {
+                face.vertices: Fraction(
+                    rng.randrange(-big, big), _prime_to(rng.randrange(1, big), f)
+                )
+                for face in faces
             },
         ),
     ]
+    assert cochains[4].q % f == 0
+    assert math.gcd(cochains[5].q, f) == math.gcd(cochains[6].q, f) == 1
     for c in cochains:
         expected = AffineForm.zero(n, k)
         for vertices, coeff in c.terms.items():
             expected = expected + coeff * wedge_basis_form(n, vertices)
         assert whitney(c) == expected
+        assert solve_characterization(n, k, c) == expected
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -252,12 +303,14 @@ def test_whitney_columns_match_the_wedge_construction(n):
         layout = unknown_layout(n, k)
         columns = whitney_columns(n, k)
         assert len(columns) == len(layout.faces)
-        for face, column in zip(layout.faces, columns):
-            # W/k!: the basis form over k!
+        for face, (plus, minus) in zip(layout.faces, columns):
+            # W/k!: the basis form over k!, at the +k! and the -k! positions
             form = wedge_basis_form(n, face)
             assert form.q == 1
-            scaled = tuple((pos, math.factorial(k) * v) for pos, v in column)
-            assert scaled == tuple((pos, v) for pos, v in enumerate(form.vec) if v)
+            f = math.factorial(k)
+            assert plus == tuple(pos for pos, v in enumerate(form.vec) if v == f)
+            assert minus == tuple(pos for pos, v in enumerate(form.vec) if v == -f)
+            assert len(plus) + len(minus) == sum(map(bool, form.vec))
         # an oriented face: a reversed or permuted vertex order flips the sign
         face = Face(n, tuple(reversed(layout.faces[-1])))
         assert whitney_basis_form(face) == wedge_basis_form(n, face.vertices)
@@ -314,7 +367,10 @@ def test_constant_term_rows_are_a_left_inverse(n):
         identity = [[int(i == j) for j in range(len(inverse))] for i in range(len(inverse))]
         for columns in (whitney_columns(n, k), _solution_columns(n, k)):
             product = [
-                [sum(row.get(pos, 0) * w for pos, w in column) for column in columns]
+                [
+                    sum(row.get(pos, 0) for pos in plus) - sum(row.get(pos, 0) for pos in minus)
+                    for plus, minus in columns
+                ]
                 for row in map(dict, inverse)
             ]
             assert product == identity

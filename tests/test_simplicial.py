@@ -295,6 +295,19 @@ def test_random_cochain_draws_face_by_face(monkeypatch):
         assert rng.getstate() == state
 
 
+def test_random_pairs_are_the_randint_draws():
+    # drawn through getrandbits, the pairs and the generator's final state are
+    # those of randint(-10, 10) and randint(1, 10), face after face
+    for seed in range(200):
+        for size in (1, 2, 5, 35, 462):
+            rng, reference = Random(seed), Random(seed)
+            expected = [
+                (reference.randint(-10, 10), reference.randint(1, 10)) for _ in range(size)
+            ]
+            assert simplicial._random_pairs(rng, size) == expected
+            assert rng.getstate() == reference.getstate()
+
+
 @st.composite
 def big_scale_vectors(draw):
     """(class, n, k, vec, q): a random common factor over a scale q >= 2**64.
