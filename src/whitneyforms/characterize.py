@@ -43,7 +43,8 @@ which makes the rows T_F[b'] its integer left inverse, so
 :func:`~whitneyforms.operators.factorial_image` takes no gcd. So
 :func:`solve_characterization` is O(nnz) additions that make no Fraction
 and multiply no entry, and
-S/k!, built from C and D alone, agreeing with W/k! is an independent check.
+S/k!, built from C and D alone, agreeing with W/k! is an independent check,
+which ``verify`` makes column by column.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2. It is complete
 whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
@@ -62,7 +63,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .forms import AffineForm
 from .operators import (
@@ -106,30 +107,41 @@ def lambda_e_dimension(n: int, k: int) -> int:
     Raises CertificateError, with the reason, when either certificate fails.
     """
     _schedule(n, k)
-    if not _certified(n, k, whitney_columns(n, k)):
+    if _certified(n, k, whitney_columns(n, k), _system_rows(n, k)) is not None:
         raise CertificateError(
             f"the Whitney columns at (n={n}, k={k}) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I"
         )
     return len(unknown_layout(n, k).faces)
 
 
-def _certified(n: int, k: int, columns: tuple[SignedColumn, ...]) -> bool:
-    """C.X = 0 and D~.X = (k+1) I for the face-many signed columns of X."""
+def _system_rows(n: int, k: int) -> list[SparseRow]:
+    """[C; D~]: every face's constancy rows, then D~'s rows, one per face."""
+    return [row for rows in constancy_rows(n, k) for row in rows] + list(derham_rows(n, k))
+
+
+def _certified(
+    n: int, k: int, columns: Sequence[SignedColumn], rows: Sequence[SparseRow]
+) -> int | None:
+    """The first i with rows.X_i != (k+1) e_{r+i}, r = len(rows) - #faces; None if none.
+
+    X has face-many signed columns (else 0 fails) and rows end in D~. With
+    rows = [C; D~] that is C.X = 0, D~.X = (k+1) I; with D~ alone, for
+    X = W/k!, it is derham(whitney(e_F)) = e_F.
+    """
     layout = unknown_layout(n, k)
-    constancy = [row for rows in constancy_rows(n, k) for row in rows]
-    rows = constancy + list(derham_rows(n, k))
-    by_position = transpose(rows, layout.size)
     if len(columns) != len(layout.faces):
-        return False
+        return 0
+    offset = len(rows) - len(layout.faces)
+    by_position = transpose(rows, layout.size)
     for i, (plus, minus) in enumerate(columns):
         image: dict[int, int] = {}
         for sign, positions in ((1, plus), (-1, minus)):
             for pos in positions:
                 for r, value in by_position[pos]:
                     image[r] = image.get(r, 0) + sign * value
-        if {r: v for r, v in image.items() if v} != {len(constancy) + i: k + 1}:
-            return False
-    return True
+        if {r: v for r, v in image.items() if v} != {offset + i: k + 1}:
+            return i
+    return None
 
 
 class _Step(NamedTuple):
@@ -236,7 +248,7 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
         columns = tuple(map(signed, entries))
     except ValueError as exc:
         raise CertificateError(f"the solution columns at (n={n}, k={k}) fail: {exc}") from exc
-    if not _certified(n, k, columns):
+    if _certified(n, k, columns, _system_rows(n, k)) is not None:
         raise CertificateError(
             f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
         )

@@ -1,12 +1,15 @@
 """Sweep dimensions and degrees, checking every claim end to end.
 
 For each pair (n, k) in range this runs the whole gauntlet: the dimension
-count, the round trip from cochain to form and back on the basis plus a
-batch of seeded random cochains, agreement of the linear-system solution
-with the direct construction, triviality of the kernel, and completeness
-of the elimination replay where it applies. One Whitney form per cochain
-serves both the round trip and the comparison with the solution. Every
-certificate fails by one CertificateError, which marks its check false.
+count, the round trip from cochain to form and back, agreement of the
+linear-system solution with the direct construction, triviality of the
+kernel, and completeness of the elimination replay where it applies.
+Every map is linear, so on the unit cochains the round trip and the solve
+are columns of cached operators, checked once per cell in face order:
+D~.(W/k!) = (k+1) I, and S/k! = W/k!. Each seeded random cochain then runs
+whitney, derham and the solve end to end, so ``--samples 0`` checks the
+operators only. Every certificate fails by one CertificateError, which
+marks its check false.
 """
 
 from __future__ import annotations
@@ -15,12 +18,15 @@ from random import Random
 
 from .characterize import (
     CertificateError,
+    _certified,
+    _solution_columns,
     kernel_is_trivial,
     lambda_e_dimension,
     proof_trace,
     solve_characterization,
 )
 from .derham import derham
+from .operators import derham_rows, whitney_columns
 from .simplicial import Cochain, cochain_to_json, enumerate_faces, random_cochain
 from .whitney import whitney
 
@@ -55,12 +61,19 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     if error is not None:
         counterexample = {"check": "dimension", "error": error}
 
+    columns = whitney_columns(n, k)
     rng = Random(seed * 1_000_003 + n * 101 + k)
-    cochains = [Cochain.basis(face) for face in enumerate_faces(n, k)]
-    cochains += [random_cochain(rng, n, k) for _ in range(samples)]
-
+    cochains = [random_cochain(rng, n, k) for _ in range(samples)]
     forms = [whitney(c) for c in cochains]
-    bad = next((c for c, w in zip(cochains, forms) if derham(w) != c), None)
+
+    def first_bad(column: int | None, holds) -> Cochain | None:
+        """The unit cochain of a failing column, else the first sample that fails."""
+        if column is not None:
+            return Cochain.basis(enumerate_faces(n, k)[column])
+        return next((c for c, w in zip(cochains, forms) if not holds(c, w)), None)
+
+    # column F of D~.(W/k!) is (k+1) derham(whitney(e_F))
+    bad = first_bad(_certified(n, k, columns, derham_rows(n, k)), lambda c, w: derham(w) == c)
     cell["rw_identity"] = bad is None
     if bad is not None and counterexample is None:
         counterexample = {"check": "rw_identity", "cochain": cochain_to_json(bad)}
@@ -71,7 +84,14 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
         except CertificateError:
             return False
 
-    bad = next((c for c, w in zip(cochains, forms) if not solved(c, w)), None)
+    # column F of S/k! is solve(e_F) over k!, as column F of W/k! is whitney(e_F)
+    try:
+        solution = _solution_columns(n, k)
+    except CertificateError:
+        column = 0
+    else:
+        column = next((i for i, (s, w) in enumerate(zip(solution, columns)) if s != w), None)
+    bad = first_bad(column, solved)
     cell["characterization"] = bad is None
     if bad is not None and counterexample is None:
         counterexample = {"check": "characterization", "cochain": cochain_to_json(bad)}

@@ -49,6 +49,7 @@ from whitneyforms.characterize import (
     _certified,
     _schedule,
     _solution_columns,
+    _system_rows,
 )
 from whitneyforms.cli import main
 from whitneyforms.operators import (
@@ -500,7 +501,7 @@ def test_every_admitted_cell_is_certified():
     cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
     for n, k in cells:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
-        assert _certified(n, k, whitney_columns(n, k))
+        assert _certified(n, k, whitney_columns(n, k), _system_rows(n, k)) is None
         # S/k! and W/k!, both as signed columns whose +1 and -1 positions never meet
         assert _solution_columns(n, k) == whitney_columns(n, k)
         assert all(not set(plus) & set(minus) for plus, minus in whitney_columns(n, k))

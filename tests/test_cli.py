@@ -7,7 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 from helpers import clear_caches, dense_system, empty_first_stage2_integral, rank
-from whitneyforms import characterize, cli, forms, simplicial
+from whitneyforms import characterize, forms, simplicial
 from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS, main
 
 
@@ -450,14 +450,18 @@ def test_commands_refuse_cells_over_the_unknown_cap(args):
 
 
 def test_derham_checks_the_cap_before_building_the_form(monkeypatch):
-    # a (30, 15) form has 31 * C(30, 15) coefficients: it must be refused unbuilt
-    def unbuilt(data):
+    # a (30, 15) form has 31 * C(30, 15) coefficients: form_from_json must refuse
+    # it before the form, or the layout of its coefficient vector, is built
+    def unbuilt(*args, **kwargs):
         raise AssertionError("the form was built")
 
-    monkeypatch.setattr(cli, "form_from_json", unbuilt)
-    result = run("derham", "--form", json.dumps({"n": 30, "k": 15, "terms": []}))
-    assert result.exit_code == 2
-    assert f"more than {MAX_UNKNOWNS} coefficient unknowns" in result.output
+    monkeypatch.setattr(forms, "AffineForm", unbuilt)
+    monkeypatch.setattr(forms, "unknown_layout", unbuilt)
+    for n, k in [(30, 15), (10**9, 5 * 10**8), (10, 5)]:
+        result = run("derham", "--form", json.dumps({"n": n, "k": k, "terms": []}))
+        assert result.exit_code == 2
+        refused = f"bad form: (n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns"
+        assert refused in result.output
 
 
 def test_unknown_cap_admits_every_cell_up_to_eight():

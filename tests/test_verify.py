@@ -1,11 +1,14 @@
 """Sweep driver: per-cell results, report shape, and failure reporting."""
 
-import math
+import sys
+from random import Random
 
 import pytest
 
 import whitneyforms.verify as verify_module
-from whitneyforms import whitney
+from whitneyforms import cochain_to_json, random_cochain, whitney
+from whitneyforms.characterize import CertificateError, _solution_columns
+from whitneyforms.operators import whitney_columns
 from whitneyforms.verify import run_verification, verify_cell
 
 
@@ -39,25 +42,97 @@ def test_single_degree_skips_small_dimensions():
 
 
 def test_failure_serializes_first_counterexample(monkeypatch):
+    # W/k! is intact, so the columns pass and the first seeded sample fails
     monkeypatch.setattr(verify_module, "whitney", lambda c: whitney(c + c))
     cell = verify_cell(2, 1, samples=2)
     assert cell["pass"] is False
     assert cell["rw_identity"] is False
     bad = cell["counterexample"]
     assert bad["check"] == "rw_identity"
-    assert bad["cochain"] == {
-        "n": 2,
-        "k": 1,
-        "terms": [{"face": [0, 1], "coeff": "1"}],
-    }
+    first_sample = random_cochain(Random(2 * 101 + 1), 2, 1)
+    assert bad["cochain"] == cochain_to_json(first_sample)
     report = run_verification(2, k=1, samples=2)
     assert report["pass"] is False
     assert report["failures"] == [(1, 1), (2, 1)]
     assert report["first_counterexample"]["check"] == "rw_identity"
 
 
+def _drop_first_plus(monkeypatch, n, k, column):
+    """Drop the first +1 of one column of W/k! at (n, k), as whitney and verify read it.
+
+    The dimension certificate reads characterize's own copy, which stays intact.
+    """
+    columns = list(whitney_columns(n, k))
+    plus, minus = columns[column]
+    columns[column] = (plus[1:], minus)
+
+    def broken(m, j):
+        return tuple(columns) if (m, j) == (n, k) else whitney_columns(m, j)
+
+    for module in (verify_module, sys.modules["whitneyforms.whitney"]):
+        monkeypatch.setattr(module, "whitney_columns", broken)
+
+
+def _unit(n, k, face):
+    return {"n": n, "k": k, "terms": [{"face": face, "coeff": "1"}]}
+
+
+@pytest.mark.parametrize(
+    "n, k, column, face, samples",
+    [(3, 1, 2, [0, 3], 20), (3, 1, 2, [0, 3], 0), (2, 1, 0, [0, 1], 2)],
+)
+def test_a_broken_whitney_column_names_its_face(monkeypatch, n, k, column, face, samples):
+    # D~.(W/k!) fails at that column first, and S/k! no longer equals W/k!
+    # there; the cell is the one the loop over the unit cochains gave
+    _drop_first_plus(monkeypatch, n, k, column)
+    cell = verify_cell(n, k, samples=samples)
+    assert cell == {
+        "n": n, "k": k, "dimension": True, "rw_identity": False,
+        "characterization": False, "kernel": True, "proof_trace": True, "pass": False,
+        "counterexample": {"check": "rw_identity", "cochain": _unit(n, k, face)},
+    }
+    report = run_verification(n, k=k, samples=samples)
+    assert report["failures"] == [(n, k)]
+    assert report["first_counterexample"] == cell["counterexample"]
+
+
+def test_a_solution_column_off_whitney_names_its_face(monkeypatch):
+    # S/k! as verify reads it differs from W/k! in column 3 only, face [1, 2]
+    columns = list(_solution_columns(3, 1))
+    columns[3] = columns[3][::-1]
+    monkeypatch.setattr(verify_module, "_solution_columns", lambda n, k: tuple(columns))
+    cell = verify_cell(3, 1, samples=2)
+    assert (cell["characterization"], cell["pass"]) == (False, False)
+    assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
+    assert cell["counterexample"] == {"check": "characterization", "cochain": _unit(3, 1, [1, 2])}
+
+
+def test_a_failed_solution_build_names_face_zero(monkeypatch):
+    def refuse(n, k):
+        raise CertificateError(f"inexact pivot at (n={n}, k={k})")
+
+    monkeypatch.setattr(verify_module, "_solution_columns", refuse)
+    cell = verify_cell(3, 1, samples=0)
+    assert (cell["characterization"], cell["pass"]) == (False, False)
+    assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
+    assert cell["counterexample"] == {"check": "characterization", "cochain": _unit(3, 1, [0, 1])}
+
+
+@pytest.mark.parametrize("n, k", [(1, 0), (3, 1), (4, 4), (5, 2)])
+def test_no_samples_checks_the_operators_only(monkeypatch, n, k):
+    def refuse(*args):
+        raise AssertionError("a cochain went through whitney, derham or the solve")
+
+    for name in ("whitney", "derham", "solve_characterization"):
+        monkeypatch.setattr(verify_module, name, refuse)
+    cell = verify_cell(n, k, samples=0)
+    assert cell["pass"] is True
+    assert "counterexample" not in cell
+
+
 @pytest.mark.parametrize("n, k, samples", [(2, 1, 3), (4, 0, 5), (4, 4, 2), (5, 2, 0)])
 def test_one_whitney_form_per_cochain(monkeypatch, n, k, samples):
+    # one per seeded sample: the unit cochains are read off W/k!, D~ and S/k!
     calls = []
 
     def counted(c):
@@ -67,4 +142,4 @@ def test_one_whitney_form_per_cochain(monkeypatch, n, k, samples):
     monkeypatch.setattr(verify_module, "whitney", counted)
     cell = verify_cell(n, k, samples=samples)
     assert cell["pass"] is True
-    assert len(calls) == math.comb(n + 1, k + 1) + samples
+    assert len(calls) == samples
