@@ -33,7 +33,6 @@ from .simplicial import (
     MAX_UNKNOWNS,
     BadDegree,
     Cochain,
-    DegreeMismatch,
     Face,
     check_unknowns,
     cochain_from_json,
@@ -49,7 +48,7 @@ MAX_SAMPLES = 1000
 
 
 def _check_size(n: int, k: int) -> None:
-    """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns; exit 2."""
+    """Refuse a non-cell (n, k), or a cell with more than MAX_UNKNOWNS unknowns; exit 2."""
     try:
         check_unknowns(n, k)
     except ValueError as exc:
@@ -148,7 +147,7 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
         else:
             c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
         form = whitney_map(c)
-    except (BadDegree, DegreeMismatch, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     _emit_form(form, fmt)
 
@@ -162,7 +161,7 @@ def derham_cmd(form_arg: str, fmt: str) -> None:
     form = _parse_form(_load_json_arg(form_arg))
     try:
         c = derham_map(form)
-    except (BadDegree, DegreeMismatch, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     _emit_cochain(c, fmt)
 
@@ -182,7 +181,7 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     except CertificateError as exc:
         click.echo(f"characterization failed: {exc}", err=True)
         sys.exit(1)
-    except (BadDegree, DegreeMismatch, ValueError) as exc:
+    except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
     matches = solved == whitney_map(c)
     if fmt == "json":

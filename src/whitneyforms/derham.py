@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .forms import AffineForm, DimensionMismatch
+from .forms import AffineForm
 from .operators import column_sum, derham_columns, derham_rows, pullback_rows
 from .simplicial import Cochain, DegreeMismatch, Face, _face_positions, canonicalize
 
@@ -45,10 +45,10 @@ def pullback(form: AffineForm, face: Face) -> AffineForm:
     integration applies it.
     """
     if face.n != form.n:
-        raise DimensionMismatch("face and form live in different dimensions")
+        raise DegreeMismatch("face and form live in different dimensions")
     t = face.degree
     if t < form.k:
-        raise DimensionMismatch(f"cannot pull a degree-{form.k} form back to a {t}-face")
+        raise DegreeMismatch(f"cannot pull a degree-{form.k} form back to a {t}-face")
     rows = pullback_rows(form.n, form.k, face.vertices)
     vec = [sum(value * form.vec[pos] for pos, value in row) for row in rows]
     return AffineForm.from_vector(t, form.k, vec, form.q)
@@ -62,7 +62,7 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
     simply evaluated at the vertex.
     """
     if face.n != form.n:
-        raise DimensionMismatch("face and form live in different dimensions")
+        raise DegreeMismatch("face and form live in different dimensions")
     n, k = form.n, form.k
     if face.degree != k:
         raise DegreeMismatch(f"cannot integrate a degree-{k} form over a {face.degree}-face")

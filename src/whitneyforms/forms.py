@@ -36,8 +36,11 @@ from .linalg import exact_int, exact_rational, format_rational, parse_rational
 from .simplicial import (
     MAX_UNKNOWNS,
     AffineFunction,
+    BadDegree,
+    DegreeMismatch,
     ScaledVector,
     _face_positions,
+    check_cell,
     check_unknowns,
     permutation_sign,
 )
@@ -60,12 +63,9 @@ __all__ = [
 MultiIndex = tuple[int, ...]
 
 
-class DegreeOverflow(ValueError):
-    """Form degree pushed past the ambient dimension."""
-
-
-class DimensionMismatch(ValueError):
-    """Operands disagree on ambient dimension, or a pullback target is too small."""
+# older names of the two classes, kept for code that catches them
+DegreeOverflow = BadDegree
+DimensionMismatch = DegreeMismatch
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,7 @@ class UnknownLayout:
     k: int
 
     def __post_init__(self) -> None:
-        _check_degree(self.n, self.k)
+        check_cell(self.n, self.k)
 
     @cached_property
     def multi_indices(self) -> tuple[MultiIndex, ...]:
@@ -126,13 +126,6 @@ def unknown_layout(n: int, k: int) -> UnknownLayout:
     return UnknownLayout(n, k)
 
 
-def _check_degree(n: int, k: int) -> None:
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if not 0 <= k <= n:
-        raise DegreeOverflow(f"degree {k} outside 0..{n}")
-
-
 def _check_multi_index(idx: MultiIndex, n: int, k: int) -> None:
     for i in idx:
         exact_int(i)
@@ -155,8 +148,6 @@ class AffineForm(ScaledVector):
     built on first use.
     """
 
-    _mismatch = (DimensionMismatch, "forms live in different spaces")
-
     def __init__(
         self, n: int, k: int, coeffs: Mapping[MultiIndex, object] | None = None
     ) -> None:
@@ -168,7 +159,7 @@ class AffineForm(ScaledVector):
             if not isinstance(f, AffineFunction):
                 f = AffineFunction.const(n, f)
             if f.n != n:
-                raise DimensionMismatch("coefficient lives in the wrong dimension")
+                raise DegreeMismatch("coefficient lives in the wrong dimension")
             base = layout._offsets[key]
             vec[base : base + n + 1] = (f.constant, *f.gradient)
         self._assign_rationals(n, k, vec)
@@ -203,9 +194,8 @@ def _merge_indices(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex] | Non
 def wedge(a: AffineForm, b: AffineForm) -> AffineForm:
     """Exterior product; the right factor must be a constant form."""
     if a.n != b.n:
-        raise DimensionMismatch("forms live in different dimensions")
-    if a.k + b.k > a.n:
-        raise DegreeOverflow(f"degree {a.k}+{b.k} exceeds dimension {a.n}")
+        raise DegreeMismatch("forms live in different dimensions")
+    check_cell(a.n, a.k + b.k)
     if not is_constant(b):
         raise ValueError("the right factor of a wedge must be a constant form")
     acc: dict[MultiIndex, AffineFunction] = {}
@@ -235,12 +225,12 @@ def evaluate(
     """
     pt = tuple(exact_rational(x) for x in point)
     if len(pt) != form.n:
-        raise DimensionMismatch(f"expected a point in {form.n} dimensions, got {len(pt)}")
+        raise DegreeMismatch(f"expected a point in {form.n} dimensions, got {len(pt)}")
     if len(vectors) != form.k:
-        raise DimensionMismatch(f"expected {form.k} vectors, got {len(vectors)}")
+        raise DegreeMismatch(f"expected {form.k} vectors, got {len(vectors)}")
     vecs = [tuple(exact_rational(x) for x in v) for v in vectors]
     if any(len(v) != form.n for v in vecs):
-        raise DimensionMismatch("tangent vector has the wrong dimension")
+        raise DegreeMismatch("tangent vector has the wrong dimension")
     total = Fraction(0)
     for idx, f in form.coeffs.items():
         d = linalg.det([[v[i - 1] for v in vecs] for i in idx])

@@ -21,13 +21,14 @@ from fractions import Fraction
 from functools import cache, cached_property
 from random import Random
 from types import MappingProxyType
-from typing import ClassVar, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .linalg import exact_int, exact_rational, format_rational, parse_rational
 
 __all__ = [
     "BadDegree",
     "DegreeMismatch",
+    "check_cell",
     "Face",
     "ScaledVector",
     "Cochain",
@@ -47,6 +48,20 @@ __all__ = [
 ]
 
 
+class BadDegree(ValueError):
+    """An (n, k) that is no cell: the degree k lies outside 0..n."""
+
+
+class DegreeMismatch(ValueError):
+    """Operands, or an operand and a face, disagree on degree or ambient dimension."""
+
+
+def check_cell(n: int, k: int) -> None:
+    """Refuse an (n, k) that is no cell, a k-form on the n-simplex with 0 <= k <= n: BadDegree."""
+    if not 0 <= k <= n:
+        raise BadDegree(f"k={k} outside 0..{n}")
+
+
 MAX_UNKNOWNS = 630
 """Largest coefficient vector, (n+1)*C(n,k), read from JSON or built by a command.
 
@@ -56,21 +71,14 @@ and ``Cochain(n, k)`` themselves are not capped."""
 
 
 def check_unknowns(n: int, k: int) -> None:
-    """Refuse a valid (n, k) with more than MAX_UNKNOWNS unknowns: ValueError."""
+    """Refuse a non-cell (BadDegree) or a cell with more than MAX_UNKNOWNS unknowns (ValueError)."""
+    check_cell(n, k)
     # n + 1 alone bounds the count from below, so a huge n never reaches comb
-    if 0 <= k <= n and (n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS):
+    if n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS:
         raise ValueError(
             f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
             f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
         )
-
-
-class BadDegree(ValueError):
-    """Degree outside the valid range 0..n."""
-
-
-class DegreeMismatch(ValueError):
-    """Operands disagree on degree or ambient dimension."""
 
 
 @dataclass(frozen=True)
@@ -92,8 +100,7 @@ class Face:
             exact_int(v)
         if self.n < 1:
             raise ValueError("ambient dimension must be at least 1")
-        if not 1 <= len(self.vertices) <= self.n + 1:
-            raise BadDegree(f"a face of the {self.n}-simplex has 1..{self.n + 1} vertices")
+        check_cell(self.n, self.degree)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError(f"repeated vertex label in {self.vertices}")
         if any(not 0 <= v <= self.n for v in self.vertices):
@@ -130,9 +137,7 @@ def canonicalize(face: Face) -> Face:
 
 def enumerate_faces(n: int, k: int) -> list[Face]:
     """All canonical k-faces in lexicographic vertex order."""
-    if not 0 <= k <= n:
-        raise BadDegree(f"k={k} outside 0..{n}")
-    return [Face(n, combo) for combo in itertools.combinations(range(n + 1), k + 1)]
+    return [Face(n, combo) for combo in _face_positions(n, k)]
 
 
 @dataclass(frozen=True)
@@ -229,16 +234,14 @@ class ScaledVector:
     """An exact rational vector as vec / q: ints ``vec``, an int q >= 1, gcd(q, *vec) = 1.
 
     The pair is canonical, so equality and hashing are a tuple compare.
-    Subclasses define ``size(n, k)``, the length of ``vec``, and
-    ``_mismatch``, the error and message for operands of another (n, k).
+    Subclasses define ``size(n, k)``, the length of ``vec``; operands on
+    different cells meet in DegreeMismatch.
     """
 
     n: int
     k: int
     vec: tuple[int, ...]
     q: int
-
-    _mismatch: ClassVar[tuple[type[ValueError], str]]
 
     @classmethod
     def from_vector(cls, n: int, k: int, vec: Sequence[int], q: int = 1):
@@ -293,8 +296,8 @@ class ScaledVector:
         if not isinstance(other, type(self)):
             return NotImplemented
         if (self.n, self.k) != (other.n, other.k):
-            error, message = self._mismatch
-            raise error(message)
+            cells = f"(n={self.n}, k={self.k}) and (n={other.n}, k={other.k})"
+            raise DegreeMismatch(f"operands on different cells {cells}")
         q = math.lcm(self.q, other.q)
         a, b = q // self.q, q // other.q
         vec = [a * x + b * y for x, y in zip(self.vec, other.vec)]
@@ -322,8 +325,7 @@ class ScaledVector:
 @cache
 def _face_positions(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Canonical k-faces, lexicographic, each mapped to its entry of a cochain."""
-    if not 0 <= k <= n:
-        raise BadDegree(f"k={k} outside 0..{n}")
+    check_cell(n, k)
     return {face: i for i, face in enumerate(itertools.combinations(range(n + 1), k + 1))}
 
 
@@ -336,8 +338,6 @@ class Cochain(ScaledVector):
     coefficient, and ``terms`` is the read-only view of the nonzero entries
     in face order, built on first use.
     """
-
-    _mismatch = (DegreeMismatch, "cochains live in different degrees")
 
     def __init__(
         self, n: int, k: int, terms: Mapping[tuple[int, ...], object] | None = None

@@ -52,6 +52,8 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     On failure a "counterexample" entry records the first offending input
     in serialized form, or the error of the first certificate that failed.
     """
+    if samples < 0:
+        raise ValueError("samples must be nonnegative")
     cell: dict = {"n": n, "k": k}
     counterexample: dict | None = None
 
@@ -119,8 +121,8 @@ def run_verification(
     """Run every cell with n <= n_max (optionally a single k) and summarize."""
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if k is not None and k < 0:
-        raise ValueError("k must be nonnegative")
+    if k is not None and not 0 <= k <= n_max:
+        raise ValueError(f"k must lie in 0..{n_max}")
     cells = []
     for n in range(1, n_max + 1):
         degrees = range(n + 1) if k is None else ([k] if k <= n else [])

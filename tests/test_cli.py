@@ -421,6 +421,25 @@ def test_trace_usage_errors():
     assert run("trace", "--n", "2", "--k", "2").exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("whitney", "--n", "2", "--k", "-1", "--face", "0"), "k=-1 outside 0..2"),
+        (("whitney", "--n", "2", "--k", "3", "--face", "0,1,2,3"), "k=3 outside 0..2"),
+        (("trace", "--n", "2", "--k", "-1"), "k=-1 outside 0..2"),
+        (("trace", "--n", "2", "--k", "0"), "the elimination replay needs 1 <= k <= n-1"),
+        (("characterize", "--n", "-1", "--k", "0", "--cochain", '{"n": -1, "k": 0, "terms": []}'),
+         "k=0 outside 0..-1"),
+        (("derham", "--form", '{"n": 2, "k": 3, "terms": []}'), "bad form: k=3 outside 0..2"),
+    ],
+    ids=["whitney-face-k-1", "whitney-face-k3", "trace-k-1", "trace-k0", "characterize-n-1", "derham-k3"],
+)
+def test_a_non_cell_is_named_by_its_degree(args, message):
+    result = run(*args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
+
+
 EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
 HUGE_COCHAIN = json.dumps({"n": 10**9, "k": 0, "terms": []})
 

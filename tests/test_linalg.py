@@ -4,6 +4,8 @@
 and the solver are the tests' oracles in ``helpers``.
 """
 
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -162,3 +164,11 @@ def test_rank_plus_nullity_is_width(rows):
     assert rank(m) + len(basis) == len(rows[0])
     for v in basis:
         assert all(x == 0 for x in matvec(m, v))
+
+
+def test_the_package_imports_no_numpy():
+    # a fresh interpreter: helpers, which the tests import, loads numpy for its oracles
+    probe = "import sys, whitneyforms, whitneyforms.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -43,6 +43,15 @@ from whitneyforms import (
     vertex_point,
 )
 from whitneyforms import linalg, simplicial
+from whitneyforms.characterize import lambda_e_dimension
+from whitneyforms.forms import (
+    DegreeOverflow,
+    DimensionMismatch,
+    UnknownLayout,
+    form_from_json,
+    unknown_layout,
+)
+from whitneyforms.operators import derham_rows, whitney_columns
 
 
 def test_face_validation():
@@ -597,3 +606,43 @@ def test_basis_is_the_unit_vector_of_every_oriented_face(monkeypatch):
     monkeypatch.setattr(Cochain, "__init__", refuse)
     for oriented, expected in cases:
         assert Cochain.basis(oriented) == expected
+
+
+CELL_ENTRY_POINTS = {
+    "UnknownLayout": lambda n, k: UnknownLayout(n, k),
+    "unknown_layout": lambda n, k: unknown_layout(n, k),
+    "AffineForm": lambda n, k: AffineForm(n, k),
+    "AffineForm.from_vector": lambda n, k: AffineForm.from_vector(n, k, []),
+    "AffineForm.zero": lambda n, k: AffineForm.zero(n, k),
+    "Cochain": lambda n, k: Cochain(n, k),
+    "Cochain.from_vector": lambda n, k: Cochain.from_vector(n, k, []),
+    "Cochain.zero": lambda n, k: Cochain.zero(n, k),
+    "enumerate_faces": enumerate_faces,
+    "random_cochain": lambda n, k: random_cochain(Random(0), n, k),
+    "whitney_columns": lambda n, k: whitney_columns(n, k),
+    "derham_rows": lambda n, k: derham_rows(n, k),
+    "lambda_e_dimension": lambda n, k: lambda_e_dimension(n, k),
+    "cochain_from_json": lambda n, k: cochain_from_json({"n": n, "k": k, "terms": []}),
+    "form_from_json": lambda n, k: form_from_json({"n": n, "k": k, "terms": []}),
+}
+
+
+@pytest.mark.parametrize("n, k", [(2, 3), (2, -1), (-1, 0)])
+def test_every_entry_point_refuses_a_non_cell_alike(n, k):
+    raised = set()
+    for name, build in CELL_ENTRY_POINTS.items():
+        with pytest.raises(BadDegree) as info:
+            build(n, k)
+        raised.add((type(info.value), str(info.value)))
+    assert raised == {(BadDegree, f"k={k} outside 0..{n}")}
+
+
+def test_one_exception_class_per_failure():
+    assert DegreeOverflow is BadDegree
+    assert DimensionMismatch is DegreeMismatch
+
+
+@pytest.mark.parametrize("cls", [Cochain, AffineForm], ids=["Cochain", "AffineForm"])
+def test_adding_vectors_on_different_cells_names_both(cls):
+    with pytest.raises(DegreeMismatch, match=r"\(n=2, k=1\) and \(n=3, k=1\)"):
+        cls.zero(2, 1) + cls.zero(3, 1)

@@ -41,6 +41,17 @@ def test_single_degree_skips_small_dimensions():
     assert [(c["n"], c["k"]) for c in report["cells"]] == [(2, 2), (3, 2)]
 
 
+def test_library_refuses_what_the_cli_refuses():
+    for k in (-1, 3, 7):
+        with pytest.raises(ValueError, match="k must lie in 0..2"):
+            run_verification(2, k=k)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        run_verification(3, samples=-5)
+    with pytest.raises(ValueError, match="samples must be nonnegative"):
+        verify_cell(2, 1, samples=-1)
+    assert verify_cell(2, 1, samples=0)["pass"] is True
+
+
 def test_failure_serializes_first_counterexample(monkeypatch):
     # W/k! is intact, so the columns pass and the first seeded sample fails
     monkeypatch.setattr(verify_module, "whitney", lambda c: whitney(c + c))
