@@ -14,7 +14,8 @@ gcd(q, *vec) = 1. It is a :class:`~whitneyforms.simplicial.ScaledVector`,
 like a cochain, and takes its canonical pair, equality and arithmetic from
 there; :mod:`whitneyforms.operators` acts on ``vec`` directly. The
 {multi-index: AffineFunction} view ``coeffs`` is built only when render,
-evaluate, wedge or the JSON writer reads it.
+evaluate, wedge or the JSON writer reads it; each of its values is the
+ScaledVector of one block, vec[base : base + n + 1] / q, as a 0-form.
 
 A constant form is an AffineForm whose gradient slots are all zero
 (:func:`is_constant`); it has no class of its own. ``wedge`` takes one as
@@ -175,8 +176,7 @@ class AffineForm(ScaledVector):
         for idx, base in unknown_layout(n, self.k)._offsets.items():
             block = vec[base : base + n + 1]
             if any(block):
-                b, *grad = (Fraction(v, q) for v in block)
-                view[idx] = AffineFunction(n, b, tuple(grad))
+                view[idx] = AffineFunction.from_vector(n, 0, block, q)
         return MappingProxyType(view)
 
 

@@ -143,8 +143,6 @@ def pullback_rows(n: int, k: int, vertices: tuple[int, ...]) -> Iterator[SparseR
     """T_G: row p is entry p of the (t, k) layout vector of the pullback to G = vertices.
 
     Per target multi-index J, the row of b'_J and then those of a'_{J,1..t}.
-    The rows are built as they are read, so a caller that needs only the
-    first, b' of the first J, builds no other.
     """
     layout = unknown_layout(n, k)
     g0, rest = vertices[0], vertices[1:]

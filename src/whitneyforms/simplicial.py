@@ -8,7 +8,9 @@ the vertex order, with an explicit sign for reversals.
 A :class:`Cochain` is one coefficient per canonical k-face as an exact
 vector vec / q of ints, the :class:`ScaledVector` that
 :class:`~whitneyforms.forms.AffineForm` also is, so the Whitney and de Rham
-maps take and return integer vectors.
+maps take and return integer vectors. An :class:`AffineFunction`
+b + sum_j g_j x^j is the ScaledVector (b, g_1, ..., g_n) of one 0-form
+block, with k = 0.
 """
 
 from __future__ import annotations
@@ -140,73 +142,6 @@ def enumerate_faces(n: int, k: int) -> list[Face]:
     return [Face(n, combo) for combo in _face_positions(n, k)]
 
 
-@dataclass(frozen=True)
-class AffineFunction:
-    """b + sum_j g_j x^j with exact rational constant and gradient.
-
-    Entries, and the coordinates of a point it is evaluated at, go through
-    ``exact_rational``: a float or a bool is rejected.
-    """
-
-    n: int
-    constant: Fraction
-    gradient: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "constant", exact_rational(self.constant))
-        object.__setattr__(self, "gradient", tuple(exact_rational(g) for g in self.gradient))
-        if self.n < 0:
-            raise ValueError("dimension must be nonnegative")
-        if len(self.gradient) != self.n:
-            raise ValueError("gradient length must equal the dimension")
-
-    @classmethod
-    def zero(cls, n: int) -> "AffineFunction":
-        return cls(n, Fraction(0), (Fraction(0),) * n)
-
-    @classmethod
-    def const(cls, n: int, value: object) -> "AffineFunction":
-        return cls(n, value, (Fraction(0),) * n)
-
-    def __call__(self, point: Sequence[object]) -> Fraction:
-        pt = tuple(exact_rational(x) for x in point)
-        if len(pt) != self.n:
-            raise ValueError("point has the wrong dimension")
-        return self.constant + sum((g * x for g, x in zip(self.gradient, pt) if g and x), Fraction(0))
-
-    def __add__(self, other: "AffineFunction") -> "AffineFunction":
-        if not isinstance(other, AffineFunction):
-            return NotImplemented
-        if self.n != other.n:
-            raise DegreeMismatch("affine functions live in different dimensions")
-        return AffineFunction(
-            self.n,
-            self.constant + other.constant,
-            tuple(a + b for a, b in zip(self.gradient, other.gradient)),
-        )
-
-    def __sub__(self, other: "AffineFunction") -> "AffineFunction":
-        return self + (-other)
-
-    def __neg__(self) -> "AffineFunction":
-        return AffineFunction(self.n, -self.constant, tuple(-g for g in self.gradient))
-
-    def __mul__(self, scalar: object) -> "AffineFunction":
-        if type(scalar) is bool or not isinstance(scalar, (int, Fraction)):
-            return NotImplemented
-        s = Fraction(scalar)
-        return AffineFunction(self.n, s * self.constant, tuple(s * g for g in self.gradient))
-
-    __rmul__ = __mul__
-
-    @property
-    def is_constant(self) -> bool:
-        return all(g == 0 for g in self.gradient)
-
-    def is_zero(self) -> bool:
-        return self.constant == 0 and self.is_constant
-
-
 def barycentric_functions(n: int) -> list[AffineFunction]:
     """The n+1 barycentric coordinates of the standard simplex.
 
@@ -224,7 +159,7 @@ def barycentric_functions(n: int) -> list[AffineFunction]:
 
 def vertex_point(n: int, label: int) -> tuple[Fraction, ...]:
     """Coordinates of a vertex: the origin for label 0, else a unit point."""
-    if not 0 <= label <= n:
+    if not 0 <= exact_int(label) <= n:
         raise ValueError(f"vertex label {label} outside 0..{n}")
     return tuple(Fraction(1) if i == label else Fraction(0) for i in range(1, n + 1))
 
@@ -322,6 +257,55 @@ class ScaledVector:
         return not any(self.vec)
 
 
+class AffineFunction(ScaledVector):
+    """b + sum_j g_j x^j, the one block of a 0-form: vec / q = (b, g_1, ..., g_n).
+
+    ``AffineFunction(n, constant, gradient)`` reads its entries, and
+    ``__call__`` the coordinates of a point, through ``exact_rational``: a
+    float or a bool is rejected. Arithmetic, equality and the cell rule are
+    those of every :class:`ScaledVector`; k is always 0.
+    """
+
+    def __init__(self, n: int, constant: object, gradient: Sequence[object]) -> None:
+        values = [exact_rational(constant), *map(exact_rational, gradient)]
+        if len(values) != self.size(n, 0):
+            raise ValueError("gradient length must equal the dimension")
+        self._assign_rationals(n, 0, values)
+
+    @staticmethod
+    def size(n: int, k: int) -> int:
+        if k != 0:
+            raise DegreeMismatch(f"an affine function has degree 0, not {k}")
+        check_cell(n, k)
+        return n + 1
+
+    @classmethod
+    def zero(cls, n: int) -> "AffineFunction":
+        return super().zero(n, 0)
+
+    @classmethod
+    def const(cls, n: int, value: object) -> "AffineFunction":
+        return cls(n, value, (0,) * n)
+
+    @cached_property
+    def constant(self) -> Fraction:
+        return Fraction(self.vec[0], self.q)
+
+    @cached_property
+    def gradient(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(g, self.q) for g in self.vec[1:])
+
+    def __call__(self, point: Sequence[object]) -> Fraction:
+        pt = tuple(exact_rational(x) for x in point)
+        if len(pt) != self.n:
+            raise ValueError("point has the wrong dimension")
+        return self.constant + sum((g * x for g, x in zip(self.gradient, pt) if g and x), Fraction(0))
+
+    @property
+    def is_constant(self) -> bool:
+        return not any(self.vec[1:])
+
+
 @cache
 def _face_positions(n: int, k: int) -> dict[tuple[int, ...], int]:
     """Canonical k-faces, lexicographic, each mapped to its entry of a cochain."""
@@ -384,6 +368,8 @@ class Cochain(ScaledVector):
         for face, coeff in items:
             if not isinstance(face, Face):
                 face = Face(n, tuple(face))
+            elif face.n != n:
+                raise DegreeMismatch(f"face in dimension {face.n} against a ({n}, {k}) cochain")
             canon = canonicalize(face)
             coeff = canon.sign * exact_rational(coeff)
             acc[canon.vertices] = acc.get(canon.vertices, Fraction(0)) + coeff

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -166,16 +167,29 @@ def dict_random_cochain(rng: Random, n: int, k: int) -> Cochain:
 
 
 def coeffs_add(a: dict, b: dict) -> dict:
-    """Oracle sum of two {multi-index: AffineFunction} dicts, zero blocks dropped."""
-    out = dict(a)
-    for idx, f in b.items():
-        out[idx] = out[idx] + f if idx in out else f
-    return {idx: f for idx, f in out.items() if not f.is_zero()}
+    """Oracle sum of two {multi-index: AffineFunction} dicts, zero blocks dropped.
+
+    Constants and gradients are added as plain Fractions, not by the vector
+    arithmetic under test, and each block is rebuilt by the constructor.
+    """
+    out = {}
+    for idx, f in [*a.items(), *b.items()]:
+        n, constant, gradient = out.get(idx, (f.n, 0, (0,) * f.n))
+        out[idx] = (n, constant + f.constant, tuple(map(operator.add, gradient, f.gradient)))
+    return {
+        idx: AffineFunction(n, constant, gradient)
+        for idx, (n, constant, gradient) in out.items()
+        if constant or any(gradient)
+    }
 
 
 def coeffs_scale(s: Fraction, a: dict) -> dict:
-    """Oracle scalar multiple of a {multi-index: AffineFunction} dict."""
-    return {idx: s * f for idx, f in a.items() if s}
+    """Oracle scalar multiple of a {multi-index: AffineFunction} dict, in plain Fractions."""
+    return {
+        idx: AffineFunction(f.n, s * f.constant, tuple(s * g for g in f.gradient))
+        for idx, f in a.items()
+        if s
+    }
 
 
 @dataclass(frozen=True)

@@ -440,6 +440,13 @@ def test_a_non_cell_is_named_by_its_degree(args, message):
     assert f"Error: {message}" in result.output
 
 
+def test_derham_names_a_gradient_of_the_wrong_length():
+    form = '{"n": 2, "k": 1, "terms": [{"dx": [1], "const": "1", "grad": ["1"]}]}'
+    result = run("derham", "--form", form)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert "Error: bad form: gradient length must equal the dimension" in result.output
+
+
 EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
 HUGE_COCHAIN = json.dumps({"n": 10**9, "k": 0, "terms": []})
 

@@ -1,9 +1,11 @@
 """Faces, orientations, barycentric coordinates, and cochains."""
 
+import copy
 import itertools
 import json
 import math
 import operator
+import pickle
 from fractions import Fraction
 from random import Random
 
@@ -52,6 +54,7 @@ from whitneyforms.forms import (
     unknown_layout,
 )
 from whitneyforms.operators import derham_rows, whitney_columns
+from whitneyforms.simplicial import ScaledVector
 
 
 def test_face_validation():
@@ -556,11 +559,14 @@ def test_cochain_eval_is_alternating(case, seed):
         lambda: AffineForm(2, 1, {(1.9,): AffineFunction.const(2, 1)}),
         lambda: AffineForm(2, 1, {(True,): Fraction(1)}),
         lambda: AffineForm(2, 1, {("2",): Fraction(1)}),
+        lambda: vertex_point(2, 1.5),
+        lambda: vertex_point(2, True),
     ],
     ids=[
         "Face-floats", "Face-bool-str", "Face-float-one",
         "Cochain-floats", "Cochain-bool", "Cochain-str",
         "AffineForm-float", "AffineForm-bool", "AffineForm-str",
+        "vertex_point-float", "vertex_point-bool",
     ],
 )
 def test_labels_must_be_integers(build):
@@ -626,11 +632,19 @@ CELL_ENTRY_POINTS = {
     "form_from_json": lambda n, k: form_from_json({"n": n, "k": k, "terms": []}),
 }
 
+# an affine function is a 0-form, so only its dimension n can make it no cell
+ZERO_FORM_ENTRY_POINTS = {
+    "AffineFunction": lambda n, k: AffineFunction(n, 0, ()),
+    "AffineFunction.from_vector": lambda n, k: AffineFunction.from_vector(n, k, []),
+    "AffineFunction.zero": lambda n, k: AffineFunction.zero(n),
+}
+
 
 @pytest.mark.parametrize("n, k", [(2, 3), (2, -1), (-1, 0)])
 def test_every_entry_point_refuses_a_non_cell_alike(n, k):
     raised = set()
-    for name, build in CELL_ENTRY_POINTS.items():
+    entry_points = CELL_ENTRY_POINTS | (ZERO_FORM_ENTRY_POINTS if k == 0 else {})
+    for name, build in entry_points.items():
         with pytest.raises(BadDegree) as info:
             build(n, k)
         raised.add((type(info.value), str(info.value)))
@@ -642,7 +656,34 @@ def test_one_exception_class_per_failure():
     assert DimensionMismatch is DegreeMismatch
 
 
-@pytest.mark.parametrize("cls", [Cochain, AffineForm], ids=["Cochain", "AffineForm"])
-def test_adding_vectors_on_different_cells_names_both(cls):
-    with pytest.raises(DegreeMismatch, match=r"\(n=2, k=1\) and \(n=3, k=1\)"):
-        cls.zero(2, 1) + cls.zero(3, 1)
+@pytest.mark.parametrize(
+    "zero, k",
+    [(Cochain.zero, 1), (AffineForm.zero, 1), (lambda n, k: AffineFunction.zero(n), 0)],
+    ids=["Cochain", "AffineForm", "AffineFunction"],
+)
+def test_adding_vectors_on_different_cells_names_both(zero, k):
+    with pytest.raises(DegreeMismatch, match=rf"\(n=2, k={k}\) and \(n=3, k={k}\)"):
+        zero(2, k) + zero(3, k)
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(st.just(n), rationals, st.lists(rationals, min_size=n, max_size=n))
+))
+@settings(max_examples=40)
+def test_an_affine_function_is_the_vector_of_a_0_form(case):
+    n, b, g = case
+    f = AffineFunction(n, b, g)
+    form = AffineForm(n, 0, {(): f})
+    assert (f.n, f.k, f.vec, f.q) == (form.n, form.k, form.vec, form.q)
+    assert (f.constant, f.gradient) == (b, tuple(g))
+    assert form.coeffs.get((), AffineFunction.zero(n)) == f
+    for copied in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
+        assert type(copied) is AffineFunction and copied == f and hash(copied) == hash(f)
+    for name in ("__add__", "__sub__", "__neg__", "__mul__", "__rmul__", "is_zero"):
+        assert getattr(AffineFunction, name) is getattr(ScaledVector, name)
+
+
+def test_from_terms_refuses_a_face_of_another_simplex():
+    # as cochain_eval does: the 3-simplex's [0, 1] is no face of the 2-simplex
+    with pytest.raises(DegreeMismatch, match=r"dimension 3 against a \(2, 1\) cochain"):
+        Cochain.from_terms(2, 1, [(Face(3, (0, 1)), 1)])
