@@ -22,32 +22,26 @@ from .forms import (
     DegreeOverflow,
     DimensionMismatch,
     UnknownLayout,
-    evaluate,
     form_from_json,
     form_to_json,
     is_constant,
-    wedge,
 )
 from .linalg import format_rational, parse_rational
-from .render import render_affine, render_cochain, render_form
 from .simplicial import (
     AffineFunction,
     BadDegree,
     Cochain,
     DegreeMismatch,
     Face,
-    barycentric_functions,
     canonicalize,
-    cochain_eval,
     cochain_from_json,
     cochain_to_json,
     enumerate_faces,
     permutation_sign,
     random_cochain,
-    vertex_point,
 )
 from .verify import run_verification, verify_cell
-from .whitney import barycentric_differential, whitney, whitney_basis_form
+from .whitney import whitney, whitney_basis_form
 
 __version__ = "0.1.0"
 
@@ -65,15 +59,11 @@ __all__ = [
     "Stage1Kill",
     "Stage2Kill",
     "UnknownLayout",
-    "barycentric_differential",
-    "barycentric_functions",
     "canonicalize",
-    "cochain_eval",
     "cochain_from_json",
     "cochain_to_json",
     "derham",
     "enumerate_faces",
-    "evaluate",
     "form_from_json",
     "form_to_json",
     "format_rational",
@@ -92,8 +82,22 @@ __all__ = [
     "run_verification",
     "solve_characterization",
     "verify_cell",
-    "vertex_point",
-    "wedge",
     "whitney",
     "whitney_basis_form",
 ]
+
+_RENDER = ("render_affine", "render_cochain", "render_form")
+
+
+def __getattr__(name: str):
+    """The render functions, whose module is imported on first use (PEP 562).
+
+    No other name resolves here: once a submodule is imported, the package
+    holds it under its own name, so a lazy ``whitney`` or ``derham`` would
+    come back as the module, not the function.
+    """
+    if name in _RENDER:
+        from . import render
+
+        return getattr(render, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -61,7 +61,6 @@ raises it with one reason for the solve, the replay and the counts alike.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple, Sequence
 
@@ -78,7 +77,7 @@ from .operators import (
     unknown_layout,
     whitney_columns,
 )
-from .simplicial import BadDegree, Cochain, DegreeMismatch, _face_positions
+from .simplicial import BadDegree, Cochain, DegreeMismatch, Frozen, _face_positions
 
 __all__ = [
     "CertificateError",
@@ -287,35 +286,37 @@ def kernel_is_trivial(n: int, k: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Stage1Kill:
+class Stage1Kill(Frozen):
     """One face through the origin and the unknowns its rows determined."""
 
-    face: tuple[int, ...]
-    killed: tuple[str, ...]
+    _fields = ("face", "killed")
+
+    def __init__(self, face: tuple[int, ...], killed: tuple[str, ...]) -> None:
+        self.__dict__.update(face=face, killed=killed)
 
 
-@dataclass(frozen=True)
-class Stage2Kill:
+class Stage2Kill(Frozen):
     """One inclined face (base vertex m, span L) and the unknown it determined."""
 
-    multi_index: tuple[int, ...]
-    m: int
-    killed: str
+    _fields = ("multi_index", "m", "killed")
+
+    def __init__(self, multi_index: tuple[int, ...], m: int, killed: str) -> None:
+        self.__dict__.update(multi_index=multi_index, m=m, killed=killed)
 
 
-@dataclass(frozen=True)
-class ProofTrace:
+class ProofTrace(Frozen):
     """Record of the elimination: every unknown falls to exactly one step.
 
     Only a complete schedule makes a trace, so ``to_json`` always reports
     ``"complete": true``; a failing schedule raises CertificateError.
     """
 
-    n: int
-    k: int
-    stage1: tuple[Stage1Kill, ...]
-    stage2: tuple[Stage2Kill, ...]
+    _fields = ("n", "k", "stage1", "stage2")
+
+    def __init__(
+        self, n: int, k: int, stage1: tuple[Stage1Kill, ...], stage2: tuple[Stage2Kill, ...]
+    ) -> None:
+        self.__dict__.update(n=n, k=k, stage1=stage1, stage2=stage2)
 
     def to_json(self) -> dict:
         stage1 = [{"face": list(s.face), "killed": list(s.killed)} for s in self.stage1]

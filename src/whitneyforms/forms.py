@@ -2,10 +2,10 @@
 
 A form is a finite sum  sum_I f_I(x) dx^I  over strictly increasing
 multi-indices I in {1..n}, where each coefficient f_I is an affine function.
-That class is closed under wedge with constant forms and under pullback
-along affine maps, which is all the simplex geometry here ever needs; the
-pullback to a face is the integer operator T_G of
-:mod:`whitneyforms.operators`, applied by ``derham.pullback``.
+That class is closed under pullback along affine maps, which is all the
+simplex geometry here ever needs; the pullback to a face is the integer
+operator T_G of :mod:`whitneyforms.operators`, applied by
+``derham.pullback``.
 
 An :class:`AffineForm` is its coefficient vector in :class:`UnknownLayout`
 order (per multi-index I, b_I then a_{I,1}, ..., a_{I,n}) scaled to
@@ -13,32 +13,29 @@ integers: vec / q with a tuple of ints ``vec``, a positive int ``q`` and
 gcd(q, *vec) = 1. It is a :class:`~whitneyforms.simplicial.ScaledVector`,
 like a cochain, and takes its canonical pair, equality and arithmetic from
 there; :mod:`whitneyforms.operators` acts on ``vec`` directly. The
-{multi-index: AffineFunction} view ``coeffs`` is built only when render,
-evaluate, wedge or the JSON writer reads it; each of its values is the
-ScaledVector of one block, vec[base : base + n + 1] / q, as a 0-form.
+{multi-index: AffineFunction} view ``coeffs`` is built only when render
+or the JSON writer reads it; each of its values is the ScaledVector of one
+block, vec[base : base + n + 1] / q, as a 0-form.
 
 A constant form is an AffineForm whose gradient slots are all zero
-(:func:`is_constant`); it has no class of its own. ``wedge`` takes one as
-its right factor, and a 0-form {(): f} as its left factor multiplies the
-right one by the affine function f.
+(:func:`is_constant`); it has no class of its own.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from . import linalg
-from .linalg import exact_int, exact_rational, format_rational, parse_rational
+from .linalg import exact_int, format_rational, parse_rational
 from .simplicial import (
     MAX_UNKNOWNS,
     AffineFunction,
     BadDegree,
     DegreeMismatch,
+    Frozen,
     ScaledVector,
     _face_positions,
     check_cell,
@@ -54,9 +51,7 @@ __all__ = [
     "MAX_UNKNOWNS",
     "check_unknowns",
     "AffineForm",
-    "wedge",
     "is_constant",
-    "evaluate",
     "form_to_json",
     "form_from_json",
 ]
@@ -69,8 +64,7 @@ DegreeOverflow = BadDegree
 DimensionMismatch = DegreeMismatch
 
 
-@dataclass(frozen=True)
-class UnknownLayout:
+class UnknownLayout(Frozen):
     """Flat ordering of the coefficient unknowns of an affine k-form.
 
     One block of n+1 unknowns per multi-index, multi-indices lexicographic.
@@ -79,11 +73,11 @@ class UnknownLayout:
     0-form on a point is a single constant.
     """
 
-    n: int
-    k: int
+    _fields = ("n", "k")
 
-    def __post_init__(self) -> None:
-        check_cell(self.n, self.k)
+    def __init__(self, n: int, k: int) -> None:
+        check_cell(n, k)
+        self.__dict__.update(n=n, k=k)
 
     @cached_property
     def multi_indices(self) -> tuple[MultiIndex, ...]:
@@ -180,63 +174,9 @@ class AffineForm(ScaledVector):
         return MappingProxyType(view)
 
 
-def _merge_indices(a: MultiIndex, b: MultiIndex) -> tuple[int, MultiIndex] | None:
-    """Merge two increasing index tuples; None if they intersect.
-
-    The sign is that of the permutation sorting a + b, i.e. the parity of
-    the transpositions that interleave b into a.
-    """
-    if set(a) & set(b):
-        return None
-    return permutation_sign(a + b), tuple(sorted(a + b))
-
-
-def wedge(a: AffineForm, b: AffineForm) -> AffineForm:
-    """Exterior product; the right factor must be a constant form."""
-    if a.n != b.n:
-        raise DegreeMismatch("forms live in different dimensions")
-    check_cell(a.n, a.k + b.k)
-    if not is_constant(b):
-        raise ValueError("the right factor of a wedge must be a constant form")
-    acc: dict[MultiIndex, AffineFunction] = {}
-    for idx_a, fa in a.coeffs.items():
-        for idx_b, fb in b.coeffs.items():
-            merged = _merge_indices(idx_a, idx_b)
-            if merged is None:
-                continue
-            sign, idx = merged
-            term = (sign * fb.constant) * fa
-            acc[idx] = acc[idx] + term if idx in acc else term
-    return AffineForm(a.n, a.k + b.k, acc)
-
-
 def is_constant(form: AffineForm) -> bool:
     """True when every coefficient has zero gradient."""
     return all(f.is_constant for f in form.coeffs.values())
-
-
-def evaluate(
-    form: AffineForm, point: Sequence[object], vectors: Sequence[Sequence[object]]
-) -> Fraction:
-    """Value of the form at a point on k tangent vectors (alternating in them).
-
-    Coordinates go through ``exact_rational``: a float or a bool is rejected.
-    The point is checked first, so even the zero form rejects a bad one.
-    """
-    pt = tuple(exact_rational(x) for x in point)
-    if len(pt) != form.n:
-        raise DegreeMismatch(f"expected a point in {form.n} dimensions, got {len(pt)}")
-    if len(vectors) != form.k:
-        raise DegreeMismatch(f"expected {form.k} vectors, got {len(vectors)}")
-    vecs = [tuple(exact_rational(x) for x in v) for v in vectors]
-    if any(len(v) != form.n for v in vecs):
-        raise DegreeMismatch("tangent vector has the wrong dimension")
-    total = Fraction(0)
-    for idx, f in form.coeffs.items():
-        d = linalg.det([[v[i - 1] for v in vecs] for i in idx])
-        if d:
-            total += f(pt) * d
-    return total
 
 
 def form_to_json(form: AffineForm) -> dict:

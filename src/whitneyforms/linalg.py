@@ -1,10 +1,9 @@
-"""Exact rational scalars: validation, the wire format, and determinants.
+"""Exact rational scalars: validation and the wire format.
 
 Every scalar is a ``fractions.Fraction``, stored reduced with a positive
 denominator, so structural equality of results is mathematical equality and
-no operation anywhere in this module carries a tolerance. The package needs
-no elimination beyond :func:`det`, which ``forms.evaluate`` alone calls on
-the tangent vectors: the pullback minors are closed-form integers in
+no operation anywhere in this module carries a tolerance. The package runs
+no elimination at all: the pullback minors are closed-form integers in
 :mod:`whitneyforms.operators`, and the constraint system is solved and
 certified along its sparse elimination schedule in
 :mod:`whitneyforms.characterize`.
@@ -14,10 +13,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Sequence
 
 __all__ = [
-    "det",
     "exact_int",
     "exact_rational",
     "parse_rational",
@@ -68,34 +65,3 @@ def parse_rational(value: object) -> Fraction:
 def format_rational(value: Fraction | int) -> str:
     """Render as "p/q", or just "p" when the denominator is 1."""
     return str(Fraction(value))
-
-
-def det(rows: Sequence[Sequence[object]]) -> Fraction:
-    """Exact determinant of a square matrix given by its rows.
-
-    Fraction-preserving elimination; the empty matrix has determinant 1.
-    """
-    data = [[exact_rational(x) for x in row] for row in rows]
-    n = len(data)
-    if any(len(row) != n for row in data):
-        raise ValueError("determinant needs a square matrix")
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if data[i][c] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            data[c], data[pivot_row] = data[pivot_row], data[c]
-            sign = -sign
-        pivot = data[c][c]
-        result *= pivot
-        for i in range(c + 1, n):
-            factor = data[i][c]
-            if factor == 0:
-                continue
-            factor /= pivot
-            for j in range(c, n):
-                if data[c][j]:
-                    data[i][j] -= factor * data[c][j]
-    return result if sign == 1 else -result

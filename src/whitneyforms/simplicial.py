@@ -1,4 +1,4 @@
-"""The standard n-simplex: oriented faces, barycentric functions, cochains.
+"""The standard n-simplex: oriented faces, cochains, exact immutable values.
 
 The ambient simplex is fixed once and for all as [0, e_1, ..., e_n], so a
 vertex is just a label in 0..n: label 0 is the origin and label i is the
@@ -10,7 +10,9 @@ vector vec / q of ints, the :class:`ScaledVector` that
 :class:`~whitneyforms.forms.AffineForm` also is, so the Whitney and de Rham
 maps take and return integer vectors. An :class:`AffineFunction`
 b + sum_j g_j x^j is the ScaledVector (b, g_1, ..., g_n) of one 0-form
-block, with k = 0.
+block, with k = 0. Faces, these vectors and the unknown layout are
+:class:`Frozen` values: fields compared, hashed and printed by name, and
+never assigned after construction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from random import Random
@@ -31,6 +32,7 @@ __all__ = [
     "BadDegree",
     "DegreeMismatch",
     "check_cell",
+    "Frozen",
     "Face",
     "ScaledVector",
     "Cochain",
@@ -40,9 +42,6 @@ __all__ = [
     "canonicalize",
     "permutation_sign",
     "enumerate_faces",
-    "barycentric_functions",
-    "vertex_point",
-    "cochain_eval",
     "random_cochain",
     "cochain_to_json",
     "cochain_from_json",
@@ -83,8 +82,40 @@ def check_unknowns(n: int, k: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Face:
+class Frozen:
+    """An immutable value: equality, hash and repr read the fields named in ``_fields``.
+
+    A constructor stores the fields once, with ``self.__dict__.update``; to
+    assign or delete an attribute afterwards raises AttributeError. Values of
+    different classes are unequal. The instance ``__dict__`` stays, so that
+    ``cached_property`` can fill it and pickle and deepcopy restore it.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other: object):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Face(Frozen):
     """An oriented k-face of the standard n-simplex.
 
     The vertex tuple orders the face and thereby orients it; ``sign`` flips
@@ -92,23 +123,22 @@ class Face:
     vertices and sign +1.
     """
 
-    n: int
-    vertices: tuple[int, ...]
-    sign: int = 1
+    _fields = ("n", "vertices", "sign")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        for v in self.vertices:
+    def __init__(self, n: int, vertices: Sequence[int], sign: int = 1) -> None:
+        vertices = tuple(vertices)
+        for v in vertices:
             exact_int(v)
-        if self.n < 1:
+        if n < 1:
             raise ValueError("ambient dimension must be at least 1")
-        check_cell(self.n, self.degree)
-        if len(set(self.vertices)) != len(self.vertices):
-            raise ValueError(f"repeated vertex label in {self.vertices}")
-        if any(not 0 <= v <= self.n for v in self.vertices):
-            raise ValueError(f"vertex labels must lie in 0..{self.n}")
-        if self.sign not in (1, -1):
+        check_cell(n, len(vertices) - 1)
+        if len(set(vertices)) != len(vertices):
+            raise ValueError(f"repeated vertex label in {vertices}")
+        if any(not 0 <= v <= n for v in vertices):
+            raise ValueError(f"vertex labels must lie in 0..{n}")
+        if sign not in (1, -1):
             raise ValueError("sign must be +1 or -1")
+        self.__dict__.update(n=n, vertices=vertices, sign=sign)
 
     @property
     def degree(self) -> int:
@@ -142,30 +172,7 @@ def enumerate_faces(n: int, k: int) -> list[Face]:
     return [Face(n, combo) for combo in _face_positions(n, k)]
 
 
-def barycentric_functions(n: int) -> list[AffineFunction]:
-    """The n+1 barycentric coordinates of the standard simplex.
-
-    Index 0 is 1 - (x^1 + ... + x^n); index i >= 1 is x^i. They sum to the
-    constant 1 and take value 1 at their own vertex, 0 at the others.
-    """
-    if n < 1:
-        raise ValueError("ambient dimension must be at least 1")
-    funcs = [AffineFunction(n, Fraction(1), (Fraction(-1),) * n)]
-    for i in range(1, n + 1):
-        grad = tuple(Fraction(1) if j == i else Fraction(0) for j in range(1, n + 1))
-        funcs.append(AffineFunction(n, Fraction(0), grad))
-    return funcs
-
-
-def vertex_point(n: int, label: int) -> tuple[Fraction, ...]:
-    """Coordinates of a vertex: the origin for label 0, else a unit point."""
-    if not 0 <= exact_int(label) <= n:
-        raise ValueError(f"vertex label {label} outside 0..{n}")
-    return tuple(Fraction(1) if i == label else Fraction(0) for i in range(1, n + 1))
-
-
-@dataclass(frozen=True, init=False)
-class ScaledVector:
+class ScaledVector(Frozen):
     """An exact rational vector as vec / q: ints ``vec``, an int q >= 1, gcd(q, *vec) = 1.
 
     The pair is canonical, so equality and hashing are a tuple compare.
@@ -173,10 +180,11 @@ class ScaledVector:
     different cells meet in DegreeMismatch.
     """
 
-    n: int
-    k: int
-    vec: tuple[int, ...]
-    q: int
+    _fields = ("n", "k", "vec", "q")
+
+    def _key(self) -> tuple:
+        # written out, for speed: verify compares vectors on every sample
+        return (self.n, self.k, self.vec, self.q)
 
     @classmethod
     def from_vector(cls, n: int, k: int, vec: Sequence[int], q: int = 1):
@@ -221,8 +229,7 @@ class ScaledVector:
         self._assign(n, k, [v.numerator * (q // v.denominator) for v in values], q)
 
     def _assign(self, n: int, k: int, vec: Sequence[int], q: int) -> None:
-        for name, value in (("n", n), ("k", k), ("vec", tuple(vec)), ("q", q)):
-            object.__setattr__(self, name, value)
+        self.__dict__.update(n=n, k=k, vec=tuple(vec), q=q)
 
     def __reduce__(self):
         return (type(self).from_vector, (self.n, self.k, self.vec, self.q))
@@ -374,17 +381,6 @@ class Cochain(ScaledVector):
             coeff = canon.sign * exact_rational(coeff)
             acc[canon.vertices] = acc.get(canon.vertices, Fraction(0)) + coeff
         return cls(n, k, acc)
-
-
-def cochain_eval(c: Cochain, face: Face) -> Fraction:
-    """The coefficient of the face, with the orientation sign applied."""
-    if face.n != c.n or face.degree != c.k:
-        raise DegreeMismatch(
-            f"face of degree {face.degree} in dimension {face.n} against a "
-            f"({c.n}, {c.k}) cochain"
-        )
-    canon = canonicalize(face)
-    return canon.sign * c.terms.get(canon.vertices, Fraction(0))
 
 
 def _random_pairs(rng: Random, count: int) -> list[tuple[int, int]]:

@@ -18,8 +18,6 @@ cochain vec / q is k! (W/k!).vec / q: each nonzero entry of vec is added at
 its column's +1 positions and subtracted at its -1 positions, in Python
 ints (:func:`~whitneyforms.operators.factorial_image`), with k! carried in
 the scale, no entry multiplied and no Fraction made.
-``barycentric_differential`` gives d nu_i as a constant AffineForm, the
-right factor ``wedge`` takes.
 """
 
 from __future__ import annotations
@@ -29,19 +27,9 @@ from .operators import factorial_image, whitney_columns
 from .simplicial import Cochain, Face
 
 __all__ = [
-    "barycentric_differential",
     "whitney_basis_form",
     "whitney",
 ]
-
-
-def barycentric_differential(n: int, label: int) -> AffineForm:
-    """d nu_label as a constant 1-form: -sum_i dx^i for label 0, else dx^label."""
-    if not 0 <= label <= n:
-        raise ValueError(f"vertex label {label} outside 0..{n}")
-    if label == 0:
-        return AffineForm(n, 1, {(i,): -1 for i in range(1, n + 1)})
-    return AffineForm(n, 1, {(label,): 1})
 
 
 def whitney_basis_form(face: Face) -> AffineForm:

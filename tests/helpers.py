@@ -7,8 +7,10 @@ moments of a pulled-back coefficient, the pullback itself from a
 ``Fraction`` face parametrization with one ``det`` per minor, the
 constraint rows from that ``pullback`` of each unit form, the Whitney basis forms
 from ``wedge`` alone (an affine 0-form on the left scales by a barycentric
-coordinate), which the cached operators never call, and the extreme-degree
-closed forms from barycentric coordinates.
+coordinate), and the extreme-degree closed forms from barycentric
+coordinates. ``vertex_point``, the barycentric functions and differentials,
+``cochain_eval``, ``wedge``, ``det`` and ``evaluate`` are defined here: the
+package has no copy of them for its operators to lean on.
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs, and the
 solve also from a forward substitution of each cochain along the whole
@@ -32,18 +34,155 @@ from whitneyforms import (
     AffineForm,
     AffineFunction,
     Cochain,
+    DegreeMismatch,
     DimensionMismatch,
     Face,
     UnknownLayout,
-    barycentric_differential,
-    barycentric_functions,
+    canonicalize,
     enumerate_faces,
-    vertex_point,
-    wedge,
+    is_constant,
+    permutation_sign,
 )
 from whitneyforms import characterize, linalg
-from whitneyforms.linalg import exact_rational
+from whitneyforms.linalg import exact_int, exact_rational
 from whitneyforms.operators import SparseRow, constancy_rows, derham_rows, unknown_layout
+from whitneyforms.simplicial import check_cell
+
+
+# The textbook route: coordinates, barycentric functions, wedge products,
+# determinants and evaluation, over the forms' public ``coeffs`` view and
+# AffineFunction arithmetic. No subcommand needs them, since W/k! is written
+# down in closed form and the pullback is the integer T_G; here they are the
+# oracles that the operators are checked against.
+
+
+def vertex_point(n: int, label: int) -> tuple[Fraction, ...]:
+    """Coordinates of a vertex: the origin for label 0, else a unit point."""
+    if not 0 <= exact_int(label) <= n:
+        raise ValueError(f"vertex label {label} outside 0..{n}")
+    return tuple(Fraction(1) if i == label else Fraction(0) for i in range(1, n + 1))
+
+
+def barycentric_functions(n: int) -> list[AffineFunction]:
+    """The n+1 barycentric coordinates of the standard simplex.
+
+    Index 0 is 1 - (x^1 + ... + x^n); index i >= 1 is x^i. They sum to the
+    constant 1 and take value 1 at their own vertex, 0 at the others.
+    """
+    if n < 1:
+        raise ValueError("ambient dimension must be at least 1")
+    funcs = [AffineFunction(n, Fraction(1), (Fraction(-1),) * n)]
+    for i in range(1, n + 1):
+        grad = tuple(Fraction(1) if j == i else Fraction(0) for j in range(1, n + 1))
+        funcs.append(AffineFunction(n, Fraction(0), grad))
+    return funcs
+
+
+def barycentric_differential(n: int, label: int) -> AffineForm:
+    """d nu_label as a constant 1-form: -sum_i dx^i for label 0, else dx^label."""
+    if not 0 <= label <= n:
+        raise ValueError(f"vertex label {label} outside 0..{n}")
+    if label == 0:
+        return AffineForm(n, 1, {(i,): -1 for i in range(1, n + 1)})
+    return AffineForm(n, 1, {(label,): 1})
+
+
+def cochain_eval(c: Cochain, face: Face) -> Fraction:
+    """The coefficient of the face, with the orientation sign applied."""
+    if face.n != c.n or face.degree != c.k:
+        raise DegreeMismatch(
+            f"face of degree {face.degree} in dimension {face.n} against a "
+            f"({c.n}, {c.k}) cochain"
+        )
+    canon = canonicalize(face)
+    return canon.sign * c.terms.get(canon.vertices, Fraction(0))
+
+
+def _merge_indices(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]] | None:
+    """Merge two increasing index tuples; None if they intersect.
+
+    The sign is that of the permutation sorting a + b, i.e. the parity of
+    the transpositions that interleave b into a.
+    """
+    if set(a) & set(b):
+        return None
+    return permutation_sign(a + b), tuple(sorted(a + b))
+
+
+def wedge(a: AffineForm, b: AffineForm) -> AffineForm:
+    """Exterior product; the right factor must be a constant form.
+
+    A 0-form {(): f} as the left factor multiplies the right one by the
+    affine function f.
+    """
+    if a.n != b.n:
+        raise DegreeMismatch("forms live in different dimensions")
+    check_cell(a.n, a.k + b.k)
+    if not is_constant(b):
+        raise ValueError("the right factor of a wedge must be a constant form")
+    acc: dict[tuple[int, ...], AffineFunction] = {}
+    for idx_a, fa in a.coeffs.items():
+        for idx_b, fb in b.coeffs.items():
+            merged = _merge_indices(idx_a, idx_b)
+            if merged is None:
+                continue
+            sign, idx = merged
+            term = (sign * fb.constant) * fa
+            acc[idx] = acc[idx] + term if idx in acc else term
+    return AffineForm(a.n, a.k + b.k, acc)
+
+
+def det(rows) -> Fraction:
+    """Exact determinant of a square matrix given by its rows.
+
+    Fraction-preserving elimination; the empty matrix has determinant 1.
+    """
+    data = [[exact_rational(x) for x in row] for row in rows]
+    n = len(data)
+    if any(len(row) != n for row in data):
+        raise ValueError("determinant needs a square matrix")
+    sign = 1
+    result = Fraction(1)
+    for c in range(n):
+        pivot_row = next((i for i in range(c, n) if data[i][c] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != c:
+            data[c], data[pivot_row] = data[pivot_row], data[c]
+            sign = -sign
+        pivot = data[c][c]
+        result *= pivot
+        for i in range(c + 1, n):
+            factor = data[i][c]
+            if factor == 0:
+                continue
+            factor /= pivot
+            for j in range(c, n):
+                if data[c][j]:
+                    data[i][j] -= factor * data[c][j]
+    return result if sign == 1 else -result
+
+
+def evaluate(form: AffineForm, point, vectors) -> Fraction:
+    """Value of the form at a point on k tangent vectors (alternating in them).
+
+    Coordinates go through ``exact_rational``: a float or a bool is rejected.
+    The point is checked first, so even the zero form rejects a bad one.
+    """
+    pt = tuple(exact_rational(x) for x in point)
+    if len(pt) != form.n:
+        raise DegreeMismatch(f"expected a point in {form.n} dimensions, got {len(pt)}")
+    if len(vectors) != form.k:
+        raise DegreeMismatch(f"expected {form.k} vectors, got {len(vectors)}")
+    vecs = [tuple(exact_rational(x) for x in v) for v in vectors]
+    if any(len(v) != form.n for v in vecs):
+        raise DegreeMismatch("tangent vector has the wrong dimension")
+    total = Fraction(0)
+    for idx, f in form.coeffs.items():
+        d = det([[v[i - 1] for v in vecs] for i in idx])
+        if d:
+            total += f(pt) * d
+    return total
 
 
 def bubble_sort_parity(seq) -> int:
@@ -264,7 +403,7 @@ def pullback(form: AffineForm, face: Face) -> AffineForm:
     for idx, f in form.coeffs.items():
         pulled_f = compose_affine(f, param)
         for target in itertools.combinations(range(1, kf + 1), form.k):
-            d = linalg.det([[directions[t - 1][i - 1] for t in target] for i in idx])
+            d = det([[directions[t - 1][i - 1] for t in target] for i in idx])
             if not d:
                 continue
             term = d * pulled_f
@@ -516,16 +655,16 @@ def dense_system(n: int, k: int) -> tuple[list[list[Fraction]], list[list[Fracti
 
 
 def assert_no_dense_elimination() -> None:
-    """The library defines no elimination routine besides ``det``.
+    """The library defines no elimination routine, not even a determinant.
 
-    The dense rank, kernel and solver above are oracles only: neither
-    ``linalg`` nor ``characterize`` holds one for a certificate to fall
-    back on.
+    The dense rank, kernel, solver and ``det`` above are oracles only:
+    ``linalg`` defines the four scalar readers and writers alone, and
+    ``characterize`` holds no elimination for a certificate to fall back on.
     """
     defined = {
         name
         for name, obj in vars(linalg).items()
         if callable(obj) and getattr(obj, "__module__", None) == linalg.__name__
     }
-    assert defined == {"det", "exact_int", "exact_rational", "format_rational", "parse_rational"}
+    assert defined == {"exact_int", "exact_rational", "format_rational", "parse_rational"}
     assert not {"rank", "nullspace", "LinearSolver", "solve"} & set(vars(characterize))

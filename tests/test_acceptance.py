@@ -11,14 +11,12 @@ import time
 from fractions import Fraction
 from random import Random
 
-from helpers import quadrature_integral, random_affine_form
+from helpers import barycentric_functions, cochain_eval, quadrature_integral, random_affine_form
 from whitneyforms import (
     AffineForm,
     AffineFunction,
     Cochain,
     Face,
-    barycentric_functions,
-    cochain_eval,
     derham,
     enumerate_faces,
     integrate_over_face,

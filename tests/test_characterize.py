@@ -21,6 +21,7 @@ from helpers import (
     rank,
     schedule_solve,
     unit_form,
+    vertex_point,
 )
 from whitneyforms import (
     AffineForm,
@@ -40,7 +41,6 @@ from whitneyforms import (
     random_cochain,
     solve_characterization,
     verify_cell,
-    vertex_point,
     whitney,
 )
 from whitneyforms import operators

@@ -2,6 +2,8 @@
 
 import json
 import math
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -524,3 +526,26 @@ def test_broken_replay_exits_one_with_a_message(monkeypatch):
     assert verify.exit_code == 1 and isinstance(verify.exception, SystemExit)
     assert "FAILED cells: (n=1, k=0), (n=2, k=0), (n=2, k=1), (n=3, k=0)," in verify.stdout
     assert 'first counterexample: {"check": "dimension", "error": ' in verify.stdout
+
+
+def test_render_is_imported_only_to_render():
+    # a fresh interpreter: the CLI loads render in its text and latex branches, the
+    # package resolves only the three render names lazily, and whitney and derham
+    # stay the functions, not the submodules of the same name
+    probe = """
+import sys, types
+import whitneyforms.cli
+assert "whitneyforms.render" not in sys.modules
+from whitneyforms import whitney, derham, render_form
+assert all(type(f) is types.FunctionType for f in (whitney, derham, render_form))
+import whitneyforms
+assert whitneyforms.render_cochain is sys.modules["whitneyforms.render"].render_cochain
+assert whitneyforms.whitney is whitney and whitneyforms.derham is derham
+whitneyforms.cli.main(["whitney", "--n", "2", "--k", "1", "--face", "1,2", "--format", "text"])
+"""
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "x1 dx2 - x2 dx1\n"
+    probe = "import whitneyforms; whitneyforms.render_matrix"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert "has no attribute 'render_matrix'" in proc.stderr

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coeffs_add, coeffs_scale, random_affine_form
+from helpers import coeffs_add, coeffs_scale, evaluate, random_affine_form, vertex_point, wedge
 from whitneyforms import (
     AffineForm,
     AffineFunction,
@@ -22,13 +22,10 @@ from whitneyforms import (
     DimensionMismatch,
     Face,
     cochain_from_json,
-    evaluate,
     form_from_json,
     form_to_json,
     is_constant,
     pullback,
-    vertex_point,
-    wedge,
 )
 from whitneyforms import forms
 

@@ -1,6 +1,6 @@
 """Exact rationals and determinants, and the dense elimination oracles.
 
-``det`` and the wire format live in ``whitneyforms.linalg``; rank, kernel
+The wire format lives in ``whitneyforms.linalg``; ``det``, rank, kernel
 and the solver are the tests' oracles in ``helpers``.
 """
 
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import LinearSolver, NoSolution, NotUnique, matvec, nullspace, rank
-from whitneyforms.linalg import det, format_rational, parse_rational
+from helpers import LinearSolver, NoSolution, NotUnique, det, matvec, nullspace, rank
+from whitneyforms.linalg import format_rational, parse_rational
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=8

@@ -16,14 +16,19 @@ from hypothesis import strategies as st
 
 from helpers import (
     LinearSolver,
+    barycentric_functions,
     bubble_sort_parity,
     canonical_pair,
+    cochain_eval,
     count_subsets,
     dense_system,
+    det,
     dict_random_cochain,
+    evaluate,
     face_parametrization,
     nullspace,
     rank,
+    vertex_point,
 )
 from whitneyforms import (
     AffineForm,
@@ -32,17 +37,13 @@ from whitneyforms import (
     Cochain,
     DegreeMismatch,
     Face,
-    barycentric_functions,
     canonicalize,
-    cochain_eval,
     cochain_from_json,
     cochain_to_json,
     derham,
     enumerate_faces,
-    evaluate,
     permutation_sign,
     random_cochain,
-    vertex_point,
 )
 from whitneyforms import linalg, simplicial
 from whitneyforms.characterize import lambda_e_dimension
@@ -180,7 +181,7 @@ def test_exact_types_reject_floats_and_bools():
             evaluate(AffineForm(2, 1, {(1,): 1}), (bad, 0), [(1, 0)])
         # determinant entries, and the dense oracles' entries and right-hand sides
         with pytest.raises(ValueError, match="not an exact rational"):
-            linalg.det([[Fraction(1), bad], [0, 1]])
+            det([[Fraction(1), bad], [0, 1]])
         with pytest.raises(ValueError, match="not an exact rational"):
             rank([[Fraction(1), bad]])
         with pytest.raises(ValueError, match="not an exact rational"):
@@ -190,7 +191,7 @@ def test_exact_types_reject_floats_and_bools():
         with pytest.raises(ValueError, match="not an exact rational"):
             LinearSolver([[1]]).solve([bad])
     assert simplicial.exact_rational is linalg.exact_rational
-    assert linalg.det([[1, Fraction(1, 10)], [0, 3]]) == Fraction(3)
+    assert det([[1, Fraction(1, 10)], [0, 3]]) == Fraction(3)
     assert rank([[1, Fraction(1, 10)]]) == 1
     assert LinearSolver([[1]]).solve([Fraction(1, 10)]) == (Fraction(1, 10),)
     assert LinearSolver([[1]]).solve([3]) == (Fraction(3),)

@@ -16,7 +16,6 @@ from whitneyforms import (
     AffineFunction,
     Cochain,
     Face,
-    ProofTrace,
     Stage1Kill,
     Stage2Kill,
     UnknownLayout,

@@ -1,12 +1,13 @@
 """Sweep driver: per-cell results, report shape, and failure reporting."""
 
 import sys
+from collections import Counter
 from random import Random
 
 import pytest
 
 import whitneyforms.verify as verify_module
-from whitneyforms import cochain_to_json, random_cochain, whitney
+from whitneyforms import cochain_to_json, random_cochain, solve_characterization, whitney
 from whitneyforms.characterize import CertificateError, _solution_columns
 from whitneyforms.operators import whitney_columns
 from whitneyforms.verify import run_verification, verify_cell
@@ -154,3 +155,18 @@ def test_one_whitney_form_per_cochain(monkeypatch, n, k, samples):
     cell = verify_cell(n, k, samples=samples)
     assert cell["pass"] is True
     assert len(calls) == samples
+
+
+def test_the_sample_solve_runs_only_at_the_extreme_degrees(monkeypatch):
+    # for 0 < k < n, once S/k! equals W/k! column by column, a sample's solve adds
+    # up the columns its whitney did; at k = 0 and k = n it meets the closed form
+    calls = Counter()
+
+    def counted(n, k, c):
+        calls[n, k] += 1
+        return solve_characterization(n, k, c)
+
+    monkeypatch.setattr(verify_module, "solve_characterization", counted)
+    samples = 3
+    assert run_verification(5, samples=samples)["pass"] is True
+    assert calls == {(n, k): samples for n in range(1, 6) for k in (0, n)}

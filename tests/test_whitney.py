@@ -8,15 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import barycentric_differential, barycentric_functions, evaluate
 from whitneyforms import (
     AffineForm,
     AffineFunction,
     Cochain,
     Face,
-    barycentric_differential,
-    barycentric_functions,
     enumerate_faces,
-    evaluate,
     is_constant,
     random_cochain,
     render_form,
