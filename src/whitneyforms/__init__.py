@@ -86,8 +86,6 @@ __all__ = [
     "whitney_basis_form",
 ]
 
-_RENDER = ("render_affine", "render_cochain", "render_form")
-
 
 def __getattr__(name: str):
     """The render functions, whose module is imported on first use (PEP 562).
@@ -96,7 +94,7 @@ def __getattr__(name: str):
     holds it under its own name, so a lazy ``whitney`` or ``derham`` would
     come back as the module, not the function.
     """
-    if name in _RENDER:
+    if name in ("render_affine", "render_cochain", "render_form"):
         from . import render
 
         return getattr(render, name)
