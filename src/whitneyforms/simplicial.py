@@ -136,7 +136,7 @@ class Face(Frozen):
             raise ValueError(f"repeated vertex label in {vertices}")
         if any(not 0 <= v <= n for v in vertices):
             raise ValueError(f"vertex labels must lie in 0..{n}")
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # 1.0 and True equal 1
             raise ValueError("sign must be +1 or -1")
         self.__dict__.update(n=n, vertices=vertices, sign=sign)
 

@@ -15,10 +15,13 @@ Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs, and the
 solve also from a forward substitution of each cochain along the whole
 elimination schedule, without the cached solution operator.
+``run_cli`` runs the command line in process and keeps its exit code and
+both output streams.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
 import math
 import operator
@@ -44,6 +47,7 @@ from whitneyforms import (
     permutation_sign,
 )
 from whitneyforms import characterize, linalg
+from whitneyforms.cli import main as cli_main
 from whitneyforms.linalg import exact_int, exact_rational
 from whitneyforms.operators import SparseRow, constancy_rows, derham_rows, unknown_layout
 from whitneyforms.simplicial import check_cell
@@ -668,3 +672,41 @@ def assert_no_dense_elimination() -> None:
     }
     assert defined == {"exact_int", "exact_rational", "format_rational", "parse_rational"}
     assert not {"rank", "nullspace", "LinearSolver", "solve"} & set(vars(characterize))
+
+
+@dataclass
+class CliResult:
+    """One in-process run of the command line."""
+
+    exit_code: int
+    stdout: str
+    stderr: str
+    exception: BaseException | None  # None on exit 0, else the SystemExit or the error
+    exc_info: tuple | None
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+    @property
+    def stdout_bytes(self) -> bytes:
+        return self.stdout.encode()
+
+
+def run_cli(argv, input: str | None = None) -> CliResult:
+    """cli.main(argv) with input on stdin; SystemExit gives the exit code, any other error 1."""
+    out, err = io.StringIO(), io.StringIO()
+    exit_code, exception, exc_info = 0, None, None
+    saved = sys.stdin, sys.stdout, sys.stderr
+    sys.stdin, sys.stdout, sys.stderr = io.StringIO(input or ""), out, err
+    try:
+        cli_main(list(argv))
+    except SystemExit as exc:
+        exit_code = 0 if exc.code is None else exc.code
+        if exit_code != 0:
+            exception, exc_info = exc, sys.exc_info()
+    except Exception as exc:
+        exit_code, exception, exc_info = 1, exc, sys.exc_info()
+    finally:
+        sys.stdin, sys.stdout, sys.stderr = saved
+    return CliResult(exit_code, out.getvalue(), err.getvalue(), exception, exc_info)

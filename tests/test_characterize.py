@@ -6,7 +6,6 @@ from fractions import Fraction
 from random import Random
 
 import pytest
-from click.testing import CliRunner
 
 from helpers import (
     LinearSolver,
@@ -19,6 +18,7 @@ from helpers import (
     fraction_vector,
     nullspace,
     rank,
+    run_cli,
     schedule_solve,
     unit_form,
     vertex_point,
@@ -51,7 +51,6 @@ from whitneyforms.characterize import (
     _solution_columns,
     _system_rows,
 )
-from whitneyforms.cli import main
 from whitneyforms.operators import (
     constancy_rows,
     derham_rows,
@@ -515,7 +514,7 @@ def test_certificates_need_no_dense_elimination(n, k):
         faces = math.comb(n + 1, k + 1)
         assert lambda_e_dimension(n, k) == faces
         assert kernel_is_trivial(n, k) is True
-        result = CliRunner().invoke(main, ["dims", "--n", str(n)])
+        result = run_cli(["dims", "--n", str(n)])
         assert result.exit_code == 0
         row = json.loads(result.output)["rows"][k]
         assert (row["constancy_rank"], row["dimension"], row["match"]) == (k * faces, faces, True)
@@ -534,7 +533,7 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
             lambda_e_dimension(3, 1)
         assert kernel_is_trivial(3, 1) is False
         cell = verify_cell(3, 1, samples=2)
-        result = CliRunner().invoke(main, ["dims", "--n", "3", "--k", "1"])
+        result = run_cli(["dims", "--n", "3", "--k", "1"])
     finally:
         clear_caches()
     assert not cell["pass"]

@@ -2,19 +2,21 @@
 
 import json
 import math
+import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from helpers import clear_caches, dense_system, empty_first_stage2_integral, rank
+from helpers import clear_caches, dense_system, empty_first_stage2_integral, rank, run_cli
 from whitneyforms import characterize, forms, simplicial
-from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS, main
+from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS
 
 
 def run(*args, **kwargs):
-    return CliRunner().invoke(main, list(args), **kwargs)
+    return run_cli(args, **kwargs)
 
 
 def test_whitney_single_face_text():
@@ -549,3 +551,46 @@ whitneyforms.cli.main(["whitney", "--n", "2", "--k", "1", "--face", "1,2", "--fo
     probe = "import whitneyforms; whitneyforms.render_matrix"
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
     assert "has no attribute 'render_matrix'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("verify", "--sam", "5", "--n-max", "1"), "--sam"),  # no abbreviated options
+        (("verify", "--n-max", "x"), "--n-max"),
+        (("verify", "--n-max", "2", "extra"), "extra"),
+        ((), "COMMAND"),
+        # -1,2 reads as an option, not as --face's value
+        (("whitney", "--n", "2", "--k", "1", "--face", "-1,2"), "--face"),
+    ],
+    ids=["abbreviation", "not-an-int", "extra-argument", "no-subcommand", "face-like-an-option"],
+)
+def test_parse_errors_exit_two_with_one_error_line(args, message):
+    result = run(*args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr.startswith("usage: ")
+    error = result.stderr.splitlines()[-1]
+    assert error.startswith("Error: ") and message in error
+
+
+def test_a_closed_stdout_exits_one_without_a_traceback():
+    # a pipe with no reader, as `| head` leaves once it has read enough: every write fails
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "whitneyforms", "trace", "--n", "8", "--k", "4", "--format", "text"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1 and proc.stderr == b""
+
+
+def test_the_cli_needs_no_dependency():
+    probe = "import sys, whitneyforms.cli; assert 'click' not in sys.modules, sorted(sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text()
+    assert re.search(r"^dependencies = \[(.*?)\]", pyproject, re.M | re.S).group(1).strip() == ""

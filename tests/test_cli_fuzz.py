@@ -10,11 +10,10 @@ import json
 from fractions import Fraction
 from random import Random
 
-from click.testing import CliRunner
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_affine_form
+from helpers import random_affine_form, run_cli
 from whitneyforms import (
     AffineForm,
     Cochain,
@@ -24,7 +23,7 @@ from whitneyforms import (
     form_to_json,
     random_cochain,
 )
-from whitneyforms.cli import MAX_SAMPLES, main
+from whitneyforms.cli import MAX_SAMPLES
 from whitneyforms.operators import unknown_layout
 
 EXTREMES = [-1, 9, 10**30]
@@ -151,7 +150,7 @@ argvs = st.one_of(with_format(cells(1).flatmap(coherent)), fuzzed)
 @given(argvs)
 @settings(max_examples=300, deadline=None)
 def test_every_command_ends_in_an_exit_code(argv):
-    result = CliRunner().invoke(main, argv)
+    result = run_cli(argv)
     assert result.exception is None or isinstance(result.exception, SystemExit), (
         argv, result.output, result.exc_info
     )

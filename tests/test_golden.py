@@ -14,9 +14,8 @@ import json
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from whitneyforms.cli import main
+from helpers import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 CASES = json.loads((GOLDEN / "cases.json").read_text())
@@ -24,6 +23,6 @@ CASES = json.loads((GOLDEN / "cases.json").read_text())
 
 @pytest.mark.parametrize("case", CASES, ids=[case["name"] for case in CASES])
 def test_cli_output_is_byte_identical(case):
-    result = CliRunner().invoke(main, case["argv"], input=case.get("stdin"))
+    result = run_cli(case["argv"], input=case.get("stdin"))
     assert result.exit_code == case["exit_code"], result.output
     assert result.stdout_bytes == (GOLDEN / f"{case['name']}.out").read_bytes()

@@ -70,6 +70,13 @@ def test_face_validation():
         Face(2, (0, 1, 2, 2))  # too many labels also means a repeat; length first
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0, True, False])
+def test_face_sign_must_be_an_exact_int(sign):
+    # 1.0 and True compare equal to 1, so a membership test alone admits them
+    with pytest.raises(ValueError, match=r"sign must be \+1 or -1"):
+        Face(2, (1, 0), sign)
+
+
 def test_face_too_many_vertices():
     with pytest.raises(BadDegree):
         Face(1, (0, 1, 1))
