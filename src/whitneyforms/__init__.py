@@ -4,6 +4,11 @@ The package constructs the Whitney form of any simplicial cochain,
 integrates affine-coefficient forms over oriented faces in closed form,
 and machine-checks that prescribing constant face pullbacks together with
 face integrals determines exactly that form and no other.
+
+The package's ``whitney`` and ``derham`` are the functions, which shadow the
+submodules of the same name: ``import whitneyforms.whitney as m`` binds the
+function too, so patching ``m`` patches nothing the code reads. The module
+is ``sys.modules["whitneyforms.whitney"]`` (likewise for ``derham``).
 """
 
 from .characterize import (
@@ -19,8 +24,6 @@ from .characterize import (
 from .derham import derham, integrate_over_face, pullback
 from .forms import (
     AffineForm,
-    DegreeOverflow,
-    DimensionMismatch,
     UnknownLayout,
     form_from_json,
     form_to_json,
@@ -52,8 +55,6 @@ __all__ = [
     "CertificateError",
     "Cochain",
     "DegreeMismatch",
-    "DegreeOverflow",
-    "DimensionMismatch",
     "Face",
     "ProofTrace",
     "Stage1Kill",

@@ -5,11 +5,16 @@ them, characterize solves the face-data system and compares against the
 direct construction, verify sweeps whole ranges of (n, k), dims prints the
 dimension count, and trace replays the uniqueness elimination.
 
-Exit codes: 0 on success, 1 when a verification or theorem check fails (a
-certificate's CertificateError is one stderr line with its reason), 2 on usage errors or
-malformed input, including a cell over MAX_UNKNOWNS coefficient unknowns
-(the cap of every subcommand and of form and cochain JSON) or verify --samples over MAX_SAMPLES.
-A usage error is one stderr line "Error: <message>" after the usage line.
+Exit codes: 0 on success, 1 when a verification or theorem check fails, 2 on
+usage errors or malformed input, including a cell over MAX_UNKNOWNS coefficient
+unknowns (the cap of every subcommand and of form and cochain JSON) or verify
+--samples over MAX_SAMPLES.
+
+Subcommands raise and ``main`` reports: one handler there turns every refusal,
+a ValueError from the library or the subcommand, into the usage line and
+"Error: <message>" (exit 2), and every failed certificate, a CertificateError,
+into one line "<check> failed: <reason>" (exit 1), the check named where its
+subcommand is registered.
 
 The command line is parsed by the standard library's argparse, so the
 package has no runtime dependency.
@@ -34,7 +39,6 @@ from .derham import derham as derham_map
 from .forms import AffineForm, form_from_json, form_to_json
 from .simplicial import (
     MAX_UNKNOWNS,
-    BadDegree,
     Cochain,
     Face,
     check_unknowns,
@@ -48,10 +52,6 @@ FORMAT = ("text", "json", "latex")
 
 MAX_SAMPLES = 1000
 """Most random cochains verify draws per (n, k); --n-max 8 then takes 3.3-3.5 s on 2 vCPUs."""
-
-
-class UsageError(Exception):
-    """Input the parser admits but a subcommand refuses; exit 2 like a parse error."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,11 +69,14 @@ class _Parser(argparse.ArgumentParser):
 _COMMANDS: dict = {}
 
 
-def _command(name: str, *options: tuple):
-    """Register the decorated function as subcommand name, with (flags, keywords) options."""
+def _command(name: str, *options: tuple, check: str | None = None):
+    """Register the decorated function as subcommand name, with (flags, keywords) options.
+
+    check names what failed when the function raises CertificateError.
+    """
 
     def register(fn):
-        _COMMANDS[name] = fn, options
+        _COMMANDS[name] = fn, options, check or name
         return fn
 
     return register
@@ -89,14 +92,6 @@ def _format(choices: tuple[str, ...]) -> tuple:
                    help="output format (default: %(default)s)")
 
 
-def _check_size(n: int, k: int) -> None:
-    """Refuse a non-cell (n, k), or a cell with more than MAX_UNKNOWNS unknowns; exit 2."""
-    try:
-        check_unknowns(n, k)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-
-
 def _load_json_arg(value: str) -> dict:
     """Accept a file path, '-' for stdin, or an inline JSON object."""
     if value == "-":
@@ -108,17 +103,17 @@ def _load_json_arg(value: str) -> dict:
         try:
             text = path.read_text() if path.is_file() else None
         except OSError as exc:  # a name the file system refuses, such as one too long
-            raise UsageError(f"cannot read {value}: {exc.strerror}") from exc
+            raise ValueError(f"cannot read {value}: {exc.strerror}") from exc
         except UnicodeDecodeError as exc:
-            raise UsageError(f"cannot read {value}: {exc.reason}") from exc
+            raise ValueError(f"cannot read {value}: {exc.reason}") from exc
         if text is None:
-            raise UsageError(f"no such file: {value}")
+            raise ValueError(f"no such file: {value}")
     try:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an integer over the digit limit
-        raise UsageError(f"invalid JSON: {exc}") from exc
+        raise ValueError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
-        raise UsageError("expected a JSON object")
+        raise ValueError("expected a JSON object")
     return data
 
 
@@ -126,9 +121,9 @@ def _parse_cochain(data: dict, n: int, k: int) -> Cochain:
     try:
         c = cochain_from_json(data)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad cochain: {exc}") from exc
+        raise ValueError(f"bad cochain: {exc}") from exc
     if (c.n, c.k) != (n, k):
-        raise UsageError(
+        raise ValueError(
             f"cochain is for (n={c.n}, k={c.k}), requested (n={n}, k={k})"
         )
     return c
@@ -138,32 +133,25 @@ def _parse_form(data: dict) -> AffineForm:
     try:
         return form_from_json(data)
     except (ValueError, TypeError) as exc:
-        raise UsageError(f"bad form: {exc}") from exc
+        raise ValueError(f"bad form: {exc}") from exc
 
 
 def _vertex_label(text: str) -> int:
     """One --face label, ASCII digits only: int() would read 1_0 as 10 and accept +3."""
     if not (text.isascii() and text.isdigit()):
-        raise UsageError(f"--face labels are vertex numbers, got {text!r}")
+        raise ValueError(f"--face labels are vertex numbers, got {text!r}")
     return int(text)
 
 
-def _emit_form(form, fmt: str) -> None:
+def _emit(value: AffineForm | Cochain, fmt: str) -> None:
+    """Print a form or a cochain as JSON, or rendered as text or LaTeX."""
+    is_cochain = isinstance(value, Cochain)
     if fmt == "json":
-        print(json.dumps(form_to_json(form)))
+        print(json.dumps(cochain_to_json(value) if is_cochain else form_to_json(value)))
     else:
-        from .render import render_form
+        from .render import render_cochain, render_form
 
-        print(render_form(form, fmt))
-
-
-def _emit_cochain(c: Cochain, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(cochain_to_json(c)))
-    else:
-        from .render import render_cochain
-
-        print(render_cochain(c, fmt))
+        print((render_cochain if is_cochain else render_form)(value, fmt))
 
 
 @_command(
@@ -179,20 +167,16 @@ def _emit_cochain(c: Cochain, fmt: str) -> None:
 def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, fmt: str) -> None:
     """Whitney form of a cochain, or of one basis face."""
     if (cochain_arg is None) == (face_arg is None):
-        raise UsageError("give exactly one of --cochain or --face")
-    _check_size(n, k)
-    try:
-        if face_arg is not None:
-            labels = tuple(_vertex_label(v) for v in face_arg.split(","))
-            if len(labels) != k + 1:
-                raise UsageError(f"--face needs {k + 1} vertices for k={k}")
-            c = Cochain.basis(Face(n, labels))
-        else:
-            c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
-        form = whitney_map(c)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit_form(form, fmt)
+        raise ValueError("give exactly one of --cochain or --face")
+    check_unknowns(n, k)
+    if face_arg is not None:
+        labels = tuple(_vertex_label(v) for v in face_arg.split(","))
+        if len(labels) != k + 1:
+            raise ValueError(f"--face needs {k + 1} vertices for k={k}")
+        c = Cochain.basis(Face(n, labels))
+    else:
+        c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
+    _emit(whitney_map(c), fmt)
 
 
 @_command(
@@ -203,12 +187,7 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
 )
 def derham_cmd(form_arg: str, fmt: str) -> None:
     """Integrate a form over every face of its degree."""
-    form = _parse_form(_load_json_arg(form_arg))
-    try:
-        c = derham_map(form)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    _emit_cochain(c, fmt)
+    _emit(derham_map(_parse_form(_load_json_arg(form_arg))), fmt)
 
 
 @_command(
@@ -218,25 +197,20 @@ def derham_cmd(form_arg: str, fmt: str) -> None:
     _option("--cochain", dest="cochain_arg", metavar="JSON", required=True,
             help="prescribed face integrals (path, inline object, or -)"),
     _format(FORMAT),
+    check="characterization",
 )
 def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     """Solve for the form with the given face data; compare to the construction."""
-    _check_size(n, k)
+    check_unknowns(n, k)
     c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
-    try:
-        solved = solve_characterization(n, k, c)
-    except CertificateError as exc:
-        print(f"characterization failed: {exc}", file=sys.stderr)
-        sys.exit(1)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    solved = solve_characterization(n, k, c)
     matches = solved == whitney_map(c)
     if fmt == "json":
         payload = form_to_json(solved)
         payload["matches_whitney"] = matches
         print(json.dumps(payload))
     else:
-        _emit_form(solved, fmt)
+        _emit(solved, fmt)
         print(f"matches direct construction: {'yes' if matches else 'NO'}")
     if not matches:
         sys.exit(1)
@@ -254,15 +228,15 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
 def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> None:
     """Run every check for all n up to --n-max."""
     if n_max < 1:
-        raise UsageError("--n-max must be at least 1")
+        raise ValueError("--n-max must be at least 1")
     # bounded like dims --n n_max, by the largest cell up to n_max, whatever --k is
-    _check_size(n_max, n_max // 2)
+    check_unknowns(n_max, n_max // 2)
     if k is not None and (k < 0 or k > n_max):
-        raise UsageError(f"--k must lie in 0..{n_max}")
+        raise ValueError(f"--k must lie in 0..{n_max}")
     if samples < 0:
-        raise UsageError("--samples must be nonnegative")
+        raise ValueError("--samples must be nonnegative")
     if samples > MAX_SAMPLES:
-        raise UsageError(f"--samples must be at most {MAX_SAMPLES}")
+        raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     report = run_verification(n_max, k=k, samples=samples, seed=seed)
     if fmt == "json":
         print(json.dumps(report))
@@ -299,25 +273,22 @@ def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> 
     _option("--n", type=int, required=True, help="ambient dimension"),
     _option("--k", type=int, help="restrict to one form degree"),
     _format(("text", "json")),
+    check="certification",
 )
 def dims_cmd(n: int, k: int | None, fmt: str) -> None:
     """Dimension count: constant-pullback forms vs number of faces."""
     if n < 1:
-        raise UsageError("--n must be at least 1")
+        raise ValueError("--n must be at least 1")
     if k is not None and not 0 <= k <= n:
-        raise UsageError(f"--k must lie in 0..{n}")
+        raise ValueError(f"--k must lie in 0..{n}")
     degrees = range(n + 1) if k is None else [k]
     # C(n, k) peaks at k = n // 2, so that degree bounds the whole table
-    _check_size(n, n // 2 if k is None else k)
+    check_unknowns(n, n // 2 if k is None else k)
     rows = []
     for kk in degrees:
         faces = math.comb(n + 1, kk + 1)
         unknowns = math.comb(n, kk) * (n + 1)
-        try:
-            dim = lambda_e_dimension(n, kk)
-        except CertificateError as exc:
-            print(f"certification failed: {exc}", file=sys.stderr)
-            sys.exit(1)
+        dim = lambda_e_dimension(n, kk)
         rows.append(
             {
                 "k": kk,
@@ -344,17 +315,12 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
     _option("--n", type=int, required=True, help="ambient dimension"),
     _option("--k", type=int, required=True, help="form degree, 1..n-1"),
     _format(("text", "json")),
+    check="replay",
 )
 def trace_cmd(n: int, k: int, fmt: str) -> None:
     """Replay the uniqueness elimination and report every determined unknown."""
-    _check_size(n, k)
-    try:
-        trace = proof_trace(n, k)
-    except BadDegree as exc:
-        raise UsageError(str(exc)) from exc
-    except CertificateError as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        sys.exit(1)
+    check_unknowns(n, k)
+    trace = proof_trace(n, k)
     if fmt == "json":
         print(json.dumps(trace.to_json()))
     else:
@@ -378,7 +344,7 @@ def main(args: list[str] | None = None, prog_name: str | None = None,
                      description="Exact Whitney forms on the standard simplex.")
     commands = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     subparsers = {}
-    for name, (fn, options) in _COMMANDS.items():
+    for name, (fn, options, _) in _COMMANDS.items():
         sub = subparsers[name] = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__)
         for flags, kwargs in options:
             sub.add_argument(*flags, **kwargs)
@@ -389,8 +355,11 @@ def main(args: list[str] | None = None, prog_name: str | None = None,
             _COMMANDS[name][0](**values)
         finally:
             sys.stdout.flush()
-    except UsageError as exc:
+    except ValueError as exc:
         subparsers[name].error(str(exc))
+    except CertificateError as exc:
+        print(f"{_COMMANDS[name][2]} failed: {exc}", file=sys.stderr)
+        sys.exit(1)
     except BrokenPipeError:
         # the reader closed stdout early, as `| head` does: exit 1 with no traceback,
         # and send what is still buffered to the null device rather than the closed pipe

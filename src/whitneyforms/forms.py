@@ -33,7 +33,6 @@ from .linalg import exact_int, format_rational, parse_rational
 from .simplicial import (
     MAX_UNKNOWNS,
     AffineFunction,
-    BadDegree,
     DegreeMismatch,
     Frozen,
     ScaledVector,
@@ -44,8 +43,6 @@ from .simplicial import (
 )
 
 __all__ = [
-    "DegreeOverflow",
-    "DimensionMismatch",
     "UnknownLayout",
     "unknown_layout",
     "MAX_UNKNOWNS",
@@ -57,11 +54,6 @@ __all__ = [
 ]
 
 MultiIndex = tuple[int, ...]
-
-
-# older names of the two classes, kept for code that catches them
-DegreeOverflow = BadDegree
-DimensionMismatch = DegreeMismatch
 
 
 class UnknownLayout(Frozen):

@@ -38,7 +38,6 @@ from whitneyforms import (
     AffineFunction,
     Cochain,
     DegreeMismatch,
-    DimensionMismatch,
     Face,
     UnknownLayout,
     canonicalize,
@@ -397,10 +396,10 @@ def pullback(form: AffineForm, face: Face) -> AffineForm:
     face (t the face degree). The face's orientation sign is not applied.
     """
     if face.n != form.n:
-        raise DimensionMismatch("face and form live in different dimensions")
+        raise DegreeMismatch("face and form live in different dimensions")
     kf = face.degree
     if kf < form.k:
-        raise DimensionMismatch(f"cannot pull a degree-{form.k} form back to a {kf}-face")
+        raise DegreeMismatch(f"cannot pull a degree-{form.k} form back to a {kf}-face")
     param = face_parametrization(face)
     directions = param.directions
     acc: dict[tuple[int, ...], AffineFunction] = {}

@@ -444,6 +444,42 @@ def test_a_non_cell_is_named_by_its_degree(args, message):
     assert f"Error: {message}" in result.output
 
 
+WHITNEY_USAGE = (
+    "usage: whitneyforms whitney [--help] --n N --k K [--cochain JSON]\n"
+    "                            [--face LABELS] [--format {text,json,latex}]\n"
+)
+
+
+@pytest.mark.parametrize(
+    "args, stderr",
+    [
+        (("whitney", "--n", "2", "--k", "1", "--face", "1,5"),
+         WHITNEY_USAGE + "Error: vertex labels must lie in 0..2\n"),
+        (("whitney", "--n", "2", "--k", "3", "--face", "0"),
+         WHITNEY_USAGE + "Error: k=3 outside 0..2\n"),
+        (("trace", "--n", "2", "--k", "0"),
+         "usage: whitneyforms trace [--help] --n N --k K [--format {text,json}]\n"
+         "Error: the elimination replay needs 1 <= k <= n-1, got n=2, k=0\n"),
+        (("derham", "--form", '{"n": 2, "k": 3, "terms": []}'),
+         "usage: whitneyforms derham [--help] --form JSON [--format {text,json,latex}]\n"
+         "Error: bad form: k=3 outside 0..2\n"),
+        (("verify", "--n-max", "9"),
+         "usage: whitneyforms verify [--help] --n-max N_MAX [--k K] [--samples SAMPLES]\n"
+         "                           [--seed SEED] [--format {text,json}]\n"
+         "Error: (n=9, k=4) needs more than 630 coefficient unknowns, counted as"
+         " (n+1)*C(n,k); every cell with n <= 8 fits\n"),
+    ],
+    ids=["whitney-face-label", "whitney-non-cell", "trace-k0", "derham-k3", "verify-over-cap"],
+)
+def test_a_refusal_is_the_usage_and_one_error_line(args, stderr, monkeypatch):
+    # the usage line wraps at the terminal width, which argparse reads from COLUMNS
+    monkeypatch.setenv("COLUMNS", "80")
+    result = run(*args)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    assert result.stderr == stderr
+
+
 def test_derham_names_a_gradient_of_the_wrong_length():
     form = '{"n": 2, "k": 1, "terms": [{"dx": [1], "const": "1", "grad": ["1"]}]}'
     result = run("derham", "--form", form)

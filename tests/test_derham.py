@@ -18,7 +18,6 @@ from whitneyforms import (
     AffineFunction,
     Cochain,
     DegreeMismatch,
-    DimensionMismatch,
     Face,
     derham,
     enumerate_faces,
@@ -121,11 +120,11 @@ def test_integrate_over_face_reads_the_cached_integral_rows(monkeypatch):
 
 def test_pullback_and_integral_refuse_a_mismatched_face():
     form = random_affine_form(Random(5), 3, 2)
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DegreeMismatch):
         pullback(form, Face(3, (2, 0)))  # t = 1 < k = 2
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DegreeMismatch):
         pullback(form, Face(4, (0, 1, 2)))
-    with pytest.raises(DimensionMismatch):
+    with pytest.raises(DegreeMismatch):
         integrate_over_face(form, Face(4, (0, 1, 2)))
 
 

@@ -48,8 +48,6 @@ from whitneyforms import (
 from whitneyforms import linalg, simplicial
 from whitneyforms.characterize import lambda_e_dimension
 from whitneyforms.forms import (
-    DegreeOverflow,
-    DimensionMismatch,
     UnknownLayout,
     form_from_json,
     unknown_layout,
@@ -657,11 +655,6 @@ def test_every_entry_point_refuses_a_non_cell_alike(n, k):
             build(n, k)
         raised.add((type(info.value), str(info.value)))
     assert raised == {(BadDegree, f"k={k} outside 0..{n}")}
-
-
-def test_one_exception_class_per_failure():
-    assert DegreeOverflow is BadDegree
-    assert DimensionMismatch is DegreeMismatch
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """The Whitney construction itself."""
 
 import math
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -21,6 +22,17 @@ from whitneyforms import (
     whitney,
     whitney_basis_form,
 )
+
+
+def test_the_package_names_whitney_and_derham_are_the_functions():
+    # the functions shadow their submodules on the package, so an
+    # "import ... as" of the submodule binds the function; sys.modules holds the module
+    import whitneyforms
+    import whitneyforms.derham as derham_name
+    import whitneyforms.whitney as whitney_name
+
+    assert whitneyforms.whitney is whitney_name is sys.modules["whitneyforms.whitney"].whitney
+    assert whitneyforms.derham is derham_name is sys.modules["whitneyforms.derham"].derham
 
 
 def test_barycentric_differential():
