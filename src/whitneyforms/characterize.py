@@ -40,10 +40,12 @@ integer combination of theirs, so by induction over the steps it is exact
 on every cochain vec / q, and k! (S/k!).vec / q is its forward
 substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I,
 which makes the rows T_F[b'] its integer left inverse, so
-:func:`~whitneyforms.operators.factorial_image` takes no gcd. So
-:func:`solve_characterization` is O(nnz) additions that make no Fraction
-and multiply no entry, and
-S/k!, built from C and D alone, agreeing with W/k! is an independent check,
+:func:`~whitneyforms.operators.factorial_image` takes no gcd. It applies
+S/k! by rows, read once per (n, k) off the certified columns by
+:func:`~whitneyforms.operators.image_plan`, as ``whitney`` applies W/k!:
+S/k! equals W/k!, so :func:`solve_characterization` is C(n,k) copies plus
+C(n,k+1)(k+2) additions that make no Fraction and multiply no entry. S/k!,
+built from C and D alone, agreeing with W/k! is an independent check,
 which ``verify`` makes column by column.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2. It is complete
@@ -66,12 +68,14 @@ from typing import NamedTuple, Sequence
 
 from .forms import AffineForm
 from .operators import (
+    ImagePlan,
     SignedColumn,
     SparseRow,
     _combine,
     constancy_rows,
     derham_rows,
     factorial_image,
+    image_plan,
     signed,
     transpose,
     unknown_layout,
@@ -106,39 +110,39 @@ def lambda_e_dimension(n: int, k: int) -> int:
     Raises CertificateError, with the reason, when either certificate fails.
     """
     _schedule(n, k)
-    if _certified(n, k, whitney_columns(n, k), _system_rows(n, k)) is not None:
+    if _certified(n, k, whitney_columns(n, k), _system_columns(n, k)) is not None:
         raise CertificateError(
             f"the Whitney columns at (n={n}, k={k}) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I"
         )
     return len(unknown_layout(n, k).faces)
 
 
-def _system_rows(n: int, k: int) -> list[SparseRow]:
-    """[C; D~]: every face's constancy rows, then D~'s rows, one per face."""
-    return [row for rows in constancy_rows(n, k) for row in rows] + list(derham_rows(n, k))
+@cache
+def _system_columns(n: int, k: int) -> tuple[SparseRow, ...]:
+    """[D~; C] by columns: D~'s rows, one per face, then every face's constancy rows."""
+    constancy = [row for rows in constancy_rows(n, k) for row in rows]
+    return transpose([*derham_rows(n, k), *constancy], unknown_layout(n, k).size)
 
 
 def _certified(
-    n: int, k: int, columns: Sequence[SignedColumn], rows: Sequence[SparseRow]
+    n: int, k: int, columns: Sequence[SignedColumn], by_position: Sequence[SparseRow]
 ) -> int | None:
-    """The first i with rows.X_i != (k+1) e_{r+i}, r = len(rows) - #faces; None if none.
+    """The first i with rows.X_i != (k+1) e_i, rows given by columns; None if none.
 
-    X has face-many signed columns (else 0 fails) and rows end in D~. With
-    rows = [C; D~] that is C.X = 0, D~.X = (k+1) I; with D~ alone, for
+    X has face-many signed columns (else 0 fails) and rows begin with D~.
+    With the columns of [D~; C] (:func:`_system_columns`) that is
+    D~.X = (k+1) I, C.X = 0; with D~ alone (``derham_columns``), for
     X = W/k!, it is derham(whitney(e_F)) = e_F.
     """
-    layout = unknown_layout(n, k)
-    if len(columns) != len(layout.faces):
+    if len(columns) != len(unknown_layout(n, k).faces):
         return 0
-    offset = len(rows) - len(layout.faces)
-    by_position = transpose(rows, layout.size)
     for i, (plus, minus) in enumerate(columns):
         image: dict[int, int] = {}
         for sign, positions in ((1, plus), (-1, minus)):
             for pos in positions:
                 for r, value in by_position[pos]:
                     image[r] = image.get(r, 0) + sign * value
-        if {r: v for r, v in image.items() if v} != {offset + i: k + 1}:
+        if {r: v for r, v in image.items() if v} != {i: k + 1}:
             return i
     return None
 
@@ -247,27 +251,33 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
         columns = tuple(map(signed, entries))
     except ValueError as exc:
         raise CertificateError(f"the solution columns at (n={n}, k={k}) fail: {exc}") from exc
-    if _certified(n, k, columns, _system_rows(n, k)) is not None:
+    if _certified(n, k, columns, _system_columns(n, k)) is not None:
         raise CertificateError(
             f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
         )
     return columns
 
 
+@cache
+def _solution_plan(n: int, k: int) -> ImagePlan:
+    """S/k! by rows, read off the certified :func:`_solution_columns`."""
+    return image_plan(_solution_columns(n, k), unknown_layout(n, k).size)
+
+
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
-    O(nnz) work: each nonzero entry of the cochain is added and subtracted
-    at the signed positions of its column of S/k!, in Python ints, with k!
-    in the scale (:func:`~whitneyforms.operators.factorial_image`, as
-    ``whitney``).
+    C(n,k) copies plus C(n,k+1)(k+2) additions: the cochain's entries are
+    copied and summed along the rows of S/k! grouped up to sign, in Python
+    ints, with k! in the scale (:func:`~whitneyforms.operators.factorial_image`,
+    as ``whitney``).
     Raises CertificateError, the schedule's own, when the schedule does not
     build, and when a pivot is inexact, S/k! fails its certificate or the
     closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")
-    result = factorial_image(_solution_columns(n, k), cochain)
+    result = factorial_image(_solution_plan(n, k), cochain)
     _closed_form_check(n, k, cochain, result)
     return result
 

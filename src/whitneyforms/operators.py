@@ -18,10 +18,11 @@ D and C, sparse rows of ``(position, int)`` pairs, are slices of one more
 map, T_G, the pullback to a face; only ``derham.pullback`` builds it per
 call.
 
-Each map reads only its input's nonzero entries, so a sparse input costs
-its nonzeros. ``derham`` is a :func:`column_sum` of :func:`derham_columns`,
-whose entries +-(k+1) it multiplies; :func:`factorial_image`, which applies
-W/k! and the solve's S/k!, only adds and subtracts.
+``derham`` is a :func:`column_sum` of :func:`derham_columns`, whose
+entries +-(k+1) it multiplies, and reads only the form's nonzero entries.
+:func:`factorial_image`, which applies W/k! and the solve's S/k!, only adds
+and subtracts, and goes by rows: each of the cached :func:`image_plan` of
+the operator's columns names its distinct rows once, up to sign.
 
 An AffineForm is stored as that vector already scaled to integers, vec / q,
 and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
@@ -88,6 +89,19 @@ a_{T,i} and the term-j amounts for each i outside F; every entry of W is
 +-k!. :func:`whitney_columns` stores W/k! as signed columns, so that k!
 rides in the form's scale and a sum multiplies no entry, and it is built
 without a single wedge product.
+
+By rows, W/k! is the affine part of P1^- Lambda^k = P0 Lambda^k + kappa
+P0 Lambda^{k+1}, kappa the Koszul operator. Row b_T is the single +1 of the
+column [0] + T, so b_T copies c([0] + T). Row a_{T,i} vanishes for i in T.
+For i outside T, with G = sorted(T + i) and i = g_j, it is (-1)^j times the
+coboundary (delta c)([0] + G) = sum_r (-1)^r c(([0] + G) minus its r-th
+vertex): the column of G puts (-1)^j there, the column of [0] + T puts -1
+and the term-j amounts put the rest, one entry on each of the k+2 faces of
+[0] + G. So the C(n,k)(n-k) gradient rows hold only C(n,k+1) distinct
+values, and :func:`whitney_plan`, read off the columns by
+:func:`image_plan`, applies W/k! as C(n,k) copies plus C(n,k+1) sums of
+k+2 entries, each written to k+1 positions, where the columns hold
+C(n,k) + C(n,k)(n-k)(k+2) entries: 210 reads against 735 at (7, 3).
 """
 
 from __future__ import annotations
@@ -113,6 +127,9 @@ __all__ = [
     "transpose",
     "signed",
     "column_sum",
+    "ImagePlan",
+    "image_plan",
+    "whitney_plan",
     "factorial_image",
     "constancy_rows",
 ]
@@ -122,6 +139,19 @@ SparseRow = tuple[tuple[int, int], ...]
 
 SignedColumn = tuple[tuple[int, ...], tuple[int, ...]]
 """A column whose entries are all +-1, as (plus, minus): the sorted positions of each sign."""
+
+ImagePlan = tuple[
+    tuple[tuple[int, int], ...],
+    tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...],
+]
+"""A +-1 operator by its nonzero rows, as (copies, groups) (:func:`image_plan`).
+
+A copy (face, position) is a row whose one entry is +1. A group
+(plus faces, minus faces, plus positions, minus positions) is the rows
+equal up to sign: with t the input's sum at the plus faces less its sum
+at the minus faces, they are t at the plus positions and -t at the minus
+ones.
+"""
 
 
 def face_minors(vertices: tuple[int, ...]) -> tuple[tuple[MultiIndex, int], ...]:
@@ -247,15 +277,44 @@ def column_sum(columns: Sequence[SparseRow], values: Sequence[int], size: int) -
     return out
 
 
-def factorial_image(columns: Sequence[SignedColumn], cochain: Cochain) -> AffineForm:
+def image_plan(columns: Sequence[SignedColumn], size: int) -> ImagePlan:
+    """The nonzero rows of signed columns as a plan; each group reads its first face with +1."""
+    entries = ([(p, 1) for p in plus] + [(p, -1) for p in minus] for plus, minus in columns)
+    copies: list[tuple[int, int]] = []
+    groups: dict[SparseRow, tuple[list[int], list[int]]] = {}
+    for pos, row in enumerate(transpose(entries, size)):
+        if len(row) == 1 and row[0][1] == 1:
+            copies.append((row[0][0], pos))
+        elif row:
+            sign = row[0][1]
+            key = tuple((face, sign * value) for face, value in row)
+            groups.setdefault(key, ([], []))[sign < 0].append(pos)
+    return tuple(copies), tuple(
+        (
+            tuple(face for face, value in key if value > 0),
+            tuple(face for face, value in key if value < 0),
+            tuple(plus),
+            tuple(minus),
+        )
+        for key, (plus, minus) in groups.items()
+    )
+
+
+@cache
+def whitney_plan(n: int, k: int) -> ImagePlan:
+    """W/k! by rows: C(n,k) copies b_T <- c([0] + T) and C(n,k+1) groups +-(delta c)([0] + G)."""
+    return image_plan(whitney_columns(n, k), unknown_layout(n, k).size)
+
+
+def factorial_image(plan: ImagePlan, cochain: Cochain) -> AffineForm:
     """k! X.c for the cochain c = vec / q and an X with C.X = 0, D~.X = (k+1) I, such as W/k!.
 
-    With a = gcd(q, k!) and m = k!/a this is u / (q/a), u = X.(m vec): each
-    nonzero value is added at the plus positions of its signed column and
-    subtracted at the minus ones, so no entry is multiplied, by k! or by
-    +-1, and a zero value reads no column. The pair is canonical with no
-    gcd, because T_F[b'] is an integer left inverse of X:
-    D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
+    X comes as its :func:`image_plan`. With a = gcd(q, k!) and m = k!/a
+    this is u / (q/a), u = X.(m vec): each copy is written, and each
+    group's one signed sum is written at its plus positions and, negated,
+    at its minus ones, so no entry is multiplied, by k! or by +-1. The pair
+    is canonical with no gcd, because T_F[b'] is an integer left inverse
+    of X: D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
     (k+1) T[b'].X = (D~ - sum_s C_s).X = (k+1) I and m vec = T[b'].u. Any g dividing
     q/a and every entry of u divides m gcd(*vec); g shares no factor with m,
     because gcd(q/a, m) = 1, nor with gcd(*vec), because gcd(q, *vec) = 1.
@@ -264,14 +323,22 @@ def factorial_image(columns: Sequence[SignedColumn], cochain: Cochain) -> Affine
     a = math.gcd(q, math.factorial(k))
     m = math.factorial(k) // a
     values = cochain.vec if m == 1 else [m * v for v in cochain.vec]
+    copies, groups = plan
     u = [0] * unknown_layout(n, k).size
-    for i, value in enumerate(values):
-        if value:
-            plus, minus = columns[i]
+    for face, pos in copies:
+        u[pos] = values[face]
+    for plus_faces, minus_faces, plus, minus in groups:
+        t = 0
+        for face in plus_faces:
+            t += values[face]
+        for face in minus_faces:
+            t -= values[face]
+        if t:
             for pos in plus:
-                u[pos] += value
+                u[pos] = t
+            t = -t
             for pos in minus:
-                u[pos] -= value
+                u[pos] = t
     return AffineForm._canonical(n, k, u, q // a)
 
 

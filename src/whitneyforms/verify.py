@@ -9,8 +9,9 @@ are columns of cached operators, checked once per cell in face order:
 D~.(W/k!) = (k+1) I, and S/k! = W/k!. Each seeded random cochain then runs
 whitney and derham end to end. It runs the solve too only at k = 0 and
 k = n, where the solve also meets an independent closed form: for
-0 < k < n, once S/k! equals W/k! column by column, a sample's solve adds up
-the very columns its whitney did and cannot differ from it. So
+0 < k < n, once S/k! equals W/k! column by column, a sample's solve reads
+the very rows its whitney did, grouped off equal columns, and cannot differ
+from it. So
 ``--samples 0`` checks the operators only. Every certificate fails by one
 CertificateError, which marks its check false.
 """
@@ -29,7 +30,7 @@ from .characterize import (
     solve_characterization,
 )
 from .derham import derham
-from .operators import derham_rows, whitney_columns
+from .operators import derham_columns, whitney_columns
 from .simplicial import Cochain, cochain_to_json, enumerate_faces, random_cochain
 from .whitney import whitney
 
@@ -78,7 +79,7 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
         return next((c for c, w in zip(cochains, forms) if not holds(c, w)), None)
 
     # column F of D~.(W/k!) is (k+1) derham(whitney(e_F))
-    bad = first_bad(_certified(n, k, columns, derham_rows(n, k)), lambda c, w: derham(w) == c)
+    bad = first_bad(_certified(n, k, columns, derham_columns(n, k)), lambda c, w: derham(w) == c)
     cell["rw_identity"] = bad is None
     if bad is not None and counterexample is None:
         counterexample = {"check": "rw_identity", "cochain": cochain_to_json(bad)}
@@ -97,7 +98,7 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     else:
         column = next((i for i, (s, w) in enumerate(zip(solution, columns)) if s != w), None)
     if column is None and 0 < k < n:
-        # S/k! = W/k!, so each sample's solve would add up the columns whitney added
+        # S/k! = W/k!, so each sample's solve would read the rows whitney read
         bad = None
     else:
         bad = first_bad(column, solved)

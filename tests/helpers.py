@@ -11,6 +11,9 @@ coordinate), and the extreme-degree closed forms from barycentric
 coordinates. ``vertex_point``, the barycentric functions and differentials,
 ``cochain_eval``, ``wedge``, ``det`` and ``evaluate`` are defined here: the
 package has no copy of them for its operators to lean on.
+W/k! and S/k! are also applied by walking their signed columns at the
+nonzero entries of a cochain (``column_image``), against the package's
+rows grouped up to sign.
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs, and the
 solve also from a forward substitution of each cochain along the whole
@@ -609,6 +612,23 @@ class LinearSolver:
         for value, pivot_col in zip(reduced, self._pivots):
             x[pivot_col] = value
         return tuple(x)
+
+
+def column_image(columns, cochain: Cochain) -> AffineForm:
+    """k! X.c for X given by signed columns, one column per face, walked column by column.
+
+    Each nonzero value of vec is added at its column's plus positions and
+    subtracted at its minus ones; ``from_vector`` then takes the gcd.
+    """
+    n, k = cochain.n, cochain.k
+    u = [0] * unknown_layout(n, k).size
+    for value, (plus, minus) in zip(cochain.vec, columns):
+        if value:
+            for pos in plus:
+                u[pos] += value
+            for pos in minus:
+                u[pos] -= value
+    return AffineForm.from_vector(n, k, [math.factorial(k) * v for v in u], cochain.q)
 
 
 def schedule_solve(n: int, k: int, cochain: Cochain) -> AffineForm:

@@ -49,7 +49,7 @@ from whitneyforms.characterize import (
     _certified,
     _schedule,
     _solution_columns,
-    _system_rows,
+    _system_columns,
 )
 from whitneyforms.operators import (
     constancy_rows,
@@ -500,7 +500,7 @@ def test_every_admitted_cell_is_certified():
     cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
     for n, k in cells:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
-        assert _certified(n, k, whitney_columns(n, k), _system_rows(n, k)) is None
+        assert _certified(n, k, whitney_columns(n, k), _system_columns(n, k)) is None
         # S/k! and W/k!, both as signed columns whose +1 and -1 positions never meet
         assert _solution_columns(n, k) == whitney_columns(n, k)
         assert all(not set(plus) & set(minus) for plus, minus in whitney_columns(n, k))

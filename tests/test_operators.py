@@ -21,6 +21,7 @@ from helpers import (
     assert_no_dense_elimination,
     canonical_pair,
     clear_caches,
+    column_image,
     dense_system,
     pullback_constant_term_row,
     pullback_system_rows,
@@ -46,7 +47,7 @@ from whitneyforms import (
     whitney,
     whitney_basis_form,
 )
-from whitneyforms.characterize import _solution_columns
+from whitneyforms.characterize import _solution_columns, _solution_plan
 from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     _face_pullbacks,
@@ -59,6 +60,7 @@ from whitneyforms.operators import (
     transpose,
     unknown_layout,
     whitney_columns,
+    whitney_plan,
 )
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
@@ -148,17 +150,79 @@ def test_column_sum_reads_only_the_nonzero_entries():
     assert column_sum(only_nonzero, vec, size) == expected
 
 
-def test_factorial_image_reads_only_the_nonzero_entries():
-    # the same for the signed columns of W/k!, whose entries are added and subtracted
+def test_factorial_image_matches_the_column_walk_on_a_sparse_cochain():
+    # the rows read every face, zero or not, and give what the nonzero columns sum to
     columns = whitney_columns(4, 2)
     vec = [0] * len(columns)
     vec[3], vec[7] = 5, -2
-    only_nonzero = {3: columns[3], 7: columns[7]}
+    c = Cochain.from_vector(4, 2, vec, 1)
     size = unknown_layout(4, 2).size
     a, b = _dense(_pairs(columns[3]), size), _dense(_pairs(columns[7]), size)
     # q = 1, so a = 1 and m = k! = 2 multiplies each value
     expected = AffineForm.from_vector(4, 2, [2 * (5 * x - 2 * y) for x, y in zip(a, b)], 1)
-    assert factorial_image(only_nonzero, Cochain.from_vector(4, 2, vec, 1)) == expected
+    assert factorial_image(whitney_plan(4, 2), c) == column_image(columns, c) == expected
+
+
+def test_whitney_plan_is_the_coboundary_on_every_cell():
+    # b_T copies c([0] + T); each (k+1)-subset G of 1..n is one group, which reads
+    # +-(delta c)([0] + G) off its k+2 faces and writes it to a_{G - g_j, g_j} with
+    # sign (-1)^j; no other entry of W/k! is nonzero
+    groups_seen = 0
+    for n in range(1, 9):
+        for k in range(n + 1):
+            layout = unknown_layout(n, k)
+            index = {face: i for i, face in enumerate(layout.faces)}
+            copies, groups = whitney_plan(n, k)
+            assert copies == tuple(
+                (index[(0, *span)], layout.position(span)) for span in layout.multi_indices
+            )
+            expected = []
+            for g in itertools.combinations(range(1, n + 1), k + 1):
+                face = (0, *g)
+                coboundary = {index[face[:r] + face[r + 1 :]]: (-1) ** r for r in range(k + 2)}
+                writes = {
+                    layout.position(g[:j] + g[j + 1 :], v): (-1) ** j for j, v in enumerate(g)
+                }
+                expected.append((coboundary, writes))
+            matched = []
+            for plus_faces, minus_faces, plus, minus in groups:
+                # the group's sum is s (delta c)([0] + G), and so it is written with s (-1)^j
+                for s in (1, -1):
+                    reads = {f: s for f in plus_faces} | {f: -s for f in minus_faces}
+                    written = {p: s for p in plus} | {p: -s for p in minus}
+                    if (reads, written) in expected:
+                        matched.append(expected.index((reads, written)))
+            assert sorted(matched) == list(range(len(expected)))
+            assert len(groups) == math.comb(n, k + 1)
+            groups_seen += len(groups)
+    assert groups_seen == 502
+
+
+@pytest.mark.parametrize("n,k", CELLS)
+def test_factorial_image_matches_the_column_walk(n, k):
+    # on sparse, small dense and 62-bit dense cochains, for W/k! and for S/k!
+    rng = Random(3000 * n + k)
+    big = 2**62
+    faces = enumerate_faces(n, k)
+    cochains = [
+        Cochain.basis(faces[rng.randrange(len(faces))]),
+        Cochain.from_vector(n, k, [rng.choice((0, 0, 3, -1)) for _ in faces], 5),
+        random_cochain(rng, n, k),
+        Cochain(
+            n,
+            k,
+            {
+                face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+                for face in faces
+            },
+        ),
+    ]
+    for plan, columns in (
+        (whitney_plan(n, k), whitney_columns(n, k)),
+        (_solution_plan(n, k), _solution_columns(n, k)),
+    ):
+        for c in cochains:
+            assert factorial_image(plan, c) == column_image(columns, c)
 
 
 def _parent_pair(c):

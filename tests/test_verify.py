@@ -7,9 +7,17 @@ from random import Random
 import pytest
 
 import whitneyforms.verify as verify_module
-from whitneyforms import cochain_to_json, random_cochain, solve_characterization, whitney
+from whitneyforms import (
+    Cochain,
+    Face,
+    cochain_to_json,
+    derham,
+    random_cochain,
+    solve_characterization,
+    whitney,
+)
 from whitneyforms.characterize import CertificateError, _solution_columns
-from whitneyforms.operators import whitney_columns
+from whitneyforms.operators import image_plan, unknown_layout, whitney_columns, whitney_plan
 from whitneyforms.verify import run_verification, verify_cell
 
 
@@ -72,17 +80,22 @@ def test_failure_serializes_first_counterexample(monkeypatch):
 def _drop_first_plus(monkeypatch, n, k, column):
     """Drop the first +1 of one column of W/k! at (n, k), as whitney and verify read it.
 
-    The dimension certificate reads characterize's own copy, which stays intact.
+    verify reads the columns, and whitney the plan derived from them. The
+    dimension certificate reads characterize's own copy, which stays intact.
     """
     columns = list(whitney_columns(n, k))
     plus, minus = columns[column]
     columns[column] = (plus[1:], minus)
+    plan = image_plan(columns, unknown_layout(n, k).size)
 
     def broken(m, j):
         return tuple(columns) if (m, j) == (n, k) else whitney_columns(m, j)
 
-    for module in (verify_module, sys.modules["whitneyforms.whitney"]):
-        monkeypatch.setattr(module, "whitney_columns", broken)
+    def broken_plan(m, j):
+        return plan if (m, j) == (n, k) else whitney_plan(m, j)
+
+    monkeypatch.setattr(verify_module, "whitney_columns", broken)
+    monkeypatch.setattr(sys.modules["whitneyforms.whitney"], "whitney_plan", broken_plan)
 
 
 def _unit(n, k, face):
@@ -97,6 +110,8 @@ def test_a_broken_whitney_column_names_its_face(monkeypatch, n, k, column, face,
     # D~.(W/k!) fails at that column first, and S/k! no longer equals W/k!
     # there; the cell is the one the loop over the unit cochains gave
     _drop_first_plus(monkeypatch, n, k, column)
+    unit = Cochain.basis(Face(n, tuple(face)))
+    assert derham(whitney(unit)) != unit
     cell = verify_cell(n, k, samples=samples)
     assert cell == {
         "n": n, "k": k, "dimension": True, "rw_identity": False,
@@ -158,8 +173,8 @@ def test_one_whitney_form_per_cochain(monkeypatch, n, k, samples):
 
 
 def test_the_sample_solve_runs_only_at_the_extreme_degrees(monkeypatch):
-    # for 0 < k < n, once S/k! equals W/k! column by column, a sample's solve adds
-    # up the columns its whitney did; at k = 0 and k = n it meets the closed form
+    # for 0 < k < n, once S/k! equals W/k! column by column, a sample's solve reads
+    # the rows its whitney did; at k = 0 and k = n it meets the closed form
     calls = Counter()
 
     def counted(n, k, c):
