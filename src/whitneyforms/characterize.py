@@ -68,6 +68,7 @@ from typing import NamedTuple, Sequence
 
 from .forms import AffineForm
 from .operators import (
+    CertificateError,
     ImagePlan,
     SignedColumn,
     SparseRow,
@@ -93,10 +94,6 @@ __all__ = [
     "ProofTrace",
     "proof_trace",
 ]
-
-
-class CertificateError(RuntimeError):
-    """A certificate did not go through: the schedule, W, a pivot or a closed form."""
 
 
 @cache

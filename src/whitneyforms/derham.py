@@ -15,9 +15,13 @@ cached ``operators.derham_rows``, which ``integrate_over_face`` applies to
 the form's ``vec`` with the face's orientation sign, building no pullback.
 
 ``derham`` takes every face integral at once: those rows, for every
-canonical face, are one sparse integer matrix D*(k+1)! per (n, k). Its
-columns at the nonzero entries of the form's ``vec`` are summed in Python
-ints, over q * (k+1)!, with no Fraction made.
+canonical face, are one sparse integer matrix D~ = D*(k+1)! per (n, k),
+applied by rows (``operators.derham_plan``). With the trace
+beta_I = (k+1) b_I + sum_{j in I} a_{I,j} of each block, the face [0] + I
+integrates to beta_I and a face F = (v_0 < ... < v_k) with v_0 >= 1 to
+sum_r (-1)^r (beta_{F - v_r} + a_{F - v_r, v_r}), over q * (k+1)!, in
+Python ints with no Fraction made; derham made those ints itself, so they
+reach the gcd unchecked.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 from fractions import Fraction
 
 from .forms import AffineForm
-from .operators import column_sum, derham_columns, derham_rows, pullback_rows
+from .operators import derham_plan, derham_rows, pullback_rows
 from .simplicial import Cochain, DegreeMismatch, Face, _face_positions, canonicalize
 
 __all__ = [
@@ -75,5 +79,20 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
 def derham(form: AffineForm) -> Cochain:
     """All face integrals of the form, as a cochain on the canonical faces."""
     n, k = form.n, form.k
-    integrals = column_sum(derham_columns(n, k), form.vec, Cochain.size(n, k))
-    return Cochain.from_vector(n, k, integrals, form.q * math.factorial(k + 1))
+    blocks, faces = derham_plan(n, k)
+    vec, w = form.vec, k + 1
+    integrals = []
+    for b, gradient in blocks:
+        t = w * vec[b]
+        for p in gradient:
+            t += vec[p]
+        integrals.append(t)
+    beta = integrals[:]
+    for plus, minus in faces:
+        t = 0
+        for i, p in plus:
+            t += beta[i] + vec[p]
+        for i, p in minus:
+            t -= beta[i] + vec[p]
+        integrals.append(t)
+    return Cochain._reduced(n, k, integrals, form.q * math.factorial(w))

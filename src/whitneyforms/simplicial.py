@@ -196,18 +196,37 @@ class ScaledVector(Frozen):
             raise ValueError(f"the scale must be a positive integer, not {q!r}")
         if not set(map(type, vec)) <= {int}:
             raise TypeError("the entries of an exact vector must be ints")
-        g = q
-        if q >> 64:
-            # The entries tend to share most factors of a multi-word q, so the running gcd
-            # stays long for many steps. L = sum((2i+1) * vec[i]) combines the entries, so
-            # gcd(q, L, *vec) = gcd(q, *vec), and gcd(q, L) is short: on 62-bit cochains and
-            # their forms it had 5 bits (median; 90th pct 12), against 7 (64) for weights
-            # 1, 2, 3, ... and 159 (1966) for a plain sum.
-            g = math.gcd(q, sum(map(operator.mul, vec, range(1, 2 * len(vec), 2))))
-        g = math.gcd(g, *vec)
+        return cls._reduced(n, k, vec, q)
+
+    @classmethod
+    def _reduced(cls, n: int, k: int, vec: Sequence[int], q: int):
+        """vec / q divided by its gcd, for ints and a q >= 1 that the caller made: none is checked.
+
+        The entries tend to share most factors of a multi-word q, so a running gcd
+        would stay long for many steps. L = sum((2i+1) * vec[i]) combines the entries,
+        so gcd(q, L, *vec) = gcd(q, *vec), and g = gcd(q, L) is short: on 62-bit
+        cochains and their forms it had 5 bits (median; 90th pct 12), against 7 (64)
+        for weights 1, 2, 3, ... and 159 (1966) for a plain sum. One divmod pass by g
+        then leaves v = d g + r with 0 <= r < g, and h = gcd(g, *r) is the gcd: the
+        quotients stand when h = g, the entries when h = 1, and otherwise each entry
+        is (g/h) d + r/h, as h divides g and every r.
+        """
+        if not q >> 64:
+            g = math.gcd(q, *vec)
+            if g != 1:
+                vec = [v // g for v in vec]
+                q //= g
+            return cls._canonical(n, k, vec, q)
+        g = math.gcd(q, sum(map(operator.mul, vec, range(1, 2 * len(vec), 2))))
         if g != 1:
-            vec = [v // g for v in vec]
-            q //= g
+            pairs = [divmod(v, g) for v in vec]
+            h = math.gcd(g, *(r for _, r in pairs))
+            if h == g:
+                vec = [d for d, _ in pairs]
+            elif h != 1:
+                m = g // h
+                vec = [m * d + r // h for d, r in pairs]
+            q //= h
         return cls._canonical(n, k, vec, q)
 
     @classmethod

@@ -13,7 +13,9 @@ coordinates. ``vertex_point``, the barycentric functions and differentials,
 package has no copy of them for its operators to lean on.
 W/k! and S/k! are also applied by walking their signed columns at the
 nonzero entries of a cochain (``column_image``), against the package's
-rows grouped up to sign.
+rows grouped up to sign, and D*(k+1)! by summing its columns at the
+nonzero entries of a form (``column_sum``), against the package's block
+traces.
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs, and the
 solve also from a forward substitution of each cochain along the whole
@@ -629,6 +631,16 @@ def column_image(columns, cochain: Cochain) -> AffineForm:
             for pos in minus:
                 u[pos] -= value
     return AffineForm.from_vector(n, k, [math.factorial(k) * v for v in u], cochain.q)
+
+
+def column_sum(columns, values, size: int) -> list[int]:
+    """sum_i values[i] * columns[i] as a dense int list; a zero value reads no column."""
+    out = [0] * size
+    for i, value in enumerate(values):
+        if value:
+            for pos, entry in columns[i]:
+                out[pos] += value * entry
+    return out
 
 
 def schedule_solve(n: int, k: int, cochain: Cochain) -> AffineForm:

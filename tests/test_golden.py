@@ -7,7 +7,10 @@ exit code); ``tests/golden/<name>.out`` holds its stdout as captured from
 (3, 1) cochain, ``trace --n 4 --k 2``, ``dims --n 6`` and
 ``verify --n-max 4 --seed 1``, and ``whitney`` and ``characterize`` in json
 on one seeded dense (8, 4) cochain whose numerators and denominators have
-62 bits, read from stdin. Each is replayed through ``cli.main``.
+62 bits, read from stdin, and ``derham`` in json on one seeded dense (6, 3)
+form, no Whitney form, whose const and grad entries have 62-bit numerators
+and denominators, so that its scale runs to thousands of bits. Each is
+replayed through ``cli.main``.
 """
 
 import json

@@ -22,6 +22,7 @@ from helpers import (
     canonical_pair,
     clear_caches,
     column_image,
+    column_sum,
     dense_system,
     pullback_constant_term_row,
     pullback_system_rows,
@@ -47,13 +48,14 @@ from whitneyforms import (
     whitney,
     whitney_basis_form,
 )
-from whitneyforms.characterize import _solution_columns, _solution_plan
+from whitneyforms import operators
+from whitneyforms.characterize import CertificateError, _solution_columns, _solution_plan
 from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     _face_pullbacks,
-    column_sum,
     constancy_rows,
     derham_columns,
+    derham_plan,
     derham_rows,
     factorial_image,
     pullback_rows,
@@ -64,6 +66,7 @@ from whitneyforms.operators import (
 )
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
+EVERY_CELL = [(n, k) for n in range(1, 9) for k in range(n + 1)]
 
 
 def _dense(row, size):
@@ -106,15 +109,26 @@ def _face_integrals(form):
     )
 
 
-@pytest.mark.parametrize("n,k", CELLS)
+@pytest.mark.parametrize("n,k", EVERY_CELL)
 def test_derham_matches_face_integration(n, k):
+    # small entries, 62-bit entries over a multi-word scale and 62-bit entries over
+    # a one-word scale, so that both reductions run, against each face's integral
+    # and the column sum
     rng = Random(1000 * n + k)
     random_forms = [random_affine_form(rng, n, k, bits) for bits in (0, 62)]
+    layout, w, big = unknown_layout(n, k), math.factorial(k + 1), 2**62
+    entries = [rng.randrange(-big, big) for _ in range(layout.size)]
+    random_forms.append(AffineForm.from_vector(n, k, entries, rng.randrange(1, 2**64 // w)))
+    assert random_forms[2].q * w < 2**64 <= random_forms[1].q * w
+    constancy = [row for rows in constancy_rows(n, k) for row in rows]
     for form in random_forms:
         expected = _face_integrals(form)
         assert derham(form) == expected
-        # above degree 0 a random form is not the Whitney form of its integrals
+        integrals = column_sum(derham_columns(n, k), form.vec, len(layout.faces))
+        assert (expected.vec, expected.q) == canonical_pair(integrals, form.q * w)
+        # above degree 0 a random form is not the Whitney form of its integrals: C.u != 0
         assert k == 0 or whitney(expected) != form
+        assert k == 0 or any(sum(v * form.vec[p] for p, v in row) for row in constancy)
     # edge inputs: the zero form; one coefficient block, so most faces' rows
     # see only zeros; and a nonzero form whose integrals all vanish
     span = unknown_layout(n, k).multi_indices[-1]
@@ -148,6 +162,51 @@ def test_column_sum_reads_only_the_nonzero_entries():
     size = len(derham_rows(4, 2))
     expected = [5 * a - 2 * b for a, b in zip(_dense(columns[3], size), _dense(columns[7], size))]
     assert column_sum(only_nonzero, vec, size) == expected
+
+
+def test_derham_plan_rebuilds_the_rows_on_every_cell():
+    # beta_I = (k+1) b_I + sum_{j in I} a_{I,j} integrates the face [0] + I, and
+    # every other face F sums (-1)^r (beta_{F - v_r} + a_{F - v_r, v_r}):
+    # C(n,k) k + 2 (k+1) C(n,k+1) additions and C(n,k) multiplications by k+1
+    additions = {}
+    for n, k in EVERY_CELL:
+        size = unknown_layout(n, k).size
+        blocks, faces = derham_plan(n, k)
+        assert len(blocks) == math.comb(n, k) and len(faces) == math.comb(n, k + 1)
+        traces = []
+        for b, gradient in blocks:
+            trace = [0] * size
+            trace[b] = k + 1
+            for p in gradient:
+                trace[p] += 1
+            traces.append(trace)
+        rows = [list(trace) for trace in traces]
+        for plus, minus in faces:
+            row = [0] * size
+            for sign, pairs in ((1, plus), (-1, minus)):
+                for i, p in pairs:
+                    row = [x + sign * y for x, y in zip(row, traces[i])]
+                    row[p] += sign
+            rows.append(row)
+        assert rows == [_dense(row, size) for row in derham_rows(n, k)]
+        additions[n, k] = sum(len(g) for _, g in blocks) + sum(
+            2 * (len(plus) + len(minus)) for plus, minus in faces
+        )
+    assert additions[7, 3] == 385
+
+
+def test_derham_plan_refuses_rows_it_does_not_rebuild(monkeypatch):
+    rows = list(derham_rows(4, 2))
+    rows[-1] = rows[-1][1:]
+    clear_caches()
+    monkeypatch.setattr(operators, "derham_rows", lambda n, k: tuple(rows))
+    try:
+        with pytest.raises(CertificateError, match=r"\(n=4, k=2\) do not rebuild D~"):
+            derham_plan(4, 2)
+    finally:
+        monkeypatch.undo()
+        clear_caches()
+    assert derham_plan(4, 2)
 
 
 def test_factorial_image_matches_the_column_walk_on_a_sparse_cochain():

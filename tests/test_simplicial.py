@@ -11,7 +11,7 @@ from random import Random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -20,6 +20,7 @@ from helpers import (
     bubble_sort_parity,
     canonical_pair,
     cochain_eval,
+    column_sum,
     count_subsets,
     dense_system,
     det,
@@ -44,6 +45,7 @@ from whitneyforms import (
     enumerate_faces,
     permutation_sign,
     random_cochain,
+    whitney,
 )
 from whitneyforms import linalg, simplicial
 from whitneyforms.characterize import lambda_e_dimension
@@ -52,7 +54,7 @@ from whitneyforms.forms import (
     form_from_json,
     unknown_layout,
 )
-from whitneyforms.operators import derham_rows, whitney_columns
+from whitneyforms.operators import derham_columns, derham_rows, whitney_columns
 from whitneyforms.simplicial import ScaledVector
 
 
@@ -353,7 +355,59 @@ def big_scale_vectors(draw):
     return cls, n, k, [factor * v for v in vec], factor * q
 
 
+def _round_trip_integrals():
+    """D~ applied to whitney(c) for a seeded 62-bit (7, 3) cochain c, as derham reduces it."""
+    rng = Random(0)
+    big = 2**62
+    c = Cochain(
+        7,
+        3,
+        {
+            face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+            for face in enumerate_faces(7, 3)
+        },
+    )
+    form = whitney(c)
+    vec = column_sum(derham_columns(7, 3), form.vec, Cochain.size(7, 3))
+    return Cochain, 7, 3, vec, form.q * math.factorial(4)
+
+
+# Past the pre-gcd g = gcd(q, L), one divmod pass by g leaves remainders whose
+# gcd h with g is the gcd of the pair; one case for each way it ends
+REDUCTION_BRANCHES = {
+    "h = g": (Cochain, 1, 0, [30, 45], 2**64 * 15),
+    "h overshot": _round_trip_integrals(),
+    "h = 1 < g": (Cochain, 1, 0, [1, 1], 2**65 * 3),
+    "negative": (AffineForm, 1, 0, [-9, 3], 2**64 * 6),
+}
+
+
+def _branch(vec, q):
+    g = math.gcd(q, sum(map(operator.mul, vec, itertools.count(1, 2))))
+    h = math.gcd(q, *vec)
+    if h == g:
+        return "h = g"
+    return "h = 1 < g" if h == 1 else "h overshot"
+
+
+def test_the_reduction_examples_take_each_branch():
+    for name, (_, _, _, vec, q) in REDUCTION_BRANCHES.items():
+        assert q >> 64
+        if name == "negative":
+            # divmod floors: -9 = -1 * q + (q - 9), and h = gcd(q, q - 9, 3) = 3
+            assert min(vec) < 0 and _branch(vec, q) == "h overshot"
+        else:
+            assert _branch(vec, q) == name
+    # the overshoot seen in a (7, 3) round trip: gcd(q, L) = 76 where the gcd is 4
+    _, _, _, vec, q = REDUCTION_BRANCHES["h overshot"]
+    assert math.gcd(q, *vec) == 4
+
+
 @given(big_scale_vectors())
+@example(REDUCTION_BRANCHES["h = g"])
+@example(REDUCTION_BRANCHES["h overshot"])
+@example(REDUCTION_BRANCHES["h = 1 < g"])
+@example(REDUCTION_BRANCHES["negative"])
 @settings(max_examples=150, deadline=None)
 def test_big_scale_vector_is_reduced_like_each_entry(case):
     cls, n, k, vec, q = case
