@@ -40,13 +40,17 @@ integer combination of theirs, so by induction over the steps it is exact
 on every cochain vec / q, and k! (S/k!).vec / q is its forward
 substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I,
 which makes the rows T_F[b'] its integer left inverse, so
-:func:`~whitneyforms.operators.factorial_image` takes no gcd. It applies
-S/k! by rows, read once per (n, k) off the certified columns by
-:func:`~whitneyforms.operators.image_plan`, as ``whitney`` applies W/k!:
-S/k! equals W/k!, so :func:`solve_characterization` is C(n,k) copies plus
-C(n,k+1)(k+2) additions that make no Fraction and multiply no entry. S/k!,
-built from C and D alone, agreeing with W/k! is an independent check,
-which ``verify`` makes column by column.
+:func:`~whitneyforms.operators.factorial_image` takes no gcd. When S/k!
+equals W/k! column by column, that check is W/k!'s own, already made by
+the one product of W/k! with [D~; C] (:func:`_whitney_certificate`), and
+is read rather than made again. The solve applies S/k! by rows, as
+``whitney`` applies W/k!: S/k! equals W/k!, so :func:`_solution_plan` is
+``whitney_plan``, and :func:`solve_characterization` is C(n,k) copies plus
+C(n,k+1)(k+2) additions, run by one compiled loop per group shape, that
+make no Fraction and multiply no entry. Columns that differ from W/k! get
+their own product and their own :func:`~whitneyforms.operators.image_plan`.
+S/k!, built from C and D alone, agreeing with W/k! is an independent
+check, which ``verify`` makes column by column.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2. It is complete
 whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
@@ -55,7 +59,9 @@ one per unknown in all.
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
 C.(W/k!) = 0, D~.(W/k!) = (k+1) I (W the Whitney operator), which puts
-face-many independent forms in ker C. There is no second, dense path: a
+face-many independent forms in ker C. That product is made once per
+(n, k), and its D~ rows alone are ``verify``'s round trip on the unit
+cochains, derham(whitney(e_F)) = e_F. There is no second, dense path: a
 certificate that fails raises :class:`CertificateError`, and the schedule
 raises it with one reason for the solve, the replay and the counts alike.
 """
@@ -81,6 +87,7 @@ from .operators import (
     transpose,
     unknown_layout,
     whitney_columns,
+    whitney_plan,
 )
 from .simplicial import BadDegree, Cochain, DegreeMismatch, Frozen, _face_positions
 
@@ -107,7 +114,7 @@ def lambda_e_dimension(n: int, k: int) -> int:
     Raises CertificateError, with the reason, when either certificate fails.
     """
     _schedule(n, k)
-    if _certified(n, k, whitney_columns(n, k), _system_columns(n, k)) is not None:
+    if _whitney_certificate(n, k)[1] is not None:
         raise CertificateError(
             f"the Whitney columns at (n={n}, k={k}) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I"
         )
@@ -122,26 +129,38 @@ def _system_columns(n: int, k: int) -> tuple[SparseRow, ...]:
 
 
 def _certified(
-    n: int, k: int, columns: Sequence[SignedColumn], by_position: Sequence[SparseRow]
-) -> int | None:
-    """The first i with rows.X_i != (k+1) e_i, rows given by columns; None if none.
+    n: int, k: int, columns: Sequence[SignedColumn]
+) -> tuple[int | None, int | None]:
+    """The first i with D~.X_i != (k+1) e_i, and the first with [D~; C].X_i != (k+1) e_i.
 
-    X has face-many signed columns (else 0 fails) and rows begin with D~.
-    With the columns of [D~; C] (:func:`_system_columns`) that is
-    D~.X = (k+1) I, C.X = 0; with D~ alone (``derham_columns``), for
-    X = W/k!, it is derham(whitney(e_F)) = e_F.
+    One product of X, face-many signed columns (else column 0 fails both),
+    with [D~; C] (:func:`_system_columns`). None where no column fails:
+    the second None is D~.X = (k+1) I, C.X = 0; the first, for X = W/k!,
+    is derham(whitney(e_F)) = e_F on every face F.
     """
-    if len(columns) != len(unknown_layout(n, k).faces):
-        return 0
+    faces = len(unknown_layout(n, k).faces)
+    if len(columns) != faces:
+        return 0, 0
+    by_position = _system_columns(n, k)
+    first = None
     for i, (plus, minus) in enumerate(columns):
         image: dict[int, int] = {}
         for sign, positions in ((1, plus), (-1, minus)):
             for pos in positions:
                 for r, value in by_position[pos]:
                     image[r] = image.get(r, 0) + sign * value
-        if {r: v for r, v in image.items() if v} != {i: k + 1}:
-            return i
-    return None
+        nonzero = {r: v for r, v in image.items() if v}
+        if nonzero != {i: k + 1}:
+            first = i if first is None else first
+            if {r: v for r, v in nonzero.items() if r < faces} != {i: k + 1}:
+                return i, first
+    return None, first
+
+
+@cache
+def _whitney_certificate(n: int, k: int) -> tuple[int | None, int | None]:
+    """:func:`_certified` for X = W/k!, read by the dimension count and by verify's round trip."""
+    return _certified(n, k, whitney_columns(n, k))
 
 
 class _Step(NamedTuple):
@@ -248,7 +267,9 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
         columns = tuple(map(signed, entries))
     except ValueError as exc:
         raise CertificateError(f"the solution columns at (n={n}, k={k}) fail: {exc}") from exc
-    if _certified(n, k, columns, _system_columns(n, k)) is not None:
+    # columns equal to W/k! hold its certificate, already made by the product it read
+    same = columns == whitney_columns(n, k)
+    if (_whitney_certificate(n, k) if same else _certified(n, k, columns))[1] is not None:
         raise CertificateError(
             f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
         )
@@ -257,8 +278,11 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
 
 @cache
 def _solution_plan(n: int, k: int) -> ImagePlan:
-    """S/k! by rows, read off the certified :func:`_solution_columns`."""
-    return image_plan(_solution_columns(n, k), unknown_layout(n, k).size)
+    """S/k! by rows, read off the certified :func:`_solution_columns`; W/k!'s plan when equal."""
+    columns = _solution_columns(n, k)
+    if columns == whitney_columns(n, k):
+        return whitney_plan(n, k)
+    return image_plan(columns, unknown_layout(n, k).size)
 
 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:

@@ -51,7 +51,7 @@ from .whitney import whitney as whitney_map
 FORMAT = ("text", "json", "latex")
 
 MAX_SAMPLES = 1000
-"""Most random cochains verify draws per (n, k); --n-max 8 then takes 1.6-1.9 s on 2 vCPUs."""
+"""Most random cochains verify draws per (n, k); --n-max 8 then takes 1.5-1.7 s on 2 vCPUs."""
 
 
 class _Parser(argparse.ArgumentParser):

@@ -21,7 +21,10 @@ beta_I = (k+1) b_I + sum_{j in I} a_{I,j} of each block, the face [0] + I
 integrates to beta_I and a face F = (v_0 < ... < v_k) with v_0 >= 1 to
 sum_r (-1)^r (beta_{F - v_r} + a_{F - v_r, v_r}), over q * (k+1)!, in
 Python ints with no Fraction made; derham made those ints itself, so they
-reach the gcd unchecked.
+reach the gcd unchecked. The plan carries the loop that computes them,
+compiled once per degree k from k alone: two comprehensions whose bodies
+name every entry of a block and of a face, so no inner loop runs per block
+or face.
 """
 
 from __future__ import annotations
@@ -79,20 +82,6 @@ def integrate_over_face(form: AffineForm, face: Face) -> Fraction:
 def derham(form: AffineForm) -> Cochain:
     """All face integrals of the form, as a cochain on the canonical faces."""
     n, k = form.n, form.k
-    blocks, faces = derham_plan(n, k)
-    vec, w = form.vec, k + 1
-    integrals = []
-    for b, gradient in blocks:
-        t = w * vec[b]
-        for p in gradient:
-            t += vec[p]
-        integrals.append(t)
-    beta = integrals[:]
-    for plus, minus in faces:
-        t = 0
-        for i, p in plus:
-            t += beta[i] + vec[p]
-        for i, p in minus:
-            t -= beta[i] + vec[p]
-        integrals.append(t)
-    return Cochain._reduced(n, k, integrals, form.q * math.factorial(w))
+    kernel, blocks, faces = derham_plan(n, k)
+    integrals = kernel(form.vec, blocks, faces)
+    return Cochain._reduced(n, k, integrals, form.q * math.factorial(k + 1))

@@ -24,6 +24,14 @@ by k+1. :func:`factorial_image`, which applies W/k! and the solve's S/k!,
 only adds and subtracts: each of the cached :func:`image_plan` of the
 operator's columns names its distinct rows once, up to sign.
 
+Neither runs an interpreted inner loop. A plan stores its rows as flat
+tuples of integers, bucketed by shape, and each bucket's loop is compiled
+once per shape, with a body that names every entry of a row: one loop per
+degree k for D~ (:func:`_derham_kernel`), and one per group shape for the
+image plans (:func:`_group_kernel`), a single shape per k on every cell so
+far. The source of a loop is built from its shape integers alone, never
+from an input value; the plans stay the certified data that the loops read.
+
 An AffineForm is stored as that vector already scaled to integers, vec / q,
 and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
 order, so the operators map integer vectors to integer vectors: W/k! takes
@@ -118,7 +126,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .forms import AffineForm, MultiIndex, UnknownLayout, unknown_layout
 from .simplicial import Cochain, permutation_sign
@@ -133,7 +141,6 @@ __all__ = [
     "integral_row",
     "whitney_columns",
     "derham_rows",
-    "derham_columns",
     "DerhamPlan",
     "derham_plan",
     "CertificateError",
@@ -152,28 +159,30 @@ SparseRow = tuple[tuple[int, int], ...]
 SignedColumn = tuple[tuple[int, ...], tuple[int, ...]]
 """A column whose entries are all +-1, as (plus, minus): the sorted positions of each sign."""
 
-DerhamPlan = tuple[
-    tuple[tuple[int, tuple[int, ...]], ...],
-    tuple[tuple[tuple[tuple[int, int], ...], tuple[tuple[int, int], ...]], ...],
-]
-"""D~ by rows, as (blocks, faces) (:func:`derham_plan`).
+DerhamPlan = tuple[Callable, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
+"""D~ by rows, as (kernel, blocks, faces) (:func:`derham_plan`).
 
 Block i is (position of b_I, positions of a_{I,j} for j in I), I the i-th
-multi-index. Each face F = (v_0 < ... < v_k) with v_0 >= 1 is (plus, minus),
-the pairs (i, position of a_{I,v_r}) for I = F minus v_r, r even or odd.
+multi-index. Each face F = (v_0 < ... < v_k) with v_0 >= 1 is
+(i_0, p_0, ..., i_k, p_k): for r = 0..k, the block i_r of I = F minus v_r
+and the position p_r of a_{I,v_r}, summed with sign (-1)^r. ``kernel(vec,
+blocks, faces)`` returns D~.vec, the traces of the blocks and then the faces
+(:func:`_derham_kernel`).
 """
 
 ImagePlan = tuple[
     tuple[tuple[int, int], ...],
-    tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]], ...],
+    tuple[tuple[tuple[int, ...], Callable, tuple[tuple[int, ...], ...]], ...],
 ]
-"""A +-1 operator by its nonzero rows, as (copies, groups) (:func:`image_plan`).
+"""A +-1 operator by its nonzero rows, as (copies, buckets) (:func:`image_plan`).
 
-A copy (face, position) is a row whose one entry is +1. A group
-(plus faces, minus faces, plus positions, minus positions) is the rows
-equal up to sign: with t the input's sum at the plus faces less its sum
-at the minus faces, they are t at the plus positions and -t at the minus
-ones.
+A copy (face, position) is a row whose one entry is +1. A group is the rows
+equal up to sign: with t the input's sum at its plus faces less its sum at
+its minus faces, they are t at its plus positions and -t at its minus ones.
+A bucket (shape, kernel, groups) holds the groups of one shape
+(#plus faces, #minus faces, #plus positions, #minus positions), each as the
+flat tuple (*plus faces, *minus faces, *plus positions, *minus positions),
+and ``kernel(values, u, groups)`` writes them into u (:func:`_group_kernel`).
 """
 
 
@@ -284,29 +293,58 @@ def derham_plan(n: int, k: int) -> DerhamPlan:
     """D~ by its block traces, built in closed form; CertificateError unless it rebuilds derham_rows."""
     layout = unknown_layout(n, k)
     blocks = tuple(
-        (layout.position(idx), tuple(layout.position(idx, j) for j in idx))
+        (layout.position(idx), *(layout.position(idx, j) for j in idx))
         for idx in layout.multi_indices
     )
     block = {idx: i for i, idx in enumerate(layout.multi_indices)}
-    traces = [((b, k + 1), *((p, 1) for p in gradient)) for b, gradient in blocks]
+    traces = [((b, k + 1), *((p, 1) for p in gradient)) for b, *gradient in blocks]
     rows = list(traces)
     faces = []
     # the C(n, k) faces [0] + I come first, in the order of their blocks I
     for face in layout.faces[len(blocks) :]:
         rests = [face[:r] + face[r + 1 :] for r in range(len(face))]
         pairs = [(block[rest], layout.position(rest, v)) for rest, v in zip(rests, face)]
-        faces.append((tuple(pairs[::2]), tuple(pairs[1::2])))
+        faces.append(sum(pairs, ()))
         terms = [((-1) ** r, traces[i] + ((p, 1),)) for r, (i, p) in enumerate(pairs)]
         rows.append(tuple(sorted(_combine(terms).items())))
     if tuple(rows) != derham_rows(n, k):
         raise CertificateError(f"the block traces at (n={n}, k={k}) do not rebuild D~")
-    return blocks, tuple(faces)
+    return _derham_kernel(k), blocks, tuple(faces)
+
+
+def _compiled(source: str) -> Callable:
+    """The function ``kernel`` that source defines, compiled in a namespace of its own."""
+    namespace: dict = {}
+    exec(compile(source, "<whitneyforms.operators kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _names(prefix: str, count: int) -> list[str]:
+    """The local names prefix0, ..., prefix{count - 1}."""
+    if type(count) is not int or count < 0:
+        raise ValueError(f"a kernel shape is nonnegative ints, not {count!r}")
+    return [f"{prefix}{i}" for i in range(count)]
 
 
 @cache
-def derham_columns(n: int, k: int) -> tuple[SparseRow, ...]:
-    """D*(k+1)! by columns: column p lists (face index, value) for unknown p."""
-    return transpose(derham_rows(n, k), unknown_layout(n, k).size)
+def _derham_kernel(k: int) -> Callable:
+    """D~.vec at degree k over a :data:`DerhamPlan`'s blocks and faces, as two comprehensions.
+
+    For k = 2 it is::
+
+        beta = [3 * v[b] + v[g0] + v[g1] for b, g0, g1, in blocks]
+        return beta + [beta[i0] + v[p0] - beta[i1] - v[p1] + beta[i2] + v[p2]
+                       for i0, p0, i1, p1, i2, p2, in faces]
+    """
+    block = ["b", *_names("g", k)]
+    trace = " + ".join([f"{k + 1} * v[b]", *(f"v[{g}]" for g in block[1:])])
+    face = [x for r in range(k + 1) for x in (f"i{r}", f"p{r}")]
+    terms = " ".join(f"{'+-'[r % 2]} beta[i{r}] {'+-'[r % 2]} v[p{r}]" for r in range(k + 1))
+    return _compiled(
+        "def kernel(v, blocks, faces):\n"
+        f"    beta = [{trace} for {', '.join(block)}, in blocks]\n"
+        f"    return beta + [{terms[2:]} for {', '.join(face)}, in faces]\n"
+    )
 
 
 def transpose(rows: Iterable[Iterable[tuple[int, int]]], size: int) -> tuple[SparseRow, ...]:
@@ -330,14 +368,45 @@ def image_plan(columns: Sequence[SignedColumn], size: int) -> ImagePlan:
             sign = row[0][1]
             key = tuple((face, sign * value) for face, value in row)
             groups.setdefault(key, ([], []))[sign < 0].append(pos)
+    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for key, (plus, minus) in groups.items():
+        plus_faces = [face for face, value in key if value > 0]
+        minus_faces = [face for face, value in key if value < 0]
+        shape = (len(plus_faces), len(minus_faces), len(plus), len(minus))
+        buckets.setdefault(shape, []).append((*plus_faces, *minus_faces, *plus, *minus))
     return tuple(copies), tuple(
-        (
-            tuple(face for face, value in key if value > 0),
-            tuple(face for face, value in key if value < 0),
-            tuple(plus),
-            tuple(minus),
-        )
-        for key, (plus, minus) in groups.items()
+        (shape, _group_kernel(shape), tuple(flat)) for shape, flat in buckets.items()
+    )
+
+
+@cache
+def _group_kernel(shape: tuple[int, ...]) -> Callable:
+    """The loop that writes every group of one shape, its body naming each entry.
+
+    For the shape (3, 2, 2, 2) it is::
+
+        for f0, f1, f2, m0, m1, p0, p1, n0, n1, in groups:
+            t = v[f0] + v[f1] + v[f2] - v[m0] - v[m1]
+            if t:
+                u[p0] = u[p1] = t
+                u[n0] = u[n1] = -t
+    """
+    plus_faces, minus_faces, plus, minus = (
+        _names(prefix, count) for prefix, count in zip("fmpn", shape, strict=True)
+    )
+    if not plus_faces or not plus + minus:
+        raise ValueError(f"a group reads a plus face and writes a position, not {shape!r}")
+    reads = " ".join([*(f"+ v[{f}]" for f in plus_faces), *(f"- v[{m}]" for m in minus_faces)])
+    writes = [
+        f"            {''.join(f'u[{p}] = ' for p in positions)}{value}\n"
+        for positions, value in ((plus, "t"), (minus, "-t"))
+        if positions
+    ]
+    return _compiled(
+        "def kernel(v, u, groups):\n"
+        f"    for {', '.join(plus_faces + minus_faces + plus + minus)}, in groups:\n"
+        f"        t = {reads[2:]}\n"
+        "        if t:\n" + "".join(writes)
     )
 
 
@@ -352,8 +421,9 @@ def factorial_image(plan: ImagePlan, cochain: Cochain) -> AffineForm:
 
     X comes as its :func:`image_plan`. With a = gcd(q, k!) and m = k!/a
     this is u / (q/a), u = X.(m vec): each copy is written, and each
-    group's one signed sum is written at its plus positions and, negated,
-    at its minus ones, so no entry is multiplied, by k! or by +-1. The pair
+    bucket's kernel writes each group's one signed sum at its plus positions
+    and, negated, at its minus ones, so no entry is multiplied, by k! or by
+    +-1. The pair
     is canonical with no gcd, because T_F[b'] is an integer left inverse
     of X: D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
     (k+1) T[b'].X = (D~ - sum_s C_s).X = (k+1) I and m vec = T[b'].u. Any g dividing
@@ -364,22 +434,12 @@ def factorial_image(plan: ImagePlan, cochain: Cochain) -> AffineForm:
     a = math.gcd(q, math.factorial(k))
     m = math.factorial(k) // a
     values = cochain.vec if m == 1 else [m * v for v in cochain.vec]
-    copies, groups = plan
+    copies, buckets = plan
     u = [0] * unknown_layout(n, k).size
     for face, pos in copies:
         u[pos] = values[face]
-    for plus_faces, minus_faces, plus, minus in groups:
-        t = 0
-        for face in plus_faces:
-            t += values[face]
-        for face in minus_faces:
-            t -= values[face]
-        if t:
-            for pos in plus:
-                u[pos] = t
-            t = -t
-            for pos in minus:
-                u[pos] = t
+    for _, kernel, groups in buckets:
+        kernel(values, u, groups)
     return AffineForm._canonical(n, k, u, q // a)
 
 

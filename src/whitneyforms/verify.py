@@ -6,8 +6,9 @@ linear-system solution with the direct construction, triviality of the
 kernel, and completeness of the elimination replay where it applies.
 Every map is linear, so on the unit cochains the round trip and the solve
 are columns of cached operators, checked once per cell in face order:
-D~.(W/k!) = (k+1) I, and S/k! = W/k!. Each seeded random cochain then runs
-whitney and derham end to end. It runs the solve too only at k = 0 and
+D~.(W/k!) = (k+1) I, read off the one product of W/k! with [D~; C] that
+certifies the dimension, its constancy rows ignored, and S/k! = W/k!.
+Each seeded random cochain then runs whitney and derham end to end. It runs the solve too only at k = 0 and
 k = n, where the solve also meets an independent closed form: for
 0 < k < n, once S/k! equals W/k! column by column, a sample's solve reads
 the very rows its whitney did, grouped off equal columns, and cannot differ
@@ -22,15 +23,15 @@ from random import Random
 
 from .characterize import (
     CertificateError,
-    _certified,
     _solution_columns,
+    _whitney_certificate,
     kernel_is_trivial,
     lambda_e_dimension,
     proof_trace,
     solve_characterization,
 )
 from .derham import derham
-from .operators import derham_columns, whitney_columns
+from .operators import whitney_columns
 from .simplicial import Cochain, cochain_to_json, enumerate_faces, random_cochain
 from .whitney import whitney
 
@@ -78,8 +79,8 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
             return Cochain.basis(enumerate_faces(n, k)[column])
         return next((c for c, w in zip(cochains, forms) if not holds(c, w)), None)
 
-    # column F of D~.(W/k!) is (k+1) derham(whitney(e_F))
-    bad = first_bad(_certified(n, k, columns, derham_columns(n, k)), lambda c, w: derham(w) == c)
+    # column F of D~.(W/k!) is (k+1) derham(whitney(e_F)); the dimension read C.(W/k!) too
+    bad = first_bad(_whitney_certificate(n, k)[0], lambda c, w: derham(w) == c)
     cell["rw_identity"] = bad is None
     if bad is not None and counterexample is None:
         counterexample = {"check": "rw_identity", "cochain": cochain_to_json(bad)}

@@ -21,7 +21,9 @@ of the face [0] + T, and each coboundary (delta c)([0] + G), a signed sum
 of k+2 entries of vec, is written as +-t to the k+1 gradient entries
 a_{G - g_j, g_j}. That is C(n,k) copies plus C(n,k+1)(k+2) reads, in
 Python ints, with k! carried in the scale, no entry multiplied and no
-Fraction made.
+Fraction made. Every group of a cell has one shape, so one loop, compiled
+once per shape with a body that names each of the group's faces and
+positions, writes them all.
 """
 
 from __future__ import annotations

@@ -15,7 +15,8 @@ W/k! and S/k! are also applied by walking their signed columns at the
 nonzero entries of a cochain (``column_image``), against the package's
 rows grouped up to sign, and D*(k+1)! by summing its columns at the
 nonzero entries of a form (``column_sum``), against the package's block
-traces.
+traces; those columns are transposed here (``derham_columns``), since the
+package reads D*(k+1)! only by rows.
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs, and the
 solve also from a forward substitution of each cochain along the whole
@@ -631,6 +632,15 @@ def column_image(columns, cochain: Cochain) -> AffineForm:
             for pos in minus:
                 u[pos] -= value
     return AffineForm.from_vector(n, k, [math.factorial(k) * v for v in u], cochain.q)
+
+
+def derham_columns(n: int, k: int) -> tuple[SparseRow, ...]:
+    """D*(k+1)! by columns, transposed here: column p lists (face index, value) for unknown p."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(unknown_layout(n, k).size)]
+    for face, row in enumerate(derham_rows(n, k)):
+        for pos, value in row:
+            columns[pos].append((face, value))
+    return tuple(map(tuple, columns))
 
 
 def column_sum(columns, values, size: int) -> list[int]:

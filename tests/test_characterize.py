@@ -12,7 +12,9 @@ from helpers import (
     assert_no_dense_elimination,
     barycentric_closed_form,
     clear_caches,
+    column_sum,
     dense_system,
+    derham_columns,
     empty_first_stage2_integral,
     form_from_fractions,
     fraction_vector,
@@ -49,14 +51,16 @@ from whitneyforms.characterize import (
     _certified,
     _schedule,
     _solution_columns,
-    _system_columns,
+    _solution_plan,
 )
 from whitneyforms.operators import (
     constancy_rows,
     derham_rows,
+    image_plan,
     pullback_rows,
     unknown_layout,
     whitney_columns,
+    whitney_plan,
 )
 from whitneyforms.simplicial import permutation_sign
 
@@ -500,9 +504,11 @@ def test_every_admitted_cell_is_certified():
     cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
     for n, k in cells:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
-        assert _certified(n, k, whitney_columns(n, k), _system_columns(n, k)) is None
-        # S/k! and W/k!, both as signed columns whose +1 and -1 positions never meet
+        assert _certified(n, k, whitney_columns(n, k)) == (None, None)
+        # S/k! and W/k!, both as signed columns whose +1 and -1 positions never meet;
+        # equal columns, so the solve runs W/k!'s plan
         assert _solution_columns(n, k) == whitney_columns(n, k)
+        assert _solution_plan(n, k) is whitney_plan(n, k)
         assert all(not set(plus) & set(minus) for plus, minus in whitney_columns(n, k))
 
 
@@ -547,10 +553,42 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     assert nullspace(constancy + integrals, 12) == []
 
 
-def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
+def test_a_solution_off_a_broken_whitney_makes_its_own_product_and_plan(monkeypatch):
+    # S/k! reads W/k!'s certificate and plan only when its columns equal W/k!'s:
+    # with W/k! broken where characterize reads it, S/k! is certified by its own
+    # product and runs its own plan, so every solve still meets the schedule walk
     columns = list(characterize.whitney_columns(3, 1))
     plus, minus = columns[0]
     columns[0] = (plus[1:], minus)
+    broken_plan = image_plan(columns, unknown_layout(3, 1).size)
+    monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
+    monkeypatch.setattr(characterize, "whitney_plan", lambda n, k: broken_plan)
+    clear_caches()
+    try:
+        assert _solution_columns(3, 1) != tuple(columns)
+        assert _solution_plan(3, 1) != broken_plan
+        basis = [Cochain.basis(face) for face in enumerate_faces(3, 1)]
+        for c in [*basis, random_cochain(Random(5), 3, 1)]:
+            assert solve_characterization(3, 1, c) == schedule_solve(3, 1, c)
+    finally:
+        clear_caches()
+
+
+def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
+    # e(a_(2),3) + e(a_(3),2) lies in ker D~ but not in ker C: added to column 0 it
+    # breaks C.(W/k!) = 0 and keeps D~.(W/k!) = (k+1) I, so the one product that
+    # both checks read marks the dimension false and the round trip, which
+    # ignores the constancy rows, true
+    layout = unknown_layout(3, 1)
+    extra = tuple(layout.labels.index(label) for label in ("a_(2),3", "a_(3),2"))
+    z = [int(p in extra) for p in range(layout.size)]
+    assert column_sum(derham_columns(3, 1), z, 6) == [0] * 6
+    constancy = [row for rows in constancy_rows(3, 1) for row in rows]
+    assert any(sum(v * z[p] for p, v in row) for row in constancy)
+    columns = list(characterize.whitney_columns(3, 1))
+    plus, minus = columns[0]
+    assert not set(extra) & set(plus + minus)
+    columns[0] = (tuple(sorted(plus + extra)), minus)
     monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
     clear_caches()
     try:

@@ -24,10 +24,12 @@ from helpers import (
     column_image,
     column_sum,
     dense_system,
+    derham_columns,
     pullback_constant_term_row,
     pullback_system_rows,
     random_affine_form,
     schedule_solve,
+    unit_form,
     wedge_basis_form,
 )
 import whitneyforms
@@ -43,6 +45,7 @@ from whitneyforms import (
     lambda_e_dimension,
     proof_trace,
     random_cochain,
+    run_verification,
     solve_characterization,
     verify_cell,
     whitney,
@@ -53,8 +56,9 @@ from whitneyforms.characterize import CertificateError, _solution_columns, _solu
 from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     _face_pullbacks,
+    _derham_kernel,
+    _group_kernel,
     constancy_rows,
-    derham_columns,
     derham_plan,
     derham_rows,
     factorial_image,
@@ -74,6 +78,14 @@ def _dense(row, size):
     for pos, value in row:
         out[pos] = value
     return out
+
+
+def _split(shape, groups):
+    """Each flat group of one shape as (plus faces, minus faces, plus positions, minus positions)."""
+    for group in groups:
+        assert len(group) == sum(shape)
+        ends = list(itertools.accumulate(shape))
+        yield tuple(group[start:end] for start, end in zip([0, *ends], ends))
 
 
 def _pairs(column):
@@ -126,6 +138,9 @@ def test_derham_matches_face_integration(n, k):
         assert derham(form) == expected
         integrals = column_sum(derham_columns(n, k), form.vec, len(layout.faces))
         assert (expected.vec, expected.q) == canonical_pair(integrals, form.q * w)
+        # the compiled loop alone, before any reduction
+        kernel, blocks, faces = derham_plan(n, k)
+        assert kernel(form.vec, blocks, faces) == integrals
         # above degree 0 a random form is not the Whitney form of its integrals: C.u != 0
         assert k == 0 or whitney(expected) != form
         assert k == 0 or any(sum(v * form.vec[p] for p, v in row) for row in constancy)
@@ -142,6 +157,16 @@ def test_derham_matches_face_integration(n, k):
     for form in edge_forms:
         assert derham(form) == _face_integrals(form)
     assert derham(edge_forms[2]) == Cochain.zero(n, k)
+    # the unit forms of the last block, and 200-bit entries over a multi-word scale
+    wide = [rng.randrange(-(2**200), 2**200) for _ in range(layout.size)]
+    forms = [unit_form(n, k, p) for p in range(layout.size - n - 1, layout.size)]
+    forms.append(AffineForm.from_vector(n, k, wide, rng.randrange(1, 2**200)))
+    kernel, blocks, faces = derham_plan(n, k)
+    for form in forms:
+        integrals = column_sum(derham_columns(n, k), form.vec, len(layout.faces))
+        assert kernel(form.vec, blocks, faces) == integrals
+        assert (derham(form).vec, derham(form).q) == canonical_pair(integrals, form.q * w)
+    assert derham(forms[-1]) == _face_integrals(forms[-1])
 
 
 @pytest.mark.parametrize("n,k", [(2, 1), (5, 2), (7, 3)])
@@ -171,27 +196,28 @@ def test_derham_plan_rebuilds_the_rows_on_every_cell():
     additions = {}
     for n, k in EVERY_CELL:
         size = unknown_layout(n, k).size
-        blocks, faces = derham_plan(n, k)
+        kernel, blocks, faces = derham_plan(n, k)
+        assert kernel is _derham_kernel(k)
         assert len(blocks) == math.comb(n, k) and len(faces) == math.comb(n, k + 1)
+        assert {len(block) for block in blocks} == {k + 1}
+        assert {len(face) for face in faces} <= {2 * (k + 1)}
         traces = []
-        for b, gradient in blocks:
+        for b, *gradient in blocks:
             trace = [0] * size
             trace[b] = k + 1
             for p in gradient:
                 trace[p] += 1
             traces.append(trace)
         rows = [list(trace) for trace in traces]
-        for plus, minus in faces:
+        for face in faces:
             row = [0] * size
-            for sign, pairs in ((1, plus), (-1, minus)):
-                for i, p in pairs:
-                    row = [x + sign * y for x, y in zip(row, traces[i])]
-                    row[p] += sign
+            for r, (i, p) in enumerate(zip(face[::2], face[1::2])):
+                sign = (-1) ** r
+                row = [x + sign * y for x, y in zip(row, traces[i])]
+                row[p] += sign
             rows.append(row)
         assert rows == [_dense(row, size) for row in derham_rows(n, k)]
-        additions[n, k] = sum(len(g) for _, g in blocks) + sum(
-            2 * (len(plus) + len(minus)) for plus, minus in faces
-        )
+        additions[n, k] = sum(len(block) - 1 for block in blocks) + sum(map(len, faces))
     assert additions[7, 3] == 385
 
 
@@ -207,6 +233,27 @@ def test_derham_plan_refuses_rows_it_does_not_rebuild(monkeypatch):
         monkeypatch.undo()
         clear_caches()
     assert derham_plan(4, 2)
+
+
+def test_a_cold_sweep_compiles_one_loop_per_degree():
+    # every cell of a degree shares one group shape and one D~ loop: up to n = 5,
+    # five group loops (k < 5; at k = n there is no group) and six D~ loops
+    clear_caches()
+    assert run_verification(5)["pass"] is True
+    assert _group_kernel.cache_info().currsize == 5
+    assert _derham_kernel.cache_info().currsize == 6
+
+
+def test_kernel_source_is_built_from_shape_integers_only():
+    refused = [("1", 0, 1, 0), (1, 0, -1, 2), (1, 0, 1)]
+    # a group reads a plus face and writes at least one position
+    refused += [(0, 1, 1, 0), (1, 0, 0, 0)]
+    for shape in refused:
+        with pytest.raises(ValueError):
+            _group_kernel(shape)
+    for k in ("2", -1, True, 2.0, "0]; import os; [0"):
+        with pytest.raises(ValueError):
+            _derham_kernel(k)
 
 
 def test_factorial_image_matches_the_column_walk_on_a_sparse_cochain():
@@ -231,7 +278,8 @@ def test_whitney_plan_is_the_coboundary_on_every_cell():
         for k in range(n + 1):
             layout = unknown_layout(n, k)
             index = {face: i for i, face in enumerate(layout.faces)}
-            copies, groups = whitney_plan(n, k)
+            copies, buckets = whitney_plan(n, k)
+            groups = [group for shape, _, flat in buckets for group in _split(shape, flat)]
             assert copies == tuple(
                 (index[(0, *span)], layout.position(span)) for span in layout.multi_indices
             )
@@ -254,28 +302,34 @@ def test_whitney_plan_is_the_coboundary_on_every_cell():
             assert sorted(matched) == list(range(len(expected)))
             assert len(groups) == math.comb(n, k + 1)
             groups_seen += len(groups)
+            # one shape per degree: a single compiled loop runs every group of the cell
+            assert len(buckets) == (k < n)
+            assert all(kernel is _group_kernel(shape) for shape, kernel, _ in buckets)
     assert groups_seen == 502
 
 
-@pytest.mark.parametrize("n,k", CELLS)
+@pytest.mark.parametrize("n,k", EVERY_CELL)
 def test_factorial_image_matches_the_column_walk(n, k):
-    # on sparse, small dense and 62-bit dense cochains, for W/k! and for S/k!
+    # the compiled group loops on sparse, small dense, 62-bit and multi-word dense
+    # cochains, for W/k! and for S/k!
     rng = Random(3000 * n + k)
-    big = 2**62
     faces = enumerate_faces(n, k)
     cochains = [
         Cochain.basis(faces[rng.randrange(len(faces))]),
         Cochain.from_vector(n, k, [rng.choice((0, 0, 3, -1)) for _ in faces], 5),
         random_cochain(rng, n, k),
-        Cochain(
-            n,
-            k,
-            {
-                face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
-                for face in faces
-            },
-        ),
     ]
+    for big in (2**62, 2**200):
+        cochains.append(
+            Cochain(
+                n,
+                k,
+                {
+                    face.vertices: Fraction(rng.randrange(-big, big), rng.randrange(1, big))
+                    for face in faces
+                },
+            )
+        )
     for plan, columns in (
         (whitney_plan(n, k), whitney_columns(n, k)),
         (_solution_plan(n, k), _solution_columns(n, k)),

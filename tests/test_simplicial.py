@@ -23,6 +23,7 @@ from helpers import (
     column_sum,
     count_subsets,
     dense_system,
+    derham_columns,
     det,
     dict_random_cochain,
     evaluate,
@@ -54,7 +55,7 @@ from whitneyforms.forms import (
     form_from_json,
     unknown_layout,
 )
-from whitneyforms.operators import derham_columns, derham_rows, whitney_columns
+from whitneyforms.operators import derham_rows, whitney_columns
 from whitneyforms.simplicial import ScaledVector
 
 

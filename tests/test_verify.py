@@ -16,7 +16,12 @@ from whitneyforms import (
     solve_characterization,
     whitney,
 )
-from whitneyforms.characterize import CertificateError, _solution_columns
+from whitneyforms.characterize import (
+    CertificateError,
+    _certified,
+    _solution_columns,
+    _whitney_certificate,
+)
 from whitneyforms.operators import image_plan, unknown_layout, whitney_columns, whitney_plan
 from whitneyforms.verify import run_verification, verify_cell
 
@@ -80,13 +85,15 @@ def test_failure_serializes_first_counterexample(monkeypatch):
 def _drop_first_plus(monkeypatch, n, k, column):
     """Drop the first +1 of one column of W/k! at (n, k), as whitney and verify read it.
 
-    verify reads the columns, and whitney the plan derived from them. The
-    dimension certificate reads characterize's own copy, which stays intact.
+    verify reads the columns and the round trip's product with [D~; C], and
+    whitney the plan derived from the columns. The dimension count reads
+    characterize's own product, which stays intact.
     """
     columns = list(whitney_columns(n, k))
     plus, minus = columns[column]
     columns[column] = (plus[1:], minus)
     plan = image_plan(columns, unknown_layout(n, k).size)
+    certificate = _certified(n, k, columns)
 
     def broken(m, j):
         return tuple(columns) if (m, j) == (n, k) else whitney_columns(m, j)
@@ -94,7 +101,11 @@ def _drop_first_plus(monkeypatch, n, k, column):
     def broken_plan(m, j):
         return plan if (m, j) == (n, k) else whitney_plan(m, j)
 
+    def broken_certificate(m, j):
+        return certificate if (m, j) == (n, k) else _whitney_certificate(m, j)
+
     monkeypatch.setattr(verify_module, "whitney_columns", broken)
+    monkeypatch.setattr(verify_module, "_whitney_certificate", broken_certificate)
     monkeypatch.setattr(sys.modules["whitneyforms.whitney"], "whitney_plan", broken_plan)
 
 
