@@ -39,18 +39,18 @@ the unit cochains; a step's right-hand side for any integer vector is an
 integer combination of theirs, so by induction over the steps it is exact
 on every cochain vec / q, and k! (S/k!).vec / q is its forward
 substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I,
-which makes the rows T_F[b'] its integer left inverse, so
-:func:`~whitneyforms.operators.factorial_image` takes no gcd. When S/k!
-equals W/k! column by column, that check is W/k!'s own, already made by
-the one product of W/k! with [D~; C] (:func:`_whitney_certificate`), and
-is read rather than made again. The solve applies S/k! by rows, as
-``whitney`` applies W/k!: S/k! equals W/k!, so :func:`_solution_plan` is
-``whitney_plan``, and :func:`solve_characterization` is C(n,k) copies plus
-C(n,k+1)(k+2) additions, run by one compiled loop per group shape, that
-make no Fraction and multiply no entry. Columns that differ from W/k! get
-their own product and their own :func:`~whitneyforms.operators.image_plan`.
-S/k!, built from C and D alone, agreeing with W/k! is an independent
-check, which ``verify`` makes column by column.
+which makes the rows T_F[b'] its integer left inverse. When S/k! equals
+W/k! column by column, that check is W/k!'s own, already made by the one
+product of W/k! with [D~; C] (:func:`_whitney_certificate`), and is read
+rather than made again. The solve then runs W/k!'s rows: :func:`_solution_plan`
+is ``whitney_plan``, and :func:`solve_characterization` is C(n,k) copies
+plus C(n,k+1)(k+2) additions, run by one compiled loop per degree, that
+make no Fraction and multiply no entry
+(:func:`~whitneyforms.operators.factorial_image`, which takes no gcd). The
+solve has no rows of its own: S/k! that differs from W/k! in any column is
+a CertificateError that names the first such column. S/k!, built from C
+and D alone, agreeing with W/k! is an independent check, which ``verify``
+makes column by column.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2. It is complete
 whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
@@ -75,17 +75,16 @@ from typing import NamedTuple, Sequence
 from .forms import AffineForm
 from .operators import (
     CertificateError,
-    ImagePlan,
     SignedColumn,
     SparseRow,
     _combine,
     constancy_rows,
     derham_rows,
     factorial_image,
-    image_plan,
     signed,
     transpose,
     unknown_layout,
+    WhitneyPlan,
     whitney_columns,
     whitney_plan,
 )
@@ -277,24 +276,31 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
 
 
 @cache
-def _solution_plan(n: int, k: int) -> ImagePlan:
-    """S/k! by rows, read off the certified :func:`_solution_columns`; W/k!'s plan when equal."""
-    columns = _solution_columns(n, k)
-    if columns == whitney_columns(n, k):
-        return whitney_plan(n, k)
-    return image_plan(columns, unknown_layout(n, k).size)
+def _solution_plan(n: int, k: int) -> WhitneyPlan:
+    """S/k! by rows: W/k!'s plan, once the certified S/k! equals W/k! column by column.
+
+    Raises CertificateError, naming the first column that differs, otherwise.
+    """
+    pairs = zip(_solution_columns(n, k), whitney_columns(n, k))
+    column = next((i for i, (s, w) in enumerate(pairs) if s != w), None)
+    if column is not None:
+        face = list(unknown_layout(n, k).faces[column])
+        raise CertificateError(
+            f"S/k! at (n={n}, k={k}) differs from W/k! in the column of face {face}"
+        )
+    return whitney_plan(n, k)
 
 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     """The unique affine-coefficient k-form with the prescribed face integrals.
 
     C(n,k) copies plus C(n,k+1)(k+2) additions: the cochain's entries are
-    copied and summed along the rows of S/k! grouped up to sign, in Python
-    ints, with k! in the scale (:func:`~whitneyforms.operators.factorial_image`,
-    as ``whitney``).
+    copied and summed along the rows of S/k! = W/k!, in Python ints, with k!
+    in the scale (:func:`~whitneyforms.operators.factorial_image`, as
+    ``whitney``).
     Raises CertificateError, the schedule's own, when the schedule does not
-    build, and when a pivot is inexact, S/k! fails its certificate or the
-    closed form disagrees.
+    build, and when a pivot is inexact, S/k! fails its certificate or
+    differs from W/k!, or the closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")

@@ -21,7 +21,8 @@ __all__ = [
     "format_rational",
 ]
 
-_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/[1-9]\d*)?")
+# ASCII digits only: Unicode \d would read full-width or Arabic-Indic digits as a number
+_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
 
 
 def exact_int(value: object) -> int:

@@ -8,8 +8,8 @@ a_{I,1}, ..., a_{I,n}. Every map the package needs between such vectors
 and cochains is linear, and each has small integer entries, so it is built
 once per (n, k):
 
-* W/k!, the Whitney map over k!: per canonical k-face, in face order, the
-  vector of its basis form divided by k!, whose entries are all +-1, as a
+* W/k!, the Whitney map over k!, whose entries are all +-1: per canonical
+  k-face, in face order, the vector of its basis form divided by k!, as a
   :data:`SignedColumn`, the sorted positions of its +1 and of its -1 entries;
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
@@ -18,25 +18,24 @@ D and C, sparse rows of ``(position, int)`` pairs, are slices of one more
 map, T_G, the pullback to a face; only ``derham.pullback`` builds it per
 call.
 
-Both maps go by rows. ``derham`` applies D*(k+1)! through the traces of
-the form's blocks (:func:`derham_plan`), multiplying each block's b_I once
-by k+1. :func:`factorial_image`, which applies W/k! and the solve's S/k!,
-only adds and subtracts: each of the cached :func:`image_plan` of the
-operator's columns names its distinct rows once, up to sign.
+Both maps go by rows, each through a plan built in closed form once per
+(n, k). ``derham`` applies D*(k+1)! through the traces of the form's blocks
+(:func:`derham_plan`), multiplying each block's b_I once by k+1.
+:func:`factorial_image`, which applies W/k! for ``whitney`` and for the
+solve, only copies, adds and subtracts (:func:`whitney_plan`).
 
 Neither runs an interpreted inner loop. A plan stores its rows as flat
-tuples of integers, bucketed by shape, and each bucket's loop is compiled
-once per shape, with a body that names every entry of a row: one loop per
-degree k for D~ (:func:`_derham_kernel`), and one per group shape for the
-image plans (:func:`_group_kernel`), a single shape per k on every cell so
-far. The source of a loop is built from its shape integers alone, never
-from an input value; the plans stay the certified data that the loops read.
+tuples of integers, and carries one loop per degree k, compiled once, whose
+body names every entry of a row: :func:`_derham_kernel` for D~ and
+:func:`_whitney_kernel` for W/k!. The source of a loop is built from the
+integer k alone, never from an input value; the plans stay the certified
+data that the loops read.
 
 An AffineForm is stored as that vector already scaled to integers, vec / q,
 and a Cochain likewise as one integer per face in ``UnknownLayout.faces``
 order, so the operators map integer vectors to integer vectors: W/k! takes
 ``cochain.vec`` to ``form.vec`` with k! in the scale
-(:func:`factorial_image`, which the solve's S/k! shares), and D*(k+1)!
+(:func:`factorial_image`, which the solve shares), and D*(k+1)!
 takes ``form.vec`` to ``cochain.vec`` over q * (k+1)!. No Fraction is made
 on either way.
 
@@ -86,50 +85,36 @@ leaves the k+1 rows b', a'_1, ..., a'_k:
   with G = sorted((m,) + L) the stage-2 row of :mod:`whitneyforms.characterize`
   is sigma (k+1) r(m, L) = D~_G - sum_s C_{G,s} + (k+1) C_{G,G.index(m)}.
 
-W has a closed form too. The basis form of F is
+W/k! has a closed form by rows: W c is the affine part of
+P1^- Lambda^k = P0 Lambda^k + kappa P0 Lambda^{k+1}, kappa the Koszul
+operator (Arnold, Falk and Winther, Acta Numerica 2006, section 3), and
 
-    k! sum_j (-1)^j nu_{v_j} d nu_{v_0} ^ ... (omit j) ... ^ d nu_{v_k},
+    (W/k!) c = sum_T c([0] + T) dx^T + sum_G (delta c)([0] + G) kappa(dx^G),
 
-with nu_i = x^i, d nu_i = dx^i for i >= 1, and nu_0 = 1 - sum_i x^i,
-d nu_0 = -sum_i dx^i. When v_0 != 0 every factor is a dx and F \\ {v_j} is
-already increasing, so term j is (-1)^j k! x^{v_j} dx^{F \\ {v_j}}: the
-column puts (-1)^j k! on a_{F \\ v_j, v_j}. When v_0 = 0, let T = F \\ {0}.
-Term 0 is k! nu_0 dx^T: +k! on b_T and -k! on a_{T,i} for every i = 1..n.
-Term j >= 1 is (-1)^j k! x^{v_j} d nu_0 ^ dx^J with J = F \\ {0, v_j}, and
-
-    d nu_0 ^ dx^J = -sum_{i not in J} (-1)^{#{r in J : r < i}} dx^{sorted(J + i)},
-
-so it adds -(-1)^{j + #{r in J : r < i}} k! to a_{sorted(J + i), v_j}. For
-i = v_j the count is j - 1, the index is T and the amount is +k!, which
-cancels term 0's entry on a_{T,v_j}. No other two terms meet: the slot v_j
-names j, and then the index names i. So the column is +k! on b_T, -k! on
-a_{T,i} and the term-j amounts for each i outside F; every entry of W is
-+-k!. :func:`whitney_columns` stores W/k! as signed columns, so that k!
-rides in the form's scale and a sum multiplies no entry, and it is built
-without a single wedge product.
-
-By rows, W/k! is the affine part of P1^- Lambda^k = P0 Lambda^k + kappa
-P0 Lambda^{k+1}, kappa the Koszul operator. Row b_T is the single +1 of the
-column [0] + T, so b_T copies c([0] + T). Row a_{T,i} vanishes for i in T.
-For i outside T, with G = sorted(T + i) and i = g_j, it is (-1)^j times the
-coboundary (delta c)([0] + G) = sum_r (-1)^r c(([0] + G) minus its r-th
-vertex): the column of G puts (-1)^j there, the column of [0] + T puts -1
-and the term-j amounts put the rest, one entry on each of the k+2 faces of
-[0] + G. So the C(n,k)(n-k) gradient rows hold only C(n,k+1) distinct
-values, and :func:`whitney_plan`, read off the columns by
-:func:`image_plan`, applies W/k! as C(n,k) copies plus C(n,k+1) sums of
-k+2 entries, each written to k+1 positions, where the columns hold
-C(n,k) + C(n,k)(n-k)(k+2) entries: 210 reads against 735 at (7, 3).
+over the k-indices T and the (k+1)-subsets G of 1..n, with
+kappa(dx^G) = sum_j (-1)^j x^{g_j} dx^{G - g_j} and
+(delta c)([0] + G) = sum_r (-1)^r c(([0] + G) minus its r-th vertex). So
+row b_T copies c([0] + T), row a_{G - g_j, g_j} is (-1)^j (delta c)([0] + G),
+and row a_{T,i} vanishes for i in T. :func:`whitney_plan` writes these rows
+down: C(n,k) copies plus C(n,k+1) sums of k+2 entries, each written to k+1
+positions, where the columns hold C(n,k) + C(n,k)(n-k)(k+2) entries: 210
+reads against 735 at (7, 3). :func:`whitney_columns` transposes the same
+rows, so the certificate C.X = 0, D~.X = (k+1) I that
+:mod:`whitneyforms.characterize` makes of the columns covers the very rows
+that ``whitney`` and the solve run: by the paper's theorem, a form with
+constant face pullbacks is determined by its face integrals, so certified
+columns are W/k!. No wedge product is taken; ``tests/helpers.py`` keeps the
+wedge construction as the oracle.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 from .forms import AffineForm, MultiIndex, UnknownLayout, unknown_layout
-from .simplicial import Cochain, permutation_sign
+from .simplicial import Cochain, _face_positions, permutation_sign
 
 __all__ = [
     "SparseRow",
@@ -146,8 +131,7 @@ __all__ = [
     "CertificateError",
     "transpose",
     "signed",
-    "ImagePlan",
-    "image_plan",
+    "WhitneyPlan",
     "whitney_plan",
     "factorial_image",
     "constancy_rows",
@@ -170,19 +154,15 @@ blocks, faces)`` returns D~.vec, the traces of the blocks and then the faces
 (:func:`_derham_kernel`).
 """
 
-ImagePlan = tuple[
-    tuple[tuple[int, int], ...],
-    tuple[tuple[tuple[int, ...], Callable, tuple[tuple[int, ...], ...]], ...],
-]
-"""A +-1 operator by its nonzero rows, as (copies, buckets) (:func:`image_plan`).
+WhitneyPlan = tuple[Callable | None, int, tuple[tuple[int, ...], ...]]
+"""W/k! by rows, as (kernel, copies, groups) (:func:`whitney_plan`).
 
-A copy (face, position) is a row whose one entry is +1. A group is the rows
-equal up to sign: with t the input's sum at its plus faces less its sum at
-its minus faces, they are t at its plus positions and -t at its minus ones.
-A bucket (shape, kernel, groups) holds the groups of one shape
-(#plus faces, #minus faces, #plus positions, #minus positions), each as the
-flat tuple (*plus faces, *minus faces, *plus positions, *minus positions),
-and ``kernel(values, u, groups)`` writes them into u (:func:`_group_kernel`).
+The first ``copies`` faces, [0] + T in the order of their blocks T, are
+copied to b_T. Each (k+1)-subset G of 1..n is the group
+(f_0, ..., f_{k+1}, p_0, ..., p_k): f_r is the face of [0] + G without its
+r-th vertex, read with sign (-1)^r, and p_j the position of a_{G - g_j, g_j},
+written with sign (-1)^j. ``kernel(values, u, groups)`` writes them into u
+(:func:`_whitney_kernel`); it is None when there is no group, at k = n.
 """
 
 
@@ -243,28 +223,17 @@ def _face_pullbacks(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
 
 @cache
 def whitney_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
-    """W/k!: column i is layout.faces[i]'s Whitney basis form over k!, as signed positions."""
+    """W/k!: column i is layout.faces[i]'s basis form over k!, read off :func:`whitney_plan`."""
     layout = unknown_layout(n, k)
-    columns: list[SignedColumn] = []
-    for face in layout.faces:
-        column: list[tuple[int, int]] = []
-        if face[0]:
-            for j, v in enumerate(face):
-                column.append((layout.position(face[:j] + face[j + 1 :], v), -1 if j % 2 else 1))
-        else:
-            # the a_{T,v_j} entries cancel, so only i outside F remain
-            span = face[1:]
-            outside = [i for i in range(1, n + 1) if i not in span]
-            column.append((layout.position(span), 1))
-            column += [(layout.position(span, i), -1) for i in outside]
-            for j, v in enumerate(span, 1):
-                rest = span[: j - 1] + span[j:]
-                for i in outside:
-                    below = sum(r < i for r in rest)
-                    pos = layout.position(tuple(sorted((*rest, i))), v)
-                    column.append((pos, 1 if (j + below) % 2 else -1))
-        columns.append(signed(column))
-    return tuple(columns)
+    _, copies, groups = whitney_plan(n, k)
+    rows: list[SparseRow] = [()] * layout.size
+    for face in range(copies):
+        rows[face * (n + 1)] = ((face, 1),)
+    for group in groups:
+        coboundary = tuple((f, (-1) ** r) for r, f in enumerate(group[: k + 2]))
+        for j, pos in enumerate(group[k + 2 :]):
+            rows[pos] = tuple((f, (-1) ** j * sign) for f, sign in coboundary)
+    return tuple(map(signed, transpose(rows, len(layout.faces))))
 
 
 def signed(entries: Iterable[tuple[int, int]]) -> SignedColumn:
@@ -319,11 +288,11 @@ def _compiled(source: str) -> Callable:
     return namespace["kernel"]
 
 
-def _names(prefix: str, count: int) -> list[str]:
-    """The local names prefix0, ..., prefix{count - 1}."""
-    if type(count) is not int or count < 0:
-        raise ValueError(f"a kernel shape is nonnegative ints, not {count!r}")
-    return [f"{prefix}{i}" for i in range(count)]
+def _names(prefix: str, k: int, more: int = 0) -> list[str]:
+    """The local names prefix0, ..., prefix{k + more - 1}; ValueError unless k is a degree."""
+    if type(k) is not int or k < 0:
+        raise ValueError(f"a kernel degree is a nonnegative int, not {k!r}")
+    return [f"{prefix}{i}" for i in range(k + more)]
 
 
 @cache
@@ -356,76 +325,58 @@ def transpose(rows: Iterable[Iterable[tuple[int, int]]], size: int) -> tuple[Spa
     return tuple(map(tuple, columns))
 
 
-def image_plan(columns: Sequence[SignedColumn], size: int) -> ImagePlan:
-    """The nonzero rows of signed columns as a plan; each group reads its first face with +1."""
-    entries = ([(p, 1) for p in plus] + [(p, -1) for p in minus] for plus, minus in columns)
-    copies: list[tuple[int, int]] = []
-    groups: dict[SparseRow, tuple[list[int], list[int]]] = {}
-    for pos, row in enumerate(transpose(entries, size)):
-        if len(row) == 1 and row[0][1] == 1:
-            copies.append((row[0][0], pos))
-        elif row:
-            sign = row[0][1]
-            key = tuple((face, sign * value) for face, value in row)
-            groups.setdefault(key, ([], []))[sign < 0].append(pos)
-    buckets: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for key, (plus, minus) in groups.items():
-        plus_faces = [face for face, value in key if value > 0]
-        minus_faces = [face for face, value in key if value < 0]
-        shape = (len(plus_faces), len(minus_faces), len(plus), len(minus))
-        buckets.setdefault(shape, []).append((*plus_faces, *minus_faces, *plus, *minus))
-    return tuple(copies), tuple(
-        (shape, _group_kernel(shape), tuple(flat)) for shape, flat in buckets.items()
-    )
+@cache
+def whitney_plan(n: int, k: int) -> WhitneyPlan:
+    """W/k! by rows, in closed form: b_T <- c([0] + T), and a group +-(delta c)([0] + G) per G."""
+    layout, index = unknown_layout(n, k), _face_positions(n, k)
+    copies = len(layout.multi_indices)
+    groups = []
+    # the faces after the copies are the (k+1)-subsets G of 1..n
+    for g in layout.faces[copies:]:
+        face = (0, *g)
+        reads = [index[face[:r] + face[r + 1 :]] for r in range(k + 2)]
+        writes = [layout.position(g[:j] + g[j + 1 :], v) for j, v in enumerate(g)]
+        groups.append((*reads, *writes))
+    # at k = n there is no group, and no loop to compile
+    return (_whitney_kernel(k) if groups else None), copies, tuple(groups)
 
 
 @cache
-def _group_kernel(shape: tuple[int, ...]) -> Callable:
-    """The loop that writes every group of one shape, its body naming each entry.
+def _whitney_kernel(k: int) -> Callable:
+    """The loop that writes every group of a :data:`WhitneyPlan` at degree k.
 
-    For the shape (3, 2, 2, 2) it is::
+    For k = 2 it is::
 
-        for f0, f1, f2, m0, m1, p0, p1, n0, n1, in groups:
-            t = v[f0] + v[f1] + v[f2] - v[m0] - v[m1]
+        for f0, f1, f2, f3, p0, p1, p2, in groups:
+            t = v[f0] - v[f1] + v[f2] - v[f3]
             if t:
-                u[p0] = u[p1] = t
-                u[n0] = u[n1] = -t
+                u[p0] = u[p2] = t
+                u[p1] = -t
     """
-    plus_faces, minus_faces, plus, minus = (
-        _names(prefix, count) for prefix, count in zip("fmpn", shape, strict=True)
-    )
-    if not plus_faces or not plus + minus:
-        raise ValueError(f"a group reads a plus face and writes a position, not {shape!r}")
-    reads = " ".join([*(f"+ v[{f}]" for f in plus_faces), *(f"- v[{m}]" for m in minus_faces)])
+    faces, positions = _names("f", k, 2), _names("p", k, 1)
+    reads = " ".join(f"{'+-'[r % 2]} v[{f}]" for r, f in enumerate(faces))
     writes = [
-        f"            {''.join(f'u[{p}] = ' for p in positions)}{value}\n"
-        for positions, value in ((plus, "t"), (minus, "-t"))
-        if positions
+        f"            {''.join(f'u[{p}] = ' for p in positions[parity::2])}{value}\n"
+        for parity, value in ((0, "t"), (1, "-t"))
+        if positions[parity:]
     ]
     return _compiled(
         "def kernel(v, u, groups):\n"
-        f"    for {', '.join(plus_faces + minus_faces + plus + minus)}, in groups:\n"
+        f"    for {', '.join(faces + positions)}, in groups:\n"
         f"        t = {reads[2:]}\n"
         "        if t:\n" + "".join(writes)
     )
 
 
-@cache
-def whitney_plan(n: int, k: int) -> ImagePlan:
-    """W/k! by rows: C(n,k) copies b_T <- c([0] + T) and C(n,k+1) groups +-(delta c)([0] + G)."""
-    return image_plan(whitney_columns(n, k), unknown_layout(n, k).size)
+def factorial_image(plan: WhitneyPlan, cochain: Cochain) -> AffineForm:
+    """k! X.c for the cochain c = vec / q and X = W/k!, given as :func:`whitney_plan`.
 
-
-def factorial_image(plan: ImagePlan, cochain: Cochain) -> AffineForm:
-    """k! X.c for the cochain c = vec / q and an X with C.X = 0, D~.X = (k+1) I, such as W/k!.
-
-    X comes as its :func:`image_plan`. With a = gcd(q, k!) and m = k!/a
-    this is u / (q/a), u = X.(m vec): each copy is written, and each
-    bucket's kernel writes each group's one signed sum at its plus positions
-    and, negated, at its minus ones, so no entry is multiplied, by k! or by
-    +-1. The pair
-    is canonical with no gcd, because T_F[b'] is an integer left inverse
-    of X: D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
+    With a = gcd(q, k!) and m = k!/a this is u / (q/a), u = X.(m vec): the
+    copies are one slice, and the kernel writes each group's one signed sum
+    at its positions, negated at the odd ones, so no entry is multiplied, by
+    k! or by +-1. The pair is canonical with no gcd, because T_F[b'] is an
+    integer left inverse of X, certified by C.X = 0, D~.X = (k+1) I:
+    D~_F - sum_s C_{F,s} = (k+1) T_F[b'] (:func:`integral_row`), so
     (k+1) T[b'].X = (D~ - sum_s C_s).X = (k+1) I and m vec = T[b'].u. Any g dividing
     q/a and every entry of u divides m gcd(*vec); g shares no factor with m,
     because gcd(q/a, m) = 1, nor with gcd(*vec), because gcd(q, *vec) = 1.
@@ -434,11 +385,10 @@ def factorial_image(plan: ImagePlan, cochain: Cochain) -> AffineForm:
     a = math.gcd(q, math.factorial(k))
     m = math.factorial(k) // a
     values = cochain.vec if m == 1 else [m * v for v in cochain.vec]
-    copies, buckets = plan
+    kernel, copies, groups = plan
     u = [0] * unknown_layout(n, k).size
-    for face, pos in copies:
-        u[pos] = values[face]
-    for _, kernel, groups in buckets:
+    u[: copies * (n + 1) : n + 1] = values[:copies]
+    if groups:
         kernel(values, u, groups)
     return AffineForm._canonical(n, k, u, q // a)
 

@@ -8,13 +8,12 @@ Every map is linear, so on the unit cochains the round trip and the solve
 are columns of cached operators, checked once per cell in face order:
 D~.(W/k!) = (k+1) I, read off the one product of W/k! with [D~; C] that
 certifies the dimension, its constancy rows ignored, and S/k! = W/k!.
-Each seeded random cochain then runs whitney and derham end to end. It runs the solve too only at k = 0 and
-k = n, where the solve also meets an independent closed form: for
-0 < k < n, once S/k! equals W/k! column by column, a sample's solve reads
-the very rows its whitney did, grouped off equal columns, and cannot differ
-from it. So
-``--samples 0`` checks the operators only. Every certificate fails by one
-CertificateError, which marks its check false.
+Each seeded random cochain then runs whitney and derham end to end. It
+runs the solve too only at k = 0 and k = n, where the solve also meets an
+independent closed form: for 0 < k < n, once S/k! equals W/k! column by
+column, a sample's solve runs the very rows its whitney did and cannot
+differ from it. So ``--samples 0`` checks the operators only. Every
+certificate fails by one CertificateError, which marks its check false.
 """
 
 from __future__ import annotations

@@ -11,19 +11,18 @@ the face orientation negates the form; the sign carried by a Face is folded
 in here.
 
 The basis forms have integer coefficients, each nonzero one +-k!, and over
-k! they are the columns of the operator W/k!, entries +-1, which
-:mod:`whitneyforms.operators` writes down in closed form, with no wedge
-product, and stores as the sorted positions of each sign. ``whitney`` of a
-cochain vec / q is k! (W/k!).vec / q, applied by rows
-(:func:`~whitneyforms.operators.factorial_image` over the cached
-:func:`~whitneyforms.operators.whitney_plan`): each b_T copies the value
-of the face [0] + T, and each coboundary (delta c)([0] + G), a signed sum
-of k+2 entries of vec, is written as +-t to the k+1 gradient entries
-a_{G - g_j, g_j}. That is C(n,k) copies plus C(n,k+1)(k+2) reads, in
-Python ints, with k! carried in the scale, no entry multiplied and no
-Fraction made. Every group of a cell has one shape, so one loop, compiled
-once per shape with a body that names each of the group's faces and
-positions, writes them all.
+k! they are the columns of the operator W/k!, entries +-1. By rows W/k! has
+a closed form, with no wedge product: W c lies in P1^- Lambda^k, so each
+b_T copies the value of the face [0] + T, and each coboundary
+(delta c)([0] + G), a signed sum of k+2 entries of vec, is written as +-t
+to the k+1 gradient entries a_{G - g_j, g_j}
+(:func:`~whitneyforms.operators.whitney_plan`; the columns of W/k! are
+read off these rows and certified). ``whitney`` of a cochain vec / q is
+k! (W/k!).vec / q applied by those rows
+(:func:`~whitneyforms.operators.factorial_image`): C(n,k) copies plus
+C(n,k+1)(k+2) reads, in Python ints, with k! carried in the scale, no entry
+multiplied and no Fraction made. One loop per degree, compiled once with a
+body that names each of a group's faces and positions, writes them all.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ def whitney(c: Cochain) -> AffineForm:
     """Extend linearly: the Whitney form of a k-cochain.
 
     The cochain's integer entries are copied and summed along the rows of
-    W/k! grouped up to sign, in Python ints, and k! goes into the scale.
+    W/k!, in Python ints, and k! goes into the scale.
     The pair is canonical with no gcd, as the rows T_F[b'] are a left
     inverse of W/k! (``factorial_image``).
     """

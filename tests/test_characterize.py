@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from fractions import Fraction
 from random import Random
 
@@ -56,7 +57,6 @@ from whitneyforms.characterize import (
 from whitneyforms.operators import (
     constancy_rows,
     derham_rows,
-    image_plan,
     pullback_rows,
     unknown_layout,
     whitney_columns,
@@ -553,25 +553,59 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     assert nullspace(constancy + integrals, 12) == []
 
 
-def test_a_solution_off_a_broken_whitney_makes_its_own_product_and_plan(monkeypatch):
-    # S/k! reads W/k!'s certificate and plan only when its columns equal W/k!'s:
-    # with W/k! broken where characterize reads it, S/k! is certified by its own
-    # product and runs its own plan, so every solve still meets the schedule walk
+def test_a_solution_off_a_broken_whitney_is_refused(monkeypatch):
+    # the solve runs W/k!'s rows only once S/k! equals W/k! column by column:
+    # with W/k! broken where characterize reads it, S/k! still passes its own
+    # product, and every solve refuses, naming the first column that differs
     columns = list(characterize.whitney_columns(3, 1))
     plus, minus = columns[0]
     columns[0] = (plus[1:], minus)
-    broken_plan = image_plan(columns, unknown_layout(3, 1).size)
     monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
-    monkeypatch.setattr(characterize, "whitney_plan", lambda n, k: broken_plan)
     clear_caches()
+    message = "S/k! at (n=3, k=1) differs from W/k! in the column of face [0, 1]"
     try:
         assert _solution_columns(3, 1) != tuple(columns)
-        assert _solution_plan(3, 1) != broken_plan
-        basis = [Cochain.basis(face) for face in enumerate_faces(3, 1)]
-        for c in [*basis, random_cochain(Random(5), 3, 1)]:
-            assert solve_characterization(3, 1, c) == schedule_solve(3, 1, c)
+        with pytest.raises(CertificateError, match=re.escape(message)):
+            _solution_plan(3, 1)
+        for c in [Cochain.zero(3, 1), random_cochain(Random(5), 3, 1)]:
+            with pytest.raises(CertificateError, match=re.escape(message)):
+                solve_characterization(3, 1, c)
+        cochain = '{"n": 3, "k": 1, "terms": [{"face": [0, 1], "coeff": "1"}]}'
+        result = run_cli(["characterize", "--n", "3", "--k", "1", "--cochain", cochain])
     finally:
         clear_caches()
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == f"characterization failed: {message}\n"
+
+
+def test_a_broken_whitney_plan_fails_the_dimension(monkeypatch):
+    # the columns are read off whitney_plan, so the certificate C.X = 0,
+    # D~.X = (k+1) I covers the rows that whitney and the solve run. A group of
+    # (3, 1) is (f0, f1, f2, p0, p1), p0 written with +t and p1 with -t: swapped,
+    # each of its positions is written with the wrong sign
+    kernel, copies, groups = operators.whitney_plan(3, 1)
+    broken = list(groups)
+    f0, f1, f2, p0, p1 = broken[2]
+    broken[2] = (f0, f1, f2, p1, p0)
+    plan = (kernel, copies, tuple(broken))
+    real = operators.whitney_plan
+    monkeypatch.setattr(
+        operators, "whitney_plan", lambda n, k: plan if (n, k) == (3, 1) else real(n, k)
+    )
+    clear_caches()
+    try:
+        columns = operators.whitney_columns(3, 1)
+        assert _certified(3, 1, columns)[1] is not None
+        with pytest.raises(CertificateError, match="Whitney columns"):
+            lambda_e_dimension(3, 1)
+        cell = verify_cell(3, 1, samples=2)
+    finally:
+        clear_caches()
+    assert cell["dimension"] is False and cell["pass"] is False
+    assert cell["counterexample"] == {
+        "check": "dimension",
+        "error": "the Whitney columns at (n=3, k=1) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I",
+    }
 
 
 def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):

@@ -487,6 +487,16 @@ def test_derham_names_a_gradient_of_the_wrong_length():
     assert "Error: bad form: gradient length must equal the dimension" in result.output
 
 
+def test_a_non_ascii_digit_is_not_an_exact_rational():
+    # full-width digits would otherwise read as 12
+    cochain = json.dumps({"n": 1, "k": 0, "terms": [{"face": [0], "coeff": "\uff11\uff12"}]})
+    result = run("whitney", "--n", "1", "--k", "0", "--cochain", cochain)
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert result.stdout == ""
+    error = "Error: bad cochain: not an exact rational: '\uff11\uff12'"
+    assert result.stderr.splitlines()[-1] == error
+
+
 EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
 HUGE_COCHAIN = json.dumps({"n": 10**9, "k": 0, "terms": []})
 

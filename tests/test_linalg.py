@@ -42,6 +42,10 @@ def test_parse_rational_rejects_floats_and_junk():
         parse_rational(True)
     with pytest.raises(ValueError):
         parse_rational("1.5")
+    # only ASCII digits, in the numerator as in the denominator
+    for junk in ("\uff11\uff12", "3/\uff14", "\u0661/\u0662", "\u0663", "-\uff15/2"):
+        with pytest.raises(ValueError, match="not an exact rational"):
+            parse_rational(junk)
 
 
 def test_format_rational():

@@ -57,7 +57,7 @@ from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     _face_pullbacks,
     _derham_kernel,
-    _group_kernel,
+    _whitney_kernel,
     constancy_rows,
     derham_plan,
     derham_rows,
@@ -78,14 +78,6 @@ def _dense(row, size):
     for pos, value in row:
         out[pos] = value
     return out
-
-
-def _split(shape, groups):
-    """Each flat group of one shape as (plus faces, minus faces, plus positions, minus positions)."""
-    for group in groups:
-        assert len(group) == sum(shape)
-        ends = list(itertools.accumulate(shape))
-        yield tuple(group[start:end] for start, end in zip([0, *ends], ends))
 
 
 def _pairs(column):
@@ -236,24 +228,22 @@ def test_derham_plan_refuses_rows_it_does_not_rebuild(monkeypatch):
 
 
 def test_a_cold_sweep_compiles_one_loop_per_degree():
-    # every cell of a degree shares one group shape and one D~ loop: up to n = 5,
-    # five group loops (k < 5; at k = n there is no group) and six D~ loops
+    # every cell of a degree shares one W/k! loop and one D~ loop: up to n = 5,
+    # five W/k! loops (k < 5; at k = n there is no group, so no loop runs) and
+    # six D~ loops
     clear_caches()
     assert run_verification(5)["pass"] is True
-    assert _group_kernel.cache_info().currsize == 5
+    assert _whitney_kernel.cache_info().currsize == 5
     assert _derham_kernel.cache_info().currsize == 6
 
 
 def test_kernel_source_is_built_from_shape_integers_only():
-    refused = [("1", 0, 1, 0), (1, 0, -1, 2), (1, 0, 1)]
-    # a group reads a plus face and writes at least one position
-    refused += [(0, 1, 1, 0), (1, 0, 0, 0)]
-    for shape in refused:
-        with pytest.raises(ValueError):
-            _group_kernel(shape)
-    for k in ("2", -1, True, 2.0, "0]; import os; [0"):
-        with pytest.raises(ValueError):
-            _derham_kernel(k)
+    # the source of a loop is built from the degree k alone, a nonnegative int
+    for build in (_whitney_kernel, _derham_kernel):
+        for k in ("2", -1, True, 2.0, None, "0]; import os; [0"):
+            with pytest.raises(ValueError):
+                build(k)
+        assert build(0) is build(0)
 
 
 def test_factorial_image_matches_the_column_walk_on_a_sparse_cochain():
@@ -270,47 +260,39 @@ def test_factorial_image_matches_the_column_walk_on_a_sparse_cochain():
 
 
 def test_whitney_plan_is_the_coboundary_on_every_cell():
-    # b_T copies c([0] + T); each (k+1)-subset G of 1..n is one group, which reads
-    # +-(delta c)([0] + G) off its k+2 faces and writes it to a_{G - g_j, g_j} with
-    # sign (-1)^j; no other entry of W/k! is nonzero
+    # b_T copies c([0] + T), the first C(n,k) faces, to the first entry of each
+    # block; each (k+1)-subset G of 1..n is one group, which reads
+    # (delta c)([0] + G) off its k+2 faces with sign (-1)^r and writes it to
+    # a_{G - g_j, g_j} with sign (-1)^j; no other entry of W/k! is nonzero
     groups_seen = 0
     for n in range(1, 9):
         for k in range(n + 1):
             layout = unknown_layout(n, k)
             index = {face: i for i, face in enumerate(layout.faces)}
-            copies, buckets = whitney_plan(n, k)
-            groups = [group for shape, _, flat in buckets for group in _split(shape, flat)]
-            assert copies == tuple(
-                (index[(0, *span)], layout.position(span)) for span in layout.multi_indices
-            )
+            kernel, copies, groups = whitney_plan(n, k)
+            # one compiled loop per degree runs every group; at k = n there is none
+            assert kernel is (_whitney_kernel(k) if k < n else None)
+            assert copies == len(layout.multi_indices) == math.comb(n, k)
+            assert [index[(0, *span)] for span in layout.multi_indices] == list(range(copies))
+            assert [layout.position(span) for span in layout.multi_indices] == [
+                i * (n + 1) for i in range(copies)
+            ]
             expected = []
             for g in itertools.combinations(range(1, n + 1), k + 1):
                 face = (0, *g)
-                coboundary = {index[face[:r] + face[r + 1 :]]: (-1) ** r for r in range(k + 2)}
-                writes = {
-                    layout.position(g[:j] + g[j + 1 :], v): (-1) ** j for j, v in enumerate(g)
-                }
-                expected.append((coboundary, writes))
-            matched = []
-            for plus_faces, minus_faces, plus, minus in groups:
-                # the group's sum is s (delta c)([0] + G), and so it is written with s (-1)^j
-                for s in (1, -1):
-                    reads = {f: s for f in plus_faces} | {f: -s for f in minus_faces}
-                    written = {p: s for p in plus} | {p: -s for p in minus}
-                    if (reads, written) in expected:
-                        matched.append(expected.index((reads, written)))
-            assert sorted(matched) == list(range(len(expected)))
+                reads = [index[face[:r] + face[r + 1 :]] for r in range(k + 2)]
+                writes = [layout.position(g[:j] + g[j + 1 :], v) for j, v in enumerate(g)]
+                expected.append((*reads, *writes))
+            assert groups == tuple(expected)
+            assert {len(group) for group in groups} <= {2 * k + 3}
             assert len(groups) == math.comb(n, k + 1)
             groups_seen += len(groups)
-            # one shape per degree: a single compiled loop runs every group of the cell
-            assert len(buckets) == (k < n)
-            assert all(kernel is _group_kernel(shape) for shape, kernel, _ in buckets)
     assert groups_seen == 502
 
 
 @pytest.mark.parametrize("n,k", EVERY_CELL)
 def test_factorial_image_matches_the_column_walk(n, k):
-    # the compiled group loops on sparse, small dense, 62-bit and multi-word dense
+    # the compiled W/k! loops on sparse, small dense, 62-bit and multi-word dense
     # cochains, for W/k! and for S/k!
     rng = Random(3000 * n + k)
     faces = enumerate_faces(n, k)
@@ -474,7 +456,7 @@ def test_whitney_is_the_sum_of_basis_forms(n, k):
         assert solve_characterization(n, k, c) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 8))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_whitney_columns_match_the_wedge_construction(n):
     for k in range(n + 1):
         layout = unknown_layout(n, k)

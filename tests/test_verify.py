@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 import whitneyforms.verify as verify_module
+from helpers import column_image
 from whitneyforms import (
     Cochain,
     Face,
@@ -22,7 +23,7 @@ from whitneyforms.characterize import (
     _solution_columns,
     _whitney_certificate,
 )
-from whitneyforms.operators import image_plan, unknown_layout, whitney_columns, whitney_plan
+from whitneyforms.operators import factorial_image, whitney_columns
 from whitneyforms.verify import run_verification, verify_cell
 
 
@@ -86,27 +87,26 @@ def _drop_first_plus(monkeypatch, n, k, column):
     """Drop the first +1 of one column of W/k! at (n, k), as whitney and verify read it.
 
     verify reads the columns and the round trip's product with [D~; C], and
-    whitney the plan derived from the columns. The dimension count reads
-    characterize's own product, which stays intact.
+    whitney applies the broken columns through the column walk of the oracle.
+    The dimension count reads characterize's own product, which stays intact.
     """
     columns = list(whitney_columns(n, k))
     plus, minus = columns[column]
     columns[column] = (plus[1:], minus)
-    plan = image_plan(columns, unknown_layout(n, k).size)
     certificate = _certified(n, k, columns)
 
     def broken(m, j):
         return tuple(columns) if (m, j) == (n, k) else whitney_columns(m, j)
 
-    def broken_plan(m, j):
-        return plan if (m, j) == (n, k) else whitney_plan(m, j)
+    def broken_image(plan, c):
+        return column_image(columns, c) if (c.n, c.k) == (n, k) else factorial_image(plan, c)
 
     def broken_certificate(m, j):
         return certificate if (m, j) == (n, k) else _whitney_certificate(m, j)
 
     monkeypatch.setattr(verify_module, "whitney_columns", broken)
     monkeypatch.setattr(verify_module, "_whitney_certificate", broken_certificate)
-    monkeypatch.setattr(sys.modules["whitneyforms.whitney"], "whitney_plan", broken_plan)
+    monkeypatch.setattr(sys.modules["whitneyforms.whitney"], "factorial_image", broken_image)
 
 
 def _unit(n, k, face):
