@@ -9,6 +9,11 @@ The package's ``whitney`` and ``derham`` are the functions, which shadow the
 submodules of the same name: ``import whitneyforms.whitney as m`` binds the
 function too, so patching ``m`` patches nothing the code reads. The module
 is ``sys.modules["whitneyforms.whitney"]`` (likewise for ``derham``).
+
+The text formats, JSON, the "p/q" scalar, plain text and LaTeX, are
+:mod:`whitneyforms.render`'s. Their names resolve off the package on first
+read, which imports render then, so a process that reads or prints no form
+or cochain never compiles it.
 """
 
 from .characterize import (
@@ -22,14 +27,7 @@ from .characterize import (
     solve_characterization,
 )
 from .derham import derham, integrate_over_face, pullback
-from .forms import (
-    AffineForm,
-    UnknownLayout,
-    form_from_json,
-    form_to_json,
-    is_constant,
-)
-from .linalg import format_rational, parse_rational
+from .forms import AffineForm, UnknownLayout, is_constant
 from .simplicial import (
     AffineFunction,
     BadDegree,
@@ -37,8 +35,6 @@ from .simplicial import (
     DegreeMismatch,
     Face,
     canonicalize,
-    cochain_from_json,
-    cochain_to_json,
     enumerate_faces,
     permutation_sign,
     random_cochain,
@@ -88,14 +84,21 @@ __all__ = [
 ]
 
 
+# the names of :mod:`whitneyforms.render`, every external text format
+_RENDER = {
+    "cochain_from_json", "cochain_to_json", "form_from_json", "form_to_json",
+    "format_rational", "parse_rational", "render_affine", "render_cochain", "render_form",
+}
+
+
 def __getattr__(name: str):
-    """The render functions, whose module is imported on first use (PEP 562).
+    """The names of render, whose module is imported on first use (PEP 562).
 
     No other name resolves here: once a submodule is imported, the package
     holds it under its own name, so a lazy ``whitney`` or ``derham`` would
     come back as the module, not the function.
     """
-    if name in ("render_affine", "render_cochain", "render_form"):
+    if name in _RENDER:
         from . import render
 
         return getattr(render, name)

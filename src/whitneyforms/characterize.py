@@ -184,7 +184,9 @@ def _schedule(n: int, k: int) -> tuple[_Step, ...]:
     integral row, which must determine each a_{L,t} (t in L) and then b_L.
     Stage 2 defines, for each L and vertex m >= 1 outside it, its row as
     rho(m, L) = D~_G - sum_s C_{G,s} + (k+1) C_{G,j} on the face
-    G = sorted((m,) + L), j = G.index(m), which must determine a_{L,m}. Each
+    G = sorted((m,) + L), j = G.index(m), which must determine a_{L,m}. The
+    first two terms are one combination per face G, shared by its k+1 steps
+    (one per vertex m of G), and the last term is absent at j = 0. Each
     row is one face's rows or an integer combination of them, so no identity
     is left to check. Raises CertificateError when a row does not isolate
     its unknown among those still alive; a returned schedule is complete.
@@ -193,29 +195,40 @@ def _schedule(n: int, k: int) -> tuple[_Step, ...]:
     constancy, integrals = constancy_rows(n, k), derham_rows(n, k)
     scale = math.factorial(k + 1)
     rows: list[tuple[SparseRow, int, int, int]] = []
+    bases: dict[int, dict[int, int]] = {}
     for i, face in enumerate(layout.faces):
         if face[0] == 0:
             span = face[1:]
-            rows += [(row, i, 0, layout.position(span, t)) for row, t in zip(constancy[i], span)]
-            rows.append((integrals[i], i, scale, layout.position(span)))
+            base = layout.position(span)
+            rows += [(row, i, 0, base + t) for row, t in zip(constancy[i], span)]
+            rows.append((integrals[i], i, scale, base))
+        else:
+            # D~_G - sum_s C_{G,s}, once per face: its k+1 steps each add (k+1) C_{G,j}
+            bases[i] = _combine([(1, integrals[i]), *((-1, row) for row in constancy[i])])
+    index = _face_positions(n, k)
     for span in layout.multi_indices:
+        # j counts the vertices of L below m, so for m outside L, G is L with m at j
+        base, j = layout.position(span), 0
         for m in range(1, n + 1):
-            if m not in span:
-                g = tuple(sorted((m, *span)))
-                i, j = _face_positions(n, k)[g], g.index(m)
-                weights = [(k + 1) * (s == j) - 1 for s in range(1, k + 1)]
-                row = _combine([(1, integrals[i]), *zip(weights, constancy[i])])
-                rows.append((tuple(sorted(row.items())), i, scale, layout.position(span, m)))
+            if j < k and span[j] == m:
+                j += 1
+                continue
+            i = index[(*span[:j], m, *span[j:])]
+            row = bases[i]
+            if j:
+                row = _combine([(1, row.items()), (k + 1, constancy[i][j - 1])])
+            rows.append((tuple(sorted(row.items())), i, scale, base + m))
     alive = [True] * layout.size
     steps: list[_Step] = []
     for row, i, rhs, target in rows:
-        if [pos for pos, _ in row if alive[pos]] != [target]:
+        positions = [pos for pos, _ in row]
+        if [pos for pos in positions if alive[pos]] != [target]:
             raise CertificateError(
                 f"a row on face {list(layout.faces[i])} does not isolate {layout.labels[target]}"
             )
         alive[target] = False
-        others = tuple(e for e in row if e[0] != target)
-        steps.append(_Step(target, dict(row)[target], others, i, rhs))
+        t = positions.index(target)
+        steps.append(_Step(target, row[t][1], row[:t] + row[t + 1 :], i, rhs))
     return tuple(steps)
 
 
@@ -226,8 +239,8 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
     coordinates, written out: sum_i c(i) nu_i with nu_0 = 1 - sum_i x^i and
     nu_i = x^i is the constant c(0) plus the gradient c(i) - c(0). Degree n
     is the volume form scaled by n! times the single prescribed integral.
-    Both are written as integer vectors over the cochain's q and compared
-    with the result's.
+    Both are written as integer vectors over the cochain's q, ints made
+    here and so reduced unchecked, and compared with the result's.
     """
     if 0 < k < n:
         return
@@ -236,7 +249,7 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
         expected = [values[0]] + [v - values[0] for v in values[1:]]
     else:
         expected = [math.factorial(n) * values[0]] + [0] * n
-    if result != AffineForm.from_vector(n, k, expected, cochain.q):
+    if result != AffineForm._reduced(n, k, expected, cochain.q):
         raise CertificateError(f"solution at (n={n}, k={k}) disagrees with the closed form")
 
 
@@ -275,14 +288,24 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
     return columns
 
 
+def _first_differing_column(
+    solution: Sequence[SignedColumn], whitney: Sequence[SignedColumn]
+) -> int | None:
+    """The first i where the columns solution[i] and whitney[i] differ, else None.
+
+    :func:`_solution_plan` and ``verify``'s characterization check both call
+    it, each with the columns it reads, so the two name the same column.
+    """
+    return next((i for i, (s, w) in enumerate(zip(solution, whitney)) if s != w), None)
+
+
 @cache
 def _solution_plan(n: int, k: int) -> WhitneyPlan:
     """S/k! by rows: W/k!'s plan, once the certified S/k! equals W/k! column by column.
 
     Raises CertificateError, naming the first column that differs, otherwise.
     """
-    pairs = zip(_solution_columns(n, k), whitney_columns(n, k))
-    column = next((i for i, (s, w) in enumerate(pairs) if s != w), None)
+    column = _first_differing_column(_solution_columns(n, k), whitney_columns(n, k))
     if column is not None:
         face = list(unknown_layout(n, k).faces[column])
         raise CertificateError(
@@ -376,16 +399,17 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
     layout = unknown_layout(n, k)
+    faces, labels = layout.faces, layout.labels
     stage1: dict[int, list[int]] = {}
     stage2: list[Stage2Kill] = []
     for step in _schedule(n, k):
-        if layout.faces[step.face][0] == 0:
+        if faces[step.face][0] == 0:
             stage1.setdefault(step.face, []).append(step.target)
         else:
             block, m = divmod(step.target, n + 1)
-            stage2.append(Stage2Kill(layout.multi_indices[block], m, layout.labels[step.target]))
+            stage2.append(Stage2Kill(layout.multi_indices[block], m, labels[step.target]))
     kills = tuple(
-        Stage1Kill(layout.faces[i], tuple(layout.labels[p] for p in sorted(targets)))
+        Stage1Kill(faces[i], tuple(labels[p] for p in sorted(targets)))
         for i, targets in stage1.items()
     )
     return ProofTrace(n, k, kills, tuple(stage2))

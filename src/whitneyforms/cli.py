@@ -17,17 +17,19 @@ into one line "<check> failed: <reason>" (exit 1), the check named where its
 subcommand is registered.
 
 The command line is parsed by the standard library's argparse, so the
-package has no runtime dependency.
+package has no runtime dependency. Forms and cochains are read and printed
+through :mod:`whitneyforms.render`, which only the subcommands that do so
+import: verify, dims and trace print their reports with ``json`` alone.
+Render, ``json`` and, for a path argument, ``pathlib`` are imported where
+a subcommand reads or prints, so importing the CLI imports none of them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from pathlib import Path
 
 from .characterize import (
     CertificateError,
@@ -36,22 +38,17 @@ from .characterize import (
     solve_characterization,
 )
 from .derham import derham as derham_map
-from .forms import AffineForm, form_from_json, form_to_json
-from .simplicial import (
-    MAX_UNKNOWNS,
-    Cochain,
-    Face,
-    check_unknowns,
-    cochain_from_json,
-    cochain_to_json,
-)
+from .forms import AffineForm
+from .simplicial import MAX_UNKNOWNS, Cochain, Face, check_unknowns
 from .verify import run_verification
 from .whitney import whitney as whitney_map
 
 FORMAT = ("text", "json", "latex")
 
 MAX_SAMPLES = 1000
-"""Most random cochains verify draws per (n, k); --n-max 8 then takes 1.5-1.7 s on 2 vCPUs."""
+"""Most random cochains verify draws per (n, k); --n-max 8 then takes 1.6-2.2 s on 2 vCPUs.
+
+Three fresh processes on a shared 2-vCPU machine, Python 3.11, no bytecode cache."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -92,8 +89,18 @@ def _format(choices: tuple[str, ...]) -> tuple:
                    help="output format (default: %(default)s)")
 
 
+def _dumps(payload: dict) -> str:
+    """payload as one line of JSON: json is imported where a command prints, not with the CLI."""
+    import json
+
+    return json.dumps(payload)
+
+
 def _load_json_arg(value: str) -> dict:
     """Accept a file path, '-' for stdin, or an inline JSON object."""
+    import json
+    from pathlib import Path
+
     if value == "-":
         text = sys.stdin.read()
     elif value.lstrip().startswith("{"):
@@ -118,6 +125,8 @@ def _load_json_arg(value: str) -> dict:
 
 
 def _parse_cochain(data: dict, n: int, k: int) -> Cochain:
+    from .render import cochain_from_json
+
     try:
         c = cochain_from_json(data)
     except (ValueError, TypeError) as exc:
@@ -130,6 +139,8 @@ def _parse_cochain(data: dict, n: int, k: int) -> Cochain:
 
 
 def _parse_form(data: dict) -> AffineForm:
+    from .render import form_from_json
+
     try:
         return form_from_json(data)
     except (ValueError, TypeError) as exc:
@@ -141,17 +152,6 @@ def _vertex_label(text: str) -> int:
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"--face labels are vertex numbers, got {text!r}")
     return int(text)
-
-
-def _emit(value: AffineForm | Cochain, fmt: str) -> None:
-    """Print a form or a cochain as JSON, or rendered as text or LaTeX."""
-    is_cochain = isinstance(value, Cochain)
-    if fmt == "json":
-        print(json.dumps(cochain_to_json(value) if is_cochain else form_to_json(value)))
-    else:
-        from .render import render_cochain, render_form
-
-        print((render_cochain if is_cochain else render_form)(value, fmt))
 
 
 @_command(
@@ -166,6 +166,8 @@ def _emit(value: AffineForm | Cochain, fmt: str) -> None:
 )
 def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, fmt: str) -> None:
     """Whitney form of a cochain, or of one basis face."""
+    from .render import emit
+
     if (cochain_arg is None) == (face_arg is None):
         raise ValueError("give exactly one of --cochain or --face")
     check_unknowns(n, k)
@@ -176,7 +178,7 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
         c = Cochain.basis(Face(n, labels))
     else:
         c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
-    _emit(whitney_map(c), fmt)
+    emit(whitney_map(c), fmt)
 
 
 @_command(
@@ -187,7 +189,9 @@ def whitney_cmd(n: int, k: int, cochain_arg: str | None, face_arg: str | None, f
 )
 def derham_cmd(form_arg: str, fmt: str) -> None:
     """Integrate a form over every face of its degree."""
-    _emit(derham_map(_parse_form(_load_json_arg(form_arg))), fmt)
+    from .render import emit
+
+    emit(derham_map(_parse_form(_load_json_arg(form_arg))), fmt)
 
 
 @_command(
@@ -201,6 +205,8 @@ def derham_cmd(form_arg: str, fmt: str) -> None:
 )
 def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     """Solve for the form with the given face data; compare to the construction."""
+    from .render import emit, form_to_json
+
     check_unknowns(n, k)
     c = _parse_cochain(_load_json_arg(cochain_arg), n, k)
     solved = solve_characterization(n, k, c)
@@ -208,9 +214,9 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     if fmt == "json":
         payload = form_to_json(solved)
         payload["matches_whitney"] = matches
-        print(json.dumps(payload))
+        print(_dumps(payload))
     else:
-        _emit(solved, fmt)
+        emit(solved, fmt)
         print(f"matches direct construction: {'yes' if matches else 'NO'}")
     if not matches:
         sys.exit(1)
@@ -239,7 +245,7 @@ def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> 
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     report = run_verification(n_max, k=k, samples=samples, seed=seed)
     if fmt == "json":
-        print(json.dumps(report))
+        print(_dumps(report))
     else:
         def mark(value: bool | None) -> str:
             if value is None:
@@ -262,7 +268,7 @@ def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> 
             if report["first_counterexample"] is not None:
                 print(
                     "first counterexample: "
-                    + json.dumps(report["first_counterexample"])
+                    + _dumps(report["first_counterexample"])
                 )
     if not report["pass"]:
         sys.exit(1)
@@ -300,7 +306,7 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
             }
         )
     if fmt == "json":
-        print(json.dumps({"n": n, "rows": rows}))
+        print(_dumps({"n": n, "rows": rows}))
     else:
         print("  k  unknowns  constancy_rank  faces  dimension")
         for row in rows:
@@ -322,7 +328,7 @@ def trace_cmd(n: int, k: int, fmt: str) -> None:
     check_unknowns(n, k)
     trace = proof_trace(n, k)
     if fmt == "json":
-        print(json.dumps(trace.to_json()))
+        print(_dumps(trace.to_json()))
     else:
         for step in trace.stage1:
             face = ",".join(str(v) for v in step.face)

@@ -13,8 +13,9 @@ integers: vec / q with a tuple of ints ``vec``, a positive int ``q`` and
 gcd(q, *vec) = 1. It is a :class:`~whitneyforms.simplicial.ScaledVector`,
 like a cochain, and takes its canonical pair, equality and arithmetic from
 there; :mod:`whitneyforms.operators` acts on ``vec`` directly. The
-{multi-index: AffineFunction} view ``coeffs`` is built only when render
-or the JSON writer reads it; each of its values is the ScaledVector of one
+{multi-index: AffineFunction} view ``coeffs`` is built only when
+:mod:`whitneyforms.render` reads it, to print the form or write its JSON
+(which is render's too); each of its values is the ScaledVector of one
 block, vec[base : base + n + 1] / q, as a 0-form.
 
 A constant form is an AffineForm whose gradient slots are all zero
@@ -29,7 +30,7 @@ from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping
 
-from .linalg import exact_int, format_rational, parse_rational
+from .linalg import exact_int
 from .simplicial import (
     MAX_UNKNOWNS,
     AffineFunction,
@@ -39,7 +40,6 @@ from .simplicial import (
     _face_positions,
     check_cell,
     check_unknowns,
-    permutation_sign,
 )
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "check_unknowns",
     "AffineForm",
     "is_constant",
-    "form_to_json",
-    "form_from_json",
 ]
 
 MultiIndex = tuple[int, ...]
@@ -103,8 +101,13 @@ class UnknownLayout(Frozen):
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        slots = (None, *range(1, self.n + 1))
-        return tuple(self.label(idx, j) for idx in self.multi_indices for j in slots)
+        """label(idx, j) at every position, each multi-index joined once."""
+        slots = range(1, self.n + 1)
+        labels: list[str] = []
+        for idx in self.multi_indices:
+            inner = ",".join(map(str, idx))
+            labels += [f"b_({inner})", *[f"a_({inner}),{j}" for j in slots]]
+        return tuple(labels)
 
 
 @cache
@@ -170,54 +173,3 @@ def is_constant(form: AffineForm) -> bool:
     """True when every coefficient has zero gradient."""
     return all(f.is_constant for f in form.coeffs.values())
 
-
-def form_to_json(form: AffineForm) -> dict:
-    """JSON form: one entry per multi-index with "const" and "grad" strings."""
-    return {
-        "n": form.n,
-        "k": form.k,
-        "terms": [
-            {
-                "dx": list(idx),
-                "const": format_rational(f.constant),
-                "grad": [format_rational(g) for g in f.gradient],
-            }
-            for idx, f in sorted(form.coeffs.items())
-        ],
-    }
-
-
-def form_from_json(data: Mapping) -> AffineForm:
-    """Parse a form; dx lists may come unsorted and are folded by parity.
-
-    n, k and the dx indices must be JSON integers: a float, bool or string
-    raises ValueError instead of being truncated or coerced, and so does an
-    (n, k) with more than MAX_UNKNOWNS unknowns.
-    """
-    try:
-        n = exact_int(data["n"])
-        k = exact_int(data["k"])
-        raw_terms = data.get("terms", [])
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed form JSON: {exc}") from exc
-    check_unknowns(n, k)  # before any of the (n+1)*C(n,k) entries is allocated
-    acc: dict[MultiIndex, AffineFunction] = {}
-    try:
-        for entry in raw_terms:
-            try:
-                if not isinstance(entry["dx"], list) or not isinstance(entry["grad"], list):
-                    raise ValueError("malformed form term: dx and grad must be lists")
-                dx = tuple(exact_int(i) for i in entry["dx"])
-                const = parse_rational(entry["const"])
-                grad = tuple(parse_rational(g) for g in entry["grad"])
-            except (KeyError, TypeError) as exc:
-                raise ValueError(f"malformed form term: {exc}") from exc
-            if len(set(dx)) != len(dx):
-                raise ValueError(f"repeated index in dx {list(dx)}")
-            sign = permutation_sign(dx)
-            key = tuple(sorted(dx))
-            f = sign * AffineFunction(n, const, grad)
-            acc[key] = acc[key] + f if key in acc else f
-    except TypeError as exc:  # "terms" that is no list, such as 5 or null
-        raise ValueError(f"malformed form JSON: {exc}") from exc
-    return AffineForm(n, k, acc)

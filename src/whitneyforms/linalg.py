@@ -1,4 +1,4 @@
-"""Exact rational scalars: validation and the wire format.
+"""Exact rational scalars: the validation every constructor reads them through.
 
 Every scalar is a ``fractions.Fraction``, stored reduced with a positive
 denominator, so structural equality of results is mathematical equality and
@@ -6,23 +6,15 @@ no operation anywhere in this module carries a tolerance. The package runs
 no elimination at all: the pullback minors are closed-form integers in
 :mod:`whitneyforms.operators`, and the constraint system is solved and
 certified along its sparse elimination schedule in
-:mod:`whitneyforms.characterize`.
+:mod:`whitneyforms.characterize`. The wire format "p/q" is
+:mod:`whitneyforms.render`'s, with every other external text format.
 """
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 
-__all__ = [
-    "exact_int",
-    "exact_rational",
-    "parse_rational",
-    "format_rational",
-]
-
-# ASCII digits only: Unicode \d would read full-width or Arabic-Indic digits as a number
-_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
+__all__ = ["exact_int", "exact_rational"]
 
 
 def exact_int(value: object) -> int:
@@ -49,20 +41,3 @@ def exact_rational(value: object) -> Fraction:
         raise ValueError(f"not an exact rational: {value!r}")
     return Fraction(value)
 
-
-def parse_rational(value: object) -> Fraction:
-    """Parse the wire format "p/q" (or "p"); plain ints are accepted too.
-
-    Floats and decimal strings are rejected: they would silently smuggle
-    rounding error into a pipeline whose whole point is exactness.
-    """
-    if isinstance(value, (Fraction, int)) or (
-        isinstance(value, str) and _RATIONAL_PATTERN.fullmatch(value.strip())
-    ):
-        return exact_rational(value)
-    raise ValueError(f"not an exact rational: {value!r}")
-
-
-def format_rational(value: Fraction | int) -> str:
-    """Render as "p/q", or just "p" when the denominator is 1."""
-    return str(Fraction(value))

@@ -79,7 +79,7 @@ leaves the k+1 rows b', a'_1, ..., a'_k:
   C(n,k) k + 2(k+1) C(n,k+1) additions and C(n,k) multiplications by k+1,
   385 and 35 at (7, 3), where its columns hold 840 entries, each a
   multiply-add; it is built in closed form and certified, once, to rebuild
-  :func:`derham_rows`;
+  :func:`derham_rows`, each row written down in sorted order;
 * r(m, L) = T_{(m, *L)}[b'], the value at vertex m of the coefficient
   pulled back to (m, *L), is sigma on b_I and a_{I,m}. It is no slice, but
   with G = sorted((m,) + L) the stage-2 row of :mod:`whitneyforms.characterize`
@@ -194,9 +194,10 @@ def pullback_rows(n: int, k: int, vertices: tuple[int, ...]) -> Iterator[SparseR
         # a_{I,0} = 0: a slot g = 0 adds no entry
         at_g0 = [(base + g0, sign) for base, sign in minors] if g0 else []
         yield tuple(sorted(minors + at_g0))
+        less_g0 = [(pos, -sign) for pos, sign in at_g0]
         for g in rest:
             row = [(base + g, sign) for base, sign in minors] if g else []
-            yield tuple(sorted(row + [(pos, -sign) for pos, sign in at_g0]))
+            yield tuple(sorted(row + less_g0))
 
 
 def integral_row(k: int, face_rows: Iterable[SparseRow]) -> SparseRow:
@@ -230,9 +231,10 @@ def whitney_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
     for face in range(copies):
         rows[face * (n + 1)] = ((face, 1),)
     for group in groups:
-        coboundary = tuple((f, (-1) ** r) for r, f in enumerate(group[: k + 2]))
+        coboundary = tuple((f, -1 if r % 2 else 1) for r, f in enumerate(group[: k + 2]))
+        negated = tuple((f, -sign) for f, sign in coboundary)
         for j, pos in enumerate(group[k + 2 :]):
-            rows[pos] = tuple((f, (-1) ** j * sign) for f, sign in coboundary)
+            rows[pos] = negated if j % 2 else coboundary
     return tuple(map(signed, transpose(rows, len(layout.faces))))
 
 
@@ -259,23 +261,36 @@ class CertificateError(RuntimeError):
 
 @cache
 def derham_plan(n: int, k: int) -> DerhamPlan:
-    """D~ by its block traces, built in closed form; CertificateError unless it rebuilds derham_rows."""
+    """D~ by its block traces, built in closed form; CertificateError unless it rebuilds derham_rows.
+
+    The certificate writes each row of the plan in sorted order and compares
+    it with the pullback-built rows. A face [0] + I is the trace of block I,
+    (k+1) on b_I and 1 on a_{I,j} for j in I. A face F = (v_0 < ... < v_k)
+    with v_0 >= 1 holds, per r, (k+1)(-1)^r on b_I and (-1)^r on a_{I,v} for
+    v in F, I = F minus v_r: its position p_r goes between the block's
+    gradient positions as v_r goes between the vertices of I. The k+1 blocks
+    are distinct, each one's positions lie in its own block, and F minus v_k
+    sorts first, so the blocks go in reverse.
+    """
     layout = unknown_layout(n, k)
     blocks = tuple(
         (layout.position(idx), *(layout.position(idx, j) for j in idx))
         for idx in layout.multi_indices
     )
     block = {idx: i for i, idx in enumerate(layout.multi_indices)}
-    traces = [((b, k + 1), *((p, 1) for p in gradient)) for b, *gradient in blocks]
-    rows = list(traces)
+    rows = [((b, k + 1), *((p, 1) for p in gradient)) for b, *gradient in blocks]
     faces = []
     # the C(n, k) faces [0] + I come first, in the order of their blocks I
     for face in layout.faces[len(blocks) :]:
         rests = [face[:r] + face[r + 1 :] for r in range(len(face))]
         pairs = [(block[rest], layout.position(rest, v)) for rest, v in zip(rests, face)]
         faces.append(sum(pairs, ()))
-        terms = [((-1) ** r, traces[i] + ((p, 1),)) for r, (i, p) in enumerate(pairs)]
-        rows.append(tuple(sorted(_combine(terms).items())))
+        row: list[tuple[int, int]] = []
+        for r in reversed(range(k + 1)):
+            (i, p), sign = pairs[r], -1 if r % 2 else 1
+            b, *gradient = blocks[i]
+            row += [(b, (k + 1) * sign), *((g, sign) for g in (*gradient[:r], p, *gradient[r:]))]
+        rows.append(tuple(row))
     if tuple(rows) != derham_rows(n, k):
         raise CertificateError(f"the block traces at (n={n}, k={k}) do not rebuild D~")
     return _derham_kernel(k), blocks, tuple(faces)

@@ -1,20 +1,153 @@
-"""Plain-text and LaTeX rendering of forms and cochains.
+"""Every external text format of forms, cochains and scalars: JSON, "p/q", text, LaTeX.
 
-Terms print positive-first (each group ordered by multi-index), unit
-coefficients are dropped, and multi-term coefficients are parenthesized,
-so a form reads the way it would be written by hand: "x1 dx2 - x2 dx1",
-"(1 - x2) dx1 + x1 dx2", "6 dx1^dx2^dx3".
+A scalar goes over the wire as "p/q", or "p" when its denominator is 1
+(:func:`parse_rational`, :func:`format_rational`); forms and cochains as
+JSON objects of such strings (:func:`form_to_json`, :func:`form_from_json`,
+:func:`cochain_to_json`, :func:`cochain_from_json`); and :func:`emit`
+prints either as JSON, plain text or LaTeX. Nothing else in the package
+imports this module at its top: the command line loads it in the
+subcommands that read or print a form or cochain, ``verify`` to write a
+failing cell's counterexample, and the package on the first read of one
+of these names, so that a process that reads and prints no form or
+cochain never compiles it.
+
+Rendered terms print positive-first (each group ordered by multi-index),
+unit coefficients are dropped, and multi-term coefficients are
+parenthesized, so a form reads the way it would be written by hand:
+"x1 dx2 - x2 dx1", "(1 - x2) dx1 + x1 dx2", "6 dx1^dx2^dx3".
 """
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
+from typing import Mapping
 
-from .forms import AffineForm
-from .linalg import format_rational
-from .simplicial import AffineFunction, Cochain
+from .forms import AffineForm, MultiIndex
+from .linalg import exact_int, exact_rational
+from .simplicial import AffineFunction, Cochain, Face, check_unknowns, permutation_sign
 
-__all__ = ["render_affine", "render_form", "render_cochain"]
+__all__ = [
+    "parse_rational",
+    "format_rational",
+    "form_to_json",
+    "form_from_json",
+    "cochain_to_json",
+    "cochain_from_json",
+    "render_affine",
+    "render_form",
+    "render_cochain",
+    "emit",
+]
+
+# ASCII digits only: Unicode \d would read full-width or Arabic-Indic digits as a number
+_RATIONAL_PATTERN = re.compile(r"[+-]?\d+(/[1-9]\d*)?", re.ASCII)
+
+
+def parse_rational(value: object) -> Fraction:
+    """Parse the wire format "p/q" (or "p"); plain ints are accepted too.
+
+    Floats and decimal strings are rejected: they would silently smuggle
+    rounding error into a pipeline whose whole point is exactness.
+    """
+    if isinstance(value, (Fraction, int)) or (
+        isinstance(value, str) and _RATIONAL_PATTERN.fullmatch(value.strip())
+    ):
+        return exact_rational(value)
+    raise ValueError(f"not an exact rational: {value!r}")
+
+
+def format_rational(value: Fraction | int) -> str:
+    """Render as "p/q", or just "p" when the denominator is 1."""
+    return str(Fraction(value))
+
+
+def form_to_json(form: AffineForm) -> dict:
+    """JSON form: one entry per multi-index with "const" and "grad" strings."""
+    return {
+        "n": form.n,
+        "k": form.k,
+        "terms": [
+            {
+                "dx": list(idx),
+                "const": format_rational(f.constant),
+                "grad": [format_rational(g) for g in f.gradient],
+            }
+            for idx, f in sorted(form.coeffs.items())
+        ],
+    }
+
+
+def form_from_json(data: Mapping) -> AffineForm:
+    """Parse a form; dx lists may come unsorted and are folded by parity.
+
+    n, k and the dx indices must be JSON integers: a float, bool or string
+    raises ValueError instead of being truncated or coerced, and so does an
+    (n, k) with more than MAX_UNKNOWNS unknowns.
+    """
+    try:
+        n = exact_int(data["n"])
+        k = exact_int(data["k"])
+        raw_terms = data.get("terms", [])
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed form JSON: {exc}") from exc
+    check_unknowns(n, k)  # before any of the (n+1)*C(n,k) entries is allocated
+    acc: dict[MultiIndex, AffineFunction] = {}
+    try:
+        for entry in raw_terms:
+            try:
+                if not isinstance(entry["dx"], list) or not isinstance(entry["grad"], list):
+                    raise ValueError("malformed form term: dx and grad must be lists")
+                dx = tuple(exact_int(i) for i in entry["dx"])
+                const = parse_rational(entry["const"])
+                grad = tuple(parse_rational(g) for g in entry["grad"])
+            except (KeyError, TypeError) as exc:
+                raise ValueError(f"malformed form term: {exc}") from exc
+            if len(set(dx)) != len(dx):
+                raise ValueError(f"repeated index in dx {list(dx)}")
+            sign = permutation_sign(dx)
+            key = tuple(sorted(dx))
+            f = sign * AffineFunction(n, const, grad)
+            acc[key] = acc[key] + f if key in acc else f
+    except TypeError as exc:  # "terms" that is no list, such as 5 or null
+        raise ValueError(f"malformed form JSON: {exc}") from exc
+    return AffineForm(n, k, acc)
+
+
+def cochain_to_json(c: Cochain) -> dict:
+    """JSON form: faces as increasing vertex lists, coefficients as "p/q"."""
+    return {
+        "n": c.n,
+        "k": c.k,
+        "terms": [
+            {"face": list(key), "coeff": format_rational(coeff)}
+            for key, coeff in sorted(c.terms.items())
+        ],
+    }
+
+
+def cochain_from_json(data: dict) -> Cochain:
+    """Parse a cochain; faces may come in any vertex order and are folded.
+
+    n, k and the face labels must be JSON integers: a float, bool or string
+    raises ValueError instead of being truncated or coerced, and so does an
+    (n, k) with more than MAX_UNKNOWNS unknowns.
+    """
+    try:
+        n = exact_int(data["n"])
+        k = exact_int(data["k"])
+        check_unknowns(n, k)  # before any face or any of the C(n+1,k+1) entries is built
+        raw_terms = data.get("terms", [])
+        if not all(isinstance(entry["face"], list) for entry in raw_terms):
+            raise ValueError("malformed cochain JSON: every face must be a list of labels")
+        items = [
+            (Face(n, tuple(exact_int(v) for v in entry["face"])), parse_rational(entry["coeff"]))
+            for entry in raw_terms
+        ]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed cochain JSON: {exc}") from exc
+    return Cochain.from_terms(n, k, items)
 
 
 def _scalar(value: Fraction, latex: bool) -> str:
@@ -101,3 +234,12 @@ def render_cochain(c: Cochain, style: str = "text") -> str:
         body = tag if magnitude == 1 else f"{_scalar(magnitude, latex)} {tag}"
         terms.append((1 if coeff > 0 else -1, body))
     return _positive_first(terms)
+
+
+def emit(value: AffineForm | Cochain, fmt: str) -> None:
+    """Print a form or a cochain as JSON (fmt "json"), or rendered as "text" or "latex"."""
+    is_cochain = isinstance(value, Cochain)
+    if fmt == "json":
+        print(json.dumps(cochain_to_json(value) if is_cochain else form_to_json(value)))
+    else:
+        print((render_cochain if is_cochain else render_form)(value, fmt))

@@ -12,7 +12,8 @@ maps take and return integer vectors. An :class:`AffineFunction`
 b + sum_j g_j x^j is the ScaledVector (b, g_1, ..., g_n) of one 0-form
 block, with k = 0. Faces, these vectors and the unknown layout are
 :class:`Frozen` values: fields compared, hashed and printed by name, and
-never assigned after construction.
+never assigned after construction. Their JSON and the "p/q" scalar are
+:mod:`whitneyforms.render`'s, with every other external text format.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from random import Random
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import exact_int, exact_rational, format_rational, parse_rational
+from .linalg import exact_int, exact_rational
 
 __all__ = [
     "BadDegree",
@@ -43,8 +44,6 @@ __all__ = [
     "permutation_sign",
     "enumerate_faces",
     "random_cochain",
-    "cochain_to_json",
-    "cochain_from_json",
     "exact_rational",
 ]
 
@@ -120,7 +119,8 @@ class Face(Frozen):
 
     The vertex tuple orders the face and thereby orients it; ``sign`` flips
     that orientation without reordering. Canonical faces have increasing
-    vertices and sign +1.
+    vertices and sign +1. The point n = 0 has the one face [0], as a
+    cochain on it has one entry; every n < 0 is no cell (BadDegree).
     """
 
     _fields = ("n", "vertices", "sign")
@@ -129,8 +129,6 @@ class Face(Frozen):
         vertices = tuple(vertices)
         for v in vertices:
             exact_int(v)
-        if n < 1:
-            raise ValueError("ambient dimension must be at least 1")
         check_cell(n, len(vertices) - 1)
         if len(set(vertices)) != len(vertices):
             raise ValueError(f"repeated vertex label in {vertices}")
@@ -402,16 +400,17 @@ class Cochain(ScaledVector):
         return cls(n, k, acc)
 
 
-def _random_pairs(rng: Random, count: int) -> list[tuple[int, int]]:
-    """count pairs (rng.randint(-10, 10), rng.randint(1, 10)), drawn as randint draws them.
+def _random_draws(rng: Random, count: int) -> tuple[list[int], list[int]]:
+    """count numerators rng.randint(-10, 10) and denominators rng.randint(1, 10), drawn in turn.
 
     randint(a, b) takes getrandbits of the bit length of b - a + 1 and draws
     again while the result is out of range: 5 bits below 21, then 4 bits
-    below 10. Calling getrandbits directly gives the same pairs and leaves
+    below 10. Calling getrandbits directly gives the same draws and leaves
     rng in the same state, without randint's layers of calls per draw.
     """
     draw = rng.getrandbits
-    pairs = []
+    numerators: list[int] = []
+    denominators: list[int] = []
     for _ in range(count):
         p = draw(5)
         while p >= 21:
@@ -419,49 +418,16 @@ def _random_pairs(rng: Random, count: int) -> list[tuple[int, int]]:
         d = draw(4)
         while d >= 10:
             d = draw(4)
-        pairs.append((p - 10, d + 1))
-    return pairs
+        numerators.append(p - 10)
+        denominators.append(d + 1)
+    return numerators, denominators
 
 
 def random_cochain(rng: Random, n: int, k: int) -> Cochain:
     """Reproducible cochain with small rational coefficients (|p|, q <= 10).
 
-    It draws per face, in lexicographic order, the numerator and then the denominator."""
-    pairs = _random_pairs(rng, Cochain.size(n, k))
-    q = math.lcm(*(d for _, d in pairs))
-    return Cochain.from_vector(n, k, [p * (q // d) for p, d in pairs], q)
-
-
-def cochain_to_json(c: Cochain) -> dict:
-    """JSON form: faces as increasing vertex lists, coefficients as "p/q"."""
-    return {
-        "n": c.n,
-        "k": c.k,
-        "terms": [
-            {"face": list(key), "coeff": format_rational(coeff)}
-            for key, coeff in sorted(c.terms.items())
-        ],
-    }
-
-
-def cochain_from_json(data: dict) -> Cochain:
-    """Parse a cochain; faces may come in any vertex order and are folded.
-
-    n, k and the face labels must be JSON integers: a float, bool or string
-    raises ValueError instead of being truncated or coerced, and so does an
-    (n, k) with more than MAX_UNKNOWNS unknowns.
-    """
-    try:
-        n = exact_int(data["n"])
-        k = exact_int(data["k"])
-        check_unknowns(n, k)  # before any face or any of the C(n+1,k+1) entries is built
-        raw_terms = data.get("terms", [])
-        if not all(isinstance(entry["face"], list) for entry in raw_terms):
-            raise ValueError("malformed cochain JSON: every face must be a list of labels")
-        items = [
-            (Face(n, tuple(exact_int(v) for v in entry["face"])), parse_rational(entry["coeff"]))
-            for entry in raw_terms
-        ]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed cochain JSON: {exc}") from exc
-    return Cochain.from_terms(n, k, items)
+    It draws per face, in lexicographic order, the numerator and then the
+    denominator. The ints are its own, so they reach the gcd unchecked."""
+    numerators, denominators = _random_draws(rng, Cochain.size(n, k))
+    q = math.lcm(*denominators)
+    return Cochain._reduced(n, k, [p * (q // d) for p, d in zip(numerators, denominators)], q)

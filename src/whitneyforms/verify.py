@@ -22,6 +22,7 @@ from random import Random
 
 from .characterize import (
     CertificateError,
+    _first_differing_column,
     _solution_columns,
     _whitney_certificate,
     kernel_is_trivial,
@@ -31,7 +32,7 @@ from .characterize import (
 )
 from .derham import derham
 from .operators import whitney_columns
-from .simplicial import Cochain, cochain_to_json, enumerate_faces, random_cochain
+from .simplicial import Cochain, enumerate_faces, random_cochain
 from .whitney import whitney
 
 __all__ = ["verify_cell", "run_verification"]
@@ -46,6 +47,13 @@ def _certificate_error(check, n: int, k: int) -> str | None:
     except CertificateError as exc:
         return str(exc)
     return None
+
+
+def _counterexample(check: str, cochain: Cochain) -> dict:
+    """The failing cochain of check, as JSON: the one use verify makes of render."""
+    from .render import cochain_to_json
+
+    return {"check": check, "cochain": cochain_to_json(cochain)}
 
 
 def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
@@ -82,7 +90,7 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     bad = first_bad(_whitney_certificate(n, k)[0], lambda c, w: derham(w) == c)
     cell["rw_identity"] = bad is None
     if bad is not None and counterexample is None:
-        counterexample = {"check": "rw_identity", "cochain": cochain_to_json(bad)}
+        counterexample = _counterexample("rw_identity", bad)
 
     def solved(c, w) -> bool:
         try:
@@ -96,7 +104,7 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     except CertificateError:
         column = 0
     else:
-        column = next((i for i, (s, w) in enumerate(zip(solution, columns)) if s != w), None)
+        column = _first_differing_column(solution, columns)
     if column is None and 0 < k < n:
         # S/k! = W/k!, so each sample's solve would read the rows whitney read
         bad = None
@@ -104,7 +112,7 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
         bad = first_bad(column, solved)
     cell["characterization"] = bad is None
     if bad is not None and counterexample is None:
-        counterexample = {"check": "characterization", "cochain": cochain_to_json(bad)}
+        counterexample = _counterexample("characterization", bad)
 
     # the kernel fails only with the schedule, whose reason "dimension" already holds
     cell["kernel"] = kernel_is_trivial(n, k)

@@ -703,7 +703,7 @@ def assert_no_dense_elimination() -> None:
     """The library defines no elimination routine, not even a determinant.
 
     The dense rank, kernel, solver and ``det`` above are oracles only:
-    ``linalg`` defines the four scalar readers and writers alone, and
+    ``linalg`` defines the two scalar readers alone, and
     ``characterize`` holds no elimination for a certificate to fall back on.
     """
     defined = {
@@ -711,7 +711,7 @@ def assert_no_dense_elimination() -> None:
         for name, obj in vars(linalg).items()
         if callable(obj) and getattr(obj, "__module__", None) == linalg.__name__
     }
-    assert defined == {"exact_int", "exact_rational", "format_rational", "parse_rational"}
+    assert defined == {"exact_int", "exact_rational"}
     assert not {"rank", "nullspace", "LinearSolver", "solve"} & set(vars(characterize))
 
 

@@ -2,8 +2,9 @@
 
 Each fast path of the package is meant to be caught by an oracle of
 ``tests/helpers.py`` when it goes wrong: the closed-form row plan of W/k!,
-its compiled loop and copies, the block traces of D~ and the reduction of
-a form's scale. Each mutant below is one exact source line and its
+its compiled loop and copies, the block traces of D~ and their
+certificate, the stage-2 rows of the elimination schedule, the certificate
+of W/k!'s columns and the reduction of a form's scale. Each mutant below is one exact source line and its
 replacement. The script copies ``src/`` and ``tests/`` to a temporary
 directory, checks that the focused test files pass there unchanged, and
 then, per mutant, replaces the line in a fresh copy and runs the focused
@@ -30,7 +31,12 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-FOCUSED = ["tests/test_operators.py", "tests/test_whitney.py", "tests/test_derham.py"]
+FOCUSED = [
+    "tests/test_operators.py",
+    "tests/test_whitney.py",
+    "tests/test_derham.py",
+    "tests/test_characterize.py",
+]
 
 # (name, file under src/whitneyforms, exact source line, replacement)
 MUTANTS = [
@@ -69,6 +75,36 @@ MUTANTS = [
         "operators.py",
         "    terms = \" \".join(f\"{'+-'[r % 2]} beta[i{r}] {'+-'[r % 2]} v[p{r}]\" for r in range(k + 1))",
         "    terms = \" \".join(f\"{'+-'[r % 2]} beta[i{r}] + v[p{r}]\" for r in range(k + 1))",
+    ),
+    (
+        "derham_plan: the certificate's comparison made vacuous",
+        "operators.py",
+        "    if tuple(rows) != derham_rows(n, k):",
+        "    if tuple(rows) != tuple(rows):",
+    ),
+    (
+        "derham_plan: the certificate's block order not reversed",
+        "operators.py",
+        "        for r in reversed(range(k + 1)):",
+        "        for r in range(k + 1):",
+    ),
+    (
+        "_schedule: the per-face base's constancy weight -1 made +1",
+        "characterize.py",
+        "            bases[i] = _combine([(1, integrals[i]), *((-1, row) for row in constancy[i])])",
+        "            bases[i] = _combine([(1, integrals[i]), *((1, row) for row in constancy[i])])",
+    ),
+    (
+        "_schedule: the (k+1) on C_{G,j} dropped",
+        "characterize.py",
+        "                row = _combine([(1, row.items()), (k + 1, constancy[i][j - 1])])",
+        "                row = _combine([(1, row.items()), (1, constancy[i][j - 1])])",
+    ),
+    (
+        "_certified: the expected column (k+1) e_i made k e_i",
+        "characterize.py",
+        "        if nonzero != {i: k + 1}:",
+        "        if nonzero != {i: k}:",
     ),
     (
         "ScaledVector._reduced: a multi-word scale left undivided",

@@ -3,6 +3,7 @@
 import json
 import math
 import re
+import sys
 from fractions import Fraction
 from random import Random
 
@@ -50,6 +51,7 @@ from whitneyforms import operators
 from whitneyforms.characterize import (
     CertificateError,
     _certified,
+    _first_differing_column,
     _schedule,
     _solution_columns,
     _solution_plan,
@@ -77,6 +79,12 @@ def test_layout_size_and_labels():
     assert layout.position((2,)) == 4
     assert layout.position((2,), 3) == 7
     assert len(layout.labels) == len(set(layout.labels)) == layout.size
+    # labels, built a block at a time, are label() at every position
+    for layout in (layout, UnknownLayout(5, 2), UnknownLayout(4, 0)):
+        slots = (None, *range(1, layout.n + 1))
+        assert layout.labels == tuple(
+            layout.label(idx, j) for idx in layout.multi_indices for j in slots
+        )
 
 
 def test_layout_vector_round_trip():
@@ -418,7 +426,7 @@ def test_the_schedule_builds_no_pullback(monkeypatch):
         _schedule.cache_clear()
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_stage2_steps_are_the_value_at_vertex_rows(n):
     # the step of (L, m) is sigma (k+1) times r(m, L) = T_{(m, *L)}[b'], the
     # value at vertex m of the coefficient pulled back to the face [m, *L]
@@ -551,6 +559,20 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     # the certificate failed, not the theorem: the dense oracle still finds no kernel
     constancy, integrals = dense_system(3, 1)
     assert nullspace(constancy + integrals, 12) == []
+
+
+def test_the_solve_and_verify_find_the_first_differing_column_alike():
+    # one helper names the first column where S/k! and W/k! differ, for the solve's
+    # refusal and for verify's characterization check
+    columns = whitney_columns(4, 2)
+    assert _first_differing_column(columns, columns) is None
+    broken = list(columns)
+    for i in (3, 7):
+        plus, minus = broken[i]
+        broken[i] = (minus, plus)
+    assert _first_differing_column(tuple(broken), columns) == 3
+    assert _first_differing_column(columns, tuple(broken)) == 3
+    assert sys.modules["whitneyforms.verify"]._first_differing_column is _first_differing_column
 
 
 def test_a_solution_off_a_broken_whitney_is_refused(monkeypatch):

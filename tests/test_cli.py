@@ -277,6 +277,24 @@ def test_characterize_json_output():
     ]
 
 
+def test_the_point_cells_cochain_json_reads_back():
+    # derham's output on the point n = 0 is a cochain on the one vertex [0], and
+    # whitney and characterize read it back, as they read the empty cochain there
+    form = json.dumps({"n": 0, "k": 0, "terms": [{"dx": [], "const": "3", "grad": []}]})
+    integrated = run("derham", "--form", form)
+    assert integrated.exit_code == 0
+    assert json.loads(integrated.output) == {
+        "n": 0, "k": 0, "terms": [{"face": [0], "coeff": "3"}],
+    }
+    solved = run("characterize", "--n", "0", "--k", "0", "--cochain", integrated.output)
+    assert solved.exit_code == 0, solved.output
+    assert json.loads(solved.output) == {
+        "n": 0, "k": 0, "terms": [{"dx": [], "const": "3", "grad": []}], "matches_whitney": True,
+    }
+    built = run("whitney", "--n", "0", "--k", "0", "--cochain", integrated.output)
+    assert built.exit_code == 0 and json.loads(built.output) == json.loads(form)
+
+
 def test_verify_small_sweep():
     result = run("verify", "--n-max", "2", "--samples", "3")
     assert result.exit_code == 0
@@ -577,18 +595,28 @@ def test_broken_replay_exits_one_with_a_message(monkeypatch):
 
 
 def test_render_is_imported_only_to_render():
-    # a fresh interpreter: the CLI loads render in its text and latex branches, the
-    # package resolves only the three render names lazily, and whitney and derham
-    # stay the functions, not the submodules of the same name
+    # a fresh interpreter: a passing verify loads no render, the CLI loads it in the
+    # subcommands that read or print a form or cochain, the package resolves only
+    # render's names lazily, and whitney and derham stay the functions, not the
+    # submodules of the same name
     probe = """
-import sys, types
+import contextlib, io, sys, types
 import whitneyforms.cli
+assert "whitneyforms.render" not in sys.modules
+with contextlib.redirect_stdout(io.StringIO()):
+    whitneyforms.cli.main(["verify", "--n-max", "2"], standalone_mode=False)
 assert "whitneyforms.render" not in sys.modules
 from whitneyforms import whitney, derham, render_form
 assert all(type(f) is types.FunctionType for f in (whitney, derham, render_form))
 import whitneyforms
 assert whitneyforms.render_cochain is sys.modules["whitneyforms.render"].render_cochain
 assert whitneyforms.whitney is whitney and whitneyforms.derham is derham
+render = sys.modules["whitneyforms.render"]
+moved = ["form_to_json", "form_from_json", "cochain_to_json", "cochain_from_json",
+         "parse_rational", "format_rational"]
+assert all(getattr(whitneyforms, name) is getattr(render, name) for name in moved)
+assert not any(hasattr(sys.modules[f"whitneyforms.{m}"], name)
+               for m in ("forms", "simplicial", "linalg") for name in moved)
 whitneyforms.cli.main(["whitney", "--n", "2", "--k", "1", "--face", "1,2", "--format", "text"])
 """
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60)

@@ -159,7 +159,7 @@ def test_every_command_ends_in_an_exit_code(argv):
 
 
 @given(
-    cells(1).flatmap(
+    cells(0).flatmap(
         lambda c: st.tuples(
             st.just(c),
             st.lists(

@@ -1,6 +1,6 @@
 """Exact rationals and determinants, and the dense elimination oracles.
 
-The wire format lives in ``whitneyforms.linalg``; ``det``, rank, kernel
+The wire format lives in ``whitneyforms.render``; ``det``, rank, kernel
 and the solver are the tests' oracles in ``helpers``.
 """
 
@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import LinearSolver, NoSolution, NotUnique, det, matvec, nullspace, rank
-from whitneyforms.linalg import format_rational, parse_rational
+from whitneyforms.render import format_rational, parse_rational
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=8

@@ -50,12 +50,9 @@ from whitneyforms import (
 )
 from whitneyforms import linalg, simplicial
 from whitneyforms.characterize import lambda_e_dimension
-from whitneyforms.forms import (
-    UnknownLayout,
-    form_from_json,
-    unknown_layout,
-)
+from whitneyforms.forms import UnknownLayout, unknown_layout
 from whitneyforms.operators import derham_rows, whitney_columns
+from whitneyforms.render import form_from_json
 from whitneyforms.simplicial import ScaledVector
 
 
@@ -317,15 +314,17 @@ def test_random_cochain_draws_face_by_face(monkeypatch):
 
 
 def test_random_pairs_are_the_randint_draws():
-    # drawn through getrandbits, the pairs and the generator's final state are
-    # those of randint(-10, 10) and randint(1, 10), face after face
+    # drawn through getrandbits, the numerators, the denominators and the generator's
+    # final state are those of randint(-10, 10) and randint(1, 10), face after face
     for seed in range(200):
         for size in (1, 2, 5, 35, 462):
             rng, reference = Random(seed), Random(seed)
             expected = [
                 (reference.randint(-10, 10), reference.randint(1, 10)) for _ in range(size)
             ]
-            assert simplicial._random_pairs(rng, size) == expected
+            numerators, denominators = simplicial._random_draws(rng, size)
+            assert numerators == [p for p, _ in expected]
+            assert denominators == [d for _, d in expected]
             assert rng.getstate() == reference.getstate()
 
 
