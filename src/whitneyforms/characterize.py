@@ -399,17 +399,16 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
     layout = unknown_layout(n, k)
-    faces, labels = layout.faces, layout.labels
     stage1: dict[int, list[int]] = {}
     stage2: list[Stage2Kill] = []
     for step in _schedule(n, k):
-        if faces[step.face][0] == 0:
+        if layout.faces[step.face][0] == 0:
             stage1.setdefault(step.face, []).append(step.target)
         else:
             block, m = divmod(step.target, n + 1)
-            stage2.append(Stage2Kill(layout.multi_indices[block], m, labels[step.target]))
+            stage2.append(Stage2Kill(layout.multi_indices[block], m, layout.labels[step.target]))
     kills = tuple(
-        Stage1Kill(faces[i], tuple(labels[p] for p in sorted(targets)))
+        Stage1Kill(layout.faces[i], tuple(layout.labels[p] for p in sorted(targets)))
         for i, targets in stage1.items()
     )
     return ProofTrace(n, k, kills, tuple(stage2))

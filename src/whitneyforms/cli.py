@@ -20,16 +20,16 @@ The command line is parsed by the standard library's argparse, so the
 package has no runtime dependency. Forms and cochains are read and printed
 through :mod:`whitneyforms.render`, which only the subcommands that do so
 import: verify, dims and trace print their reports with ``json`` alone.
-Render, ``json`` and, for a path argument, ``pathlib`` are imported where
-a subcommand reads or prints, so importing the CLI imports none of them.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import sys
+from pathlib import Path
 
 from .characterize import (
     CertificateError,
@@ -89,18 +89,8 @@ def _format(choices: tuple[str, ...]) -> tuple:
                    help="output format (default: %(default)s)")
 
 
-def _dumps(payload: dict) -> str:
-    """payload as one line of JSON: json is imported where a command prints, not with the CLI."""
-    import json
-
-    return json.dumps(payload)
-
-
 def _load_json_arg(value: str) -> dict:
     """Accept a file path, '-' for stdin, or an inline JSON object."""
-    import json
-    from pathlib import Path
-
     if value == "-":
         text = sys.stdin.read()
     elif value.lstrip().startswith("{"):
@@ -214,7 +204,7 @@ def characterize_cmd(n: int, k: int, cochain_arg: str, fmt: str) -> None:
     if fmt == "json":
         payload = form_to_json(solved)
         payload["matches_whitney"] = matches
-        print(_dumps(payload))
+        print(json.dumps(payload))
     else:
         emit(solved, fmt)
         print(f"matches direct construction: {'yes' if matches else 'NO'}")
@@ -245,7 +235,7 @@ def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> 
         raise ValueError(f"--samples must be at most {MAX_SAMPLES}")
     report = run_verification(n_max, k=k, samples=samples, seed=seed)
     if fmt == "json":
-        print(_dumps(report))
+        print(json.dumps(report))
     else:
         def mark(value: bool | None) -> str:
             if value is None:
@@ -268,7 +258,7 @@ def verify_cmd(n_max: int, k: int | None, samples: int, seed: int, fmt: str) -> 
             if report["first_counterexample"] is not None:
                 print(
                     "first counterexample: "
-                    + _dumps(report["first_counterexample"])
+                    + json.dumps(report["first_counterexample"])
                 )
     if not report["pass"]:
         sys.exit(1)
@@ -306,7 +296,7 @@ def dims_cmd(n: int, k: int | None, fmt: str) -> None:
             }
         )
     if fmt == "json":
-        print(_dumps({"n": n, "rows": rows}))
+        print(json.dumps({"n": n, "rows": rows}))
     else:
         print("  k  unknowns  constancy_rank  faces  dimension")
         for row in rows:
@@ -328,7 +318,7 @@ def trace_cmd(n: int, k: int, fmt: str) -> None:
     check_unknowns(n, k)
     trace = proof_trace(n, k)
     if fmt == "json":
-        print(_dumps(trace.to_json()))
+        print(json.dumps(trace.to_json()))
     else:
         for step in trace.stage1:
             face = ",".join(str(v) for v in step.face)

@@ -101,13 +101,8 @@ class UnknownLayout(Frozen):
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
-        """label(idx, j) at every position, each multi-index joined once."""
-        slots = range(1, self.n + 1)
-        labels: list[str] = []
-        for idx in self.multi_indices:
-            inner = ",".join(map(str, idx))
-            labels += [f"b_({inner})", *[f"a_({inner}),{j}" for j in slots]]
-        return tuple(labels)
+        slots = (None, *range(1, self.n + 1))
+        return tuple(self.label(idx, j) for idx in self.multi_indices for j in slots)
 
 
 @cache

@@ -194,10 +194,9 @@ def pullback_rows(n: int, k: int, vertices: tuple[int, ...]) -> Iterator[SparseR
         # a_{I,0} = 0: a slot g = 0 adds no entry
         at_g0 = [(base + g0, sign) for base, sign in minors] if g0 else []
         yield tuple(sorted(minors + at_g0))
-        less_g0 = [(pos, -sign) for pos, sign in at_g0]
         for g in rest:
             row = [(base + g, sign) for base, sign in minors] if g else []
-            yield tuple(sorted(row + less_g0))
+            yield tuple(sorted(row + [(pos, -sign) for pos, sign in at_g0]))
 
 
 def integral_row(k: int, face_rows: Iterable[SparseRow]) -> SparseRow:
@@ -231,10 +230,9 @@ def whitney_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
     for face in range(copies):
         rows[face * (n + 1)] = ((face, 1),)
     for group in groups:
-        coboundary = tuple((f, -1 if r % 2 else 1) for r, f in enumerate(group[: k + 2]))
-        negated = tuple((f, -sign) for f, sign in coboundary)
+        coboundary = tuple((f, (-1) ** r) for r, f in enumerate(group[: k + 2]))
         for j, pos in enumerate(group[k + 2 :]):
-            rows[pos] = negated if j % 2 else coboundary
+            rows[pos] = tuple((f, (-1) ** j * sign) for f, sign in coboundary)
     return tuple(map(signed, transpose(rows, len(layout.faces))))
 
 

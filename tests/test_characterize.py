@@ -79,12 +79,6 @@ def test_layout_size_and_labels():
     assert layout.position((2,)) == 4
     assert layout.position((2,), 3) == 7
     assert len(layout.labels) == len(set(layout.labels)) == layout.size
-    # labels, built a block at a time, are label() at every position
-    for layout in (layout, UnknownLayout(5, 2), UnknownLayout(4, 0)):
-        slots = (None, *range(1, layout.n + 1))
-        assert layout.labels == tuple(
-            layout.label(idx, j) for idx in layout.multi_indices for j in slots
-        )
 
 
 def test_layout_vector_round_trip():

@@ -293,6 +293,12 @@ def test_the_point_cells_cochain_json_reads_back():
     }
     built = run("whitney", "--n", "0", "--k", "0", "--cochain", integrated.output)
     assert built.exit_code == 0 and json.loads(built.output) == json.loads(form)
+    # the point's one face, [0], is a basis face as on every other cell
+    basis = run("whitney", "--n", "0", "--k", "0", "--face", "0")
+    assert basis.exit_code == 0, basis.output
+    assert json.loads(basis.output) == {
+        "n": 0, "k": 0, "terms": [{"dx": [], "const": "1", "grad": []}],
+    }
 
 
 def test_verify_small_sweep():

@@ -66,6 +66,10 @@ def test_face_validation():
         Face(2, (0, 1), sign=2)
     with pytest.raises(BadDegree):
         Face(2, (0, 1, 2, 2))  # too many labels also means a repeat; length first
+    # the point n = 0 has its one face [0]; a negative n is no cell
+    assert Face(0, (0,)).vertices == (0,)
+    with pytest.raises(BadDegree):
+        Face(-1, ())
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0, True, False])
