@@ -25,32 +25,31 @@ coefficient pulled back to the face (m, *L), with coefficient one on
 a_{L,m}. Each step is an integer combination of one face's rows, so a
 complete schedule proves the kernel trivial.
 
-The solve is linear, so :func:`_solution_columns` forward-substitutes the
+The solve is linear, so :func:`_solution_rows` forward-substitutes the
 schedule once per (n, k), each unknown an integer combination of the face
 values, into the cached integer matrix S/k!: every right-hand side scale
 (k+1)! is divided by k!, so the entries of S/k! are +-1 like those of
 W/k!, and k! goes into the form's scale instead. S/k! is stored as W/k!
-is, as signed columns (:data:`~whitneyforms.operators.SignedColumn`), and
-an entry that is not +-1 raises CertificateError. The pivots are +-1 on the
-constancy rows and +-(k+1) on the others: a stage-1 integral row's divides
-(k+1) c(F) once the face's own gradient unknowns are zero, and a stage-2
-row is k+1 times an integer row. Each division is checked exact there, on
-the unit cochains; a step's right-hand side for any integer vector is an
-integer combination of theirs, so by induction over the steps it is exact
-on every cochain vec / q, and k! (S/k!).vec / q is its forward
-substitution. S/k! is then checked to satisfy C.X = 0 and D~.X = (k+1) I,
-which makes the rows T_F[b'] its integer left inverse. When S/k! equals
-W/k! column by column, that check is W/k!'s own, already made by the one
-product of W/k! with [D~; C] (:func:`_whitney_certificate`), and is read
-rather than made again. The solve then runs W/k!'s rows: :func:`_solution_plan`
-is ``whitney_plan``, and :func:`solve_characterization` is C(n,k) copies
-plus C(n,k+1)(k+2) additions, run by one compiled loop per degree, that
-make no Fraction and multiply no entry
-(:func:`~whitneyforms.operators.factorial_image`, which takes no gcd). The
-solve has no rows of its own: S/k! that differs from W/k! in any column is
-a CertificateError that names the first such column. S/k!, built from C
-and D alone, agreeing with W/k! is an independent check, which ``verify``
-makes column by column.
+is, by rows: per unknown, the sparse row of (face index, value) entries
+that the walk gives it. The pivots are +-1 on the constancy rows and
++-(k+1) on the others: a stage-1 integral row's divides (k+1) c(F) once
+the face's own gradient unknowns are zero, and a stage-2 row is k+1 times
+an integer row. Each division is checked exact there, on the unit
+cochains; a step's right-hand side for any integer vector is an integer
+combination of theirs, so by induction over the steps it is exact on
+every cochain vec / q, and k! (S/k!).vec / q is its forward substitution.
+The solve has no rows of its own: S/k! that differs from W/k! in any
+column is a CertificateError that names the first such column
+(:func:`_first_differing_column`). Once S/k! equals W/k!, its certificate
+C.X = 0, D~.X = (k+1) I, which makes the rows T_F[b'] its integer left
+inverse, is W/k!'s own: the one product of [D~; C] with W/k!
+(:func:`_whitney_certificate`), read rather than made again. The solve
+then runs W/k!'s rows: :func:`_solution_plan` is ``whitney_plan``, and
+:func:`solve_characterization` is C(n,k) copies plus C(n,k+1)(k+2)
+additions, run by one compiled loop per degree, that make no Fraction and
+multiply no entry (:func:`~whitneyforms.operators.factorial_image`, which
+takes no gcd). S/k!, built from C and D alone, agreeing with W/k! is an
+independent check, which ``verify`` makes row by row.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2. It is complete
 whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
@@ -75,18 +74,15 @@ from typing import NamedTuple, Sequence
 from .forms import AffineForm
 from .operators import (
     CertificateError,
-    SignedColumn,
     SparseRow,
     _combine,
     constancy_rows,
     derham_rows,
     factorial_image,
-    signed,
-    transpose,
     unknown_layout,
     WhitneyPlan,
-    whitney_columns,
     whitney_plan,
+    whitney_rows,
 )
 from .simplicial import BadDegree, Cochain, DegreeMismatch, Frozen, _face_positions
 
@@ -120,46 +116,33 @@ def lambda_e_dimension(n: int, k: int) -> int:
     return len(unknown_layout(n, k).faces)
 
 
-@cache
-def _system_columns(n: int, k: int) -> tuple[SparseRow, ...]:
-    """[D~; C] by columns: D~'s rows, one per face, then every face's constancy rows."""
-    constancy = [row for rows in constancy_rows(n, k) for row in rows]
-    return transpose([*derham_rows(n, k), *constancy], unknown_layout(n, k).size)
-
-
-def _certified(
-    n: int, k: int, columns: Sequence[SignedColumn]
-) -> tuple[int | None, int | None]:
+def _certified(n: int, k: int, rows: Sequence[SparseRow]) -> tuple[int | None, int | None]:
     """The first i with D~.X_i != (k+1) e_i, and the first with [D~; C].X_i != (k+1) e_i.
 
-    One product of X, face-many signed columns (else column 0 fails both),
-    with [D~; C] (:func:`_system_columns`). None where no column fails:
-    the second None is D~.X = (k+1) I, C.X = 0; the first, for X = W/k!,
-    is derham(whitney(e_F)) = e_F on every face F.
+    One product of [D~; C] with X, given by rows as W/k! is (one per unknown,
+    each listing (face index, value)), a system row at a time: a column
+    fails where any row of the product differs from that of (k+1) I, D~'s
+    row i being (k+1) e_i and every constancy row zero. None where no column
+    fails: the second None is D~.X = (k+1) I, C.X = 0; the first, for
+    X = W/k!, is derham(whitney(e_F)) = e_F on every face F.
     """
-    faces = len(unknown_layout(n, k).faces)
-    if len(columns) != faces:
-        return 0, 0
-    by_position = _system_columns(n, k)
-    first = None
-    for i, (plus, minus) in enumerate(columns):
-        image: dict[int, int] = {}
-        for sign, positions in ((1, plus), (-1, minus)):
-            for pos in positions:
-                for r, value in by_position[pos]:
-                    image[r] = image.get(r, 0) + sign * value
-        nonzero = {r: v for r, v in image.items() if v}
-        if nonzero != {i: k + 1}:
-            first = i if first is None else first
-            if {r: v for r, v in nonzero.items() if r < faces} != {i: k + 1}:
-                return i, first
-    return None, first
+    integrals = derham_rows(n, k)
+    constancy = [row for face_rows in constancy_rows(n, k) for row in face_rows]
+    # the columns where the product less (k+1) [I; 0] is nonzero: D~'s rows, then C's
+    failing: list[set[int]] = [set(), set()]
+    for r, row in enumerate((*integrals, *constancy)):
+        image = {r: -(k + 1)} if r < len(integrals) else {}
+        for pos, value in row:
+            for i, x in rows[pos]:
+                image[i] = image.get(i, 0) + value * x
+        failing[r >= len(integrals)].update(i for i, v in image.items() if v)
+    return min(failing[0], default=None), min(failing[0] | failing[1], default=None)
 
 
 @cache
 def _whitney_certificate(n: int, k: int) -> tuple[int | None, int | None]:
     """:func:`_certified` for X = W/k!, read by the dimension count and by verify's round trip."""
-    return _certified(n, k, whitney_columns(n, k))
+    return _certified(n, k, whitney_rows(n, k))
 
 
 class _Step(NamedTuple):
@@ -254,14 +237,12 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
 
 
 @cache
-def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
-    """S/k!: column i solves the unit cochain on faces[i], over k!, as signed positions.
+def _solution_rows(n: int, k: int) -> tuple[SparseRow, ...]:
+    """S/k!: row p lists (face index, value) for unknown p, as the schedule walk solves it.
 
-    Each step's scale is divided by k! before its pivot divides; an inexact
-    division raises CertificateError, and so do an entry that is not +-1,
-    which a signed column cannot hold, and a result that fails
-    C.X = 0, D~.X = (k+1) I: then T[b'].X = I, which makes every solve's
-    pair canonical with no gcd.
+    Column i solves the unit cochain on faces[i], over k!. Each step's scale
+    is divided by k! before its pivot divides; an inexact division raises
+    CertificateError, and so do rows equal to W/k! whose certificate fails.
     """
     f = math.factorial(k)
     rows: dict[int, dict[int, int]] = {}
@@ -274,38 +255,35 @@ def _solution_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
         if rest or any(t % pivot for t in total.values()):
             raise CertificateError(f"inexact pivot at (n={n}, k={k})")
         rows[target] = {i: t // pivot for i, t in total.items() if t}
-    entries = transpose((rows[p].items() for p in sorted(rows)), Cochain.size(n, k))
-    try:
-        columns = tuple(map(signed, entries))
-    except ValueError as exc:
-        raise CertificateError(f"the solution columns at (n={n}, k={k}) fail: {exc}") from exc
-    # columns equal to W/k! hold its certificate, already made by the product it read
-    same = columns == whitney_columns(n, k)
-    if (_whitney_certificate(n, k) if same else _certified(n, k, columns))[1] is not None:
+    solution = tuple(tuple(sorted(rows[p].items())) for p in range(len(rows)))
+    # rows equal to W/k! hold its certificate, already made by the product it read
+    if solution == whitney_rows(n, k) and _whitney_certificate(n, k)[1] is not None:
         raise CertificateError(
             f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
         )
-    return columns
+    return solution
 
 
 def _first_differing_column(
-    solution: Sequence[SignedColumn], whitney: Sequence[SignedColumn]
+    solution: Sequence[SparseRow], whitney: Sequence[SparseRow]
 ) -> int | None:
-    """The first i where the columns solution[i] and whitney[i] differ, else None.
+    """The first face i where the columns of the rows solution and whitney differ, else None.
 
-    :func:`_solution_plan` and ``verify``'s characterization check both call
-    it, each with the columns it reads, so the two name the same column.
+    It is the smallest face index among the entries that the unequal rows do
+    not share. :func:`_solution_plan` and ``verify``'s characterization check
+    both call it, each with the rows it reads, so the two name the same column.
     """
-    return next((i for i, (s, w) in enumerate(zip(solution, whitney)) if s != w), None)
+    differing = (set(s) ^ set(w) for s, w in zip(solution, whitney) if s != w)
+    return min((i for entries in differing for i, _ in entries), default=None)
 
 
 @cache
 def _solution_plan(n: int, k: int) -> WhitneyPlan:
-    """S/k! by rows: W/k!'s plan, once the certified S/k! equals W/k! column by column.
+    """S/k! by rows: W/k!'s plan, once S/k! equals W/k! row by row.
 
     Raises CertificateError, naming the first column that differs, otherwise.
     """
-    column = _first_differing_column(_solution_columns(n, k), whitney_columns(n, k))
+    column = _first_differing_column(_solution_rows(n, k), whitney_rows(n, k))
     if column is not None:
         face = list(unknown_layout(n, k).faces[column])
         raise CertificateError(
@@ -322,8 +300,8 @@ def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:
     in the scale (:func:`~whitneyforms.operators.factorial_image`, as
     ``whitney``).
     Raises CertificateError, the schedule's own, when the schedule does not
-    build, and when a pivot is inexact, S/k! fails its certificate or
-    differs from W/k!, or the closed form disagrees.
+    build, and when a pivot is inexact, S/k! differs from W/k!, W/k! fails
+    its certificate, or the closed form disagrees.
     """
     if (cochain.n, cochain.k) != (n, k):
         raise DegreeMismatch("cochain does not match the requested degrees")

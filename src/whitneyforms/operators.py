@@ -8,9 +8,9 @@ a_{I,1}, ..., a_{I,n}. Every map the package needs between such vectors
 and cochains is linear, and each has small integer entries, so it is built
 once per (n, k):
 
-* W/k!, the Whitney map over k!, whose entries are all +-1: per canonical
-  k-face, in face order, the vector of its basis form divided by k!, as a
-  :data:`SignedColumn`, the sorted positions of its +1 and of its -1 entries;
+* W/k!, the Whitney map over k!, whose entries are all +-1: per unknown,
+  the sparse row of (face index, +-1) entries (:func:`whitney_rows`), so
+  that column F is the basis form of the canonical k-face F over k!;
 * D*(k+1)!, the de Rham map scaled to integers: one row per face;
 * C, the constancy block: k rows per face.
 
@@ -97,14 +97,14 @@ kappa(dx^G) = sum_j (-1)^j x^{g_j} dx^{G - g_j} and
 row b_T copies c([0] + T), row a_{G - g_j, g_j} is (-1)^j (delta c)([0] + G),
 and row a_{T,i} vanishes for i in T. :func:`whitney_plan` writes these rows
 down: C(n,k) copies plus C(n,k+1) sums of k+2 entries, each written to k+1
-positions, where the columns hold C(n,k) + C(n,k)(n-k)(k+2) entries: 210
-reads against 735 at (7, 3). :func:`whitney_columns` transposes the same
-rows, so the certificate C.X = 0, D~.X = (k+1) I that
-:mod:`whitneyforms.characterize` makes of the columns covers the very rows
-that ``whitney`` and the solve run: by the paper's theorem, a form with
-constant face pullbacks is determined by its face integrals, so certified
-columns are W/k!. No wedge product is taken; ``tests/helpers.py`` keeps the
-wedge construction as the oracle.
+positions, where the matrix holds C(n,k) + C(n,k)(n-k)(k+2) entries: 210
+reads against 735 at (7, 3). :func:`whitney_rows` lists the same rows,
+entry by entry, so the certificate C.X = 0, D~.X = (k+1) I that
+:mod:`whitneyforms.characterize` makes of them covers the very rows that
+``whitney`` and the solve run: by the paper's theorem, a form with constant
+face pullbacks is determined by its face integrals, so certified rows are
+W/k!. No wedge product is taken; ``tests/helpers.py`` keeps the wedge
+construction as the oracle.
 """
 
 from __future__ import annotations
@@ -118,19 +118,16 @@ from .simplicial import Cochain, _face_positions, permutation_sign
 
 __all__ = [
     "SparseRow",
-    "SignedColumn",
     "UnknownLayout",
     "unknown_layout",
     "face_minors",
     "pullback_rows",
     "integral_row",
-    "whitney_columns",
+    "whitney_rows",
     "derham_rows",
     "DerhamPlan",
     "derham_plan",
     "CertificateError",
-    "transpose",
-    "signed",
     "WhitneyPlan",
     "whitney_plan",
     "factorial_image",
@@ -138,10 +135,7 @@ __all__ = [
 ]
 
 SparseRow = tuple[tuple[int, int], ...]
-"""Nonzero entries of one row (or column) as (position, value), by position."""
-
-SignedColumn = tuple[tuple[int, ...], tuple[int, ...]]
-"""A column whose entries are all +-1, as (plus, minus): the sorted positions of each sign."""
+"""Nonzero entries of one sparse row as (position, value), by position."""
 
 DerhamPlan = tuple[Callable, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]
 """D~ by rows, as (kernel, blocks, faces) (:func:`derham_plan`).
@@ -222,29 +216,17 @@ def _face_pullbacks(n: int, k: int) -> tuple[tuple[SparseRow, ...], ...]:
 
 
 @cache
-def whitney_columns(n: int, k: int) -> tuple[SignedColumn, ...]:
-    """W/k!: column i is layout.faces[i]'s basis form over k!, read off :func:`whitney_plan`."""
-    layout = unknown_layout(n, k)
+def whitney_rows(n: int, k: int) -> tuple[SparseRow, ...]:
+    """W/k!: row p lists (face index, +-1) for unknown p, by face, as whitney_plan runs it."""
     _, copies, groups = whitney_plan(n, k)
-    rows: list[SparseRow] = [()] * layout.size
+    rows: list[SparseRow] = [()] * unknown_layout(n, k).size
     for face in range(copies):
         rows[face * (n + 1)] = ((face, 1),)
     for group in groups:
-        coboundary = tuple((f, (-1) ** r) for r, f in enumerate(group[: k + 2]))
+        coboundary = sorted((f, (-1) ** r) for r, f in enumerate(group[: k + 2]))
         for j, pos in enumerate(group[k + 2 :]):
             rows[pos] = tuple((f, (-1) ** j * sign) for f, sign in coboundary)
-    return tuple(map(signed, transpose(rows, len(layout.faces))))
-
-
-def signed(entries: Iterable[tuple[int, int]]) -> SignedColumn:
-    """The (plus, minus) positions of (position, value) entries; ValueError on a value not +-1."""
-    plus: list[int] = []
-    minus: list[int] = []
-    for pos, value in sorted(entries):
-        if value not in (1, -1):
-            raise ValueError(f"entry {value} at position {pos} is not +-1")
-        (plus if value == 1 else minus).append(pos)
-    return tuple(plus), tuple(minus)
+    return tuple(rows)
 
 
 @cache
@@ -327,15 +309,6 @@ def _derham_kernel(k: int) -> Callable:
         f"    beta = [{trace} for {', '.join(block)}, in blocks]\n"
         f"    return beta + [{terms[2:]} for {', '.join(face)}, in faces]\n"
     )
-
-
-def transpose(rows: Iterable[Iterable[tuple[int, int]]], size: int) -> tuple[SparseRow, ...]:
-    """The size columns of sparse rows, each listing (row index, value) by row."""
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(size)]
-    for r, row in enumerate(rows):
-        for pos, value in row:
-            columns[pos].append((r, value))
-    return tuple(map(tuple, columns))
 
 
 @cache

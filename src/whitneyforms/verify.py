@@ -5,14 +5,16 @@ count, the round trip from cochain to form and back, agreement of the
 linear-system solution with the direct construction, triviality of the
 kernel, and completeness of the elimination replay where it applies.
 Every map is linear, so on the unit cochains the round trip and the solve
-are columns of cached operators, checked once per cell in face order:
-D~.(W/k!) = (k+1) I, read off the one product of W/k! with [D~; C] that
-certifies the dimension, its constancy rows ignored, and S/k! = W/k!.
+are columns of cached operators, kept by rows and checked once per cell,
+each check naming its first failing column in face order:
+D~.(W/k!) = (k+1) I, read off the one product of [D~; C] with W/k! that
+certifies the dimension, its constancy rows ignored, and S/k! = W/k!,
+compared row by row.
 Each seeded random cochain then runs whitney and derham end to end. It
 runs the solve too only at k = 0 and k = n, where the solve also meets an
-independent closed form: for 0 < k < n, once S/k! equals W/k! column by
-column, a sample's solve runs the very rows its whitney did and cannot
-differ from it. So ``--samples 0`` checks the operators only. Every
+independent closed form: for 0 < k < n, once S/k! equals W/k!, a
+sample's solve runs the very rows its whitney did and cannot differ from
+it. So ``--samples 0`` checks the operators only. Every
 certificate fails by one CertificateError, which marks its check false.
 """
 
@@ -23,7 +25,7 @@ from random import Random
 from .characterize import (
     CertificateError,
     _first_differing_column,
-    _solution_columns,
+    _solution_rows,
     _whitney_certificate,
     kernel_is_trivial,
     lambda_e_dimension,
@@ -31,7 +33,7 @@ from .characterize import (
     solve_characterization,
 )
 from .derham import derham
-from .operators import whitney_columns
+from .operators import whitney_rows
 from .simplicial import Cochain, enumerate_faces, random_cochain
 from .whitney import whitney
 
@@ -75,7 +77,6 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     if error is not None:
         counterexample = {"check": "dimension", "error": error}
 
-    columns = whitney_columns(n, k)
     rng = Random(seed * 1_000_003 + n * 101 + k)
     cochains = [random_cochain(rng, n, k) for _ in range(samples)]
     forms = [whitney(c) for c in cochains]
@@ -100,11 +101,11 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
 
     # column F of S/k! is solve(e_F) over k!, as column F of W/k! is whitney(e_F)
     try:
-        solution = _solution_columns(n, k)
+        solution = _solution_rows(n, k)
     except CertificateError:
         column = 0
     else:
-        column = _first_differing_column(solution, columns)
+        column = _first_differing_column(solution, whitney_rows(n, k))
     if column is None and 0 < k < n:
         # S/k! = W/k!, so each sample's solve would read the rows whitney read
         bad = None

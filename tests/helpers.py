@@ -11,12 +11,13 @@ coordinate), and the extreme-degree closed forms from barycentric
 coordinates. ``vertex_point``, the barycentric functions and differentials,
 ``cochain_eval``, ``wedge``, ``det`` and ``evaluate`` are defined here: the
 package has no copy of them for its operators to lean on.
-W/k! and S/k! are also applied by walking their signed columns at the
-nonzero entries of a cochain (``column_image``), against the package's
-rows grouped up to sign, and D*(k+1)! by summing its columns at the
-nonzero entries of a form (``column_sum``), against the package's block
-traces; those columns are transposed here (``derham_columns``), since the
-package reads D*(k+1)! only by rows.
+W/k! and S/k! are also applied by summing their columns at the nonzero
+entries of a cochain (``column_image``), against the package's rows
+grouped up to sign, and D*(k+1)! by summing its columns at the nonzero
+entries of a form, against the package's block traces; both go through one
+column walk (``column_sum``). The package keeps every operator by rows
+only, so its columns are transposed here (``transpose``, and
+``derham_columns`` for D*(k+1)!).
 Rank, kernel and solution come from dense Gauss-Jordan elimination over
 plain lists of rationals, which the library itself never runs, and the
 solve also from a forward substitution of each cochain along the whole
@@ -617,30 +618,29 @@ class LinearSolver:
         return tuple(x)
 
 
-def column_image(columns, cochain: Cochain) -> AffineForm:
-    """k! X.c for X given by signed columns, one column per face, walked column by column.
+def transpose(rows, size: int) -> tuple[SparseRow, ...]:
+    """The size columns of sparse rows, each listing (row index, value) by row."""
+    columns: list[list[tuple[int, int]]] = [[] for _ in range(size)]
+    for r, row in enumerate(rows):
+        for pos, value in row:
+            columns[pos].append((r, value))
+    return tuple(map(tuple, columns))
 
-    Each nonzero value of vec is added at its column's plus positions and
-    subtracted at its minus ones; ``from_vector`` then takes the gcd.
+
+def column_image(columns, cochain: Cochain) -> AffineForm:
+    """k! X.c for X given by (position, value) columns, one per face, summed column by column.
+
+    Each nonzero value of vec reads its column (``column_sum``), and
+    ``from_vector`` then takes the gcd.
     """
     n, k = cochain.n, cochain.k
-    u = [0] * unknown_layout(n, k).size
-    for value, (plus, minus) in zip(cochain.vec, columns):
-        if value:
-            for pos in plus:
-                u[pos] += value
-            for pos in minus:
-                u[pos] -= value
+    u = column_sum(columns, cochain.vec, unknown_layout(n, k).size)
     return AffineForm.from_vector(n, k, [math.factorial(k) * v for v in u], cochain.q)
 
 
 def derham_columns(n: int, k: int) -> tuple[SparseRow, ...]:
     """D*(k+1)! by columns, transposed here: column p lists (face index, value) for unknown p."""
-    columns: list[list[tuple[int, int]]] = [[] for _ in range(unknown_layout(n, k).size)]
-    for face, row in enumerate(derham_rows(n, k)):
-        for pos, value in row:
-            columns[pos].append((face, value))
-    return tuple(map(tuple, columns))
+    return transpose(derham_rows(n, k), unknown_layout(n, k).size)
 
 
 def column_sum(columns, values, size: int) -> list[int]:

@@ -3,8 +3,9 @@
 Each fast path of the package is meant to be caught by an oracle of
 ``tests/helpers.py`` when it goes wrong: the closed-form row plan of W/k!,
 its compiled loop and copies, the block traces of D~ and their
-certificate, the stage-2 rows of the elimination schedule, the certificate
-of W/k!'s columns and the reduction of a form's scale. Each mutant below is one exact source line and its
+certificate, the stage-2 rows of the elimination schedule and its walk into
+S/k!, the certificate of W/k!'s rows, the row comparison of S/k! with
+W/k! and the reduction of a form's scale. Each mutant below is one exact source line and its
 replacement. The script copies ``src/`` and ``tests/`` to a temporary
 directory, checks that the focused test files pass there unchanged, and
 then, per mutant, replaces the line in a fresh copy and runs the focused
@@ -103,8 +104,20 @@ MUTANTS = [
     (
         "_certified: the expected column (k+1) e_i made k e_i",
         "characterize.py",
-        "        if nonzero != {i: k + 1}:",
-        "        if nonzero != {i: k}:",
+        "        image = {r: -(k + 1)} if r < len(integrals) else {}",
+        "        image = {r: -k} if r < len(integrals) else {}",
+    ),
+    (
+        "_solution_rows: the walk's substitution sign flipped",
+        "characterize.py",
+        "                total[i] = total.get(i, 0) - value * x",
+        "                total[i] = total.get(i, 0) + value * x",
+    ),
+    (
+        "_first_differing_column: the symmetric difference made a difference",
+        "characterize.py",
+        "    differing = (set(s) ^ set(w) for s, w in zip(solution, whitney) if s != w)",
+        "    differing = (set(s) - set(w) for s, w in zip(solution, whitney) if s != w)",
     ),
     (
         "ScaledVector._reduced: a multi-word scale left undivided",

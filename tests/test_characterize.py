@@ -24,6 +24,7 @@ from helpers import (
     rank,
     run_cli,
     schedule_solve,
+    transpose,
     unit_form,
     vertex_point,
 )
@@ -53,16 +54,16 @@ from whitneyforms.characterize import (
     _certified,
     _first_differing_column,
     _schedule,
-    _solution_columns,
     _solution_plan,
+    _solution_rows,
 )
 from whitneyforms.operators import (
     constancy_rows,
     derham_rows,
     pullback_rows,
     unknown_layout,
-    whitney_columns,
     whitney_plan,
+    whitney_rows,
 )
 from whitneyforms.simplicial import permutation_sign
 
@@ -362,19 +363,20 @@ def _corrupt_first_stage2_coefficient(monkeypatch, delta):
     clear_caches()
 
 
+DIFFERS_AT_4_2 = "S/k! at (n=4, k=2) differs from W/k! in the column of face [0, 1, 2]"
+
+
 def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
-    # S/k! is certified by C.X = 0, D~.X = (k+1) I when it is built. Here the
-    # corrupted entries stay in {-1, 0, 1}, so the signed columns hold them
-    # and the certificate itself refuses them: every solve of the cell raises
+    # the solve runs W/k!'s rows only once S/k! equals W/k!. Here the corrupted
+    # entries stay in {-1, 0, 1}, and S/k! no longer equals W/k!: every solve
+    # of the cell raises, naming the first column that differs
     _corrupt_first_stage2_coefficient(monkeypatch, -1)
     try:
         basis = [Cochain.basis(face) for face in enumerate_faces(4, 2)]
         assert any(schedule_solve(4, 2, c) != whitney(c) for c in basis)
+        assert {v for row in _solution_rows(4, 2) for _, v in row} == {1, -1}
         for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
-            with pytest.raises(
-                CertificateError,
-                match=r"the solution columns at \(n=4, k=2\) fail C\.\(S/k!\) = 0",
-            ):
+            with pytest.raises(CertificateError, match=re.escape(DIFFERS_AT_4_2)):
                 solve_characterization(4, 2, c)
         assert proof_trace(4, 2).to_json()["complete"] is True
     finally:
@@ -383,17 +385,14 @@ def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
 
 def test_a_solution_entry_off_plus_minus_one_fails_every_solve_of_its_cell(monkeypatch):
     # moved the other way, the same coefficient makes an entry of S/k! -2 with
-    # every division still exact; a signed column cannot hold it, so the build
-    # refuses it, every solve of the cell raises and verify marks the
-    # characterization false
+    # every division still exact; W/k! has none, so S/k! differs from it, every
+    # solve of the cell raises and verify marks the characterization false
     _corrupt_first_stage2_coefficient(monkeypatch, 1)
-    off = r"the solution columns at \(n=4, k=2\) fail: entry -2 at position \d+ is not \+-1"
     try:
-        with pytest.raises(CertificateError, match=off):
-            _solution_columns(4, 2)
+        assert -2 in {v for row in _solution_rows(4, 2) for _, v in row}
         basis = [Cochain.basis(face) for face in enumerate_faces(4, 2)]
         for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
-            with pytest.raises(CertificateError, match=off):
+            with pytest.raises(CertificateError, match=re.escape(DIFFERS_AT_4_2)):
                 solve_characterization(4, 2, c)
         assert proof_trace(4, 2).to_json()["complete"] is True
         cell = verify_cell(4, 2, samples=2)
@@ -401,7 +400,10 @@ def test_a_solution_entry_off_plus_minus_one_fails_every_solve_of_its_cell(monke
         clear_caches()
     assert (cell["characterization"], cell["pass"]) == (False, False)
     assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
-    assert cell["counterexample"]["check"] == "characterization"
+    assert cell["counterexample"] == {
+        "check": "characterization",
+        "cochain": {"n": 4, "k": 2, "terms": [{"face": [0, 1, 2], "coeff": "1"}]},
+    }
 
 
 def test_the_schedule_builds_no_pullback(monkeypatch):
@@ -506,12 +508,12 @@ def test_every_admitted_cell_is_certified():
     cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
     for n, k in cells:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
-        assert _certified(n, k, whitney_columns(n, k)) == (None, None)
-        # S/k! and W/k!, both as signed columns whose +1 and -1 positions never meet;
-        # equal columns, so the solve runs W/k!'s plan
-        assert _solution_columns(n, k) == whitney_columns(n, k)
+        assert _certified(n, k, whitney_rows(n, k)) == (None, None)
+        # S/k! and W/k!, both by rows whose every entry is +-1; equal rows, so the
+        # solve runs W/k!'s plan
+        assert _solution_rows(n, k) == whitney_rows(n, k)
         assert _solution_plan(n, k) is whitney_plan(n, k)
-        assert all(not set(plus) & set(minus) for plus, minus in whitney_columns(n, k))
+        assert all(v in (1, -1) for row in whitney_rows(n, k) for _, v in row)
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])
@@ -555,32 +557,65 @@ def test_broken_schedule_is_a_hard_failure(monkeypatch, row):
     assert nullspace(constancy + integrals, 12) == []
 
 
+def _column_wise(solution, whitney, faces):
+    """The first differing column, read by transposing both to columns and zipping them."""
+    pairs = zip(transpose(solution, faces), transpose(whitney, faces))
+    return next((i for i, (s, w) in enumerate(pairs) if s != w), None)
+
+
 def test_the_solve_and_verify_find_the_first_differing_column_alike():
     # one helper names the first column where S/k! and W/k! differ, for the solve's
     # refusal and for verify's characterization check
-    columns = whitney_columns(4, 2)
-    assert _first_differing_column(columns, columns) is None
-    broken = list(columns)
-    for i in (3, 7):
-        plus, minus = broken[i]
-        broken[i] = (minus, plus)
-    assert _first_differing_column(tuple(broken), columns) == 3
-    assert _first_differing_column(columns, tuple(broken)) == 3
+    rows = whitney_rows(4, 2)
+    assert _first_differing_column(rows, rows) is None
+    # column 3 negated, and face 7 in a row without face 3: both columns differ, 3 first
+    broken = [tuple((i, -v if i == 3 else v) for i, v in row) for row in rows]
+    p = next(p for p, row in enumerate(rows) if 7 in dict(row) and 3 not in dict(row))
+    broken[p] = tuple((i, -v if i == 7 else v) for i, v in rows[p])
+    for a, b in ((broken, rows), (rows, broken)):
+        assert _first_differing_column(a, b) == 3 == _column_wise(a, b, 10)
     assert sys.modules["whitneyforms.verify"]._first_differing_column is _first_differing_column
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_the_first_differing_column_by_rows_is_the_column_wise_one(n):
+    # S/k! rows with one entry flipped, dropped or added, against the answer read
+    # off the transposed columns; also with two such changes at once
+    rng = Random(n)
+    for k in range(n + 1):
+        rows, faces = _solution_rows(n, k), Cochain.size(n, k)
+        assert _first_differing_column(rows, whitney_rows(n, k)) is None
+        cases = []
+        for p, row in enumerate(rows):
+            for e, (i, v) in enumerate(row):
+                flipped, dropped = list(row), list(row)
+                flipped[e] = (i, -v)
+                del dropped[e]
+                cases += [{p: tuple(flipped)}, {p: tuple(dropped)}]
+            missing = sorted(set(range(faces)) - {i for i, _ in row})
+            for i in missing[:: max(1, len(missing) // 3)]:
+                cases.append({p: tuple(sorted([*row, (i, rng.choice((1, -1)))]))})
+        cases += [first | second for first, second in zip(cases, cases[::-1])]
+        for case in cases:
+            broken = [case.get(p, row) for p, row in enumerate(rows)]
+            expected = _column_wise(broken, rows, faces)
+            assert expected is not None
+            assert _first_differing_column(broken, whitney_rows(n, k)) == expected
+            assert _first_differing_column(whitney_rows(n, k), broken) == expected
+
+
 def test_a_solution_off_a_broken_whitney_is_refused(monkeypatch):
-    # the solve runs W/k!'s rows only once S/k! equals W/k! column by column:
-    # with W/k! broken where characterize reads it, S/k! still passes its own
-    # product, and every solve refuses, naming the first column that differs
-    columns = list(characterize.whitney_columns(3, 1))
-    plus, minus = columns[0]
-    columns[0] = (plus[1:], minus)
-    monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
+    # the solve runs W/k!'s rows only once S/k! equals W/k!: with the first +1 of
+    # W/k!'s column 0 dropped where characterize reads it, S/k! builds, and every
+    # solve refuses, naming the first column that differs
+    rows = list(characterize.whitney_rows(3, 1))
+    p = next(p for p, row in enumerate(rows) if (0, 1) in row)
+    rows[p] = tuple(entry for entry in rows[p] if entry != (0, 1))
+    monkeypatch.setattr(characterize, "whitney_rows", lambda n, k: tuple(rows))
     clear_caches()
     message = "S/k! at (n=3, k=1) differs from W/k! in the column of face [0, 1]"
     try:
-        assert _solution_columns(3, 1) != tuple(columns)
+        assert _solution_rows(3, 1) != tuple(rows)
         with pytest.raises(CertificateError, match=re.escape(message)):
             _solution_plan(3, 1)
         for c in [Cochain.zero(3, 1), random_cochain(Random(5), 3, 1)]:
@@ -595,7 +630,7 @@ def test_a_solution_off_a_broken_whitney_is_refused(monkeypatch):
 
 
 def test_a_broken_whitney_plan_fails_the_dimension(monkeypatch):
-    # the columns are read off whitney_plan, so the certificate C.X = 0,
+    # the rows are read off whitney_plan, so the certificate C.X = 0,
     # D~.X = (k+1) I covers the rows that whitney and the solve run. A group of
     # (3, 1) is (f0, f1, f2, p0, p1), p0 written with +t and p1 with -t: swapped,
     # each of its positions is written with the wrong sign
@@ -610,8 +645,7 @@ def test_a_broken_whitney_plan_fails_the_dimension(monkeypatch):
     )
     clear_caches()
     try:
-        columns = operators.whitney_columns(3, 1)
-        assert _certified(3, 1, columns)[1] is not None
+        assert _certified(3, 1, operators.whitney_rows(3, 1))[1] is not None
         with pytest.raises(CertificateError, match="Whitney columns"):
             lambda_e_dimension(3, 1)
         cell = verify_cell(3, 1, samples=2)
@@ -625,7 +659,8 @@ def test_a_broken_whitney_plan_fails_the_dimension(monkeypatch):
 
 
 def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
-    # e(a_(2),3) + e(a_(3),2) lies in ker D~ but not in ker C: added to column 0 it
+    # e(a_(2),3) + e(a_(3),2) lies in ker D~ but not in ker C: added to column 0,
+    # that is +1 on face 0 in the rows of those two unknowns, it
     # breaks C.(W/k!) = 0 and keeps D~.(W/k!) = (k+1) I, so the one product that
     # both checks read marks the dimension false and the round trip, which
     # ignores the constancy rows, true
@@ -635,11 +670,11 @@ def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
     assert column_sum(derham_columns(3, 1), z, 6) == [0] * 6
     constancy = [row for rows in constancy_rows(3, 1) for row in rows]
     assert any(sum(v * z[p] for p, v in row) for row in constancy)
-    columns = list(characterize.whitney_columns(3, 1))
-    plus, minus = columns[0]
-    assert not set(extra) & set(plus + minus)
-    columns[0] = (tuple(sorted(plus + extra)), minus)
-    monkeypatch.setattr(characterize, "whitney_columns", lambda n, k: tuple(columns))
+    rows = list(characterize.whitney_rows(3, 1))
+    assert all(0 not in dict(rows[p]) for p in extra)
+    for p in extra:
+        rows[p] = ((0, 1), *rows[p])
+    monkeypatch.setattr(characterize, "whitney_rows", lambda n, k: tuple(rows))
     clear_caches()
     try:
         with pytest.raises(CertificateError, match="Whitney columns"):

@@ -29,6 +29,7 @@ from helpers import (
     pullback_system_rows,
     random_affine_form,
     schedule_solve,
+    transpose,
     unit_form,
     wedge_basis_form,
 )
@@ -52,7 +53,7 @@ from whitneyforms import (
     whitney_basis_form,
 )
 from whitneyforms import operators
-from whitneyforms.characterize import CertificateError, _solution_columns, _solution_plan
+from whitneyforms.characterize import CertificateError, _solution_plan, _solution_rows
 from whitneyforms.simplicial import permutation_sign
 from whitneyforms.operators import (
     _face_pullbacks,
@@ -63,10 +64,9 @@ from whitneyforms.operators import (
     derham_rows,
     factorial_image,
     pullback_rows,
-    transpose,
     unknown_layout,
-    whitney_columns,
     whitney_plan,
+    whitney_rows,
 )
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
@@ -80,10 +80,9 @@ def _dense(row, size):
     return out
 
 
-def _pairs(column):
-    """A signed column (plus, minus) as its (position, +-1) entries, by position."""
-    plus, minus = column
-    return tuple(sorted([(pos, 1) for pos in plus] + [(pos, -1) for pos in minus]))
+def _whitney_columns(n, k):
+    """W/k! by columns, transposed here: column i lists (position, +-1) for face i."""
+    return transpose(whitney_rows(n, k), Cochain.size(n, k))
 
 
 @pytest.mark.parametrize("n,k", CELLS)
@@ -94,13 +93,15 @@ def test_operator_entries_are_small_integers(n, k):
     for rows in constancy_rows(n, k):
         assert len(rows) == k
         assert all({v for _, v in row} <= {1, -1} for row in rows)
-    for plus, minus in whitney_columns(n, k):
-        assert all(type(p) is int for p in plus + minus)
-        assert not set(plus) & set(minus)
-        for positions in (plus, minus):
-            assert list(positions) == sorted(set(positions))
+    # every entry of W/k! is +-1, each row listing faces in order
+    rows = whitney_rows(n, k)
+    assert len(rows) == size
+    assert all(type(v) is int and v in (1, -1) for row in rows for _, v in row)
+    for row in rows:
+        faces = [i for i, _ in row]
+        assert faces == sorted(set(faces)) and all(0 <= i < Cochain.size(n, k) for i in faces)
     constancy = [row for rows in constancy_rows(n, k) for row in rows]
-    for row in [*derham_rows(n, k), *constancy, *map(_pairs, whitney_columns(n, k))]:
+    for row in [*derham_rows(n, k), *constancy, *_whitney_columns(n, k)]:
         positions = [p for p, _ in row]
         assert positions == sorted(set(positions)) and all(0 <= p < size for p in positions)
 
@@ -248,12 +249,12 @@ def test_kernel_source_is_built_from_shape_integers_only():
 
 def test_factorial_image_matches_the_column_walk_on_a_sparse_cochain():
     # the rows read every face, zero or not, and give what the nonzero columns sum to
-    columns = whitney_columns(4, 2)
+    columns = _whitney_columns(4, 2)
     vec = [0] * len(columns)
     vec[3], vec[7] = 5, -2
     c = Cochain.from_vector(4, 2, vec, 1)
     size = unknown_layout(4, 2).size
-    a, b = _dense(_pairs(columns[3]), size), _dense(_pairs(columns[7]), size)
+    a, b = _dense(columns[3], size), _dense(columns[7], size)
     # q = 1, so a = 1 and m = k! = 2 multiplies each value
     expected = AffineForm.from_vector(4, 2, [2 * (5 * x - 2 * y) for x, y in zip(a, b)], 1)
     assert factorial_image(whitney_plan(4, 2), c) == column_image(columns, c) == expected
@@ -312,18 +313,18 @@ def test_factorial_image_matches_the_column_walk(n, k):
                 },
             )
         )
-    for plan, columns in (
-        (whitney_plan(n, k), whitney_columns(n, k)),
-        (_solution_plan(n, k), _solution_columns(n, k)),
+    for plan, rows in (
+        (whitney_plan(n, k), whitney_rows(n, k)),
+        (_solution_plan(n, k), _solution_rows(n, k)),
     ):
+        columns = transpose(rows, len(faces))
         for c in cochains:
             assert factorial_image(plan, c) == column_image(columns, c)
 
 
 def _parent_pair(c):
     """k! (W/k!).vec / q in lowest terms, reduced one entry at a time."""
-    columns = [_pairs(column) for column in whitney_columns(c.n, c.k)]
-    u = column_sum(columns, c.vec, unknown_layout(c.n, c.k).size)
+    u = column_sum(_whitney_columns(c.n, c.k), c.vec, unknown_layout(c.n, c.k).size)
     return canonical_pair([math.factorial(c.k) * v for v in u], c.q)
 
 
@@ -460,16 +461,15 @@ def test_whitney_is_the_sum_of_basis_forms(n, k):
 def test_whitney_columns_match_the_wedge_construction(n):
     for k in range(n + 1):
         layout = unknown_layout(n, k)
-        columns = whitney_columns(n, k)
+        # the rows of W/k!, transposed here: column i is face i's basis form over k!
+        columns = _whitney_columns(n, k)
         assert len(columns) == len(layout.faces)
-        for face, (plus, minus) in zip(layout.faces, columns):
-            # W/k!: the basis form over k!, at the +k! and the -k! positions
+        for face, column in zip(layout.faces, columns):
             form = wedge_basis_form(n, face)
             assert form.q == 1
             f = math.factorial(k)
-            assert plus == tuple(pos for pos, v in enumerate(form.vec) if v == f)
-            assert minus == tuple(pos for pos, v in enumerate(form.vec) if v == -f)
-            assert len(plus) + len(minus) == sum(map(bool, form.vec))
+            assert all(abs(v) in (0, f) for v in form.vec)
+            assert column == tuple((pos, v // f) for pos, v in enumerate(form.vec) if v)
         # an oriented face: a reversed or permuted vertex order flips the sign
         face = Face(n, tuple(reversed(layout.faces[-1])))
         assert whitney_basis_form(face) == wedge_basis_form(n, face.vertices)
@@ -524,13 +524,10 @@ def test_constant_term_rows_are_a_left_inverse(n):
                 difference = [a - b for a, b in zip(difference, _dense(row, size))]
             assert difference == [(k + 1) * v for v in _dense(constant, size)]
         identity = [[int(i == j) for j in range(len(inverse))] for i in range(len(inverse))]
-        for columns in (whitney_columns(n, k), _solution_columns(n, k)):
+        for rows in (whitney_rows(n, k), _solution_rows(n, k)):
             product = [
-                [
-                    sum(row.get(pos, 0) for pos in plus) - sum(row.get(pos, 0) for pos in minus)
-                    for plus, minus in columns
-                ]
-                for row in map(dict, inverse)
+                [sum(v * dict(rows[pos]).get(j, 0) for pos, v in row) for j in range(len(inverse))]
+                for row in inverse
             ]
             assert product == identity
 

@@ -51,7 +51,7 @@ from whitneyforms import (
 from whitneyforms import linalg, simplicial
 from whitneyforms.characterize import lambda_e_dimension
 from whitneyforms.forms import UnknownLayout, unknown_layout
-from whitneyforms.operators import derham_rows, whitney_columns
+from whitneyforms.operators import derham_rows, whitney_rows
 from whitneyforms.render import form_from_json
 from whitneyforms.simplicial import ScaledVector
 
@@ -689,7 +689,7 @@ CELL_ENTRY_POINTS = {
     "Cochain.zero": lambda n, k: Cochain.zero(n, k),
     "enumerate_faces": enumerate_faces,
     "random_cochain": lambda n, k: random_cochain(Random(0), n, k),
-    "whitney_columns": lambda n, k: whitney_columns(n, k),
+    "whitney_rows": lambda n, k: whitney_rows(n, k),
     "derham_rows": lambda n, k: derham_rows(n, k),
     "lambda_e_dimension": lambda n, k: lambda_e_dimension(n, k),
     "cochain_from_json": lambda n, k: cochain_from_json({"n": n, "k": k, "terms": []}),

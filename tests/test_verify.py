@@ -7,7 +7,7 @@ from random import Random
 import pytest
 
 import whitneyforms.verify as verify_module
-from helpers import column_image
+from helpers import column_image, transpose
 from whitneyforms import (
     Cochain,
     Face,
@@ -20,10 +20,10 @@ from whitneyforms import (
 from whitneyforms.characterize import (
     CertificateError,
     _certified,
-    _solution_columns,
+    _solution_rows,
     _whitney_certificate,
 )
-from whitneyforms.operators import factorial_image, whitney_columns
+from whitneyforms.operators import factorial_image, whitney_rows
 from whitneyforms.verify import run_verification, verify_cell
 
 
@@ -86,17 +86,20 @@ def test_failure_serializes_first_counterexample(monkeypatch):
 def _drop_first_plus(monkeypatch, n, k, column):
     """Drop the first +1 of one column of W/k! at (n, k), as whitney and verify read it.
 
-    verify reads the columns and the round trip's product with [D~; C], and
-    whitney applies the broken columns through the column walk of the oracle.
-    The dimension count reads characterize's own product, which stays intact.
+    That is the entry (column, +1) of the first row that holds it. verify reads
+    the rows and the round trip's product of [D~; C] with them, and whitney
+    applies the broken rows, transposed, through the column walk of the
+    oracle. The dimension count reads characterize's own product, which stays
+    intact.
     """
-    columns = list(whitney_columns(n, k))
-    plus, minus = columns[column]
-    columns[column] = (plus[1:], minus)
-    certificate = _certified(n, k, columns)
+    rows = list(whitney_rows(n, k))
+    p = next(p for p, row in enumerate(rows) if (column, 1) in row)
+    rows[p] = tuple(entry for entry in rows[p] if entry != (column, 1))
+    certificate = _certified(n, k, rows)
+    columns = transpose(rows, Cochain.size(n, k))
 
     def broken(m, j):
-        return tuple(columns) if (m, j) == (n, k) else whitney_columns(m, j)
+        return tuple(rows) if (m, j) == (n, k) else whitney_rows(m, j)
 
     def broken_image(plan, c):
         return column_image(columns, c) if (c.n, c.k) == (n, k) else factorial_image(plan, c)
@@ -104,7 +107,7 @@ def _drop_first_plus(monkeypatch, n, k, column):
     def broken_certificate(m, j):
         return certificate if (m, j) == (n, k) else _whitney_certificate(m, j)
 
-    monkeypatch.setattr(verify_module, "whitney_columns", broken)
+    monkeypatch.setattr(verify_module, "whitney_rows", broken)
     monkeypatch.setattr(verify_module, "_whitney_certificate", broken_certificate)
     monkeypatch.setattr(sys.modules["whitneyforms.whitney"], "factorial_image", broken_image)
 
@@ -135,10 +138,10 @@ def test_a_broken_whitney_column_names_its_face(monkeypatch, n, k, column, face,
 
 
 def test_a_solution_column_off_whitney_names_its_face(monkeypatch):
-    # S/k! as verify reads it differs from W/k! in column 3 only, face [1, 2]
-    columns = list(_solution_columns(3, 1))
-    columns[3] = columns[3][::-1]
-    monkeypatch.setattr(verify_module, "_solution_columns", lambda n, k: tuple(columns))
+    # S/k! as verify reads it differs from W/k! in column 3 only, face [1, 2]:
+    # every entry of that column negated
+    rows = [tuple((i, -v if i == 3 else v) for i, v in row) for row in _solution_rows(3, 1)]
+    monkeypatch.setattr(verify_module, "_solution_rows", lambda n, k: tuple(rows))
     cell = verify_cell(3, 1, samples=2)
     assert (cell["characterization"], cell["pass"]) == (False, False)
     assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
@@ -149,7 +152,7 @@ def test_a_failed_solution_build_names_face_zero(monkeypatch):
     def refuse(n, k):
         raise CertificateError(f"inexact pivot at (n={n}, k={k})")
 
-    monkeypatch.setattr(verify_module, "_solution_columns", refuse)
+    monkeypatch.setattr(verify_module, "_solution_rows", refuse)
     cell = verify_cell(3, 1, samples=0)
     assert (cell["characterization"], cell["pass"]) == (False, False)
     assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
@@ -184,7 +187,7 @@ def test_one_whitney_form_per_cochain(monkeypatch, n, k, samples):
 
 
 def test_the_sample_solve_runs_only_at_the_extreme_degrees(monkeypatch):
-    # for 0 < k < n, once S/k! equals W/k! column by column, a sample's solve reads
+    # for 0 < k < n, once S/k! equals W/k!, a sample's solve reads
     # the rows its whitney did; at k = 0 and k = n it meets the closed form
     calls = Counter()
 
