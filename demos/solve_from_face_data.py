@@ -24,10 +24,10 @@ c = random_cochain(Random(11), n, k)
 print(f"Prescribed edge integrals: {render_cochain(c)}")
 
 trace = proof_trace(n, k)
-stage1 = sum(len(step.killed) for step in trace.stage1)
+stage1 = sum(len(step["killed"]) for step in trace["stage1"])
 print(
     f"Unknowns: {UnknownLayout(n, k).size}, determined by {stage1} stage-1 and "
-    f"{len(trace.stage2)} stage-2 elimination steps"
+    f"{len(trace['stage2'])} stage-2 elimination steps"
 )
 
 solved = solve_characterization(n, k, c)

@@ -18,9 +18,6 @@ or cochain never compiles it.
 
 from .characterize import (
     CertificateError,
-    ProofTrace,
-    Stage1Kill,
-    Stage2Kill,
     kernel_is_trivial,
     lambda_e_dimension,
     proof_trace,
@@ -52,9 +49,6 @@ __all__ = [
     "Cochain",
     "DegreeMismatch",
     "Face",
-    "ProofTrace",
-    "Stage1Kill",
-    "Stage2Kill",
     "UnknownLayout",
     "canonicalize",
     "cochain_from_json",

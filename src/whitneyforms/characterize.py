@@ -6,8 +6,8 @@ equals a prescribed value -- determine a unique form. Over the flat vector
 of coefficient unknowns they are the sparse integer rows C (constancy) and
 D (integrals) of :mod:`whitneyforms.operators`, whose layout also labels
 the unknowns ("b_(1,2)", "a_(1,2),3"). This module solves the square system
-[C; D], certifies uniqueness by a trivial kernel, and replays the two-stage
-elimination that proves uniqueness row by row.
+[C; D], certifies uniqueness by a trivial kernel, and replays, as a JSON
+record, the two-stage elimination that proves uniqueness row by row.
 
 The replay and the solve are one schedule, built once per (n, k) from C
 and D~ = D*(k+1)! alone: a triangular order of rows in their row space, in
@@ -51,9 +51,10 @@ multiply no entry (:func:`~whitneyforms.operators.factorial_image`, which
 takes no gcd). S/k!, built from C and D alone, agreeing with W/k! is an
 independent check, which ``verify`` makes row by row.
 :func:`proof_trace` only formats the same schedule, a step on a face
-through vertex 0 in stage 1 and any other in stage 2. It is complete
-whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2 C(n,k)(n-k),
-one per unknown in all.
+through vertex 0 in stage 1 and any other in stage 2, as the JSON record
+that ``trace`` prints, labels and all, built only when asked for. It is
+complete whenever it builds: stage 1 has C(n,k)(k+1) rows and stage 2
+C(n,k)(n-k), one per unknown in all.
 
 The schedule is also the certificate of the counts. :func:`kernel_is_trivial`
 reads it, and :func:`lambda_e_dimension` adds the exact sparse check
@@ -84,16 +85,13 @@ from .operators import (
     whitney_plan,
     whitney_rows,
 )
-from .simplicial import BadDegree, Cochain, DegreeMismatch, Frozen, _face_positions
+from .simplicial import BadDegree, Cochain, DegreeMismatch, _face_positions
 
 __all__ = [
     "CertificateError",
     "lambda_e_dimension",
     "solve_characterization",
     "kernel_is_trivial",
-    "Stage1Kill",
-    "Stage2Kill",
-    "ProofTrace",
     "proof_trace",
 ]
 
@@ -324,46 +322,8 @@ def kernel_is_trivial(n: int, k: int) -> bool:
     return True
 
 
-class Stage1Kill(Frozen):
-    """One face through the origin and the unknowns its rows determined."""
-
-    _fields = ("face", "killed")
-
-    def __init__(self, face: tuple[int, ...], killed: tuple[str, ...]) -> None:
-        self.__dict__.update(face=face, killed=killed)
-
-
-class Stage2Kill(Frozen):
-    """One inclined face (base vertex m, span L) and the unknown it determined."""
-
-    _fields = ("multi_index", "m", "killed")
-
-    def __init__(self, multi_index: tuple[int, ...], m: int, killed: str) -> None:
-        self.__dict__.update(multi_index=multi_index, m=m, killed=killed)
-
-
-class ProofTrace(Frozen):
-    """Record of the elimination: every unknown falls to exactly one step.
-
-    Only a complete schedule makes a trace, so ``to_json`` always reports
-    ``"complete": true``; a failing schedule raises CertificateError.
-    """
-
-    _fields = ("n", "k", "stage1", "stage2")
-
-    def __init__(
-        self, n: int, k: int, stage1: tuple[Stage1Kill, ...], stage2: tuple[Stage2Kill, ...]
-    ) -> None:
-        self.__dict__.update(n=n, k=k, stage1=stage1, stage2=stage2)
-
-    def to_json(self) -> dict:
-        stage1 = [{"face": list(s.face), "killed": list(s.killed)} for s in self.stage1]
-        stage2 = [{"L": list(s.multi_index), "m": s.m, "killed": s.killed} for s in self.stage2]
-        return {"n": self.n, "k": self.k, "stage1": stage1, "stage2": stage2, "complete": True}
-
-
-def proof_trace(n: int, k: int) -> ProofTrace:
-    """Replay the elimination that forces uniqueness, one unknown per row.
+def proof_trace(n: int, k: int) -> dict:
+    """Replay the elimination that forces uniqueness, one unknown per row, as JSON.
 
     Stage 1 walks the faces through vertex 0: on each, the pulled-back
     coefficient involves only its own block, so each constancy row names a
@@ -371,22 +331,26 @@ def proof_trace(n: int, k: int) -> ProofTrace:
     walks the pairs (L, m), whose row on the face sorted((m,) + L) is
     sigma (k+1) times the value at vertex m of the coefficient pulled back
     to [m, *L]: restricted to the unknowns still alive, it is a_{L,m} alone.
-    This only formats the schedule that S is built from, so the replay and
-    the solve cannot drift apart: both raise its CertificateError.
+    The record is {"n", "k", "stage1": [{"face", "killed"}], "stage2":
+    [{"L", "m", "killed"}], "complete": true}; only a complete schedule makes
+    one. This only formats the schedule that S is built from, so the replay
+    and the solve cannot drift apart: both raise its CertificateError.
     """
     if not 1 <= k <= n - 1:
         raise BadDegree(f"the elimination replay needs 1 <= k <= n-1, got n={n}, k={k}")
     layout = unknown_layout(n, k)
+    labels = layout.labels
     stage1: dict[int, list[int]] = {}
-    stage2: list[Stage2Kill] = []
+    stage2 = []
     for step in _schedule(n, k):
         if layout.faces[step.face][0] == 0:
             stage1.setdefault(step.face, []).append(step.target)
         else:
             block, m = divmod(step.target, n + 1)
-            stage2.append(Stage2Kill(layout.multi_indices[block], m, layout.labels[step.target]))
-    kills = tuple(
-        Stage1Kill(layout.faces[i], tuple(layout.labels[p] for p in sorted(targets)))
+            span = list(layout.multi_indices[block])
+            stage2.append({"L": span, "m": m, "killed": labels[step.target]})
+    kills = [
+        {"face": list(layout.faces[i]), "killed": [labels[p] for p in sorted(targets)]}
         for i, targets in stage1.items()
-    )
-    return ProofTrace(n, k, kills, tuple(stage2))
+    ]
+    return {"n": n, "k": k, "stage1": kills, "stage2": stage2, "complete": True}

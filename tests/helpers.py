@@ -56,7 +56,7 @@ from whitneyforms import characterize, linalg
 from whitneyforms.cli import main as cli_main
 from whitneyforms.linalg import exact_int, exact_rational
 from whitneyforms.operators import SparseRow, constancy_rows, derham_rows, unknown_layout
-from whitneyforms.simplicial import check_cell
+from whitneyforms.simplicial import MAX_UNKNOWNS, check_cell
 
 
 # The textbook route: coordinates, barycentric functions, wedge products,
@@ -210,6 +210,22 @@ def bubble_sort_parity(seq) -> int:
 def count_subsets(n: int, k: int) -> int:
     """Number of k-subsets of an n-set, by enumeration."""
     return sum(1 for _ in itertools.combinations(range(n), k))
+
+
+def _middle_cells_at_the_cap() -> tuple[tuple[int, int], tuple[int, int]]:
+    """The largest middle cell MAX_UNKNOWNS admits, and the first it refuses.
+
+    The refused cell is (n, n // 2) for the smallest n whose middle cell, the
+    largest of its degree row, has more than MAX_UNKNOWNS unknowns; the
+    admitted one is the middle cell of n - 1, so every cell up to it fits.
+    """
+    n = 1
+    while (n + 1) * math.comb(n, n // 2) <= MAX_UNKNOWNS:
+        n += 1
+    return (n - 1, (n - 1) // 2), (n, n // 2)
+
+
+LARGEST_ADMITTED, FIRST_REFUSED = _middle_cells_at_the_cap()
 
 
 def clear_caches() -> None:

@@ -1,17 +1,19 @@
 """Mutation check for the fast paths: every named one-line mutant must be caught.
 
 Each fast path of the package is meant to be caught by an oracle of
-``tests/helpers.py`` when it goes wrong: the closed-form row plan of W/k!,
-its compiled loop and copies, the block traces of D~ and their
-certificate, the stage-2 rows of the elimination schedule and its walk into
-S/k!, the certificate of W/k!'s rows, the row comparison of S/k! with
-W/k! and the reduction of a form's scale. Each mutant below is one exact source line and its
-replacement. The script copies ``src/`` and ``tests/`` to a temporary
-directory, checks that the focused test files pass there unchanged, and
-then, per mutant, replaces the line in a fresh copy and runs the focused
-files with ``-x``. A mutant that the tests do not fail survives; a mutant
-whose line is no longer in its file, exactly once, is stale. Either fails
-the check, so a refactor that moves a line must carry its mutant along.
+``tests/helpers.py`` when it goes wrong: the closed-form row plan of
+W/k!, its compiled loop and copies, the block traces of D~ and their
+certificate, the stage-2 rows of the elimination schedule and its walk
+into S/k!, the certificate of W/k!'s rows, the row comparison of S/k!
+with W/k!, the replay's record and verify's reading of the schedule for
+it, and the reduction of a form's scale. Each mutant below is one exact
+source line and its replacement. The script copies ``src/`` and
+``tests/`` to a temporary directory, checks that the focused test files
+pass there unchanged, and then, per mutant, replaces the line in a fresh
+copy and runs the focused files with ``-x``. A mutant that the tests do
+not fail survives; a mutant whose line is no longer in its file, exactly
+once, is stale. Either fails the check, so a refactor that moves a line
+must carry its mutant along.
 
 Run it from the repository root with the standard library and pytest::
 
@@ -118,6 +120,18 @@ MUTANTS = [
         "characterize.py",
         "    differing = (set(s) ^ set(w) for s, w in zip(solution, whitney) if s != w)",
         "    differing = (set(s) - set(w) for s, w in zip(solution, whitney) if s != w)",
+    ),
+    (
+        "proof_trace: a stage-2 step's m written as its block",
+        "characterize.py",
+        '            stage2.append({"L": span, "m": m, "killed": labels[step.target]})',
+        '            stage2.append({"L": span, "m": block, "killed": labels[step.target]})',
+    ),
+    (
+        "verify_cell: the replay entry made true whatever the schedule",
+        "verify.py",
+        '    cell["proof_trace"] = cell["kernel"] if 1 <= k <= n - 1 else None',
+        '    cell["proof_trace"] = True if 1 <= k <= n - 1 else None',
     ),
     (
         "ScaledVector._reduced: a multi-word scale left undivided",

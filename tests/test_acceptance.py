@@ -146,9 +146,9 @@ def test_criterion_7_elimination_replay(capsys):
     for n in range(2, N_MAX + 1):
         for k in range(1, n):
             trace = proof_trace(n, k)
-            killed = [label for step in trace.stage1 for label in step.killed]
-            killed += [step.killed for step in trace.stage2]
-            ok = ok and trace.to_json()["complete"] is True
+            killed = [label for step in trace["stage1"] for label in step["killed"]]
+            killed += [step["killed"] for step in trace["stage2"]]
+            ok = ok and trace["complete"] is True
             ok = ok and sorted(killed) == sorted(UnknownLayout(n, k).labels)
     _report(capsys, 7, "elimination replay", ok)
     assert ok

@@ -236,8 +236,7 @@ def test_kernel_is_trivial_everywhere_small():
 
 
 def test_trace_two_one_exact_content():
-    trace = proof_trace(2, 1)
-    assert trace.to_json() == {
+    assert proof_trace(2, 1) == {
         "n": 2,
         "k": 1,
         "stage1": [
@@ -250,6 +249,16 @@ def test_trace_two_one_exact_content():
         ],
         "complete": True,
     }
+
+
+def test_trace_is_a_fresh_json_record():
+    # built on each call from the cached schedule: changing one record changes no later one
+    trace = proof_trace(3, 1)
+    assert json.loads(json.dumps(trace)) == trace
+    before = json.dumps(trace)
+    trace["stage1"][0]["killed"].clear()
+    trace["stage2"].clear()
+    assert json.dumps(proof_trace(3, 1)) == before
 
 
 def test_trace_rejects_extreme_degrees():
@@ -265,26 +274,27 @@ def test_trace_counts_and_partition():
     for n in range(2, 6):
         for k in range(1, n):
             trace = proof_trace(n, k)
-            assert trace.to_json()["complete"] is True
-            assert len(trace.stage1) == math.comb(n, k)
-            assert all(len(s.killed) == k + 1 for s in trace.stage1)
-            assert len(trace.stage2) == math.comb(n, k) * (n - k)
-            killed = [label for s in trace.stage1 for label in s.killed]
-            killed += [s.killed for s in trace.stage2]
+            assert list(trace) == ["n", "k", "stage1", "stage2", "complete"]
+            assert (trace["n"], trace["k"], trace["complete"]) == (n, k, True)
+            assert len(trace["stage1"]) == math.comb(n, k)
+            assert all(len(s["killed"]) == k + 1 for s in trace["stage1"])
+            assert len(trace["stage2"]) == math.comb(n, k) * (n - k)
+            killed = [label for s in trace["stage1"] for label in s["killed"]]
+            killed += [s["killed"] for s in trace["stage2"]]
             layout = UnknownLayout(n, k)
             assert sorted(killed) == sorted(layout.labels)
 
 
 def test_trace_stage1_uses_faces_through_origin():
     trace = proof_trace(3, 2)
-    assert [s.face for s in trace.stage1] == [
-        (0, 1, 2),
-        (0, 1, 3),
-        (0, 2, 3),
+    assert [s["face"] for s in trace["stage1"]] == [
+        [0, 1, 2],
+        [0, 1, 3],
+        [0, 2, 3],
     ]
-    for step in trace.stage2:
-        assert step.m not in step.multi_index
-        assert step.killed == f"a_({','.join(map(str, step.multi_index))}),{step.m}"
+    for step in trace["stage2"]:
+        assert step["m"] not in step["L"]
+        assert step["killed"] == f"a_({','.join(map(str, step['L']))}),{step['m']}"
 
 
 def _oracle_cochains(n, k):
@@ -341,7 +351,7 @@ def test_an_inexact_pivot_fails_every_solve_of_its_cell(monkeypatch):
         for c in (Cochain.zero(2, 1), Cochain.basis(Face(2, (1, 2)))):
             with pytest.raises(CertificateError, match=r"inexact pivot at \(n=2, k=1\)"):
                 solve_characterization(2, 1, c)
-        assert proof_trace(2, 1).to_json()["complete"] is True
+        assert proof_trace(2, 1)["complete"] is True
     finally:
         clear_caches()
 
@@ -378,7 +388,7 @@ def test_a_corrupted_solution_entry_fails_every_solve_of_its_cell(monkeypatch):
         for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
             with pytest.raises(CertificateError, match=re.escape(DIFFERS_AT_4_2)):
                 solve_characterization(4, 2, c)
-        assert proof_trace(4, 2).to_json()["complete"] is True
+        assert proof_trace(4, 2)["complete"] is True
     finally:
         clear_caches()
 
@@ -394,7 +404,7 @@ def test_a_solution_entry_off_plus_minus_one_fails_every_solve_of_its_cell(monke
         for c in [Cochain.zero(4, 2), *basis, random_cochain(Random(3), 4, 2)]:
             with pytest.raises(CertificateError, match=re.escape(DIFFERS_AT_4_2)):
                 solve_characterization(4, 2, c)
-        assert proof_trace(4, 2).to_json()["complete"] is True
+        assert proof_trace(4, 2)["complete"] is True
         cell = verify_cell(4, 2, samples=2)
     finally:
         clear_caches()

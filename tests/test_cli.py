@@ -10,9 +10,22 @@ from pathlib import Path
 
 import pytest
 
-from helpers import clear_caches, dense_system, empty_first_stage2_integral, rank, run_cli
+from helpers import (
+    FIRST_REFUSED,
+    LARGEST_ADMITTED,
+    clear_caches,
+    dense_system,
+    empty_first_stage2_integral,
+    rank,
+    run_cli,
+)
 from whitneyforms import characterize, forms, simplicial
 from whitneyforms.cli import MAX_SAMPLES, MAX_UNKNOWNS
+
+# the cells at the unknown cap, as command-line arguments
+ADMITTED_N, ADMITTED_K = map(str, LARGEST_ADMITTED)
+REFUSED_N, REFUSED_K = map(str, FIRST_REFUSED)
+REFUSED_FACE = ",".join(map(str, range(FIRST_REFUSED[1] + 1)))
 
 
 def run(*args, **kwargs):
@@ -358,8 +371,8 @@ def test_verify_text_table():
 
 def test_verify_ceiling():
     # verify is bounded by the same unknown cap as every other command
-    for args in [(), ("--k", "0"), ("--k", "9")]:
-        result = run("verify", "--n-max", "9", *args)
+    for args in [(), ("--k", "0"), ("--k", REFUSED_N)]:
+        result = run("verify", "--n-max", REFUSED_N, *args)
         assert result.exit_code == 2
         assert f"more than {MAX_UNKNOWNS} coefficient unknowns" in result.output
     assert run("verify", "--n-max", "0").exit_code == 2
@@ -487,11 +500,11 @@ WHITNEY_USAGE = (
         (("derham", "--form", '{"n": 2, "k": 3, "terms": []}'),
          "usage: whitneyforms derham [--help] --form JSON [--format {text,json,latex}]\n"
          "Error: bad form: k=3 outside 0..2\n"),
-        (("verify", "--n-max", "9"),
+        (("verify", "--n-max", REFUSED_N),
          "usage: whitneyforms verify [--help] --n-max N_MAX [--k K] [--samples SAMPLES]\n"
          "                           [--seed SEED] [--format {text,json}]\n"
-         "Error: (n=9, k=4) needs more than 630 coefficient unknowns, counted as"
-         " (n+1)*C(n,k); every cell with n <= 8 fits\n"),
+         f"Error: (n={REFUSED_N}, k={REFUSED_K}) needs more than {MAX_UNKNOWNS} coefficient"
+         f" unknowns, counted as (n+1)*C(n,k); every cell with n <= {ADMITTED_N} fits\n"),
     ],
     ids=["whitney-face-label", "whitney-non-cell", "trace-k0", "derham-k3", "verify-over-cap"],
 )
@@ -521,25 +534,25 @@ def test_a_non_ascii_digit_is_not_an_exact_rational():
     assert result.stderr.splitlines()[-1] == error
 
 
-EMPTY_9_4 = json.dumps({"n": 9, "k": 4, "terms": []})
+EMPTY_REFUSED = json.dumps({"n": FIRST_REFUSED[0], "k": FIRST_REFUSED[1], "terms": []})
 HUGE_COCHAIN = json.dumps({"n": 10**9, "k": 0, "terms": []})
 
 
 @pytest.mark.parametrize(
     "args",
     [
-        ("whitney", "--n", "9", "--k", "4", "--face", "0,1,2,3,4"),
+        ("whitney", "--n", REFUSED_N, "--k", REFUSED_K, "--face", REFUSED_FACE),
         ("whitney", "--n", "30", "--k", "15", "--cochain", "{}"),
-        ("derham", "--form", EMPTY_9_4),
-        ("characterize", "--n", "9", "--k", "4", "--cochain", EMPTY_9_4),
+        ("derham", "--form", EMPTY_REFUSED),
+        ("characterize", "--n", REFUSED_N, "--k", REFUSED_K, "--cochain", EMPTY_REFUSED),
         ("characterize", "--n", "30", "--k", "15", "--cochain", "{}"),
         # the cochain JSON's own (n, k) is capped before its entries are built
         ("whitney", "--n", "2", "--k", "0", "--cochain", HUGE_COCHAIN),
         ("characterize", "--n", "2", "--k", "0", "--cochain", HUGE_COCHAIN),
-        ("dims", "--n", "9"),
-        ("dims", "--n", "9", "--k", "4"),
+        ("dims", "--n", REFUSED_N),
+        ("dims", "--n", REFUSED_N, "--k", REFUSED_K),
         ("dims", "--n", "1000000000"),
-        ("trace", "--n", "9", "--k", "4"),
+        ("trace", "--n", REFUSED_N, "--k", REFUSED_K),
         ("trace", "--n", "30", "--k", "15"),
     ],
 )
@@ -565,15 +578,17 @@ def test_derham_checks_the_cap_before_building_the_form(monkeypatch):
 
 
 def test_unknown_cap_admits_every_cell_up_to_eight():
-    assert MAX_UNKNOWNS == max((n + 1) * math.comb(n, k) for n in range(9) for k in range(n + 1))
+    n = LARGEST_ADMITTED[0]
+    assert MAX_UNKNOWNS == max((m + 1) * math.comb(m, k) for m in range(n + 1) for k in range(m + 1))
     # the one cap, of form and cochain JSON too
     assert MAX_UNKNOWNS is forms.MAX_UNKNOWNS is simplicial.MAX_UNKNOWNS
-    assert run("trace", "--n", "8", "--k", "4").exit_code == 0
-    assert run("whitney", "--n", "8", "--k", "4", "--face", "0,1,2,3,4").exit_code == 0
-    # verify admits --n-max 8 without any flag; --k 8 keeps the sweep to one cell
-    assert run("verify", "--n-max", "8", "--k", "8", "--samples", "1").exit_code == 0
+    assert run("trace", "--n", ADMITTED_N, "--k", ADMITTED_K).exit_code == 0
+    face = ",".join(map(str, range(LARGEST_ADMITTED[1] + 1)))
+    assert run("whitney", "--n", ADMITTED_N, "--k", ADMITTED_K, "--face", face).exit_code == 0
+    # verify admits the largest n without any flag; --k n keeps the sweep to one cell
+    assert run("verify", "--n-max", ADMITTED_N, "--k", ADMITTED_N, "--samples", "1").exit_code == 0
     # dims checks only the degrees it computes
-    assert run("dims", "--n", "9", "--k", "0").exit_code == 0
+    assert run("dims", "--n", REFUSED_N, "--k", "0").exit_code == 0
 
 
 def test_broken_replay_exits_one_with_a_message(monkeypatch):

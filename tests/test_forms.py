@@ -12,7 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import coeffs_add, coeffs_scale, evaluate, random_affine_form, vertex_point, wedge
+from helpers import (
+    FIRST_REFUSED,
+    LARGEST_ADMITTED,
+    coeffs_add,
+    coeffs_scale,
+    evaluate,
+    random_affine_form,
+    vertex_point,
+    wedge,
+)
 from whitneyforms import (
     AffineForm,
     AffineFunction,
@@ -233,13 +242,15 @@ def test_form_json_refuses_a_huge_cell_before_allocating(monkeypatch):
 
     monkeypatch.setattr(forms, "AffineForm", unbuilt)
     monkeypatch.setattr(forms, "unknown_layout", unbuilt)
-    for n, k in [(30, 15), (9, 4), (10**30, 1)]:
+    for n, k in [(30, 15), FIRST_REFUSED, (10**30, 1)]:
         with pytest.raises(ValueError, match=f"more than {forms.MAX_UNKNOWNS} coefficient unknowns"):
             form_from_json({"n": n, "k": k, "terms": []})
     monkeypatch.undo()
-    assert form_from_json({"n": 8, "k": 4, "terms": []}) == AffineForm(8, 4)
+    n, k = LARGEST_ADMITTED
+    assert form_from_json({"n": n, "k": k, "terms": []}) == AffineForm(n, k)
     # a form built in the program is not capped
-    assert AffineForm(9, 4).is_zero() and len(AffineForm(9, 4).vec) > forms.MAX_UNKNOWNS
+    form = AffineForm(*FIRST_REFUSED)
+    assert form.is_zero() and len(form.vec) > forms.MAX_UNKNOWNS
 
 
 small_form_cases = st.integers(1, 3).flatmap(

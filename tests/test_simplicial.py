@@ -15,6 +15,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FIRST_REFUSED,
+    LARGEST_ADMITTED,
     LinearSolver,
     barycentric_functions,
     bubble_sort_parity,
@@ -521,14 +523,16 @@ def test_cochain_json_refuses_a_huge_cell_before_allocating(monkeypatch):
     monkeypatch.setattr(Cochain, "__init__", unbuilt)
     monkeypatch.setattr(simplicial, "Face", unbuilt)
     message = f"more than {simplicial.MAX_UNKNOWNS} coefficient unknowns"
-    for n, k in [(10**9, 0), (30, 15), (9, 4)]:
+    for n, k in [(10**9, 0), (30, 15), FIRST_REFUSED]:
         data = {"n": n, "k": k, "terms": [{"face": list(range(k + 1)), "coeff": "1"}]}
         with pytest.raises(ValueError, match=message):
             cochain_from_json(data)
     monkeypatch.undo()
-    assert cochain_from_json({"n": 8, "k": 4, "terms": []}) == Cochain(8, 4)
+    n, k = LARGEST_ADMITTED
+    assert cochain_from_json({"n": n, "k": k, "terms": []}) == Cochain(n, k)
     # a cochain built in the program is not capped
-    assert Cochain(9, 4).is_zero() and len(Cochain(9, 4).vec) == 252
+    n, k = FIRST_REFUSED
+    assert Cochain(n, k).is_zero() and len(Cochain(n, k).vec) == math.comb(n + 1, k + 1)
 
 
 def test_cochain_json_accepts_unsorted_faces():

@@ -1,9 +1,9 @@
 """Value semantics of the package's immutable classes.
 
-Faces, cochains, forms, affine functions, layouts and the replay's records
-are values: equal fields make equal objects with equal hashes, a field
-cannot be assigned or deleted, the repr names the class and its fields, and
-pickle and deepcopy give back an equal object of the same class.
+Faces, cochains, forms, affine functions and layouts are values: equal
+fields make equal objects with equal hashes, a field cannot be assigned or
+deleted, the repr names the class and its fields, and pickle and deepcopy
+give back an equal object of the same class.
 """
 
 import copy
@@ -16,20 +16,9 @@ from whitneyforms import (
     AffineFunction,
     Cochain,
     Face,
-    Stage1Kill,
-    Stage2Kill,
     UnknownLayout,
-    proof_trace,
 )
 from whitneyforms.forms import unknown_layout
-
-TRACE_REPR = (
-    "ProofTrace(n=2, k=1, "
-    "stage1=(Stage1Kill(face=(0, 1), killed=('b_(1)', 'a_(1),1')), "
-    "Stage1Kill(face=(0, 2), killed=('b_(2)', 'a_(2),2'))), "
-    "stage2=(Stage2Kill(multi_index=(1,), m=2, killed='a_(1),2'), "
-    "Stage2Kill(multi_index=(2,), m=1, killed='a_(2),1')))"
-)
 
 # (make, make_other, field, repr): make() builds equal values on every call,
 # make_other() a value of the same class that differs from them in one field
@@ -63,24 +52,6 @@ CASES = {
         lambda: UnknownLayout(3, 2),
         "k",
         "UnknownLayout(n=3, k=1)",
-    ),
-    "stage1": (
-        lambda: Stage1Kill((0, 1), ("b_(1)", "a_(1),1")),
-        lambda: Stage1Kill((0, 2), ("b_(1)", "a_(1),1")),
-        "face",
-        "Stage1Kill(face=(0, 1), killed=('b_(1)', 'a_(1),1'))",
-    ),
-    "stage2": (
-        lambda: Stage2Kill((1,), 2, "a_(1),2"),
-        lambda: Stage2Kill((1,), 3, "a_(1),2"),
-        "m",
-        "Stage2Kill(multi_index=(1,), m=2, killed='a_(1),2')",
-    ),
-    "trace": (
-        lambda: proof_trace(2, 1),
-        lambda: proof_trace(3, 1),
-        "stage2",
-        TRACE_REPR,
     ),
 }
 

@@ -7,10 +7,12 @@ from random import Random
 import pytest
 
 import whitneyforms.verify as verify_module
-from helpers import column_image, transpose
+from helpers import clear_caches, column_image, transpose
 from whitneyforms import (
     Cochain,
     Face,
+    UnknownLayout,
+    characterize,
     cochain_to_json,
     derham,
     random_cochain,
@@ -199,3 +201,22 @@ def test_the_sample_solve_runs_only_at_the_extreme_degrees(monkeypatch):
     samples = 3
     assert run_verification(5, samples=samples)["pass"] is True
     assert calls == {(n, k): samples for n in range(1, 6) for k in (0, n)}
+
+
+def test_verify_builds_no_replay(monkeypatch):
+    # the replay entry reads the schedule that proof_trace formats: no record
+    # and no label is built, from caches cold, and the report does not change
+    expected = run_verification(5)
+
+    def refuse(*args):
+        raise AssertionError("a replay record or label was built")
+
+    monkeypatch.setattr(characterize, "proof_trace", refuse)
+    monkeypatch.setattr(UnknownLayout, "labels", property(refuse))
+    clear_caches()
+    try:
+        report = run_verification(5)
+    finally:
+        clear_caches()
+    assert report["pass"] is True
+    assert report == expected
