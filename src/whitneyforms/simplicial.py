@@ -75,9 +75,11 @@ def check_unknowns(n: int, k: int) -> None:
     check_cell(n, k)
     # n + 1 alone bounds the count from below, so a huge n never reaches comb
     if n + 1 > MAX_UNKNOWNS or (n + 1) * math.comb(n, k) > MAX_UNKNOWNS:
+        # the middle cell (m, m // 2) is the largest of its row, so every m below the first over fits
+        over = next(m for m in itertools.count(1) if (m + 1) * math.comb(m, m // 2) > MAX_UNKNOWNS)
         raise ValueError(
             f"(n={n}, k={k}) needs more than {MAX_UNKNOWNS} coefficient unknowns, "
-            f"counted as (n+1)*C(n,k); every cell with n <= 8 fits"
+            f"counted as (n+1)*C(n,k); every cell with n <= {over - 1} fits"
         )
 
 
@@ -400,34 +402,20 @@ class Cochain(ScaledVector):
         return cls(n, k, acc)
 
 
-def _random_draws(rng: Random, count: int) -> tuple[list[int], list[int]]:
-    """count numerators rng.randint(-10, 10) and denominators rng.randint(1, 10), drawn in turn.
-
-    randint(a, b) takes getrandbits of the bit length of b - a + 1 and draws
-    again while the result is out of range: 5 bits below 21, then 4 bits
-    below 10. Calling getrandbits directly gives the same draws and leaves
-    rng in the same state, without randint's layers of calls per draw.
-    """
-    draw = rng.getrandbits
-    numerators: list[int] = []
-    denominators: list[int] = []
-    for _ in range(count):
-        p = draw(5)
-        while p >= 21:
-            p = draw(5)
-        d = draw(4)
-        while d >= 10:
-            d = draw(4)
-        numerators.append(p - 10)
-        denominators.append(d + 1)
-    return numerators, denominators
+_DROPPED = bytes(range(210, 256))
+_ENTRY = tuple((b // 10 - 10) * (2520 // (b % 10 + 1)) for b in range(210))
 
 
 def random_cochain(rng: Random, n: int, k: int) -> Cochain:
-    """Reproducible cochain with small rational coefficients (|p|, q <= 10).
+    """Reproducible cochain with small rational coefficients p/d, |p| <= 10, 1 <= d <= 10.
 
-    It draws per face, in lexicographic order, the numerator and then the
-    denominator. The ints are its own, so they reach the gcd unchecked."""
-    numerators, denominators = _random_draws(rng, Cochain.size(n, k))
-    q = math.lcm(*denominators)
-    return Cochain._reduced(n, k, [p * (q // d) for p, d in zip(numerators, denominators)], q)
+    Face after face, in lexicographic order, it takes the next byte b < 210 of
+    ``rng.randbytes``, which asks for as many bytes as faces still lack one and
+    drops the bytes 210..255; b gives p = b // 10 - 10 and d = b % 10 + 1, so
+    the 210 pairs (p, d) are exactly uniform. Each entry is p * (2520 / d) over
+    2520 = lcm(1..10); the ints are its own, so they reach the gcd unchecked."""
+    size = Cochain.size(n, k)
+    kept = b""
+    while len(kept) < size:
+        kept += rng.randbytes(size - len(kept)).translate(None, _DROPPED)
+    return Cochain._reduced(n, k, [_ENTRY[b] for b in kept], 2520)

@@ -323,12 +323,25 @@ def canonical_pair(vec, q: int) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (scale // v.denominator) for v in values), scale
 
 
+def random_pairs(rng: Random, count: int) -> list[tuple[int, int]]:
+    """count pairs (p, d), one per byte b < 210 of rng.randbytes: p = b // 10 - 10, d = b % 10 + 1.
+
+    Byte by byte, over rounds that each ask for as many bytes as pairs are
+    still missing; a byte of 210 or more is skipped.
+    """
+    pairs: list[tuple[int, int]] = []
+    while len(pairs) < count:
+        for b in rng.randbytes(count - len(pairs)):
+            if b < 210:
+                pairs.append((b // 10 - 10, b % 10 + 1))
+    return pairs
+
+
 def dict_random_cochain(rng: Random, n: int, k: int) -> Cochain:
-    """``random_cochain`` as a dict of Fractions through the validating constructor."""
-    return Cochain(n, k, {
-        face.vertices: Fraction(rng.randint(-10, 10), rng.randint(1, 10))
-        for face in enumerate_faces(n, k)
-    })
+    """``random_cochain`` as a dict of Fractions p/d through the validating constructor."""
+    faces = enumerate_faces(n, k)
+    pairs = random_pairs(rng, len(faces))
+    return Cochain(n, k, {face.vertices: Fraction(p, d) for face, (p, d) in zip(faces, pairs)})
 
 
 def coeffs_add(a: dict, b: dict) -> dict:

@@ -6,14 +6,14 @@ W/k!, its compiled loop and copies, the block traces of D~ and their
 certificate, the stage-2 rows of the elimination schedule and its walk
 into S/k!, the certificate of W/k!'s rows, the row comparison of S/k!
 with W/k!, the replay's record and verify's reading of the schedule for
-it, and the reduction of a form's scale. Each mutant below is one exact
-source line and its replacement. The script copies ``src/`` and
-``tests/`` to a temporary directory, checks that the focused test files
-pass there unchanged, and then, per mutant, replaces the line in a fresh
-copy and runs the focused files with ``-x``. A mutant that the tests do
-not fail survives; a mutant whose line is no longer in its file, exactly
-once, is stale. Either fails the check, so a refactor that moves a line
-must carry its mutant along.
+it, the reduction of a form's scale, and the byte-to-pair table of the
+random cochains. Each mutant below is one exact source line and its
+replacement. The script copies ``src/`` and ``tests/`` to a temporary
+directory, checks that the focused test files pass there unchanged, and
+then, per mutant, replaces the line in a fresh copy and runs the focused
+files with ``-x``. A mutant that the tests do not fail survives; a mutant
+whose line is no longer in its file, exactly once, is stale. Either fails
+the check, so a refactor that moves a line must carry its mutant along.
 
 Run it from the repository root with the standard library and pytest::
 
@@ -39,6 +39,7 @@ FOCUSED = [
     "tests/test_whitney.py",
     "tests/test_derham.py",
     "tests/test_characterize.py",
+    "tests/test_simplicial.py",
 ]
 
 # (name, file under src/whitneyforms, exact source line, replacement)
@@ -144,6 +145,12 @@ MUTANTS = [
         "simplicial.py",
         "                q //= g",
         "                q //= 1",
+    ),
+    (
+        "random_cochain: p shifted by one, so p = 11 is drawn and p = -10 never",
+        "simplicial.py",
+        "_ENTRY = tuple((b // 10 - 10) * (2520 // (b % 10 + 1)) for b in range(210))",
+        "_ENTRY = tuple((b // 10 - 9) * (2520 // (b % 10 + 1)) for b in range(210))",
     ),
 ]
 

@@ -31,6 +31,7 @@ from helpers import (
     evaluate,
     face_parametrization,
     nullspace,
+    random_pairs,
     rank,
     vertex_point,
 )
@@ -319,19 +320,34 @@ def test_random_cochain_draws_face_by_face(monkeypatch):
         assert rng.getstate() == state
 
 
-def test_random_pairs_are_the_randint_draws():
-    # drawn through getrandbits, the numerators, the denominators and the generator's
-    # final state are those of randint(-10, 10) and randint(1, 10), face after face
-    for seed in range(200):
-        for size in (1, 2, 5, 35, 462):
-            rng, reference = Random(seed), Random(seed)
-            expected = [
-                (reference.randint(-10, 10), reference.randint(1, 10)) for _ in range(size)
-            ]
-            numerators, denominators = simplicial._random_draws(rng, size)
-            assert numerators == [p for p, _ in expected]
-            assert denominators == [d for _, d in expected]
-            assert rng.getstate() == reference.getstate()
+# Random(0)'s byte stream starts with 216, which no face may take
+DROPPED_FIRST_SEED = 0
+
+
+def test_random_cochain_draws_again_past_a_dropped_byte():
+    reference = Random(DROPPED_FIRST_SEED)
+    first, second = reference.randbytes(1)[0], reference.randbytes(1)[0]
+    assert first >= 210 > second
+    rng = Random(DROPPED_FIRST_SEED)
+    # the one face of the point takes the second byte, from a second round of one byte
+    expected = Cochain(0, 0, {(0,): Fraction(second // 10 - 10, second % 10 + 1)})
+    assert random_cochain(rng, 0, 0) == expected
+    assert rng.getstate() == reference.getstate()
+    for n, k in [(2, 1), (4, 2), (6, 3)]:
+        assert random_cochain(Random(DROPPED_FIRST_SEED), n, k) == dict_random_cochain(
+            Random(DROPPED_FIRST_SEED), n, k
+        )
+
+
+def test_random_pairs_reach_all_210_and_no_other():
+    # the 3432 faces of (13, 6): every pair |p| <= 10, 1 <= d <= 10 is drawn, and no other
+    n, k = 13, 6
+    size = math.comb(n + 1, k + 1)
+    pairs = set(random_pairs(Random(5), size))
+    assert pairs == {(p, d) for p in range(-10, 11) for d in range(1, 11)}
+    c = random_cochain(Random(5), n, k)
+    assert c == dict_random_cochain(Random(5), n, k)
+    assert set(c.terms.values()) == {Fraction(p, d) for p, d in pairs if p}
 
 
 @st.composite
@@ -533,6 +549,14 @@ def test_cochain_json_refuses_a_huge_cell_before_allocating(monkeypatch):
     # a cochain built in the program is not capped
     n, k = FIRST_REFUSED
     assert Cochain(n, k).is_zero() and len(Cochain(n, k).vec) == math.comb(n + 1, k + 1)
+
+
+def test_cap_refusal_names_the_largest_n_that_fits(monkeypatch):
+    # the message follows the constant: at 5544 = 12 * C(11, 5) the middle cell of n = 11 fits
+    monkeypatch.setattr(simplicial, "MAX_UNKNOWNS", 5544)
+    with pytest.raises(ValueError, match=r"more than 5544 .* every cell with n <= 11 fits$"):
+        simplicial.check_unknowns(12, 6)
+    simplicial.check_unknowns(11, 5)
 
 
 def test_cochain_json_accepts_unsorted_faces():
