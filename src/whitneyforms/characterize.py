@@ -13,17 +13,18 @@ The replay and the solve are one schedule, built once per (n, k) from C
 and D~ = D*(k+1)! alone: a triangular order of rows in their row space, in
 which every row determines one new unknown. Stage 1 takes the constancy
 rows and then the integral row of each face through vertex 0. Stage 2
-takes, for each multi-index L and vertex m >= 1 outside it, the row
+takes each face G that misses vertex 0 and gives it k+1 steps, one per
+vertex m = G[j], with L = G less m and the row
 
     rho(m, L) = D~_G - sum_{s=1..k} C_{G,s} + (k+1) C_{G,j}
 
-of the face G = sorted((m,) + L), with right-hand side (k+1)! c(G), where
-C_{G,s} is the constancy row of vertex G[s] and j = G.index(m), the last
-term absent when j = 0. It is sigma (k+1) r(m, L), sigma the sign of
-sorting (m,) + L and r(m, L) the paper's row: the value at vertex m of the
-coefficient pulled back to the face (m, *L), with coefficient one on
-a_{L,m}. Each step is an integer combination of one face's rows, so a
-complete schedule proves the kernel trivial.
+with right-hand side (k+1)! c(G), where C_{G,s} is the constancy row of
+vertex G[s], the last term absent when j = 0. The row is sigma (k+1)
+r(m, L), sigma the sign of sorting (m,) + L and r(m, L) the paper's row:
+the value at vertex m of the coefficient pulled back to the face (m, *L),
+with coefficient one on a_{L,m}. The steps are ordered by that target
+a_{L,m}, that is by (L, m). Each step is an integer combination of one
+face's rows, so a complete schedule proves the kernel trivial.
 
 The solve is linear, so :func:`_solution_rows` forward-substitutes the
 schedule once per (n, k), each unknown an integer combination of the face
@@ -85,7 +86,7 @@ from .operators import (
     whitney_plan,
     whitney_rows,
 )
-from .simplicial import BadDegree, Cochain, DegreeMismatch, _face_positions
+from .simplicial import BadDegree, Cochain, DegreeMismatch
 
 __all__ = [
     "CertificateError",
@@ -163,42 +164,36 @@ def _schedule(n: int, k: int) -> tuple[_Step, ...]:
 
     Stage 1 takes, for each face [0] + L, its constancy rows and then its
     integral row, which must determine each a_{L,t} (t in L) and then b_L.
-    Stage 2 defines, for each L and vertex m >= 1 outside it, its row as
-    rho(m, L) = D~_G - sum_s C_{G,s} + (k+1) C_{G,j} on the face
-    G = sorted((m,) + L), j = G.index(m), which must determine a_{L,m}. The
-    first two terms are one combination per face G, shared by its k+1 steps
-    (one per vertex m of G), and the last term is absent at j = 0. Each
-    row is one face's rows or an integer combination of them, so no identity
-    is left to check. Raises CertificateError when a row does not isolate
-    its unknown among those still alive; a returned schedule is complete.
+    Stage 2 gives each face G that misses vertex 0 k+1 steps, one per vertex
+    m = G[j]: the row rho(m, L) = D~_G - sum_s C_{G,s} + (k+1) C_{G,j}, with
+    L = G less m, which must determine a_{L,m}. The first two terms are one
+    combination per face, shared by its k+1 steps, and the last term is
+    absent at j = 0. These steps follow stage 1 ordered by target, that is
+    by (L, m). Each row is one face's rows or an integer combination of
+    them, so no identity is left to check. Raises CertificateError when a
+    row does not isolate its unknown among those still alive; a returned
+    schedule is complete.
     """
     layout = unknown_layout(n, k)
     constancy, integrals = constancy_rows(n, k), derham_rows(n, k)
     scale = math.factorial(k + 1)
     rows: list[tuple[SparseRow, int, int, int]] = []
-    bases: dict[int, dict[int, int]] = {}
+    stage2: list[tuple[int, SparseRow, int]] = []
     for i, face in enumerate(layout.faces):
         if face[0] == 0:
             span = face[1:]
             base = layout.position(span)
             rows += [(row, i, 0, base + t) for row, t in zip(constancy[i], span)]
             rows.append((integrals[i], i, scale, base))
-        else:
-            # D~_G - sum_s C_{G,s}, once per face: its k+1 steps each add (k+1) C_{G,j}
-            bases[i] = _combine([(1, integrals[i]), *((-1, row) for row in constancy[i])])
-    index = _face_positions(n, k)
-    for span in layout.multi_indices:
-        # j counts the vertices of L below m, so for m outside L, G is L with m at j
-        base, j = layout.position(span), 0
-        for m in range(1, n + 1):
-            if j < k and span[j] == m:
-                j += 1
-                continue
-            i = index[(*span[:j], m, *span[j:])]
-            row = bases[i]
-            if j:
-                row = _combine([(1, row.items()), (k + 1, constancy[i][j - 1])])
-            rows.append((tuple(sorted(row.items())), i, scale, base + m))
+            continue
+        # D~_G - sum_s C_{G,s}, shared by the k+1 steps of G: one per vertex m = G[j]
+        common = _combine([(1, integrals[i]), *((-1, row) for row in constancy[i])])
+        for j, m in enumerate(face):
+            row = _combine([(1, common.items()), (k + 1, constancy[i][j - 1])]) if j else common
+            target = layout.position(face[:j] + face[j + 1 :], m)
+            stage2.append((target, tuple(sorted(row.items())), i))
+    # by target, that is by (L, m): the targets are distinct, so no rows are compared
+    rows += [(row, i, scale, target) for target, row, i in sorted(stage2)]
     alive = [True] * layout.size
     steps: list[_Step] = []
     for row, i, rhs, target in rows:

@@ -95,14 +95,14 @@ MUTANTS = [
     (
         "_schedule: the per-face base's constancy weight -1 made +1",
         "characterize.py",
-        "            bases[i] = _combine([(1, integrals[i]), *((-1, row) for row in constancy[i])])",
-        "            bases[i] = _combine([(1, integrals[i]), *((1, row) for row in constancy[i])])",
+        "        common = _combine([(1, integrals[i]), *((-1, row) for row in constancy[i])])",
+        "        common = _combine([(1, integrals[i]), *((1, row) for row in constancy[i])])",
     ),
     (
         "_schedule: the (k+1) on C_{G,j} dropped",
         "characterize.py",
-        "                row = _combine([(1, row.items()), (k + 1, constancy[i][j - 1])])",
-        "                row = _combine([(1, row.items()), (1, constancy[i][j - 1])])",
+        "            row = _combine([(1, common.items()), (k + 1, constancy[i][j - 1])]) if j else common",
+        "            row = _combine([(1, common.items()), (1, constancy[i][j - 1])]) if j else common",
     ),
     (
         "_certified: the expected column (k+1) e_i made k e_i",

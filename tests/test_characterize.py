@@ -1,5 +1,6 @@
 """The constraint system, its solution, its certificates, and the elimination replay."""
 
+import itertools
 import json
 import math
 import re
@@ -10,6 +11,7 @@ from random import Random
 import pytest
 
 from helpers import (
+    LARGEST_ADMITTED,
     LinearSolver,
     assert_no_dense_elimination,
     barycentric_closed_form,
@@ -65,7 +67,7 @@ from whitneyforms.operators import (
     whitney_plan,
     whitney_rows,
 )
-from whitneyforms.simplicial import permutation_sign
+from whitneyforms.simplicial import MAX_UNKNOWNS, permutation_sign
 
 CELLS = [(n, k) for n in range(1, 7) for k in range(n + 1)] + [(7, 3)]
 
@@ -79,6 +81,8 @@ def test_layout_size_and_labels():
     assert layout.label((1, 2), 3) == "a_(1,2),3"
     assert layout.position((2,)) == 4
     assert layout.position((2,), 3) == 7
+    with pytest.raises(ValueError, match=r"gradient slot 3 outside 1\.\.2"):
+        UnknownLayout(2, 1).position((1,), 3)
     assert len(layout.labels) == len(set(layout.labels)) == layout.size
 
 
@@ -509,14 +513,25 @@ def test_schedule_rejects_a_stage1_row_off_its_unknown(monkeypatch):
         clear_caches()
 
 
-ADMITTED_EDGE_CELLS = [(24, 1), (24, 23), (60, 0), (60, 60)]
+def _admitted_cells():
+    """Every cell of each n whose middle cell the unknown cap admits, then the largest edge cells.
+
+    Those are the largest admitted (n, 1) and (n, n-1), which have (n+1) n
+    unknowns, and (n, 0) and (n, n), which have n + 1, at n = MAX_UNKNOWNS - 1.
+    """
+    cells = [(n, k) for n in range(1, LARGEST_ADMITTED[0] + 1) for k in range(n + 1)]
+    edge = max(n for n in range(1, MAX_UNKNOWNS) if (n + 1) * n <= MAX_UNKNOWNS)
+    top = MAX_UNKNOWNS - 1
+    return cells + [(edge, 1), (edge, edge - 1), (top, 0), (top, top)]
+
+
+ADMITTED_CELLS = _admitted_cells()
 
 
 def test_every_admitted_cell_is_certified():
-    # every cell the unknown cap admits: all of n <= 8, and the edge cells
-    # (n, 1), (n, n-1), (n, 0), (n, n) with at most 630 unknowns
-    cells = [(n, k) for n in range(1, 9) for k in range(n + 1)] + ADMITTED_EDGE_CELLS
-    for n, k in cells:
+    # all cells of each n that the unknown cap admits whole, and the largest
+    # edge cells it admits, as the rule of _admitted_cells derives them
+    for n, k in ADMITTED_CELLS:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
         assert _certified(n, k, whitney_rows(n, k)) == (None, None)
         # S/k! and W/k!, both by rows whose every entry is +-1; equal rows, so the
@@ -524,6 +539,25 @@ def test_every_admitted_cell_is_certified():
         assert _solution_rows(n, k) == whitney_rows(n, k)
         assert _solution_plan(n, k) is whitney_plan(n, k)
         assert all(v in (1, -1) for row in whitney_rows(n, k) for _, v in row)
+
+
+def test_the_schedule_goes_by_face_then_by_target():
+    # stage 1 goes through the faces [0] + L in lexicographic order; stage 2 by
+    # strictly increasing target a_{L,m}, each step on the face sorted((m,) + L)
+    for n, k in ADMITTED_CELLS:
+        layout = unknown_layout(n, k)
+        steps = _schedule(n, k)
+        through_0 = [layout.faces[step.face][0] == 0 for step in steps]
+        first = through_0.count(True)
+        assert through_0 == [True] * first + [False] * (len(steps) - first)
+        runs = itertools.groupby(layout.faces[step.face] for step in steps[:first])
+        stage1 = [face for face, _ in runs]
+        assert stage1 == sorted((0, *span) for span in layout.multi_indices)
+        targets = [step.target for step in steps[first:]]
+        assert all(a < b for a, b in zip(targets, targets[1:]))
+        for step in steps[first:]:
+            block, m = divmod(step.target, n + 1)
+            assert layout.faces[step.face] == tuple(sorted((m, *layout.multi_indices[block])))
 
 
 @pytest.mark.parametrize("n,k", [(4, 2), (5, 3), (7, 3)])

@@ -259,6 +259,31 @@ def test_json_integer_fields_must_be_integers(args):
     assert "not an integer" in result.output
 
 
+@pytest.mark.parametrize(
+    "dx, message",
+    [
+        ((1, 2), "multi-index (1, 2) does not have length 1"),
+        ((3,), "multi-index entries must lie in 1..2: (3,)"),
+    ],
+    ids=["dx-too-long", "dx-off-the-simplex"],
+)
+def test_derham_names_a_multi_index_off_its_cell(dx, message):
+    result = run("derham", "--form", _form(dx=dx))
+    assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+    assert f"Error: bad form: {message}" in result.output
+
+
+@pytest.mark.parametrize("command", ["whitney", "characterize"])
+def test_a_cochain_that_is_no_json_object_exits_two(command, tmp_path):
+    # a JSON array, from a file and from stdin, is valid JSON but no cochain
+    path = tmp_path / "cochain.json"
+    path.write_text("[1]")
+    for value, stdin in [(str(path), None), ("-", "[1]")]:
+        result = run(command, "--n", "2", "--k", "1", "--cochain", value, input=stdin)
+        assert result.exit_code == 2 and isinstance(result.exception, SystemExit)
+        assert "Error: expected a JSON object" in result.output
+
+
 def test_characterize_matches_and_exits_zero():
     cochain = json.dumps(
         {
@@ -589,6 +614,23 @@ def test_unknown_cap_admits_every_cell_up_to_eight():
     assert run("verify", "--n-max", ADMITTED_N, "--k", ADMITTED_N, "--samples", "1").exit_code == 0
     # dims checks only the degrees it computes
     assert run("dims", "--n", REFUSED_N, "--k", "0").exit_code == 0
+
+
+def test_the_largest_admitted_top_cell_prints():
+    # (N, N) with N + 1 = MAX_UNKNOWNS unknowns: the unit cochain's form is N! dx_1..dx_N.
+    # Python prints no int of more than 4300 digits, so a cap whose N! is longer
+    # makes both commands exit 2 until the (n, n) cells are bounded
+    n = MAX_UNKNOWNS - 1
+    face = list(range(n + 1))
+    cochain = json.dumps({"n": n, "k": n, "terms": [{"face": face, "coeff": "1"}]})
+    for args in (
+        ("whitney", "--face", ",".join(map(str, face))),
+        ("characterize", "--cochain", cochain),
+    ):
+        result = run(args[0], "--n", str(n), "--k", str(n), *args[1:])
+        assert result.exit_code == 0, result.output
+        [term] = json.loads(result.output)["terms"]
+        assert term["const"] == str(math.factorial(n))
 
 
 def test_broken_replay_exits_one_with_a_message(monkeypatch):

@@ -55,6 +55,8 @@ def test_constant_form_normalization():
         AffineForm(3, 2, {(2, 1): Fraction(1)})
     with pytest.raises(BadDegree):
         AffineForm(2, 3, {})
+    with pytest.raises(DegreeMismatch, match="coefficient lives in the wrong dimension"):
+        AffineForm(2, 1, {(1,): AffineFunction(3, 0, [0, 0, 0])})
     for bad in (0.5, False):
         with pytest.raises(ValueError, match="not an exact rational"):
             AffineForm(3, 2, {(1, 2): bad})
@@ -157,6 +159,9 @@ def test_evaluate_checks_arity():
         with pytest.raises(DegreeMismatch, match="point in 2 dimensions, got 1"):
             evaluate(f, (0,), [(1, 0)])
     assert evaluate(AffineForm.zero(2, 1), (Fraction(1, 2), 1), [(1, 0)]) == 0
+    # an affine function takes a point of its own dimension
+    with pytest.raises(ValueError, match="point has the wrong dimension"):
+        AffineFunction(2, 1, [0, 0])([1])
 
 
 def test_is_constant():
@@ -405,6 +410,8 @@ def test_from_vector_rejects_bad_input():
         AffineForm.from_vector(2, 1, [0.5] + [0] * 5)
     with pytest.raises(BadDegree):
         AffineForm.from_vector(2, 3, [])
+    with pytest.raises(DegreeMismatch, match="an affine function has degree 0, not 1"):
+        AffineFunction.from_vector(2, 1, [0, 0, 0])
     form = AffineForm.from_vector(2, 1, [2, 0, 4, 0, 0, 6], 4)
     assert (form.vec, form.q) == ((1, 0, 2, 0, 0, 3), 2)
     with pytest.raises(AttributeError):

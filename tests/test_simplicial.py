@@ -162,6 +162,8 @@ def test_cochain_normalization():
         Cochain(2, 1, {(1, 0): Fraction(1)})
     with pytest.raises(DegreeMismatch):
         Cochain(2, 1, {(0, 1, 2): Fraction(1)})
+    with pytest.raises(ValueError, match=r"vertex labels must lie in 0\.\.2"):
+        Cochain(2, 1, {(0, 5): 1})
 
 
 def test_exact_types_reject_floats_and_bools():

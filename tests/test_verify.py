@@ -67,6 +67,8 @@ def test_library_refuses_what_the_cli_refuses():
     with pytest.raises(ValueError, match="samples must be nonnegative"):
         verify_cell(2, 1, samples=-1)
     assert verify_cell(2, 1, samples=0)["pass"] is True
+    with pytest.raises(ValueError, match="n_max must be at least 1"):
+        run_verification(0)
 
 
 def test_failure_serializes_first_counterexample(monkeypatch):
@@ -83,6 +85,22 @@ def test_failure_serializes_first_counterexample(monkeypatch):
     assert report["pass"] is False
     assert report["failures"] == [(1, 1), (2, 1)]
     assert report["first_counterexample"]["check"] == "rw_identity"
+
+
+def test_a_refused_sample_solve_fails_that_sample(monkeypatch):
+    # at k = 0 the samples are solved: a solve that raises CertificateError
+    # fails the characterization, with the first seeded sample as its counterexample
+    def refuse(n, k, cochain, result):
+        raise CertificateError(f"solution at (n={n}, k={k}) disagrees with the closed form")
+
+    monkeypatch.setattr(characterize, "_closed_form_check", refuse)
+    cell = verify_cell(2, 0, samples=2)
+    assert (cell["characterization"], cell["pass"]) == (False, False)
+    assert all(cell[name] for name in ("dimension", "rw_identity", "kernel"))
+    first_sample = random_cochain(Random(2 * 101 + 0), 2, 0)
+    assert cell["counterexample"] == {
+        "check": "characterization", "cochain": cochain_to_json(first_sample)
+    }
 
 
 def _drop_first_plus(monkeypatch, n, k, column):
