@@ -27,8 +27,8 @@ a_{L,m}, that is by (L, m). Each step is an integer combination of one
 face's rows, so a complete schedule proves the kernel trivial.
 
 The solve is linear, so :func:`_solution_rows` forward-substitutes the
-schedule once per (n, k), each unknown an integer combination of the face
-values, into the cached integer matrix S/k!: every right-hand side scale
+schedule, each unknown an integer combination of the face values, into
+the integer matrix S/k!: every right-hand side scale
 (k+1)! is divided by k!, so the entries of S/k! are +-1 like those of
 W/k!, and k! goes into the form's scale instead. S/k! is stored as W/k!
 is, by rows: per unknown, the sparse row of (face index, value) entries
@@ -39,18 +39,18 @@ an integer row. Each division is checked exact there, on the unit
 cochains; a step's right-hand side for any integer vector is an integer
 combination of theirs, so by induction over the steps it is exact on
 every cochain vec / q, and k! (S/k!).vec / q is its forward substitution.
-The solve has no rows of its own: S/k! that differs from W/k! in any
-column is a CertificateError that names the first such column
-(:func:`_first_differing_column`). Once S/k! equals W/k!, its certificate
-C.X = 0, D~.X = (k+1) I, which makes the rows T_F[b'] its integer left
-inverse, is W/k!'s own: the one product of [D~; C] with W/k!
-(:func:`_whitney_certificate`), read rather than made again. The solve
-then runs W/k!'s rows: :func:`_solution_plan` is ``whitney_plan``, and
+The solve has no rows of its own, and :func:`_solution_plan` is the one
+judge of S/k!, once per (n, k): S/k! that differs from W/k! in any column
+is a CertificateError whose ``column`` names the first such column. Once
+S/k! equals W/k!, its certificate C.X = 0, D~.X = (k+1) I, which makes the
+rows T_F[b'] its integer left inverse, is W/k!'s own: the one product of
+[D~; C] with W/k! (:func:`_whitney_certificate`), read rather than made
+again. The plan is then ``whitney_plan``, S/k! is not kept, and
 :func:`solve_characterization` is C(n,k) copies plus C(n,k+1)(k+2)
 additions, run by one compiled loop per degree, that make no Fraction and
 multiply no entry (:func:`~whitneyforms.operators.factorial_image`, which
 takes no gcd). S/k!, built from C and D alone, agreeing with W/k! is an
-independent check, which ``verify`` makes row by row.
+independent check, whose verdict ``verify`` reads from the plan.
 :func:`proof_trace` only formats the same schedule, a step on a face
 through vertex 0 in stage 1 and any other in stage 2, as the JSON record
 that ``trace`` prints, labels and all, built only when asked for. It is
@@ -71,7 +71,7 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .forms import AffineForm
 from .operators import (
@@ -115,16 +115,19 @@ def lambda_e_dimension(n: int, k: int) -> int:
     return len(unknown_layout(n, k).faces)
 
 
-def _certified(n: int, k: int, rows: Sequence[SparseRow]) -> tuple[int | None, int | None]:
-    """The first i with D~.X_i != (k+1) e_i, and the first with [D~; C].X_i != (k+1) e_i.
+@cache
+def _whitney_certificate(n: int, k: int) -> tuple[int | None, int | None]:
+    """The first i with D~.X_i != (k+1) e_i, and the first with [D~; C].X_i != (k+1) e_i, X = W/k!.
 
-    One product of [D~; C] with X, given by rows as W/k! is (one per unknown,
-    each listing (face index, value)), a system row at a time: a column
-    fails where any row of the product differs from that of (k+1) I, D~'s
-    row i being (k+1) e_i and every constancy row zero. None where no column
-    fails: the second None is D~.X = (k+1) I, C.X = 0; the first, for
-    X = W/k!, is derham(whitney(e_F)) = e_F on every face F.
+    One product of [D~; C] with W/k!, by its rows (one per unknown, each
+    listing (face index, value)), a system row at a time: a column fails
+    where any row of the product differs from that of (k+1) I, D~'s row i
+    being (k+1) e_i and every constancy row zero. None where no column
+    fails: the second None is D~.X = (k+1) I, C.X = 0, read by the dimension
+    count and the solve; the first is derham(whitney(e_F)) = e_F on every
+    face F, read by verify's round trip.
     """
+    rows = whitney_rows(n, k)
     integrals = derham_rows(n, k)
     constancy = [row for face_rows in constancy_rows(n, k) for row in face_rows]
     # the columns where the product less (k+1) [I; 0] is nonzero: D~'s rows, then C's
@@ -136,12 +139,6 @@ def _certified(n: int, k: int, rows: Sequence[SparseRow]) -> tuple[int | None, i
                 image[i] = image.get(i, 0) + value * x
         failing[r >= len(integrals)].update(i for i, v in image.items() if v)
     return min(failing[0], default=None), min(failing[0] | failing[1], default=None)
-
-
-@cache
-def _whitney_certificate(n: int, k: int) -> tuple[int | None, int | None]:
-    """:func:`_certified` for X = W/k!, read by the dimension count and by verify's round trip."""
-    return _certified(n, k, whitney_rows(n, k))
 
 
 class _Step(NamedTuple):
@@ -229,13 +226,12 @@ def _closed_form_check(n: int, k: int, cochain: Cochain, result: AffineForm) -> 
         raise CertificateError(f"solution at (n={n}, k={k}) disagrees with the closed form")
 
 
-@cache
 def _solution_rows(n: int, k: int) -> tuple[SparseRow, ...]:
     """S/k!: row p lists (face index, value) for unknown p, as the schedule walk solves it.
 
     Column i solves the unit cochain on faces[i], over k!. Each step's scale
     is divided by k! before its pivot divides; an inexact division raises
-    CertificateError, and so do rows equal to W/k! whose certificate fails.
+    CertificateError.
     """
     f = math.factorial(k)
     rows: dict[int, dict[int, int]] = {}
@@ -248,41 +244,32 @@ def _solution_rows(n: int, k: int) -> tuple[SparseRow, ...]:
         if rest or any(t % pivot for t in total.values()):
             raise CertificateError(f"inexact pivot at (n={n}, k={k})")
         rows[target] = {i: t // pivot for i, t in total.items() if t}
-    solution = tuple(tuple(sorted(rows[p].items())) for p in range(len(rows)))
-    # rows equal to W/k! hold its certificate, already made by the product it read
-    if solution == whitney_rows(n, k) and _whitney_certificate(n, k)[1] is not None:
-        raise CertificateError(
-            f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
-        )
-    return solution
-
-
-def _first_differing_column(
-    solution: Sequence[SparseRow], whitney: Sequence[SparseRow]
-) -> int | None:
-    """The first face i where the columns of the rows solution and whitney differ, else None.
-
-    It is the smallest face index among the entries that the unequal rows do
-    not share. :func:`_solution_plan` and ``verify``'s characterization check
-    both call it, each with the rows it reads, so the two name the same column.
-    """
-    differing = (set(s) ^ set(w) for s, w in zip(solution, whitney) if s != w)
-    return min((i for entries in differing for i, _ in entries), default=None)
+    return tuple(tuple(sorted(rows[p].items())) for p in range(len(rows)))
 
 
 @cache
 def _solution_plan(n: int, k: int) -> WhitneyPlan:
-    """S/k! by rows: W/k!'s plan, once S/k! equals W/k! row by row.
+    """S/k! by rows: W/k!'s plan, once S/k! equals W/k! row by row and W/k! is certified.
 
-    Raises CertificateError, naming the first column that differs, otherwise.
+    The one judge of S/k!: otherwise it raises CertificateError, whose
+    ``column`` is the first face index where the columns of S/k! and W/k!
+    differ, the smallest among the entries that the unequal rows do not
+    share, and None when S/k! does not build or W/k!'s certificate fails.
     """
-    column = _first_differing_column(_solution_rows(n, k), whitney_rows(n, k))
+    solution, whitney = _solution_rows(n, k), whitney_rows(n, k)
+    differing = (set(s) ^ set(w) for s, w in zip(solution, whitney) if s != w)
+    column = min((i for entries in differing for i, _ in entries), default=None)
     if column is not None:
         face = list(unknown_layout(n, k).faces[column])
         raise CertificateError(
-            f"S/k! at (n={n}, k={k}) differs from W/k! in the column of face {face}"
+            f"S/k! at (n={n}, k={k}) differs from W/k! in the column of face {face}", column
         )
-    return whitney_plan(n, k)
+    # S/k! equals W/k!, so W/k!'s certificate, made once for the dimension count, is its own
+    if _whitney_certificate(n, k)[1] is None:
+        return whitney_plan(n, k)
+    raise CertificateError(
+        f"the solution columns at (n={n}, k={k}) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
+    )
 
 
 def solve_characterization(n: int, k: int, cochain: Cochain) -> AffineForm:

@@ -236,7 +236,15 @@ def derham_rows(n: int, k: int) -> tuple[SparseRow, ...]:
 
 
 class CertificateError(RuntimeError):
-    """A certificate did not go through: the schedule, W, a pivot, a plan or a closed form."""
+    """A certificate did not go through: the schedule, W, a pivot, a plan or a closed form.
+
+    ``column`` is the face index of the first column where S/k! differs from
+    W/k!, when that is the reason, and None otherwise.
+    """
+
+    def __init__(self, message: str, column: int | None = None):
+        super().__init__(message)
+        self.column = column
 
 
 @cache

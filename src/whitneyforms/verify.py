@@ -7,11 +7,11 @@ kernel, and completeness of the elimination replay where it applies.
 The replay entry reads the schedule that ``proof_trace`` formats, the
 kernel's own certificate, and builds no record or label.
 Every map is linear, so on the unit cochains the round trip and the solve
-are columns of cached operators, kept by rows and checked once per cell,
-each check naming its first failing column in face order:
+are columns of operators, checked once per cell by characterize, each
+check naming its first failing column in face order:
 D~.(W/k!) = (k+1) I, read off the one product of [D~; C] with W/k! that
-certifies the dimension, its constancy rows ignored, and S/k! = W/k!,
-compared row by row.
+certifies the dimension, its constancy rows ignored, and S/k! = W/k!, the
+solve plan's own judgement, read from its CertificateError's ``column``.
 Each seeded random cochain then runs whitney and derham end to end. It
 runs the solve too only at k = 0 and k = n, where the solve also meets an
 independent closed form: for 0 < k < n, once S/k! equals W/k!, a
@@ -26,15 +26,13 @@ from random import Random
 
 from .characterize import (
     CertificateError,
-    _first_differing_column,
-    _solution_rows,
+    _solution_plan,
     _whitney_certificate,
     kernel_is_trivial,
     lambda_e_dimension,
     solve_characterization,
 )
 from .derham import derham
-from .operators import whitney_rows
 from .simplicial import Cochain, enumerate_faces, random_cochain
 from .whitney import whitney
 
@@ -74,39 +72,34 @@ def verify_cell(n: int, k: int, samples: int = 20, seed: int = 0) -> dict:
     cochains = [random_cochain(rng, n, k) for _ in range(samples)]
     forms = [whitney(c) for c in cochains]
 
-    def first_bad(column: int | None, holds) -> Cochain | None:
-        """The unit cochain of a failing column, else the first sample that fails."""
-        if column is not None:
-            return Cochain.basis(enumerate_faces(n, k)[column])
-        return next((c for c, w in zip(cochains, forms) if not holds(c, w)), None)
-
-    # column F of D~.(W/k!) is (k+1) derham(whitney(e_F)); the dimension read C.(W/k!) too
-    bad = first_bad(_whitney_certificate(n, k)[0], lambda c, w: derham(w) == c)
-    cell["rw_identity"] = bad is None
-    if bad is not None and counterexample is None:
-        counterexample = _counterexample("rw_identity", bad)
-
     def solved(c, w) -> bool:
+        # for 0 < k < n, S/k! = W/k! already holds: the solve would read the rows whitney read
         try:
-            return solve_characterization(n, k, c) == w
+            return 0 < k < n or solve_characterization(n, k, c) == w
         except CertificateError:
             return False
 
     # column F of S/k! is solve(e_F) over k!, as column F of W/k! is whitney(e_F)
     try:
-        solution = _solution_rows(n, k)
-    except CertificateError:
-        column = 0
-    else:
-        column = _first_differing_column(solution, whitney_rows(n, k))
-    if column is None and 0 < k < n:
-        # S/k! = W/k!, so each sample's solve would read the rows whitney read
-        bad = None
-    else:
-        bad = first_bad(column, solved)
-    cell["characterization"] = bad is None
-    if bad is not None and counterexample is None:
-        counterexample = _counterexample("characterization", bad)
+        _solution_plan(n, k)
+        solution_column = None
+    except CertificateError as exc:
+        # a refusal that names no column, S/k! unbuilt or uncertified, is face 0's
+        solution_column = exc.column or 0
+    checks = (
+        # column F of D~.(W/k!) is (k+1) derham(whitney(e_F)); the dimension read C.(W/k!) too
+        ("rw_identity", _whitney_certificate(n, k)[0], lambda c, w: derham(w) == c),
+        ("characterization", solution_column, solved),
+    )
+    for check, column, holds in checks:
+        # the unit cochain of a failing column, else the first sample that fails
+        if column is not None:
+            bad = Cochain.basis(enumerate_faces(n, k)[column])
+        else:
+            bad = next((c for c, w in zip(cochains, forms) if not holds(c, w)), None)
+        cell[check] = bad is None
+        if bad is not None and counterexample is None:
+            counterexample = _counterexample(check, bad)
 
     # the kernel fails only with the schedule, whose reason "dimension" already holds;
     # the replay only formats that schedule, so it builds exactly when the kernel holds

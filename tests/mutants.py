@@ -4,9 +4,10 @@ Each fast path of the package is meant to be caught by an oracle of
 ``tests/helpers.py`` when it goes wrong: the closed-form row plan of
 W/k!, its compiled loop and copies, the block traces of D~ and their
 certificate, the stage-2 rows of the elimination schedule and its walk
-into S/k!, the certificate of W/k!'s rows, the row comparison of S/k!
-with W/k!, the replay's record and verify's reading of the schedule for
-it, the reduction of a form's scale, and the byte-to-pair table of the
+into S/k!, the certificate of W/k!'s rows, the solve plan's comparison
+of S/k! with W/k! and its reading of that certificate, verify's reading of
+the plan's refusal, the replay's record and verify's reading of the
+schedule for it, the reduction of a form's scale, and the byte-to-pair table of the
 random cochains. Each mutant below is one exact source line and its
 replacement. The script copies ``src/`` and ``tests/`` to a temporary
 directory, checks that the focused test files pass there unchanged, and
@@ -40,6 +41,7 @@ FOCUSED = [
     "tests/test_derham.py",
     "tests/test_characterize.py",
     "tests/test_simplicial.py",
+    "tests/test_verify.py",
 ]
 
 # (name, file under src/whitneyforms, exact source line, replacement)
@@ -105,7 +107,7 @@ MUTANTS = [
         "            row = _combine([(1, common.items()), (1, constancy[i][j - 1])]) if j else common",
     ),
     (
-        "_certified: the expected column (k+1) e_i made k e_i",
+        "_whitney_certificate: the expected column (k+1) e_i made k e_i",
         "characterize.py",
         "        image = {r: -(k + 1)} if r < len(integrals) else {}",
         "        image = {r: -k} if r < len(integrals) else {}",
@@ -117,16 +119,28 @@ MUTANTS = [
         "                total[i] = total.get(i, 0) + value * x",
     ),
     (
-        "_first_differing_column: the symmetric difference made a difference",
+        "_solution_plan: the symmetric difference made a difference",
         "characterize.py",
         "    differing = (set(s) ^ set(w) for s, w in zip(solution, whitney) if s != w)",
         "    differing = (set(s) - set(w) for s, w in zip(solution, whitney) if s != w)",
+    ),
+    (
+        "_solution_plan: the D~ column of W/k!'s certificate read for the whole",
+        "characterize.py",
+        "    if _whitney_certificate(n, k)[1] is None:",
+        "    if _whitney_certificate(n, k)[0] is None:",
     ),
     (
         "proof_trace: a stage-2 step's m written as its block",
         "characterize.py",
         '            stage2.append({"L": span, "m": m, "killed": labels[step.target]})',
         '            stage2.append({"L": span, "m": block, "killed": labels[step.target]})',
+    ),
+    (
+        "verify_cell: the column of a refusal read as face 0 whatever it names",
+        "verify.py",
+        "        solution_column = exc.column or 0",
+        "        solution_column = 0",
     ),
     (
         "verify_cell: the replay entry made true whatever the schedule",

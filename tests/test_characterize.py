@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import re
-import sys
 from fractions import Fraction
 from random import Random
 
@@ -53,11 +52,10 @@ from whitneyforms import (
 from whitneyforms import operators
 from whitneyforms.characterize import (
     CertificateError,
-    _certified,
-    _first_differing_column,
     _schedule,
     _solution_plan,
     _solution_rows,
+    _whitney_certificate,
 )
 from whitneyforms.operators import (
     constancy_rows,
@@ -533,7 +531,7 @@ def test_every_admitted_cell_is_certified():
     # edge cells it admits, as the rule of _admitted_cells derives them
     for n, k in ADMITTED_CELLS:
         assert len(_schedule(n, k)) == unknown_layout(n, k).size
-        assert _certified(n, k, whitney_rows(n, k)) == (None, None)
+        assert _whitney_certificate(n, k) == (None, None)
         # S/k! and W/k!, both by rows whose every entry is +-1; equal rows, so the
         # solve runs W/k!'s plan
         assert _solution_rows(n, k) == whitney_rows(n, k)
@@ -607,18 +605,45 @@ def _column_wise(solution, whitney, faces):
     return next((i for i, (s, w) in enumerate(pairs) if s != w), None)
 
 
-def test_the_solve_and_verify_find_the_first_differing_column_alike():
-    # one helper names the first column where S/k! and W/k! differ, for the solve's
-    # refusal and for verify's characterization check
+def _read_as(monkeypatch, solution, whitney):
+    """Patch characterize to read S/k! and W/k! as the given rows, at every (n, k)."""
+    monkeypatch.setattr(characterize, "_solution_rows", lambda n, k: tuple(solution))
+    monkeypatch.setattr(characterize, "whitney_rows", lambda n, k: tuple(whitney))
+
+
+def _refused_column(n, k, solution, whitney):
+    """The column that _solution_plan's refusal names, with S/k! and W/k! read as given."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _read_as(monkeypatch, solution, whitney)
+        with pytest.raises(CertificateError, match="differs from W/k! in the column") as refusal:
+            _solution_plan.__wrapped__(n, k)
+    return refusal.value.column
+
+
+def test_the_solve_and_verify_find_the_first_differing_column_alike(monkeypatch):
+    # the solve's refusal names the first column where S/k! and W/k! differ, and
+    # verify's characterization check reads that column
     rows = whitney_rows(4, 2)
-    assert _first_differing_column(rows, rows) is None
+    assert _solution_plan(4, 2) is whitney_plan(4, 2)
     # column 3 negated, and face 7 in a row without face 3: both columns differ, 3 first
     broken = [tuple((i, -v if i == 3 else v) for i, v in row) for row in rows]
     p = next(p for p, row in enumerate(rows) if 7 in dict(row) and 3 not in dict(row))
     broken[p] = tuple((i, -v if i == 7 else v) for i, v in rows[p])
     for a, b in ((broken, rows), (rows, broken)):
-        assert _first_differing_column(a, b) == 3 == _column_wise(a, b, 10)
-    assert sys.modules["whitneyforms.verify"]._first_differing_column is _first_differing_column
+        assert _refused_column(4, 2, a, b) == 3 == _column_wise(a, b, 10)
+    # S/k! read as broken, W/k! intact: verify's counterexample is face 3's unit cochain
+    _read_as(monkeypatch, broken, rows)
+    clear_caches()
+    try:
+        cell = verify_cell(4, 2, samples=0)
+    finally:
+        clear_caches()
+    assert (cell["characterization"], cell["pass"]) == (False, False)
+    assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
+    assert cell["counterexample"] == {
+        "check": "characterization",
+        "cochain": {"n": 4, "k": 2, "terms": [{"face": [0, 2, 3], "coeff": "1"}]},
+    }
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -628,7 +653,7 @@ def test_the_first_differing_column_by_rows_is_the_column_wise_one(n):
     rng = Random(n)
     for k in range(n + 1):
         rows, faces = _solution_rows(n, k), Cochain.size(n, k)
-        assert _first_differing_column(rows, whitney_rows(n, k)) is None
+        assert _solution_plan(n, k) is whitney_plan(n, k)
         cases = []
         for p, row in enumerate(rows):
             for e, (i, v) in enumerate(row):
@@ -644,8 +669,8 @@ def test_the_first_differing_column_by_rows_is_the_column_wise_one(n):
             broken = [case.get(p, row) for p, row in enumerate(rows)]
             expected = _column_wise(broken, rows, faces)
             assert expected is not None
-            assert _first_differing_column(broken, whitney_rows(n, k)) == expected
-            assert _first_differing_column(whitney_rows(n, k), broken) == expected
+            assert _refused_column(n, k, broken, rows) == expected
+            assert _refused_column(n, k, rows, broken) == expected
 
 
 def test_a_solution_off_a_broken_whitney_is_refused(monkeypatch):
@@ -673,6 +698,36 @@ def test_a_solution_off_a_broken_whitney_is_refused(monkeypatch):
     assert result.stderr == f"characterization failed: {message}\n"
 
 
+def test_an_uncertified_whitney_equal_to_the_solution_is_refused(monkeypatch):
+    # S/k! equals W/k!, so W/k!'s certificate is S/k!'s: failing in C only, it
+    # fails every solve of the cell, the CLI's and verify's characterization
+    real = characterize._whitney_certificate
+    monkeypatch.setattr(
+        characterize,
+        "_whitney_certificate",
+        lambda n, k: (None, 0) if (n, k) == (3, 1) else real(n, k),
+    )
+    message = "the solution columns at (n=3, k=1) fail C.(S/k!) = 0, D~.(S/k!) = (k+1) I"
+    clear_caches()
+    try:
+        for c in [Cochain.zero(3, 1), random_cochain(Random(5), 3, 1)]:
+            with pytest.raises(CertificateError, match=re.escape(message)):
+                solve_characterization(3, 1, c)
+        cochain = '{"n": 3, "k": 1, "terms": [{"face": [0, 1], "coeff": "1"}]}'
+        result = run_cli(["characterize", "--n", "3", "--k", "1", "--cochain", cochain])
+        cell = verify_cell(3, 1, samples=2)
+    finally:
+        clear_caches()
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == f"characterization failed: {message}\n"
+    assert (cell["dimension"], cell["characterization"], cell["pass"]) == (False, False, False)
+    assert all(cell[name] for name in ("rw_identity", "kernel", "proof_trace"))
+    assert cell["counterexample"] == {
+        "check": "dimension",
+        "error": "the Whitney columns at (n=3, k=1) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I",
+    }
+
+
 def test_a_broken_whitney_plan_fails_the_dimension(monkeypatch):
     # the rows are read off whitney_plan, so the certificate C.X = 0,
     # D~.X = (k+1) I covers the rows that whitney and the solve run. A group of
@@ -689,7 +744,7 @@ def test_a_broken_whitney_plan_fails_the_dimension(monkeypatch):
     )
     clear_caches()
     try:
-        assert _certified(3, 1, operators.whitney_rows(3, 1))[1] is not None
+        assert _whitney_certificate(3, 1)[1] is not None
         with pytest.raises(CertificateError, match="Whitney columns"):
             lambda_e_dimension(3, 1)
         cell = verify_cell(3, 1, samples=2)
@@ -707,7 +762,9 @@ def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
     # that is +1 on face 0 in the rows of those two unknowns, it
     # breaks C.(W/k!) = 0 and keeps D~.(W/k!) = (k+1) I, so the one product that
     # both checks read marks the dimension false and the round trip, which
-    # ignores the constancy rows, true
+    # ignores the constancy rows, true. S/k! no longer equals W/k! as
+    # characterize reads it, so the solve refuses, and verify's characterization,
+    # which reads the solve's own judgement, is false with it
     layout = unknown_layout(3, 1)
     extra = tuple(layout.labels.index(label) for label in ("a_(2),3", "a_(3),2"))
     z = [int(p in extra) for p in range(layout.size)]
@@ -724,12 +781,16 @@ def test_broken_whitney_column_fails_the_dimension_only(monkeypatch):
         with pytest.raises(CertificateError, match="Whitney columns"):
             lambda_e_dimension(3, 1)
         assert kernel_is_trivial(3, 1) is True
+        message = "S/k! at (n=3, k=1) differs from W/k! in the column of face [0, 1]"
+        with pytest.raises(CertificateError, match=re.escape(message)):
+            solve_characterization(3, 1, Cochain.zero(3, 1))
         cell = verify_cell(3, 1, samples=2)
     finally:
         clear_caches()
     # the kernel needs only the schedule, the dimension needs W too
     assert (cell["dimension"], cell["kernel"], cell["pass"]) == (False, True, False)
-    assert all(cell[name] for name in ("rw_identity", "characterization", "proof_trace"))
+    assert (cell["rw_identity"], cell["proof_trace"]) == (True, True)
+    assert cell["characterization"] is False
     assert cell["counterexample"] == {
         "check": "dimension",
         "error": "the Whitney columns at (n=3, k=1) fail C.(W/k!) = 0, D~.(W/k!) = (k+1) I",

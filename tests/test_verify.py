@@ -21,7 +21,7 @@ from whitneyforms import (
 )
 from whitneyforms.characterize import (
     CertificateError,
-    _certified,
+    _solution_plan,
     _solution_rows,
     _whitney_certificate,
 )
@@ -106,20 +106,27 @@ def test_a_refused_sample_solve_fails_that_sample(monkeypatch):
 def _drop_first_plus(monkeypatch, n, k, column):
     """Drop the first +1 of one column of W/k! at (n, k), as whitney and verify read it.
 
-    That is the entry (column, +1) of the first row that holds it. verify reads
-    the rows and the round trip's product of [D~; C] with them, and whitney
-    applies the broken rows, transposed, through the column walk of the
-    oracle. The dimension count reads characterize's own product, which stays
-    intact.
+    That is the entry (column, +1) of the first row that holds it.
+    characterize judges the broken rows once, uncached: verify reads that
+    solve plan's refusal and the round trip's product of [D~; C] with them,
+    and whitney applies the broken rows, transposed, through the column walk
+    of the oracle. The dimension count reads characterize's own product,
+    which stays intact.
     """
     rows = list(whitney_rows(n, k))
     p = next(p for p, row in enumerate(rows) if (column, 1) in row)
     rows[p] = tuple(entry for entry in rows[p] if entry != (column, 1))
-    certificate = _certified(n, k, rows)
+    with monkeypatch.context() as judged:
+        judged.setattr(characterize, "whitney_rows", lambda m, j: tuple(rows))
+        certificate = _whitney_certificate.__wrapped__(n, k)
+        with pytest.raises(CertificateError) as refusal:
+            _solution_plan.__wrapped__(n, k)
     columns = transpose(rows, Cochain.size(n, k))
 
-    def broken(m, j):
-        return tuple(rows) if (m, j) == (n, k) else whitney_rows(m, j)
+    def broken_plan(m, j):
+        if (m, j) == (n, k):
+            raise refusal.value
+        return _solution_plan(m, j)
 
     def broken_image(plan, c):
         return column_image(columns, c) if (c.n, c.k) == (n, k) else factorial_image(plan, c)
@@ -127,7 +134,7 @@ def _drop_first_plus(monkeypatch, n, k, column):
     def broken_certificate(m, j):
         return certificate if (m, j) == (n, k) else _whitney_certificate(m, j)
 
-    monkeypatch.setattr(verify_module, "whitney_rows", broken)
+    monkeypatch.setattr(verify_module, "_solution_plan", broken_plan)
     monkeypatch.setattr(verify_module, "_whitney_certificate", broken_certificate)
     monkeypatch.setattr(sys.modules["whitneyforms.whitney"], "factorial_image", broken_image)
 
@@ -158,11 +165,15 @@ def test_a_broken_whitney_column_names_its_face(monkeypatch, n, k, column, face,
 
 
 def test_a_solution_column_off_whitney_names_its_face(monkeypatch):
-    # S/k! as verify reads it differs from W/k! in column 3 only, face [1, 2]:
-    # every entry of that column negated
+    # S/k! as characterize builds it differs from W/k! in column 3 only, face
+    # [1, 2]: every entry of that column negated
     rows = [tuple((i, -v if i == 3 else v) for i, v in row) for row in _solution_rows(3, 1)]
-    monkeypatch.setattr(verify_module, "_solution_rows", lambda n, k: tuple(rows))
-    cell = verify_cell(3, 1, samples=2)
+    monkeypatch.setattr(characterize, "_solution_rows", lambda n, k: tuple(rows))
+    clear_caches()
+    try:
+        cell = verify_cell(3, 1, samples=2)
+    finally:
+        clear_caches()
     assert (cell["characterization"], cell["pass"]) == (False, False)
     assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
     assert cell["counterexample"] == {"check": "characterization", "cochain": _unit(3, 1, [1, 2])}
@@ -172,8 +183,12 @@ def test_a_failed_solution_build_names_face_zero(monkeypatch):
     def refuse(n, k):
         raise CertificateError(f"inexact pivot at (n={n}, k={k})")
 
-    monkeypatch.setattr(verify_module, "_solution_rows", refuse)
-    cell = verify_cell(3, 1, samples=0)
+    monkeypatch.setattr(characterize, "_solution_rows", refuse)
+    clear_caches()
+    try:
+        cell = verify_cell(3, 1, samples=0)
+    finally:
+        clear_caches()
     assert (cell["characterization"], cell["pass"]) == (False, False)
     assert all(cell[name] for name in ("dimension", "rw_identity", "kernel", "proof_trace"))
     assert cell["counterexample"] == {"check": "characterization", "cochain": _unit(3, 1, [0, 1])}
